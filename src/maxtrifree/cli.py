@@ -55,7 +55,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=_env_int("SEED", 1),
                         help="64-bit seed for every random draw")
     parser.add_argument("--shards", type=int, default=_env_int("SHARDS", 1),
-                        help="number of deterministic work partitions")
+                        help="split the work into this many deterministic partitions, "
+                             "run one after another in this process (not in parallel); "
+                             "reports do not depend on it")
     parser.add_argument("--guard", type=_parse_guard, action="append", default=[],
                         metavar="KEY=VAL", help=f"override a size cap {sorted(DEFAULT_GUARDS)}")
     parser.add_argument("--json", dest="json_path", metavar="PATH",
@@ -136,6 +138,8 @@ def _cmd_construct(args) -> int:
 def _cmd_enumerate(args) -> int:
     config = _config(args)
     guard = config.guard("enumeration_n")
+    # the largest n is checked first, so a size limit stops the run before n = 1..n-1
+    enumeration.check_size(args.n, guard)
     if args.n > enumeration.DEFAULT_ENUMERATION_GUARD:
         print(f"warning: n={args.n} beyond the default guard "
               f"{enumeration.DEFAULT_ENUMERATION_GUARD}; this may take very long",

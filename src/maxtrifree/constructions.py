@@ -16,7 +16,7 @@ from math import comb
 
 import numpy as np
 
-from .graph import Graph, GuardError, has_clique, is_maximal_triangle_free, is_triangle_free
+from .graph import Graph, GuardError, has_clique, lex_pairs
 from .graph6 import encode_graph6
 from .report import FAIL, PASS, Stopwatch, VerificationReport
 
@@ -95,34 +95,65 @@ def folklore_graph(choice: FolkloreChoice) -> Graph:
     return Graph(n, tuple(rows))
 
 
+def folklore_columns(n: int, codes: np.ndarray) -> np.ndarray:
+    """Adjacency rows of the members with the given codes, built from the bits.
+
+    Row k column x (uint16) equals
+    ``folklore_graph(FolkloreChoice.from_int(n, codes[k])).rows[x]``.
+    """
+    half = n // 2
+    full = (1 << half) - 1
+    codes = np.asarray(codes, dtype=np.int64)
+    cols = np.zeros((len(codes), n), dtype=np.uint16)
+    for i in range(n // 4):
+        a, b = 2 * i, 2 * i + 1
+        to_b = codes >> (i * half) & full  # bit j: independent vertex half + j joins b
+        cols[:, a] = 1 << b | (to_b ^ full) << half
+        cols[:, b] = 1 << a | to_b << half
+        for j in range(half):
+            cols[:, half + j] |= (1 << (a + (to_b >> j & 1))).astype(np.uint16)
+    return cols
+
+
 def folklore_family_stats(n: int, *, shards: int = 1,
                           guard: int = FOLKLORE_STATS_MAX_N) -> VerificationReport:
     """Enumerate every choice; count distinct, triangle-free, maximal members.
 
-    Shards split the choice space into contiguous code ranges; the aggregate
-    is independent of the shard count.
+    Shards split the choice space into contiguous code ranges, each built at
+    once as adjacency columns by folklore_columns; the aggregate is independent
+    of the shard count.  One pass over the vertex pairs flags members with a
+    triangle (an edge whose ends have a common neighbour) and members that are
+    not maximal (a non-edge whose ends have none).  Distinct members are
+    counted by np.unique over the rows of all shards, viewed as fixed-width
+    bytes.  A Graph is built only for the witness of a member with a triangle,
+    from the rows that were checked, so a fault in the columns shows in it.
     """
     if n > guard:
         raise GuardError(f"family enumeration capped at n={guard}, got {n}")
+    if n > FOLKLORE_STATS_MAX_N:
+        # every member's rows are held at once: n = 16 would need 2^32 of them
+        raise GuardError(
+            f"family enumeration holds all members in memory; capped at "
+            f"n={FOLKLORE_STATS_MAX_N}, got {n}")
     width = folklore_bit_count(n)
     total = 1 << width
     with Stopwatch() as sw:
-        seen: set[tuple[int, ...]] = set()
-        tf = 0
-        maximal = 0
-        bad: list[str] = []
         bounds = [total * s // shards for s in range(shards + 1)]
-        for s in range(shards):
-            for code in range(bounds[s], bounds[s + 1]):
-                g = folklore_graph(FolkloreChoice.from_int(n, code))
-                seen.add(g.rows)
-                if is_triangle_free(g):
-                    tf += 1
-                else:
-                    bad.append(encode_graph6(g))
-                if is_maximal_triangle_free(g):
-                    maximal += 1
-        distinct = len(seen)
+        cols = np.concatenate([folklore_columns(n, np.arange(bounds[s], bounds[s + 1]))
+                               for s in range(shards)])
+        triangle = np.zeros(total, dtype=bool)
+        not_maximal = np.zeros(total, dtype=bool)
+        for u, v in lex_pairs(n):
+            edge = (cols[:, u] >> v & 1).astype(bool)
+            common = (cols[:, u] & cols[:, v]) != 0
+            triangle |= edge & common
+            not_maximal |= ~(edge | common)
+        tf = total - int(np.count_nonzero(triangle))
+        maximal = total - int(np.count_nonzero(triangle | not_maximal))
+        # n = 0 has one member, whose zero-width row cannot be viewed as bytes
+        distinct = len(np.unique(cols.view(np.dtype((np.void, cols.itemsize * n))))) if n else 1
+        bad = [encode_graph6(Graph(n, tuple(int(r) for r in cols[k])))
+               for k in np.flatnonzero(triangle)]
         if distinct != total:
             bad.append(f"distinct={distinct}")
     frac = Fraction(maximal, total)

@@ -120,6 +120,14 @@ class _LeafCollector:
         return np.sort(np.concatenate(self.batches))
 
 
+def check_size(n: int, guard: int) -> None:
+    """Raise GuardError if n is past the run's guard or the walker's capacity."""
+    if n > guard:
+        raise GuardError(
+            f"enumeration guard is n={guard}; raise it explicitly to go further")
+    scan.check_capacity(n)
+
+
 def enumerate_maximal_tf(
     n: int,
     *,
@@ -136,9 +144,7 @@ def enumerate_maximal_tf(
     Both must agree with the brute-force oracle.  Streams the family as sorted
     graph6 lines when ``stream_path`` is given.
     """
-    if n > guard:
-        raise GuardError(
-            f"enumeration guard is n={guard}; raise it explicitly to go further")
+    check_size(n, guard)
     if n < 1:
         raise ValueError("need at least one vertex")
     if pair_order is not None and stream_path is not None:
@@ -166,18 +172,14 @@ def enumerate_maximal_tf(
 def growth_table(n_max: int, *, shards: int = 1,
                  guard: int = DEFAULT_ENUMERATION_GUARD) -> CountTable:
     """CountRows for n = 1..n_max; no convergence assertion is made or implied."""
-    if n_max > guard:
-        raise GuardError(
-            f"enumeration guard is n={guard}; raise it explicitly to go further")
+    check_size(n_max, guard)
     rows = [enumerate_maximal_tf(n, shards=shards, guard=guard) for n in range(1, n_max + 1)]
     return CountTable(tuple(rows))
 
 
 def maximal_tf_family(n: int, *, guard: int = DEFAULT_ENUMERATION_GUARD) -> list[Graph]:
     """The maximal triangle-free graphs on [n], ascending by edge bitmask."""
-    if n > guard:
-        raise GuardError(
-            f"enumeration guard is n={guard}; raise it explicitly to go further")
+    check_size(n, guard)
     collector = _LeafCollector(n, forward_prune=True)
     collector.collect = True
     scan.walk_triangle_free(n, forward_prune=True, consume=collector.consume)

@@ -256,12 +256,6 @@ def graph_edge_set(g: Graph) -> EdgeSet:
     return EdgeSet.from_pairs(g.n, g.edges())
 
 
-def remove_edge_set(g: Graph, es: EdgeSet) -> Graph:
-    if es.host_n != g.n:
-        raise ValueError("edge set does not match graph vertex count")
-    return g.without_edges(es.pairs())
-
-
 # ---------------------------------------------------------------------------
 # Triangle and clique primitives
 # ---------------------------------------------------------------------------

@@ -10,8 +10,9 @@ Without it, leaves are all triangle-free graphs.
 
 States evolve independently of one another, so the frontier may be split at
 any index and shards/chunks merged associatively; the leaf multiset never
-depends on the partitioning.  A slow reference walker with identical
-semantics is kept for cross-checks.
+depends on the partitioning.  Leaf edge masks are int64 with one bit per
+pair, so the walker takes at most 63 pairs (n <= 11); larger n raises
+GuardError.
 """
 from __future__ import annotations
 
@@ -19,18 +20,24 @@ from typing import Callable
 
 import numpy as np
 
-from .graph import lex_pairs
+from .graph import GuardError, lex_pairs
 
 Consumer = Callable[[np.ndarray, np.ndarray], None]
 
-_MAX_N = 16  # adjacency rows are held in uint16 columns
+_MAX_PAIRS = 63  # leaf edge masks are int64, one bit per decided pair
+
+
+def check_capacity(n: int) -> None:
+    """Raise GuardError unless all C(n, 2) pairs fit the walker's edge masks."""
+    if n * (n - 1) // 2 > _MAX_PAIRS:
+        raise GuardError(
+            f"walker decides at most {_MAX_PAIRS} pairs (n <= 11), got n={n}")
 
 
 class _Walk:
     def __init__(self, n: int, forward_prune: bool, consume: Consumer | None, chunk: int,
                  pair_order: list[tuple[int, int]] | None = None):
-        if n > _MAX_N:
-            raise ValueError(f"walker supports at most {_MAX_N} vertices, got {n}")
+        check_capacity(n)
         self.n = n
         self.pairs = list(pair_order) if pair_order is not None else lex_pairs(n)
         if sorted(self.pairs) != lex_pairs(n):
@@ -141,56 +148,3 @@ def walk_triangle_free(
         masks0, adj0 = walk.run_prefix(0)
         walk.run_leaves(masks0, adj0, 0)
     return walk.leaves
-
-
-def walk_triangle_free_scalar(
-    n: int, *, forward_prune: bool,
-    pair_order: list[tuple[int, int]] | None = None,
-) -> list[int]:
-    """Reference walker: returns the leaf edge bitmasks (unsorted)."""
-    pairs = list(pair_order) if pair_order is not None else lex_pairs(n)
-    total = len(pairs)
-    adj = [0] * n
-    undecided = [((1 << n) - 1) ^ (1 << x) for x in range(n)]
-    decided_non = [0] * n
-    out: list[int] = []
-
-    def viable(x: int, y: int) -> bool:
-        return bool((adj[x] | undecided[x]) & (adj[y] | undecided[y]))
-
-    def rec(level: int, mask: int) -> None:
-        if level == total:
-            out.append(mask)
-            return
-        u, v = pairs[level]
-        bu, bv = 1 << u, 1 << v
-        undecided[u] &= ~bv
-        undecided[v] &= ~bu
-        # absent branch
-        decided_non[u] |= bv
-        decided_non[v] |= bu
-        ok = True
-        if forward_prune:
-            for x in (u, v):
-                rest = decided_non[x]
-                while rest and ok:
-                    low = rest & -rest
-                    rest ^= low
-                    if not viable(x, low.bit_length() - 1):
-                        ok = False
-        if ok:
-            rec(level + 1, mask)
-        decided_non[u] &= ~bv
-        decided_non[v] &= ~bu
-        # present branch; a common neighbor would close a triangle
-        if adj[u] & adj[v] == 0:
-            adj[u] |= bv
-            adj[v] |= bu
-            rec(level + 1, mask | 1 << level)
-            adj[u] &= ~bv
-            adj[v] &= ~bu
-        undecided[u] |= bv
-        undecided[v] |= bu
-
-    rec(0, 0)
-    return out

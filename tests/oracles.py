@@ -1,10 +1,20 @@
 """Naive reference implementations used as independent oracles in tests.
 
-Everything here works on explicit edge lists / vertex sets with itertools,
+Most of these work on explicit edge lists / vertex sets with itertools,
 deliberately avoiding the package's bit tricks so the two routes share no
-code path.
+code path.  The scalar walker and the folklore census are the slow twins of
+the batched numpy paths: they use Python integers and the package's scalar
+Graph primitives, which the numpy paths do not call.
 """
 from itertools import combinations
+
+from maxtrifree import (
+    FolkloreChoice,
+    folklore_graph,
+    is_maximal_triangle_free,
+    is_triangle_free,
+)
+from maxtrifree.constructions import folklore_bit_count
 
 
 def edge_set(g):
@@ -83,3 +93,69 @@ def set_to_word(s) -> int:
     for v in s:
         word |= 1 << v
     return word
+
+
+def walk_triangle_free_scalar(
+    n: int, *, forward_prune: bool,
+    pair_order: list[tuple[int, int]] | None = None,
+) -> list[int]:
+    """Reference for scan.walk_triangle_free: the leaf edge bitmasks (unsorted)."""
+    pairs = list(pair_order) if pair_order is not None else list(combinations(range(n), 2))
+    total = len(pairs)
+    adj = [0] * n
+    undecided = [((1 << n) - 1) ^ (1 << x) for x in range(n)]
+    decided_non = [0] * n
+    out: list[int] = []
+
+    def viable(x: int, y: int) -> bool:
+        return bool((adj[x] | undecided[x]) & (adj[y] | undecided[y]))
+
+    def rec(level: int, mask: int) -> None:
+        if level == total:
+            out.append(mask)
+            return
+        u, v = pairs[level]
+        bu, bv = 1 << u, 1 << v
+        undecided[u] &= ~bv
+        undecided[v] &= ~bu
+        # absent branch
+        decided_non[u] |= bv
+        decided_non[v] |= bu
+        ok = True
+        if forward_prune:
+            for x in (u, v):
+                rest = decided_non[x]
+                while rest and ok:
+                    low = rest & -rest
+                    rest ^= low
+                    if not viable(x, low.bit_length() - 1):
+                        ok = False
+        if ok:
+            rec(level + 1, mask)
+        decided_non[u] &= ~bv
+        decided_non[v] &= ~bu
+        # present branch; a common neighbor would close a triangle
+        if adj[u] & adj[v] == 0:
+            adj[u] |= bv
+            adj[v] |= bu
+            rec(level + 1, mask | 1 << level)
+            adj[u] &= ~bv
+            adj[v] &= ~bu
+        undecided[u] |= bv
+        undecided[v] |= bu
+
+    rec(0, 0)
+    return out
+
+
+def folklore_census(n: int) -> dict[str, int]:
+    """Reference for constructions.folklore_family_stats: builds every member."""
+    total = 1 << folklore_bit_count(n)
+    seen = set()
+    tf = maximal = 0
+    for code in range(total):
+        g = folklore_graph(FolkloreChoice.from_int(n, code))
+        seen.add(g.rows)
+        tf += is_triangle_free(g)
+        maximal += is_maximal_triangle_free(g)
+    return {"total": total, "distinct": len(seen), "triangle_free": tf, "maximal": maximal}

@@ -4,12 +4,16 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
+import numpy as np
+
 from maxtrifree import (
     FolkloreChoice,
     Graph,
     GuardError,
     KrChoice,
     check_matching_partition,
+    decode_graph6,
+    find_triangle,
     folklore_family_stats,
     folklore_graph,
     has_clique,
@@ -18,12 +22,15 @@ from maxtrifree import (
     kr_entropy_check,
     kr_free_graph,
 )
+from maxtrifree import constructions
 from maxtrifree.constructions import (
     folklore_bit_count,
+    folklore_columns,
     kr_pair_slots,
     kr_vertex_slots,
 )
 from maxtrifree.report import rng_for
+from oracles import folklore_census
 
 
 class TestFolkloreChoice:
@@ -102,9 +109,59 @@ class TestFolkloreStats:
         b = folklore_family_stats(8, shards=4)
         assert a.counts == b.counts
 
+    def test_shard_invariance_n12(self):
+        a = folklore_family_stats(12, shards=1)
+        b = folklore_family_stats(12, shards=3)
+        assert a.counts == b.counts == {
+            "total": 262144, "distinct": 262144, "triangle_free": 262144, "maximal": 3120}
+        assert a.parameters == b.parameters and a.witnesses == b.witnesses == []
+
     def test_guard(self):
         with pytest.raises(GuardError):
             folklore_family_stats(16)
+        with pytest.raises(GuardError):
+            folklore_family_stats(16, guard=16)  # past what the census holds in memory
+
+    def test_counts_match_scalar_oracle(self):
+        for n in (0, 4, 8):
+            assert folklore_family_stats(n).counts == folklore_census(n)
+
+    def test_columns_match_folklore_graph(self):
+        n = 12
+        codes = np.random.default_rng(12).integers(0, 1 << folklore_bit_count(n), size=2000)
+        cols = folklore_columns(n, codes)
+        for code, rows in zip(codes, cols):
+            expected = folklore_graph(FolkloreChoice.from_int(n, int(code))).rows
+            assert tuple(int(r) for r in rows) == expected
+
+    def test_planted_duplicate_fails(self, monkeypatch):
+        def duplicate_first(n, codes):
+            cols = folklore_columns(n, codes)
+            cols[1] = cols[0]
+            return cols
+
+        monkeypatch.setattr(constructions, "folklore_columns", duplicate_first)
+        rep = folklore_family_stats(8)
+        assert not rep.passed
+        assert rep.counts["distinct"] == 255
+        assert rep.witnesses == ["distinct=255"]
+
+    def test_planted_triangle_fails(self, monkeypatch):
+        n = 8
+        y0, y1 = n // 2, n // 2 + 1  # both joined to vertex 0 in member 0
+
+        def triangle_in_first(n, codes):
+            cols = folklore_columns(n, codes)
+            cols[0, y0] |= 1 << y1
+            cols[0, y1] |= 1 << y0
+            return cols
+
+        monkeypatch.setattr(constructions, "folklore_columns", triangle_in_first)
+        rep = folklore_family_stats(n)
+        assert not rep.passed
+        assert rep.counts["triangle_free"] == 255
+        assert len(rep.witnesses) == 1
+        assert find_triangle(decode_graph6(rep.witnesses[0])) == (0, y0, y1)
 
 
 class TestKrChoice:

@@ -15,6 +15,7 @@ from maxtrifree import (
     remark3_census,
     remark3_fraction,
 )
+from maxtrifree import scan
 from maxtrifree.graph import lex_pairs
 from oracles import naive_is_maximal_tf
 
@@ -86,6 +87,12 @@ class TestEnumerate:
     def test_guard(self):
         with pytest.raises(GuardError):
             enumerate_maximal_tf(10)
+
+    def test_walker_capacity_is_a_guard_error(self):
+        # C(12, 2) = 66 pairs do not fit the walker's int64 edge masks; C(11, 2) = 55 do
+        scan.check_capacity(11)
+        with pytest.raises(GuardError):
+            enumerate_maximal_tf(12, guard=12)
 
 
 class TestGrowthTable:

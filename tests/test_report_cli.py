@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from maxtrifree import Graph, encode_graph6, worked_k4_instance
+from maxtrifree import Graph, encode_graph6, enumeration, worked_k4_instance
 from maxtrifree.cli import main
+from maxtrifree.suites import _claim_random_check
 from maxtrifree.report import (
     DEFAULT_GUARDS,
     RunConfig,
@@ -106,6 +107,15 @@ class TestCli:
         rows = json.loads((tmp_path / "t.json").read_text())
         assert rows[4]["labeled_count"] == 27
 
+    def test_enumerate_past_walker_capacity_exits_at_once(self, capsys, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("n = 1..11 ran before the size check")
+
+        monkeypatch.setattr(enumeration, "enumerate_maximal_tf", no_run)
+        assert main(["enumerate", "--n", "12", "--guard", "enumeration_n=12"]) == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and captured.out == ""
+
     def test_construct_choice(self, capsys):
         assert main(["construct", "--family", "folklore", "--n", "4",
                      "--choice", "0"]) == 0
@@ -197,3 +207,13 @@ class TestCli:
         reports = {r.check_name: r for r in loads_reports(out.read_text())}
         assert "count_n5" in reports["growth_table"].counts
         assert "count_n6" not in reports["growth_table"].counts
+
+
+def test_claim_check_counts_instances_actually_run():
+    def always_fails(inst):
+        return make_report(status="fail", witnesses=["planted"])
+
+    rep = _claim_random_check(1, 0, 1000, 6, always_fails)
+    assert not rep.passed
+    assert rep.counts == {"instances": 5, "failures": 5}
+    assert rep.parameters["instances"] == 1000

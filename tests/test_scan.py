@@ -1,7 +1,8 @@
 """Cross-checks between the batched walker, its scalar twin, and raw scans."""
 from maxtrifree import graph_from_edge_mask, is_maximal_triangle_free, is_triangle_free
 from maxtrifree.graph import lex_pairs
-from maxtrifree.scan import walk_triangle_free, walk_triangle_free_scalar
+from maxtrifree.scan import walk_triangle_free
+from oracles import walk_triangle_free_scalar
 
 
 def collect(n, forward_prune, **kw):
