@@ -24,7 +24,7 @@ from .graph import (
     is_maximal_triangle_free,
     lex_pairs,
 )
-from .graph6 import encode_graph6
+from .graph6 import encode_graph6_masks
 from .report import Stopwatch
 
 BRUTE_FORCE_MAX_N = 6
@@ -121,7 +121,9 @@ class _LeafCollector:
 
 
 def check_size(n: int, guard: int) -> None:
-    """Raise GuardError if n is past the run's guard or the walker's capacity."""
+    """Raise ValueError for n < 1, GuardError past the guard or the walker's capacity."""
+    if n < 1:
+        raise ValueError("need at least one vertex")
     if n > guard:
         raise GuardError(
             f"enumeration guard is n={guard}; raise it explicitly to go further")
@@ -135,7 +137,6 @@ def enumerate_maximal_tf(
     stream_path=None,
     guard: int = DEFAULT_ENUMERATION_GUARD,
     forward_prune: bool = True,
-    pair_order: list[tuple[int, int]] | None = None,
 ) -> CountRow:
     """Count labeled maximal triangle-free graphs on [n] by backtracking.
 
@@ -145,10 +146,6 @@ def enumerate_maximal_tf(
     graph6 lines when ``stream_path`` is given.
     """
     check_size(n, guard)
-    if n < 1:
-        raise ValueError("need at least one vertex")
-    if pair_order is not None and stream_path is not None:
-        raise ValueError("streaming requires the canonical pair order")
     with Stopwatch() as sw:
         collector = _LeafCollector(n, forward_prune)
         collector.collect = stream_path is not None
@@ -157,14 +154,11 @@ def enumerate_maximal_tf(
             forward_prune=forward_prune,
             consume=collector.consume,
             shards=shards,
-            pair_order=pair_order,
         )
         count = collector.count
         if stream_path is not None:
-            with open(stream_path, "w", encoding="ascii") as fh:
-                for mask in collector.sorted_masks():
-                    fh.write(encode_graph6(graph_from_edge_mask(n, int(mask))))
-                    fh.write("\n")
+            with open(stream_path, "wb") as fh:
+                fh.write(encode_graph6_masks(n, collector.sorted_masks()))
     log2_over = round(math.log2(count) / (n * n), 6) if count else float("-inf")
     return CountRow(n, count, log2_over, sw.elapsed_ms)
 

@@ -51,16 +51,21 @@ class Graph:
             raise ValueError(f"vertex count {self.n} outside 0..{MAX_VERTICES}")
         if len(self.rows) != self.n:
             raise ValueError("row count does not match vertex count")
+        rows = self.rows
         full = (1 << self.n) - 1
-        for u, row in enumerate(self.rows):
+        for u, row in enumerate(rows):
             if row & ~full:
                 raise ValueError(f"row {u} has bits beyond vertex {self.n - 1}")
             if row >> u & 1:
                 raise ValueError(f"self-loop at vertex {u}")
-        for u in range(self.n):
-            for v in iter_bits(self.rows[u]):
-                if not self.rows[v] >> u & 1:
-                    raise ValueError(f"asymmetric adjacency at ({u}, {v})")
+        for u, word in enumerate(rows):
+            # iter_bits(word), inlined: this loop runs for every graph built
+            bit = 1 << u
+            while word:
+                low = word & -word
+                if not rows[low.bit_length() - 1] & bit:
+                    raise ValueError(f"asymmetric adjacency at ({u}, {low.bit_length() - 1})")
+                word ^= low
 
     # -- constructors ------------------------------------------------------
 

@@ -4,12 +4,26 @@ The upper triangle is serialized in column order (x_{0,1}, x_{0,2}, x_{1,2},
 x_{0,3}, ...), packed big-endian into 6-bit chunks, each offset by 63.  The
 decoder is strict: bad characters, wrong lengths, and nonzero padding are all
 errors, so write-then-read is bit exact.
+
+Two batch forms serve whole streams.  ``encode_graph6_masks`` writes the
+lines of many graphs given as int64 lexicographic edge masks (n <= 11), with
+no ``Graph`` built.  ``read_graph6_file`` reads a file in blocks of lines and
+checks and unpacks the short-form lines of each block as uint8 arrays; every
+line a batch check rejects, and every header or long-form line, goes through
+``decode_graph6``, so its errors are those of ``iter_graph6_file``.
 """
 from __future__ import annotations
 
+from itertools import islice
 from typing import Iterable, Iterator
 
+import numpy as np
+
 from .graph import MAX_VERTICES, Graph
+
+#: Lines per block in read_graph6_file; bounds the block's arrays for any n <= 62
+#: and what the block holds on top of the graphs already decoded.
+_BLOCK_LINES = 4_096
 
 HEADER = ">>graph6<<"
 
@@ -98,6 +112,36 @@ def decode_graph6(text: str, line: int | None = None) -> Graph:
     return Graph(n, tuple(rows))
 
 
+def _column_ranks(n: int) -> np.ndarray:
+    """Lexicographic pair rank of each graph6 column-order bit x_{u,v}."""
+    return np.array([u * (2 * n - u - 1) // 2 + v - u - 1
+                     for v in range(1, n) for u in range(v)], dtype=np.intp)
+
+
+def encode_graph6_masks(n: int, masks) -> bytes:
+    """Newline-terminated graph6 lines for int64 lexicographic edge masks.
+
+    Equals ``"".join(encode_graph6(graph_from_edge_mask(n, m)) + "\\n" for m in
+    masks)``; the masks are int64, so n <= 11.
+    """
+    nbits = n * (n - 1) // 2
+    if n < 0 or nbits > 63:
+        raise Graph6Error(f"int64 edge masks hold n <= 11 vertices, got n={n}")
+    masks = np.asarray(masks, dtype=np.int64).reshape(-1)
+    if np.any(masks >> nbits):  # a set bit past the last pair, or a negative mask
+        raise Graph6Error(f"edge mask beyond the {nbits} pairs of n={n}")
+    nchars = (nbits + 5) // 6
+    bits = np.unpackbits(masks.astype("<i8").view(np.uint8).reshape(-1, 8),
+                         axis=1, bitorder="little")
+    columns = np.zeros((len(masks), nchars, 6), dtype=np.uint8)
+    columns.reshape(len(masks), 6 * nchars)[:, :nbits] = bits[:, _column_ranks(n)]
+    out = np.empty((len(masks), nchars + 2), dtype=np.uint8)
+    out[:, 0] = n + 63
+    out[:, 1:-1] = (np.packbits(columns, axis=2)[:, :, 0] >> 2) + 63
+    out[:, -1] = ord("\n")
+    return out.tobytes()
+
+
 def write_graph6_file(path, graphs: Iterable[Graph]) -> int:
     """Write a newline-delimited graph6 file; returns the number of lines."""
     count = 0
@@ -119,5 +163,59 @@ def iter_graph6_file(path) -> Iterator[Graph]:
             yield decode_graph6(stripped, line=lineno)
 
 
+def _decode_short(n: int, lines: list[str]) -> list[Graph | None]:
+    """Decode equal-length short-form lines for n vertices; None where a check fails.
+
+    Makes decode_graph6's checks (character range, body length, zero padding)
+    on all lines at once; a rejected line is left for decode_graph6 to report.
+    """
+    nbits = n * (n - 1) // 2
+    nchars = (nbits + 5) // 6
+    if len(lines[0]) != nchars + 1:
+        return [None] * len(lines)
+    text = "".join(lines).encode("ascii")
+    codes = np.frombuffer(text, dtype=np.uint8).reshape(len(lines), nchars + 1)[:, 1:] - 63
+    ok = np.all(codes <= 63, axis=1)  # below '?' wraps past 63
+    bits = np.unpackbits((codes << 2)[:, :, None], axis=2)[:, :, :6]
+    bits = bits.reshape(len(lines), 6 * nchars)
+    ok &= ~np.any(bits[:, nbits:], axis=1)
+    rows = np.zeros((len(lines), n), dtype=np.int64)
+    i = 0
+    for v in range(1, n):
+        for u in range(v):
+            bit = bits[:, i].astype(np.int64)
+            rows[:, u] |= bit << v
+            rows[:, v] |= bit << u
+            i += 1
+    return [Graph(n, tuple(r)) if keep else None for r, keep in zip(rows.tolist(), ok.tolist())]
+
+
+def _decode_block(lines: list[str], first_line: int) -> list[Graph]:
+    """Graphs of one block of stripped lines, in file order; blank lines skipped."""
+    groups: dict[tuple[str, int], list[int]] = {}
+    for i, s in enumerate(lines):
+        if s and "?" <= s[0] <= "}":  # short form, n = 0..62; a header starts with '>'
+            groups.setdefault((s[0], len(s)), []).append(i)
+    decoded: list[Graph | None] = [None] * len(lines)
+    for (first, _), idx in groups.items():
+        for i, g in zip(idx, _decode_short(ord(first) - 63, [lines[i] for i in idx])):
+            decoded[i] = g
+    out = []
+    for i, s in enumerate(lines):
+        g = decoded[i]
+        if g is None and s:
+            g = decode_graph6(s, line=first_line + i)
+        if g is not None:
+            out.append(g)
+    return out
+
+
 def read_graph6_file(path) -> list[Graph]:
-    return list(iter_graph6_file(path))
+    """All graphs of a newline-delimited graph6 file; equals list(iter_graph6_file(path))."""
+    graphs: list[Graph] = []
+    with open(path, "r", encoding="ascii") as fh:
+        first_line = 1
+        while block := [raw.strip() for raw in islice(fh, _BLOCK_LINES)]:
+            graphs.extend(_decode_block(block, first_line))
+            first_line += len(block)
+    return graphs

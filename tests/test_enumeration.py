@@ -1,3 +1,5 @@
+import hashlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,7 +9,9 @@ from maxtrifree import (
     CountTable,
     GuardError,
     brute_force_maximal_tf,
+    encode_graph6,
     enumerate_maximal_tf,
+    graph_from_edge_mask,
     growth_table,
     is_maximal_triangle_free,
     maximal_tf_family,
@@ -16,12 +20,24 @@ from maxtrifree import (
     remark3_fraction,
 )
 from maxtrifree import scan
-from maxtrifree.graph import lex_pairs
+from maxtrifree.enumeration import DEFAULT_ENUMERATION_GUARD, check_size
 from oracles import naive_is_maximal_tf
 
 # labeled maximal triangle-free counts, frozen from the n<=6 brute-force scan
 # (n=5: the 5 stars, 10 copies of K_{2,3}, 12 copies of C5)
 ORACLE_COUNTS = {1: 1, 2: 1, 3: 3, 4: 7, 5: 27, 6: 211}
+
+# sha256 of `enumerate --n 9 --stream`, frozen from the writer that encoded each
+# leaf with encode_graph6(graph_from_edge_mask(9, mask))
+N9_STREAM_SHA256 = "84abfb31beb91aacd5962037269c60ddd06a6160e41c858ead33a2a7e59a3214"
+
+
+def _sorted_leaf_masks(n: int) -> list[int]:
+    """Edge masks of the maximal triangle-free graphs on [n], straight from the walker."""
+    batches = []
+    scan.walk_triangle_free(n, forward_prune=True,
+                            consume=lambda masks, adj: batches.append(masks))
+    return sorted(int(m) for batch in batches for m in batch)
 
 
 class TestBruteForce:
@@ -63,13 +79,6 @@ class TestEnumerate:
             assert enumerate_maximal_tf(7, shards=shards).labeled_count == \
                 enumerate_maximal_tf(7).labeled_count
 
-    def test_order_invariance(self):
-        base = enumerate_maximal_tf(5).labeled_count
-        perms = [[4, 3, 2, 1, 0], [2, 0, 4, 1, 3], [1, 4, 0, 3, 2]]
-        for perm in perms:
-            order = [tuple(sorted((perm[u], perm[v]))) for u, v in lex_pairs(5)]
-            assert enumerate_maximal_tf(5, pair_order=order).labeled_count == base
-
     def test_streaming(self, tmp_path):
         path = tmp_path / "n5.g6"
         row = enumerate_maximal_tf(5, stream_path=path)
@@ -79,6 +88,33 @@ class TestEnumerate:
         masks = [g.edge_mask() for g in graphs]
         assert masks == sorted(masks)
         assert [g.edge_mask() for g in brute_force_maximal_tf(5)] == masks
+
+    def test_stream_bytes_match_single_graph_codec(self, tmp_path):
+        # n=1 has no data bits, n=2 one bit and five padding bits, n=4 six bits and none
+        path = tmp_path / "family.g6"
+        for n in range(1, 9):
+            enumerate_maximal_tf(n, stream_path=path)
+            expected = "".join(encode_graph6(graph_from_edge_mask(n, m)) + "\n"
+                               for m in _sorted_leaf_masks(n))
+            assert path.read_bytes() == expected.encode("ascii"), n
+
+    def test_stream_bytes_n9(self, tmp_path):
+        path = tmp_path / "n9.g6"
+        enumerate_maximal_tf(9, stream_path=path)
+        data = path.read_bytes()
+        assert hashlib.sha256(data).hexdigest() == N9_STREAM_SHA256
+        lines = data.splitlines()
+        masks = _sorted_leaf_masks(9)
+        assert len(lines) == len(masks) == 219_747
+        for i in random.Random(9).sample(range(len(masks)), 2_000):
+            assert lines[i] == encode_graph6(graph_from_edge_mask(9, masks[i])).encode()
+
+    def test_size_below_one(self):
+        for n in (0, -1):
+            with pytest.raises(ValueError, match="need at least one vertex"):
+                check_size(n, DEFAULT_ENUMERATION_GUARD)
+            with pytest.raises(ValueError, match="need at least one vertex"):
+                enumerate_maximal_tf(n)
 
     def test_family_matches_brute_force(self):
         for n in (3, 4, 5):

@@ -1,4 +1,5 @@
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -7,11 +8,13 @@ from maxtrifree import (
     Graph6Error,
     decode_graph6,
     encode_graph6,
+    encode_graph6_masks,
     graph_from_edge_mask,
     iter_graph6_file,
     read_graph6_file,
     write_graph6_file,
 )
+from maxtrifree import graph6
 
 
 def nx_encode(g: Graph) -> str:
@@ -47,6 +50,33 @@ class TestEncode:
         mask = data.draw(st.integers(0, (1 << (n * (n - 1) // 2)) - 1))
         g = graph_from_edge_mask(n, mask)
         assert encode_graph6(g) == nx_encode(g)
+
+
+class TestEncodeMasks:
+    def test_matches_networkx_random(self):
+        rng = np.random.default_rng(6)
+        for n in range(1, 12):
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            masks = rng.integers(0, 1 << len(pairs), size=500, dtype=np.int64)
+            expected = []
+            for m in masks.tolist():
+                h = nx.empty_graph(n)
+                h.add_edges_from(p for i, p in enumerate(pairs) if m >> i & 1)
+                expected.append(nx.to_graph6_bytes(h, header=False))
+            assert encode_graph6_masks(n, masks) == b"".join(expected), n
+
+    def test_edge_sizes(self):
+        assert encode_graph6_masks(1, [0, 0]) == b"@\n@\n"
+        assert encode_graph6_masks(2, [0, 1]) == b"A?\nA_\n"
+        assert encode_graph6_masks(4, [63]) == b"C~\n"
+        assert encode_graph6_masks(5, []) == b""
+
+    def test_rejects_masks_that_do_not_fit(self):
+        with pytest.raises(Graph6Error, match="n <= 11"):
+            encode_graph6_masks(12, [0])
+        for bad in (1 << 10, -1):  # n=5 has 10 pairs
+            with pytest.raises(Graph6Error, match="beyond the 10 pairs"):
+                encode_graph6_masks(5, [0, bad])
 
 
 class TestDecode:
@@ -105,3 +135,47 @@ class TestFiles:
         path.write_text("C~\nC\n")
         with pytest.raises(Graph6Error, match="line 2"):
             list(iter_graph6_file(path))
+
+    def test_batch_reader_matches_lazy_reader(self, tmp_path, monkeypatch):
+        graphs = [graph_from_edge_mask(n, m) for n, m in
+                  [(5, 0b1011001101), (1, 0), (9, 2 ** 36 - 1), (5, 0), (9, 12345)]]
+        lines = ["", encode_graph6(Graph.path(64)), "  ", ">>graph6<<" + encode_graph6(graphs[0])]
+        for i in range(300):
+            g = graphs[i % len(graphs)]
+            lines.append(encode_graph6(g))
+            if i % 50 == 7:
+                lines += ["", ">>graph6<<" + encode_graph6(g), encode_graph6(Graph.path(64))]
+        path = tmp_path / "mixed.g6"
+        path.write_text("\n".join(lines) + "\n")
+        lazy = list(iter_graph6_file(path))
+        single = []
+        monkeypatch.setattr(graph6, "decode_graph6",
+                            lambda text, line=None: single.append(line) or decode_graph6(text, line))
+        assert read_graph6_file(path) == lazy
+        assert len(lazy) == 300 + 2 + 2 * 6
+        # only the header and long-form lines leave the batch path
+        assert len(single) == 2 + 2 * 6
+        monkeypatch.setattr(graph6, "_BLOCK_LINES", 7)  # block edges inside runs
+        assert read_graph6_file(path) == lazy
+
+    @pytest.mark.parametrize("bad", [
+        "D!?",     # '!' is below the graph6 range
+        "D?\x7f",  # DEL is above it
+        "D???",    # n=5 takes two data characters
+        "D?",      # ... not one
+        "D?@",     # the last two of the 12 body bits are padding
+    ])
+    def test_batch_reader_reports_the_lazy_readers_error(self, tmp_path, monkeypatch, bad):
+        good = [encode_graph6(graph_from_edge_mask(5, m)) for m in range(1000)]
+        path = tmp_path / "bad.g6"
+        path.write_text("\n".join(good + [bad, "D?", "D?@"] + good) + "\n")
+        with pytest.raises(Graph6Error) as lazy:
+            list(iter_graph6_file(path))
+        with pytest.raises(Graph6Error, match="line 1001") as batch:
+            read_graph6_file(path)
+        assert str(batch.value) == str(lazy.value)
+        assert batch.value.line == lazy.value.line == 1001
+        monkeypatch.setattr(graph6, "_BLOCK_LINES", 1001)  # the bad lines in two blocks
+        with pytest.raises(Graph6Error) as split:
+            read_graph6_file(path)
+        assert str(split.value) == str(lazy.value)

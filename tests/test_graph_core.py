@@ -49,6 +49,25 @@ class TestGraphType:
         with pytest.raises(ValueError):
             Graph.empty(65)
 
+    def test_asymmetry_reports_the_first_pair(self):
+        # rows 2 and 3 both name partners that do not name them back; rows are
+        # scanned in order and each row's partners ascending, so (2, 1) comes first
+        with pytest.raises(ValueError, match=r"^asymmetric adjacency at \(2, 1\)$"):
+            Graph(4, (0b0110, 0b0001, 0b1011, 0b0001))
+        with pytest.raises(ValueError, match=r"^asymmetric adjacency at \(0, 1\)$"):
+            Graph(2, (0b10, 0b00))
+
+    def test_defect_messages(self):
+        with pytest.raises(ValueError, match=r"^row 2 has bits beyond vertex 2$"):
+            Graph(3, (0b000, 0b000, 0b1000))
+        with pytest.raises(ValueError, match=r"^self-loop at vertex 1$"):
+            Graph(3, (0b000, 0b010, 0b000))
+
+    def test_range_is_checked_before_symmetry(self):
+        # (0, 1) is asymmetric, but row 2's bit past the last vertex is reported
+        with pytest.raises(ValueError, match=r"^row 2 has bits beyond vertex 2$"):
+            Graph(3, (0b010, 0b000, 0b1000))
+
     def test_builders(self):
         assert Graph.complete(4).edge_count() == 6
         assert Graph.cycle(5).edge_count() == 5

@@ -107,6 +107,14 @@ class TestCli:
         rows = json.loads((tmp_path / "t.json").read_text())
         assert rows[4]["labeled_count"] == 27
 
+    def test_enumerate_needs_a_vertex(self, tmp_path, capsys):
+        stream = tmp_path / "out.g6"
+        for n in ("0", "-1"):
+            assert main(["enumerate", "--n", n, "--stream", str(stream)]) == 2
+            captured = capsys.readouterr()
+            assert "need at least one vertex" in captured.err and captured.out == ""
+        assert not stream.exists()
+
     def test_enumerate_past_walker_capacity_exits_at_once(self, capsys, monkeypatch):
         def no_run(*args, **kwargs):
             raise AssertionError("n = 1..11 ran before the size check")
