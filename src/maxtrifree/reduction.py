@@ -7,6 +7,13 @@ graph T lives on the remaining non-F* edges, joining two of them whenever
 some F* edge completes a triangle with both.  The two checked claims: T is
 triangle-free, and each maximal triangle-free H inside the container with
 E(H) cap F = F* lands injectively on a maximal independent set of T.
+
+Claim 2 and the counting chain share one depth-first search over the free
+container edges (``_maximal_tf_leaves``).  It adds an edge only when its ends
+have no common neighbour, and it cuts a branch as soon as some decided
+non-edge has no chosen or undecided common neighbour left.  Leaves need no
+test: they are triangle-free by construction, and once nothing is undecided
+the cut is exactly the maximality condition.
 """
 from __future__ import annotations
 
@@ -20,7 +27,6 @@ from .graph import (
     Graph,
     GuardError,
     MAX_VERTICES,
-    _is_maximal_tf_rows,
     edge_id,
     find_triangle,
     graph_edge_set,
@@ -146,7 +152,10 @@ def reduced_graph(inst: ReductionInstance) -> Graph:
 
 def build_auxiliary(inst: ReductionInstance) -> AuxiliaryGraph:
     """The auxiliary graph T: vertices are non-selected reduced edges, two
-    adjacent iff a selected edge completes a triangle with both."""
+    adjacent iff a selected edge completes a triangle with both.
+
+    Built from the selected edges: for each selected xy, every common
+    neighbour s of x and y in the reduced graph joins sx and sy."""
     red = reduced_graph(inst)
     n = red.n
     ids = [
@@ -157,20 +166,14 @@ def build_auxiliary(inst: ReductionInstance) -> AuxiliaryGraph:
     if len(ids) > MAX_VERTICES:
         raise GuardError(
             f"auxiliary graph needs {len(ids)} vertices, beyond the {MAX_VERTICES} cap")
-    sel_rows = inst.selected.as_graph().rows
+    index = {eid: i for i, eid in enumerate(ids)}
     t_rows = [0] * len(ids)
-    endpoints = [id_to_pair(eid, n) for eid in ids]
-    for i in range(len(ids)):
-        u1, v1 = endpoints[i]
-        for j in range(i + 1, len(ids)):
-            u2, v2 = endpoints[j]
-            shared = {u1, v1} & {u2, v2}
-            if len(shared) != 1:
-                continue
-            s = shared.pop()
-            x = u1 + v1 - s
-            y = u2 + v2 - s
-            if sel_rows[x] >> y & 1:
+    for x, y in inst.selected.pairs():
+        # sx and sy are T-vertices joined through the selected edge xy
+        for s in iter_bits(red.rows[x] & red.rows[y]):
+            i = index.get(edge_id(s, x, n))
+            j = index.get(edge_id(s, y, n))
+            if i is not None and j is not None:
                 t_rows[i] |= 1 << j
                 t_rows[j] |= 1 << i
     return AuxiliaryGraph(Graph(len(ids), tuple(t_rows)), tuple(ids), red, inst.selected)
@@ -217,43 +220,94 @@ def verify_claim1(aux: AuxiliaryGraph) -> VerificationReport:
     )
 
 
+def _maximal_tf_leaves(n: int, free: list[tuple[int, int]],
+                       seed_rows) -> list[tuple[int, ...]]:
+    """Rows of every maximal triangle-free graph made of the triangle-free
+    seed plus some subset of the free pairs; every other pair is a fixed
+    non-edge.
+
+    The free pairs are decided in order, absent before present.  Three bit
+    rows per vertex carry the state: ``adj`` (edges so far), ``und`` (free
+    partners still undecided) and ``non`` (decided non-edges, fixed ones
+    included).  A pair goes in only when its ends have no common neighbour.
+    Deciding (u, v) absent shrinks the potential ``adj | und`` of u and v
+    only, so the branch survives iff every non-edge at u or v still has a
+    possible common neighbour; fixed non-edges are checked once at the root.
+    """
+    if n > H_STAR_MAX_N:
+        raise GuardError(f"subgraph search capped at n={H_STAR_MAX_N}, got {n}")
+    adj = list(seed_rows)
+    und = [0] * n
+    for u, v in free:
+        und[u] |= 1 << v
+        und[v] |= 1 << u
+    full = (1 << n) - 1
+    non = [full & ~(1 << x | adj[x] | und[x]) for x in range(n)]
+    leaves: list[tuple[int, ...]] = []
+    last = len(free)
+
+    def viable(x: int) -> bool:
+        pot = adj[x] | und[x]
+        rest = non[x]
+        while rest:
+            low = rest & -rest
+            w = low.bit_length() - 1
+            if not pot & (adj[w] | und[w]):
+                return False
+            rest ^= low
+        return True
+
+    def rec(k: int) -> None:
+        if k == last:
+            leaves.append(tuple(adj))
+            return
+        u, v = free[k]
+        bu, bv = 1 << u, 1 << v
+        und[u] ^= bv
+        und[v] ^= bu
+        non[u] |= bv
+        non[v] |= bu
+        if viable(u) and viable(v):
+            rec(k + 1)
+        non[u] ^= bv
+        non[v] ^= bu
+        if not adj[u] & adj[v]:
+            adj[u] |= bv
+            adj[v] |= bu
+            rec(k + 1)
+            adj[u] ^= bv
+            adj[v] ^= bu
+        und[u] ^= bv
+        und[v] ^= bu
+
+    if all(viable(x) for x in range(n)):
+        rec(0)
+    return leaves
+
+
 def enumerate_h_star(inst: ReductionInstance) -> list[Graph]:
     """All maximal triangle-free H on the container's vertex set with
     H subseteq container and E(H) cap removal = selected.
 
-    Depth-first over the container edges outside the removal set, pruning as
-    soon as an edge would close a triangle; maximality is the absolute
-    common-neighbor condition over the whole vertex set.  Results are ordered
-    by ascending edge bitmask.
+    ``_maximal_tf_leaves`` decides the container edges outside the removal
+    set, seeded with the selected edges; the removal edges outside F* and
+    the pairs outside the container are its fixed non-edges.  Besides the
+    triangle rule it prunes forward: a branch dies once some non-edge can no
+    longer gain a common neighbour.  Leaves need no test: every added edge
+    had no common neighbour, so H is triangle-free, and with nothing left
+    undecided the prune is exactly the common-neighbour condition.
+    Distinct decision paths give distinct H.  Results are ordered by
+    ascending edge bitmask.
     """
     n = inst.container.n
-    if n > H_STAR_MAX_N:
-        raise GuardError(f"subgraph search capped at n={H_STAR_MAX_N}, got {n}")
-    removal_ids = set(inst.removal.members)
+    removal_ids = inst.removal.members
     free = [
         (u, v)
         for u, v in inst.container.edges()
         if edge_id(u, v, n) not in removal_ids
     ]
-    adj = list(inst.selected.as_graph().rows)
-    found: list[tuple[int, ...]] = []
-
-    def rec(k: int) -> None:
-        if k == len(free):
-            if _is_maximal_tf_rows(adj, n):
-                found.append(tuple(adj))
-            return
-        rec(k + 1)
-        u, v = free[k]
-        if adj[u] & adj[v] == 0:
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-            rec(k + 1)
-            adj[u] &= ~(1 << v)
-            adj[v] &= ~(1 << u)
-
-    rec(0)
-    graphs = [Graph(n, rows) for rows in set(found)]
+    leaves = _maximal_tf_leaves(n, free, inst.selected.as_graph().rows)
+    graphs = [Graph(n, rows) for rows in leaves]
     graphs.sort(key=Graph.edge_mask)
     return graphs
 
@@ -332,32 +386,11 @@ def verify_claim2(inst: ReductionInstance) -> VerificationReport:
 
 
 def maximal_tf_subgraph_count(container: Graph) -> int:
-    """Number of maximal triangle-free graphs lying inside the container,
-    by direct search over its edges."""
+    """Number of maximal triangle-free graphs lying inside the container:
+    the same search as ``enumerate_h_star`` from the empty graph, with every
+    container edge free."""
     n = container.n
-    if n > H_STAR_MAX_N:
-        raise GuardError(f"subgraph search capped at n={H_STAR_MAX_N}, got {n}")
-    edges = container.edges()
-    adj = [0] * n
-    total = 0
-
-    def rec(k: int) -> None:
-        nonlocal total
-        if k == len(edges):
-            if _is_maximal_tf_rows(adj, n):
-                total += 1
-            return
-        rec(k + 1)
-        u, v = edges[k]
-        if adj[u] & adj[v] == 0:
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-            rec(k + 1)
-            adj[u] &= ~(1 << v)
-            adj[v] &= ~(1 << u)
-
-    rec(0)
-    return total
+    return len(_maximal_tf_leaves(n, container.edges(), [0] * n))
 
 
 def bound_chain(container: Graph, removal: EdgeSet) -> VerificationReport:

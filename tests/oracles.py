@@ -10,6 +10,7 @@ from itertools import combinations
 
 from maxtrifree import (
     FolkloreChoice,
+    Graph,
     folklore_graph,
     is_maximal_triangle_free,
     is_triangle_free,
@@ -31,14 +32,16 @@ def naive_triangles(g) -> int:
 
 
 def naive_is_maximal_tf(g) -> bool:
-    if naive_triangles(g):
-        return False
     edges = edge_set(g)
-    for u, v in combinations(range(g.n), 2):
-        if {u, v} in edges:
-            continue
-        if not any({u, w} in edges and {v, w} in edges
-                   for w in range(g.n) if w not in (u, v)):
+    return naive_is_maximal_tf_nbrs(
+        [{w for w in range(g.n) if {v, w} in edges} for v in range(g.n)])
+
+
+def naive_is_maximal_tf_nbrs(nbrs) -> bool:
+    """naive_is_maximal_tf on neighbour sets: no edge may have a common
+    neighbour (a triangle), and every non-edge needs one (maximality)."""
+    for u, v in combinations(range(len(nbrs)), 2):
+        if (v in nbrs[u]) == bool(nbrs[u] & nbrs[v]):
             return False
     return True
 
@@ -146,6 +149,44 @@ def walk_triangle_free_scalar(
 
     rec(0, 0)
     return out
+
+
+def naive_maximal_tf_within(n: int, free, seed) -> list:
+    """Maximal triangle-free graphs made of the seed edges plus a subset of
+    the free pairs, sorted by edge bitmask.  Unpruned search: only edges
+    that would close a triangle are skipped, and every leaf is filtered by
+    naive_is_maximal_tf's neighbour-set test."""
+    nbrs = [set() for _ in range(n)]
+    for u, v in seed:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    found = []
+
+    def rec(k: int) -> None:
+        if k == len(free):
+            if naive_is_maximal_tf_nbrs(nbrs):
+                found.append(Graph.from_edges(
+                    n, [(u, v) for u in range(n) for v in nbrs[u] if u < v]))
+            return
+        rec(k + 1)
+        u, v = free[k]
+        if not nbrs[u] & nbrs[v]:
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+            rec(k + 1)
+            nbrs[u].remove(v)
+            nbrs[v].remove(u)
+
+    rec(0)
+    return sorted(found, key=Graph.edge_mask)
+
+
+def naive_h_star(inst) -> list:
+    """Reference for reduction.enumerate_h_star: the container edges outside
+    the removal set are free, and the selected edges are the seed."""
+    removal = set(inst.removal.pairs())
+    free = [e for e in inst.container.edges() if e not in removal]
+    return naive_maximal_tf_within(inst.container.n, free, inst.selected.pairs())
 
 
 def folklore_census(n: int) -> dict[str, int]:

@@ -1,5 +1,8 @@
+import dataclasses
+
 import pytest
 
+from maxtrifree import reduction
 from maxtrifree import (
     EdgeSet,
     Graph,
@@ -21,6 +24,8 @@ from maxtrifree import (
 )
 from maxtrifree.reduction import maximal_tf_subgraph_count
 from maxtrifree.report import rng_for
+
+from oracles import naive_h_star, naive_maximal_tf_within
 
 
 def is_subgraph(h: Graph, g: Graph) -> bool:
@@ -197,6 +202,36 @@ class TestHStar:
             ]
             assert enumerate_h_star(inst) == expected
 
+    def test_against_naive_search(self):
+        for i in range(300):
+            inst = random_instance(rng_for(13, i), n_min=4, n_max=8)
+            assert enumerate_h_star(inst) == naive_h_star(inst), inst.to_dict()
+
+    # K4 minus 01, with every edge at 0 and 1 in the removal set: the only
+    # free pair is 23, so (0, 1) is a fixed non-edge no decision touches.
+    _K4_MINUS_01 = Graph.from_edges(4, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+    _AROUND_01 = EdgeSet.from_pairs(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
+
+    def test_untouched_non_edge_without_common_neighbour(self):
+        inst = ReductionInstance(self._K4_MINUS_01, self._AROUND_01, EdgeSet.empty(4))
+        assert enumerate_h_star(inst) == naive_h_star(inst) == []
+
+    def test_untouched_non_edge_with_seed_common_neighbour(self):
+        selected = EdgeSet.from_pairs(4, [(0, 2), (1, 2)])
+        inst = ReductionInstance(self._K4_MINUS_01, self._AROUND_01, selected)
+        family = enumerate_h_star(inst)
+        assert family == naive_h_star(inst)
+        assert [sorted(h.edges()) for h in family] == [[(0, 2), (1, 2), (2, 3)]]
+
+    def test_no_free_pairs(self):
+        k4 = Graph.complete(4)
+        removal = graph_edge_set(k4)
+        star = EdgeSet.from_pairs(4, [(0, 1), (0, 2), (0, 3)])
+        inst = ReductionInstance(k4, removal, star)
+        assert enumerate_h_star(inst) == naive_h_star(inst) == [star.as_graph()]
+        inst = ReductionInstance(k4, removal, EdgeSet.from_pairs(4, [(0, 1)]))
+        assert enumerate_h_star(inst) == naive_h_star(inst) == []
+
     def test_guard(self):
         g = Graph.empty(11)
         with pytest.raises(GuardError):
@@ -250,6 +285,12 @@ class TestBoundChain:
                 1 for g in brute_force_maximal_tf(n) if is_subgraph(g, inst.container))
             assert maximal_tf_subgraph_count(inst.container) == expected
 
+    def test_subgraph_count_matches_naive_search(self):
+        for i in range(100):
+            g = random_instance(rng_for(14, i), n_min=4, n_max=7).container
+            assert maximal_tf_subgraph_count(g) == len(
+                naive_maximal_tf_within(g.n, g.edges(), [])), g.edges()
+
     def test_random_instances(self):
         for i in range(60):
             inst = random_instance(rng_for(8, i), n_min=4, n_max=6)
@@ -263,6 +304,54 @@ class TestBoundChain:
         big = EdgeSet.from_pairs(6, k6.edges()[:13])
         with pytest.raises(GuardError):
             bound_chain(k6, big)
+
+
+class TestPlantedDefects:
+    """Each check must FAIL, with its witness, on a planted defect."""
+
+    def test_duplicated_h_fails_claim2(self, monkeypatch):
+        real = reduction.enumerate_h_star
+        monkeypatch.setattr(reduction, "enumerate_h_star",
+                            lambda inst: real(inst) + real(inst)[:1])
+        rep = verify_claim2(worked_k4_instance())
+        assert not rep.passed
+        assert rep.witnesses == [["duplicate edge-set image"]]
+
+    def test_dropped_h_fails_chain(self, monkeypatch):
+        real = reduction.enumerate_h_star
+        dropped = EdgeSet.from_pairs(4, [(0, 1)])
+
+        def drop_one(inst):
+            family = real(inst)
+            return family[1:] if inst.selected == dropped else family
+
+        monkeypatch.setattr(reduction, "enumerate_h_star", drop_one)
+        inst = worked_k4_instance()
+        rep = bound_chain(inst.container, inst.removal)
+        assert not rep.passed
+        assert rep.witnesses == [["partition sum 6 != direct count 7"]]
+        assert rep.counts["sum_h_star"] == 6
+        assert rep.counts["maximal_tf_subgraphs"] == 7
+
+    def test_spurious_t_edge_fails_claim1(self, monkeypatch):
+        # K4 with F* = {12, 23}: T is the path 01 - 02 - 03, and a planted
+        # 01 - 03 edge closes a triangle
+        real = reduction.build_auxiliary
+
+        def plant(inst):
+            aux = real(inst)
+            return dataclasses.replace(aux, t_graph=aux.t_graph.with_edge(0, 2))
+
+        monkeypatch.setattr(reduction, "build_auxiliary", plant)
+        inst = ReductionInstance(
+            Graph.complete(4),
+            EdgeSet.from_pairs(4, [(1, 2), (1, 3), (2, 3)]),
+            EdgeSet.from_pairs(4, [(1, 2), (2, 3)]),
+        )
+        assert verify_claim1(real(inst)).passed
+        rep = verify_claim1(reduction.build_auxiliary(inst))
+        assert not rep.passed
+        assert rep.witnesses == [["0-1", "0-2", "0-3", "1-2", "1-3", "2-3"]]
 
 
 class TestRandomInstances:
