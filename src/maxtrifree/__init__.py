@@ -3,17 +3,13 @@ constructions, exact enumeration with brute-force oracles, maximal
 independent set bounds, and the reduced/auxiliary graph proof pipeline."""
 
 from .graph import (
-    EdgeSet,
     Graph,
     GuardError,
     count_triangles,
-    edge_id,
     find_triangle,
-    graph_edge_set,
     graph_from_edge_mask,
     greedy_triangle_removal,
     has_clique,
-    id_to_pair,
     is_maximal_triangle_free,
     is_triangle_free,
     lex_pairs,

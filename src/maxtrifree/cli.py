@@ -1,8 +1,9 @@
 """Command-line surface: construct, enumerate, mis, reduce, verify, report.
 
 Common flags take defaults from MAXTRIFREE_-prefixed environment variables
-(MAXTRIFREE_SEED, MAXTRIFREE_SHARDS, MAXTRIFREE_GUARD_<KEY>).  verify and
-reduce exit nonzero when any check fails.
+(MAXTRIFREE_SEED, MAXTRIFREE_SHARDS, MAXTRIFREE_GUARD_<KEY>).  verify,
+reduce and report exit 1 when any check fails; bad input (a missing or
+malformed file, a size past a cap) prints ``error: ...`` and exits 2.
 """
 from __future__ import annotations
 
@@ -283,7 +284,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (GuardError, Graph6Error, InstanceError, ValueError) as exc:
+    except (GuardError, Graph6Error, InstanceError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,8 +1,9 @@
 """Bit-row graphs and the triangle primitives shared by every other module.
 
 A graph lives on vertices 0..n-1 with n <= 64, so each adjacency row fits a
-single machine word and neighbourhood intersections are one ``&``.  Graphs and
-edge sets are immutable; every operation here is a pure function.
+single machine word and neighbourhood intersections are one ``&``.  An edge
+set is a graph on the same vertices.  Graphs are immutable; every operation
+here is a pure function.
 """
 from __future__ import annotations
 
@@ -176,92 +177,6 @@ def graph_from_edge_mask(n: int, mask: int) -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# Edge sets
-# ---------------------------------------------------------------------------
-
-
-def edge_id(u: int, v: int, n: int) -> int:
-    """Canonical edge index u*n + v for u < v; shared across all modules."""
-    if u > v:
-        u, v = v, u
-    if u == v or not 0 <= u < n or not v < n:
-        raise ValueError(f"({u}, {v}) is not an edge of an {n}-vertex graph")
-    return u * n + v
-
-
-def id_to_pair(eid: int, n: int) -> tuple[int, int]:
-    u, v = divmod(eid, n)
-    if not (0 <= u < v < n):
-        raise ValueError(f"{eid} is not a valid edge index for n={n}")
-    return u, v
-
-
-@dataclass(frozen=True)
-class EdgeSet:
-    """A set of edges of one host graph, stored as canonical edge indices."""
-
-    host_n: int
-    members: frozenset[int]
-
-    def __post_init__(self) -> None:
-        for eid in self.members:
-            id_to_pair(eid, self.host_n)  # validates
-
-    @classmethod
-    def from_pairs(cls, n: int, pairs) -> "EdgeSet":
-        return cls(n, frozenset(edge_id(u, v, n) for u, v in pairs))
-
-    @classmethod
-    def empty(cls, n: int) -> "EdgeSet":
-        return cls(n, frozenset())
-
-    def pairs(self) -> list[tuple[int, int]]:
-        return [id_to_pair(e, self.host_n) for e in sorted(self.members)]
-
-    def has(self, u: int, v: int) -> bool:
-        return edge_id(u, v, self.host_n) in self.members
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(sorted(self.members))
-
-    def _check_host(self, other: "EdgeSet") -> None:
-        if self.host_n != other.host_n:
-            raise ValueError("edge sets belong to different host graphs")
-
-    def union(self, other: "EdgeSet") -> "EdgeSet":
-        self._check_host(other)
-        return EdgeSet(self.host_n, self.members | other.members)
-
-    def difference(self, other: "EdgeSet") -> "EdgeSet":
-        self._check_host(other)
-        return EdgeSet(self.host_n, self.members - other.members)
-
-    def issubset(self, other: "EdgeSet") -> bool:
-        self._check_host(other)
-        return self.members <= other.members
-
-    def subsets(self) -> Iterator["EdgeSet"]:
-        """All subsets, ordered by the binary counter over sorted members."""
-        ids = sorted(self.members)
-        for code in range(1 << len(ids)):
-            yield EdgeSet(
-                self.host_n,
-                frozenset(ids[i] for i in range(len(ids)) if code >> i & 1),
-            )
-
-    def as_graph(self) -> Graph:
-        """The graph on the host vertex set spanned by these edges."""
-        return Graph.from_edges(self.host_n, self.pairs())
-
-
-def graph_edge_set(g: Graph) -> EdgeSet:
-    return EdgeSet.from_pairs(g.n, g.edges())
-
-
-# ---------------------------------------------------------------------------
 # Triangle and clique primitives
 # ---------------------------------------------------------------------------
 
@@ -345,15 +260,14 @@ def has_clique(g: Graph, k: int) -> bool:
     return grow((1 << g.n) - 1, k)
 
 
-def greedy_triangle_removal(g: Graph) -> EdgeSet:
-    """An edge set F with g - F triangle free.
+def greedy_triangle_removal(g: Graph) -> Graph:
+    """The removed edges F, as a graph on g's vertices, with g - F triangle free.
 
     Repeatedly removes an edge lying on the most remaining triangles; ties go
-    to the smallest edge index, so the result is reproducible.
+    to the lexicographically first edge, so the result is reproducible.
     """
     n = g.n
     rows = list(g.rows)
-    removed: list[int] = []
     while True:
         best_cnt = 0
         best: tuple[int, int] | None = None
@@ -369,8 +283,7 @@ def greedy_triangle_removal(g: Graph) -> EdgeSet:
         u, v = best
         rows[u] &= ~(1 << v)
         rows[v] &= ~(1 << u)
-        removed.append(edge_id(u, v, n))
-    return EdgeSet(n, frozenset(removed))
+    return Graph(n, tuple(a & ~b for a, b in zip(g.rows, rows)))
 
 
 @lru_cache(maxsize=None)

@@ -52,46 +52,36 @@ def _branch_vertex(rows, pool: int, cands: int) -> int:
     return best
 
 
-def _mis_recurse(rows, full: int, chosen: int, cands: int, banned: int, emit) -> None:
+def _mis_recurse(rows, full: int, chosen: int, cands: int, banned: int,
+                 out: list[int] | None) -> int:
+    """Count the maximal independent sets extending chosen; append each to out."""
     if cands == 0 and banned == 0:
-        emit(chosen)
-        return
+        if out is not None:
+            out.append(chosen)
+        return 1
+    total = 0
     pivot = _branch_vertex(rows, cands | banned, cands)
     ext = cands & (rows[pivot] | 1 << pivot)
     for v in iter_bits(ext):
         keep = full & ~rows[v] & ~(1 << v)
-        _mis_recurse(rows, full, chosen | 1 << v, cands & keep, banned & keep, emit)
+        total += _mis_recurse(rows, full, chosen | 1 << v, cands & keep, banned & keep, out)
         cands &= ~(1 << v)
         banned |= 1 << v
+    return total
 
 
 def enumerate_mis(g: Graph) -> MisFamily:
     """Every maximal independent set of g."""
     out: list[int] = []
     full = (1 << g.n) - 1
-    _mis_recurse(g.rows, full, 0, full, 0, out.append)
+    _mis_recurse(g.rows, full, 0, full, 0, out)
     return MisFamily(g, tuple(sorted(out)))
 
 
 def mis_count(g: Graph) -> int:
     """|enumerate_mis(g)| without materializing the family."""
-    rows = g.rows
     full = (1 << g.n) - 1
-
-    def count(cands: int, banned: int) -> int:
-        if cands == 0 and banned == 0:
-            return 1
-        total = 0
-        pivot = _branch_vertex(rows, cands | banned, cands)
-        ext = cands & (rows[pivot] | 1 << pivot)
-        for v in iter_bits(ext):
-            keep = full & ~rows[v] & ~(1 << v)
-            total += count(cands & keep, banned & keep)
-            cands &= ~(1 << v)
-            banned |= 1 << v
-        return total
-
-    return count(full, 0)
+    return _mis_recurse(g.rows, full, 0, full, 0, None)
 
 
 def batch_mis_counts(adj: np.ndarray, n: int) -> np.ndarray:

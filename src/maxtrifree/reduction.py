@@ -1,12 +1,13 @@
 """Reduced graph, auxiliary graph, and the machine-checked counting chain.
 
 An instance is a container graph G, an edge set F whose removal leaves G
-triangle-free, and a triangle-free F* subseteq F.  The reduced graph drops
-F - F* and every edge closing a triangle with two F* edges; the auxiliary
-graph T lives on the remaining non-F* edges, joining two of them whenever
-some F* edge completes a triangle with both.  The two checked claims: T is
-triangle-free, and each maximal triangle-free H inside the container with
-E(H) cap F = F* lands injectively on a maximal independent set of T.
+triangle-free, and a triangle-free F* subseteq F; F and F* are graphs on G's
+vertices.  The reduced graph drops F - F* and every edge closing a triangle
+with two F* edges; the auxiliary graph T lives on the remaining non-F* edges,
+joining two of them whenever some F* edge completes a triangle with both.
+The two checked claims: T is triangle-free, and each maximal triangle-free H
+inside the container with E(H) cap F = F* lands injectively on a maximal
+independent set of T.
 
 Claim 2 and the counting chain share one depth-first search over the free
 container edges (``_maximal_tf_leaves``).  It adds an edge only when its ends
@@ -23,15 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import (
-    EdgeSet,
     Graph,
     GuardError,
     MAX_VERTICES,
-    edge_id,
     find_triangle,
-    graph_edge_set,
     greedy_triangle_removal,
-    id_to_pair,
     is_triangle_free,
     iter_bits,
     lex_pairs,
@@ -57,30 +54,34 @@ def _edge_strs(pairs) -> list[str]:
     return [_edge_str(u, v) for u, v in pairs]
 
 
+def _edges_outside(g: Graph, host: Graph) -> list[tuple[int, int]]:
+    """The edges of g that host lacks, in lexicographic order."""
+    return [(u, v) for u, v in g.edges() if not host.rows[u] >> v & 1]
+
+
 @dataclass(frozen=True)
 class ReductionInstance:
     """Container G, removal set F, and selected F* subseteq F."""
 
     container: Graph
-    removal: EdgeSet
-    selected: EdgeSet
+    removal: Graph
+    selected: Graph
 
     def __post_init__(self) -> None:
         n = self.container.n
-        if self.removal.host_n != n or self.selected.host_n != n:
+        if self.removal.n != n or self.selected.n != n:
             raise InstanceError("edge sets must live on the container vertex set")
-        cont_edges = graph_edge_set(self.container)
-        extra = self.removal.difference(cont_edges)
-        if len(extra):
-            raise InstanceError(f"removal edge {extra.pairs()[0]} is not in the container")
-        if not self.selected.issubset(self.removal):
-            bad = self.selected.difference(self.removal).pairs()[0]
-            raise InstanceError(f"selected edge {bad} is not in the removal set")
-        stripped = self.container.without_edges(self.removal.pairs())
+        extra = _edges_outside(self.removal, self.container)
+        if extra:
+            raise InstanceError(f"removal edge {extra[0]} is not in the container")
+        bad = _edges_outside(self.selected, self.removal)
+        if bad:
+            raise InstanceError(f"selected edge {bad[0]} is not in the removal set")
+        stripped = self.container.without_edges(self.removal.edges())
         tri = find_triangle(stripped)
         if tri is not None:
             raise InstanceError(f"container minus removal has triangle {tri}")
-        tri = find_triangle(self.selected.as_graph())
+        tri = find_triangle(self.selected)
         if tri is not None:
             raise InstanceError(f"selected set spans triangle {tri}")
 
@@ -89,20 +90,23 @@ class ReductionInstance:
     def to_dict(self) -> dict:
         return {
             "container": encode_graph6(self.container),
-            "removal": _edge_strs(self.removal.pairs()),
-            "selected": _edge_strs(self.selected.pairs()),
+            "removal": _edge_strs(self.removal.edges()),
+            "selected": _edge_strs(self.selected.edges()),
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "ReductionInstance":
+        for key in ("container", "removal", "selected"):
+            if key not in data:
+                raise InstanceError(f"instance has no {key!r} key")
         container = decode_graph6(data["container"])
 
-        def parse(key: str) -> EdgeSet:
+        def parse(key: str) -> Graph:
             pairs = []
             for text in data[key]:
                 u, v = text.split("-")
                 pairs.append((int(u), int(v)))
-            return EdgeSet.from_pairs(container.n, pairs)
+            return Graph.from_edges(container.n, pairs)
 
         return cls(container, parse("removal"), parse("selected"))
 
@@ -122,29 +126,28 @@ class AuxiliaryGraph:
     """T on the non-selected reduced edges, with the edge back-mapping."""
 
     t_graph: Graph
-    vertex_to_edge: tuple[int, ...]
+    vertex_to_edge: tuple[tuple[int, int], ...]
     reduced: Graph
-    selected: EdgeSet
+    selected: Graph
 
 
 def worked_k4_instance() -> ReductionInstance:
     """K4 with removal {01, 23} and selected {01}; the running example."""
     return ReductionInstance(
         Graph.complete(4),
-        EdgeSet.from_pairs(4, [(0, 1), (2, 3)]),
-        EdgeSet.from_pairs(4, [(0, 1)]),
+        Graph.from_edges(4, [(0, 1), (2, 3)]),
+        Graph.from_edges(4, [(0, 1)]),
     )
 
 
 def reduced_graph(inst: ReductionInstance) -> Graph:
     """Container minus (removal - selected) minus every edge that closes a
     triangle with two selected edges.  The selected edges always survive."""
-    n = inst.container.n
-    g = inst.container.without_edges(inst.removal.difference(inst.selected).pairs())
-    sel_rows = inst.selected.as_graph().rows
+    g = inst.container.without_edges(_edges_outside(inst.removal, inst.selected))
+    sel_rows = inst.selected.rows
     doomed = [(u, v) for u, v in inst.container.edges() if sel_rows[u] & sel_rows[v]]
     g = g.without_edges(doomed)
-    for u, v in inst.selected.pairs():
+    for u, v in inst.selected.edges():
         if not g.has_edge(u, v):
             raise AssertionError(f"selected edge ({u}, {v}) was removed from the reduction")
     return g
@@ -157,33 +160,32 @@ def build_auxiliary(inst: ReductionInstance) -> AuxiliaryGraph:
     Built from the selected edges: for each selected xy, every common
     neighbour s of x and y in the reduced graph joins sx and sy."""
     red = reduced_graph(inst)
-    n = red.n
-    ids = [
-        edge_id(u, v, n)
-        for u, v in red.edges()
-        if not inst.selected.has(u, v)
-    ]
-    if len(ids) > MAX_VERTICES:
+    pairs = _edges_outside(red, inst.selected)
+    if len(pairs) > MAX_VERTICES:
         raise GuardError(
-            f"auxiliary graph needs {len(ids)} vertices, beyond the {MAX_VERTICES} cap")
-    index = {eid: i for i, eid in enumerate(ids)}
-    t_rows = [0] * len(ids)
-    for x, y in inst.selected.pairs():
+            f"auxiliary graph needs {len(pairs)} vertices, beyond the {MAX_VERTICES} cap")
+    index = {pair: i for i, pair in enumerate(pairs)}
+    t_rows = [0] * len(pairs)
+    for x, y in inst.selected.edges():
         # sx and sy are T-vertices joined through the selected edge xy
         for s in iter_bits(red.rows[x] & red.rows[y]):
-            i = index.get(edge_id(s, x, n))
-            j = index.get(edge_id(s, y, n))
+            i = index.get((s, x) if s < x else (x, s))
+            j = index.get((s, y) if s < y else (y, s))
             if i is not None and j is not None:
                 t_rows[i] |= 1 << j
                 t_rows[j] |= 1 << i
-    return AuxiliaryGraph(Graph(len(ids), tuple(t_rows)), tuple(ids), red, inst.selected)
+    return AuxiliaryGraph(Graph(len(pairs), tuple(t_rows)), tuple(pairs), red, inst.selected)
 
 
 def _shared_selected_edge(aux: AuxiliaryGraph, i: int, j: int) -> str:
-    """The selected edge witnessing the T-adjacency of T-vertices i and j."""
-    u1, v1 = id_to_pair(aux.vertex_to_edge[i], aux.reduced.n)
-    u2, v2 = id_to_pair(aux.vertex_to_edge[j], aux.reduced.n)
-    s = ({u1, v1} & {u2, v2}).pop()
+    """The selected edge witnessing the T-adjacency of T-vertices i and j, or
+    a note that their edges share no endpoint, so no selected edge can."""
+    u1, v1 = aux.vertex_to_edge[i]
+    u2, v2 = aux.vertex_to_edge[j]
+    shared = {u1, v1} & {u2, v2}
+    if not shared:
+        return f"{_edge_str(u1, v1)} and {_edge_str(u2, v2)} share no endpoint"
+    s = shared.pop()
     return _edge_str(*sorted((u1 + v1 - s, u2 + v2 - s)))
 
 
@@ -200,10 +202,7 @@ def verify_claim1(aux: AuxiliaryGraph) -> VerificationReport:
         witnesses: list = []
         if tri is not None:
             i, j, k = tri
-            edges = [
-                _edge_str(*id_to_pair(aux.vertex_to_edge[x], aux.reduced.n))
-                for x in tri
-            ]
+            edges = [_edge_str(*aux.vertex_to_edge[x]) for x in tri]
             ds = [
                 _shared_selected_edge(aux, i, j),
                 _shared_selected_edge(aux, i, k),
@@ -213,7 +212,7 @@ def verify_claim1(aux: AuxiliaryGraph) -> VerificationReport:
     return VerificationReport(
         check_name="claim1",
         status=FAIL if tri is not None else PASS,
-        parameters={"n": aux.reduced.n, "selected": _edge_strs(aux.selected.pairs())},
+        parameters={"n": aux.reduced.n, "selected": _edge_strs(aux.selected.edges())},
         counts=counts,
         witnesses=witnesses,
         elapsed_ms=sw.elapsed_ms,
@@ -300,29 +299,22 @@ def enumerate_h_star(inst: ReductionInstance) -> list[Graph]:
     ascending edge bitmask.
     """
     n = inst.container.n
-    removal_ids = inst.removal.members
-    free = [
-        (u, v)
-        for u, v in inst.container.edges()
-        if edge_id(u, v, n) not in removal_ids
-    ]
-    leaves = _maximal_tf_leaves(n, free, inst.selected.as_graph().rows)
+    free = _edges_outside(inst.container, inst.removal)
+    leaves = _maximal_tf_leaves(n, free, inst.selected.rows)
     graphs = [Graph(n, rows) for rows in leaves]
     graphs.sort(key=Graph.edge_mask)
     return graphs
 
 
-def _image_word(inst: ReductionInstance, aux: AuxiliaryGraph, h: Graph,
-                index: dict[int, int]) -> tuple[int, list | None]:
+def _image_word(inst: ReductionInstance, h: Graph,
+                index: dict[tuple[int, int], int]) -> tuple[int, list | None]:
     """Map E(H) - F* to a T bit word; a non-T edge is a counterexample."""
     word = 0
-    for u, v in h.edges():
-        if inst.selected.has(u, v):
-            continue
-        eid = edge_id(u, v, inst.container.n)
-        if eid not in index:
+    for u, v in _edges_outside(h, inst.selected):
+        i = index.get((u, v))
+        if i is None:
             return 0, [encode_graph6(h), f"edge {_edge_str(u, v)} outside reduced graph"]
-        word |= 1 << index[eid]
+        word |= 1 << i
     return word, None
 
 
@@ -335,13 +327,13 @@ def _mis_violation(aux: AuxiliaryGraph, h: Graph, word: int) -> list | None:
             j = (hit & -hit).bit_length() - 1
             return [
                 encode_graph6(h),
-                _edge_str(*id_to_pair(aux.vertex_to_edge[i], aux.reduced.n)),
-                _edge_str(*id_to_pair(aux.vertex_to_edge[j], aux.reduced.n)),
+                _edge_str(*aux.vertex_to_edge[i]),
+                _edge_str(*aux.vertex_to_edge[j]),
                 _shared_selected_edge(aux, i, j),
             ]
     for i in range(aux.t_graph.n):
         if not word >> i & 1 and t_rows[i] & word == 0:
-            addable = _edge_str(*id_to_pair(aux.vertex_to_edge[i], aux.reduced.n))
+            addable = _edge_str(*aux.vertex_to_edge[i])
             return [encode_graph6(h), f"addable edge {addable}"]
     return None
 
@@ -353,11 +345,11 @@ def verify_claim2(inst: ReductionInstance) -> VerificationReport:
         aux = build_auxiliary(inst)
         family = enumerate_h_star(inst)
         t_n = aux.t_graph.n
-        index = {eid: i for i, eid in enumerate(aux.vertex_to_edge)}
+        index = {pair: i for i, pair in enumerate(aux.vertex_to_edge)}
         witnesses: list = []
         images: list[int] = []
         for h in family:
-            word, problem = _image_word(inst, aux, h, index)
+            word, problem = _image_word(inst, h, index)
             if problem is None:
                 problem = _mis_violation(aux, h, word)
             if problem is not None:
@@ -373,7 +365,7 @@ def verify_claim2(inst: ReductionInstance) -> VerificationReport:
     return VerificationReport(
         check_name="claim2",
         status=PASS if ok else FAIL,
-        parameters={"n": inst.container.n, "selected": _edge_strs(inst.selected.pairs())},
+        parameters={"n": inst.container.n, "selected": _edge_strs(inst.selected.edges())},
         counts={
             "h_star": len(family),
             "mis_count_t": mis_t,
@@ -393,9 +385,10 @@ def maximal_tf_subgraph_count(container: Graph) -> int:
     return len(_maximal_tf_leaves(n, container.edges(), [0] * n))
 
 
-def bound_chain(container: Graph, removal: EdgeSet) -> VerificationReport:
+def bound_chain(container: Graph, removal: Graph) -> VerificationReport:
     """Run the pipeline for every triangle-free F* subseteq removal and check
-    the per-term inequalities plus the partition identity.
+    the per-term inequalities plus the partition identity.  F* runs over the
+    binary counter on the removal edges in lexicographic order.
 
     Per F*: |H(F*)| <= mis_count(T), mis_count(T)^2 <= 2^{|V(T)|}, and
     |V(T)| <= e(container).  Summing |H(F*)| over all F* must give exactly
@@ -404,18 +397,20 @@ def bound_chain(container: Graph, removal: EdgeSet) -> VerificationReport:
     n = container.n
     if n > CHAIN_MAX_N:
         raise GuardError(f"bound chain capped at n={CHAIN_MAX_N}, got {n}")
-    if len(removal) > CHAIN_MAX_REMOVAL:
+    edges = removal.edges()
+    if len(edges) > CHAIN_MAX_REMOVAL:
         raise GuardError(
-            f"bound chain capped at {CHAIN_MAX_REMOVAL} removal edges, got {len(removal)}")
+            f"bound chain capped at {CHAIN_MAX_REMOVAL} removal edges, got {len(edges)}")
     with Stopwatch() as sw:
         e_container = container.edge_count()
         total = 0
         subsets = 0
         tf_subsets = 0
         witnesses: list = []
-        for fstar in removal.subsets():
+        for code in range(1 << len(edges)):
             subsets += 1
-            if not is_triangle_free(fstar.as_graph()):
+            fstar = Graph.from_edges(n, [e for i, e in enumerate(edges) if code >> i & 1])
+            if not is_triangle_free(fstar):
                 continue
             tf_subsets += 1
             inst = ReductionInstance(container, removal, fstar)
@@ -423,7 +418,7 @@ def bound_chain(container: Graph, removal: EdgeSet) -> VerificationReport:
             h_count = len(enumerate_h_star(inst))
             mis_t = mis_count(aux.t_graph)
             t_n = aux.t_graph.n
-            label = _edge_strs(fstar.pairs())
+            label = _edge_strs(fstar.edges())
             if h_count > mis_t:
                 witnesses.append([f"F*={label}", f"h_star {h_count} > mis {mis_t}"])
             if mis_t * mis_t > 1 << t_n:
@@ -437,7 +432,7 @@ def bound_chain(container: Graph, removal: EdgeSet) -> VerificationReport:
     return VerificationReport(
         check_name="bound_chain",
         status=FAIL if witnesses else PASS,
-        parameters={"n": n, "removal": _edge_strs(removal.pairs())},
+        parameters={"n": n, "removal": _edge_strs(edges)},
         counts={
             "fstar_subsets": subsets,
             "fstar_triangle_free": tf_subsets,
@@ -465,22 +460,19 @@ def random_graph(n: int, p: float, rng: np.random.Generator) -> Graph:
     return Graph(n, tuple(rows))
 
 
-def random_tf_subset(edges: EdgeSet, rng: np.random.Generator) -> EdgeSet:
-    """Random triangle-free subset by randomized greedy insertion: visit the
-    edges in a random order, keep each with probability 1/2 when insertion
-    preserves triangle-freeness."""
-    ids = sorted(edges.members)
-    order = rng.permutation(len(ids))
-    rows = [0] * edges.host_n
-    chosen: list[int] = []
+def random_tf_subset(g: Graph, rng: np.random.Generator) -> Graph:
+    """Random triangle-free subgraph by randomized greedy insertion: visit the
+    edges of g in a random order, keep each with probability 1/2 when
+    insertion preserves triangle-freeness."""
+    edges = g.edges()
+    order = rng.permutation(len(edges))
+    rows = [0] * g.n
     for idx in order:
-        eid = ids[int(idx)]
-        u, v = id_to_pair(eid, edges.host_n)
+        u, v = edges[int(idx)]
         if rng.random() < 0.5 and rows[u] & rows[v] == 0:
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-            chosen.append(eid)
-    return EdgeSet(edges.host_n, frozenset(chosen))
+    return Graph(g.n, tuple(rows))
 
 
 EDGE_PROBABILITIES = (0.3, 0.5, 0.8)

@@ -194,6 +194,14 @@ def _oracle_equivalence(config: RunConfig) -> VerificationReport:
     )
 
 
+def _pinned_count_witnesses(counts: dict[int, int]) -> list:
+    """One witness per n whose count differs from the pinned one; n beyond
+    the pin is not checked."""
+    return [[f"n={n}", f"pinned={enumeration.PINNED_COUNTS[n]}", f"got={count}"]
+            for n, count in counts.items()
+            if count != enumeration.PINNED_COUNTS.get(n, count)]
+
+
 def _growth_table_check(config: RunConfig) -> VerificationReport:
     with Stopwatch() as sw:
         guard = config.guard("enumeration_n")
@@ -204,12 +212,13 @@ def _growth_table_check(config: RunConfig) -> VerificationReport:
             for row in table.rows
         }
         params["n_max"] = guard
+        bad = _pinned_count_witnesses({row.n: row.labeled_count for row in table.rows})
     return VerificationReport(
         check_name="growth_table",
-        status=PASS,
+        status=FAIL if bad else PASS,
         parameters=params,
         counts=counts,
-        witnesses=[],
+        witnesses=bad,
         elapsed_ms=sw.elapsed_ms,
     )
 
@@ -219,18 +228,21 @@ def _remark3_check(config: RunConfig) -> VerificationReport:
         max_n = min(enumeration.REMARK3_MAX_N, config.guard("enumeration_n"))
         counts: dict[str, int] = {}
         params: dict[str, object] = {}
+        totals: dict[int, int] = {}
         for n in range(2, max_n + 1):
             admitting, total = enumeration.remark3_census(n)
             frac = Fraction(admitting, total)
             counts[f"admitting_n{n}"] = admitting
             counts[f"family_n{n}"] = total
             params[f"fraction_n{n}"] = f"{frac.numerator}/{frac.denominator}"
+            totals[n] = total
+        bad = _pinned_count_witnesses(totals)
     return VerificationReport(
         check_name="remark3_census",
-        status=PASS,
+        status=FAIL if bad else PASS,
         parameters=params,
         counts=counts,
-        witnesses=[],
+        witnesses=bad,
         elapsed_ms=sw.elapsed_ms,
     )
 

@@ -184,9 +184,9 @@ def naive_maximal_tf_within(n: int, free, seed) -> list:
 def naive_h_star(inst) -> list:
     """Reference for reduction.enumerate_h_star: the container edges outside
     the removal set are free, and the selected edges are the seed."""
-    removal = set(inst.removal.pairs())
+    removal = set(inst.removal.edges())
     free = [e for e in inst.container.edges() if e not in removal]
-    return naive_maximal_tf_within(inst.container.n, free, inst.selected.pairs())
+    return naive_maximal_tf_within(inst.container.n, free, inst.selected.edges())
 
 
 def folklore_census(n: int) -> dict[str, int]:

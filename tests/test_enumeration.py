@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 from fractions import Fraction
@@ -19,8 +20,9 @@ from maxtrifree import (
     remark3_census,
     remark3_fraction,
 )
-from maxtrifree import scan
+from maxtrifree import enumeration, scan, suites
 from maxtrifree.enumeration import DEFAULT_ENUMERATION_GUARD, check_size
+from maxtrifree.report import RunConfig
 from oracles import naive_is_maximal_tf
 
 # labeled maximal triangle-free counts, frozen from the n<=6 brute-force scan
@@ -163,3 +165,44 @@ class TestRemark3:
     def test_guard(self):
         with pytest.raises(GuardError):
             remark3_fraction(8)
+
+
+class TestPinnedCountChecks:
+    """growth_table and remark3_census FAIL when a count leaves the pin."""
+
+    CONFIG = RunConfig(guards={"enumeration_n": 6})
+
+    def test_pass_on_working_code(self):
+        assert suites._growth_table_check(self.CONFIG).passed
+        assert suites._remark3_check(self.CONFIG).passed
+
+    def test_pinned_counts_match_oracle(self):
+        for n, expected in ORACLE_COUNTS.items():
+            assert enumeration.PINNED_COUNTS[n] == expected
+
+    def test_skewed_count_fails_growth_table(self, monkeypatch):
+        real = enumeration.enumerate_maximal_tf
+
+        def skewed(n, **kwargs):
+            row = real(n, **kwargs)
+            return dataclasses.replace(row, labeled_count=row.labeled_count + 1) if n == 5 else row
+
+        monkeypatch.setattr(enumeration, "enumerate_maximal_tf", skewed)
+        rep = suites._growth_table_check(self.CONFIG)
+        assert not rep.passed
+        assert rep.witnesses == [["n=5", "pinned=27", "got=28"]]
+
+    def test_dropped_graph_fails_remark3(self, monkeypatch):
+        real = enumeration.maximal_tf_family
+
+        def drop_one(n, **kwargs):
+            family = real(n, **kwargs)
+            return family[1:] if n == 6 else family
+
+        monkeypatch.setattr(enumeration, "maximal_tf_family", drop_one)
+        rep = suites._remark3_check(self.CONFIG)
+        assert not rep.passed
+        assert rep.witnesses == [["n=6", "pinned=211", "got=210"]]
+
+    def test_n_beyond_the_pin_is_unchecked(self):
+        assert suites._pinned_count_witnesses({10: 1, 4: 7}) == []

@@ -4,17 +4,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from maxtrifree import (
-    EdgeSet,
     Graph,
     GuardError,
     count_triangles,
-    edge_id,
     find_triangle,
-    graph_edge_set,
     graph_from_edge_mask,
     greedy_triangle_removal,
     has_clique,
-    id_to_pair,
     is_maximal_triangle_free,
     is_triangle_free,
     min_triangles_at_density,
@@ -85,47 +81,6 @@ class TestGraphType:
         assert sorted(h.edges()) == [(0, 1), (1, 2), (2, 3)]
         with pytest.raises(ValueError):
             g.relabel([0, 0, 1, 2])
-
-
-class TestEdgeSet:
-    def test_edge_id_round_trip(self):
-        for n in (2, 5, 64):
-            for u, v in combinations(range(min(n, 6)), 2):
-                assert id_to_pair(edge_id(u, v, n), n) == (u, v)
-
-    def test_edge_id_orients(self):
-        assert edge_id(3, 1, 5) == edge_id(1, 3, 5)
-
-    def test_set_semantics(self):
-        a = EdgeSet.from_pairs(4, [(0, 1), (2, 3)])
-        b = EdgeSet.from_pairs(4, [(0, 1), (1, 2)])
-        assert a.union(b).pairs() == [(0, 1), (1, 2), (2, 3)]
-        assert a.difference(b).pairs() == [(2, 3)]
-        assert EdgeSet.from_pairs(4, [(0, 1)]).issubset(a)
-        assert not b.issubset(a)
-        assert a.has(0, 1) and not a.has(0, 2)
-
-    def test_subset_enumeration(self):
-        es = EdgeSet.from_pairs(4, [(0, 1), (0, 2), (2, 3)])
-        subs = list(es.subsets())
-        assert len(subs) == 8
-        assert len({frozenset(s.members) for s in subs}) == 8
-        assert all(s.issubset(es) for s in subs)
-
-    def test_host_mismatch(self):
-        with pytest.raises(ValueError):
-            EdgeSet.from_pairs(4, [(0, 1)]).union(EdgeSet.from_pairs(5, [(0, 1)]))
-
-    def test_rejects_invalid_member(self):
-        with pytest.raises(ValueError):
-            EdgeSet(4, frozenset([5]))  # decodes to (1, 1)
-        with pytest.raises(ValueError):
-            EdgeSet(4, frozenset([4]))  # decodes to (1, 0), not u < v
-
-    def test_as_graph(self):
-        es = EdgeSet.from_pairs(5, [(0, 3), (1, 2)])
-        assert es.as_graph().edges() == [(0, 3), (1, 2)]
-        assert graph_edge_set(Graph.cycle(4)).pairs() == Graph.cycle(4).edges()
 
 
 class TestTriangles:
@@ -204,15 +159,15 @@ class TestCliques:
 
 class TestGreedyRemoval:
     def test_triangle_free_input(self):
-        assert len(greedy_triangle_removal(Graph.cycle(5))) == 0
+        assert greedy_triangle_removal(Graph.cycle(5)).edge_count() == 0
 
     def test_k3(self):
-        assert len(greedy_triangle_removal(Graph.complete(3))) == 1
+        assert greedy_triangle_removal(Graph.complete(3)).edge_count() == 1
 
     def test_k4_optimal(self):
         f = greedy_triangle_removal(Graph.complete(4))
-        assert len(f) == 2
-        remainder = Graph.complete(4).without_edges(f.pairs())
+        assert f.edge_count() == 2
+        remainder = Graph.complete(4).without_edges(f.edges())
         assert is_triangle_free(remainder)
         assert sorted(remainder.degree(u) for u in range(4)) == [2, 2, 2, 2]  # a C4
         # brute force: no single edge removal suffices for K4
@@ -220,13 +175,13 @@ class TestGreedyRemoval:
             assert not is_triangle_free(Graph.complete(4).without_edges([e]))
 
     def test_deterministic_tie_break(self):
-        assert greedy_triangle_removal(Graph.complete(4)).pairs() == [(0, 1), (2, 3)]
+        assert greedy_triangle_removal(Graph.complete(4)).edges() == [(0, 1), (2, 3)]
 
     @given(random_graphs())
     def test_result_contract(self, g):
         f = greedy_triangle_removal(g)
-        assert is_triangle_free(g.without_edges(f.pairs()))
-        assert len(f) <= count_triangles(g)
+        assert is_triangle_free(g.without_edges(f.edges()))
+        assert f.edge_count() <= count_triangles(g)
 
 
 class TestMinTriangles:

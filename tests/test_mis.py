@@ -7,6 +7,7 @@ from maxtrifree import (
     Graph,
     GuardError,
     decode_graph6,
+    encode_graph6,
     enumerate_mis,
     graph_from_edge_mask,
     is_triangle_free,
@@ -14,6 +15,7 @@ from maxtrifree import (
     verify_hujter_tuza,
     verify_matching_equality,
 )
+from maxtrifree import mis
 from maxtrifree.mis import batch_mis_counts
 from oracles import naive_mis_family, set_to_word
 
@@ -157,3 +159,22 @@ class TestHujterTuza:
             assert g.n == m
             assert is_triangle_free(g)
             assert mis_count(g) == rep.counts[f"max_mis_m{m}"]
+
+    def test_skewed_batch_count_fails_with_witness(self, monkeypatch):
+        # the first m=3 batch reports 3 maximal independent sets for its last
+        # graph: 3^2 > 2^3, so the check must name that graph
+        real = mis.batch_mis_counts
+        planted = []
+
+        def skewed(adj, n):
+            counts = real(adj, n)
+            if n == 3 and not planted:
+                counts[-1] = 3
+                planted.append(Graph(n, tuple(int(row) for row in adj[-1])))
+            return counts
+
+        monkeypatch.setattr(mis, "batch_mis_counts", skewed)
+        rep = verify_hujter_tuza(4)
+        assert not rep.passed
+        assert rep.witnesses == [encode_graph6(planted[0])]
+        assert decode_graph6(rep.witnesses[0]).n == 3

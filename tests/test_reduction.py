@@ -4,7 +4,6 @@ import pytest
 
 from maxtrifree import reduction
 from maxtrifree import (
-    EdgeSet,
     Graph,
     GuardError,
     InstanceError,
@@ -13,7 +12,6 @@ from maxtrifree import (
     brute_force_maximal_tf,
     build_auxiliary,
     enumerate_h_star,
-    graph_edge_set,
     is_triangle_free,
     mis_count,
     random_instance,
@@ -37,32 +35,31 @@ class TestInstanceValidation:
         with pytest.raises(InstanceError):
             ReductionInstance(
                 Graph.cycle(4),
-                EdgeSet.from_pairs(4, [(0, 2)]),
-                EdgeSet.empty(4),
+                Graph.from_edges(4, [(0, 2)]),
+                Graph.empty(4),
             )
 
     def test_removal_insufficient(self):
         with pytest.raises(InstanceError):
-            ReductionInstance(Graph.complete(4), EdgeSet.empty(4), EdgeSet.empty(4))
+            ReductionInstance(Graph.complete(4), Graph.empty(4), Graph.empty(4))
 
     def test_selected_outside_removal(self):
         with pytest.raises(InstanceError):
             ReductionInstance(
                 Graph.complete(4),
-                EdgeSet.from_pairs(4, [(0, 1), (2, 3)]),
-                EdgeSet.from_pairs(4, [(0, 2)]),
+                Graph.from_edges(4, [(0, 1), (2, 3)]),
+                Graph.from_edges(4, [(0, 2)]),
             )
 
     def test_selected_with_triangle(self):
         k5 = Graph.complete(5)
-        removal = graph_edge_set(k5)
-        selected = EdgeSet.from_pairs(5, [(0, 1), (0, 2), (1, 2)])
+        selected = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2)])
         with pytest.raises(InstanceError):
-            ReductionInstance(k5, removal, selected)
+            ReductionInstance(k5, k5, selected)
 
     def test_host_mismatch(self):
         with pytest.raises(InstanceError):
-            ReductionInstance(Graph.complete(4), EdgeSet.empty(5), EdgeSet.empty(5))
+            ReductionInstance(Graph.complete(4), Graph.empty(5), Graph.empty(5))
 
     def test_json_round_trip(self, tmp_path):
         inst = worked_k4_instance()
@@ -79,22 +76,22 @@ class TestReducedGraph:
 
     def test_nothing_removed(self):
         g = Graph.cycle(5)
-        inst = ReductionInstance(g, EdgeSet.empty(5), EdgeSet.empty(5))
+        inst = ReductionInstance(g, Graph.empty(5), Graph.empty(5))
         assert reduced_graph(inst) == g
 
     def test_empty_selected(self):
         g = Graph.complete(4)
-        removal = EdgeSet.from_pairs(4, [(0, 1), (2, 3)])
-        inst = ReductionInstance(g, removal, EdgeSet.empty(4))
+        removal = Graph.from_edges(4, [(0, 1), (2, 3)])
+        inst = ReductionInstance(g, removal, Graph.empty(4))
         red = reduced_graph(inst)
-        assert red == g.without_edges(removal.pairs())
+        assert red == g.without_edges(removal.edges())
         assert is_triangle_free(red)
 
     def test_two_selected_edges_kill_closers(self):
         # K4 with removal = {01, 02}: F* = {01, 02} forces edge 12 out
         g = Graph.complete(4)
-        removal = EdgeSet.from_pairs(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
-        selected = EdgeSet.from_pairs(4, [(0, 1), (0, 2)])
+        removal = Graph.from_edges(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
+        selected = Graph.from_edges(4, [(0, 1), (0, 2)])
         red = reduced_graph(ReductionInstance(g, removal, selected))
         assert not red.has_edge(1, 2)
         assert red.has_edge(0, 1) and red.has_edge(0, 2)
@@ -104,31 +101,29 @@ class TestReducedGraph:
             inst = random_instance(rng_for(7, i), n_min=4, n_max=8)
             red = reduced_graph(inst)
             assert is_subgraph(red, inst.container)
-            for u, v in inst.selected.pairs():
+            for u, v in inst.selected.edges():
                 assert red.has_edge(u, v)
 
 
 class TestAuxiliary:
     def test_worked_k4(self):
         aux = build_auxiliary(worked_k4_instance())
-        n = aux.reduced.n
-        labels = [divmod(e, n) for e in aux.vertex_to_edge]
-        assert labels == [(0, 2), (0, 3), (1, 2), (1, 3)]
+        assert aux.vertex_to_edge == ((0, 2), (0, 3), (1, 2), (1, 3))
         # a 2-edge perfect matching: 02-12 and 03-13
         assert aux.t_graph.edges() == [(0, 2), (1, 3)]
 
     def test_empty_selected_gives_edgeless(self):
         g = Graph.complete(4)
-        removal = EdgeSet.from_pairs(4, [(0, 1), (2, 3)])
-        aux = build_auxiliary(ReductionInstance(g, removal, EdgeSet.empty(4)))
+        removal = Graph.from_edges(4, [(0, 1), (2, 3)])
+        aux = build_auxiliary(ReductionInstance(g, removal, Graph.empty(4)))
         assert aux.t_graph.edge_count() == 0
 
     def test_c5_isolated(self):
-        aux = build_auxiliary(ReductionInstance(Graph.cycle(5), EdgeSet.empty(5), EdgeSet.empty(5)))
+        aux = build_auxiliary(ReductionInstance(Graph.cycle(5), Graph.empty(5), Graph.empty(5)))
         assert aux.t_graph.n == 5 and aux.t_graph.edge_count() == 0
 
     def test_empty_container_empty_t(self):
-        inst = ReductionInstance(Graph.empty(3), EdgeSet.empty(3), EdgeSet.empty(3))
+        inst = ReductionInstance(Graph.empty(3), Graph.empty(3), Graph.empty(3))
         aux = build_auxiliary(inst)
         assert aux.t_graph.n == 0
         assert mis_count(aux.t_graph) == 1  # the empty set
@@ -137,10 +132,9 @@ class TestAuxiliary:
         for i in range(60):
             inst = random_instance(rng_for(11, i), n_min=4, n_max=8)
             aux = build_auxiliary(inst)
-            n = aux.reduced.n
             for i1, i2 in aux.t_graph.edges():
-                u1, v1 = divmod(aux.vertex_to_edge[i1], n)
-                u2, v2 = divmod(aux.vertex_to_edge[i2], n)
+                u1, v1 = aux.vertex_to_edge[i1]
+                u2, v2 = aux.vertex_to_edge[i2]
                 assert {u1, v1} & {u2, v2}
 
 
@@ -153,7 +147,7 @@ class TestClaim1:
     def test_trivial_empty_selected(self):
         g = Graph.cycle(5)
         rep = verify_claim1(build_auxiliary(
-            ReductionInstance(g, EdgeSet.empty(5), EdgeSet.empty(5))))
+            ReductionInstance(g, Graph.empty(5), Graph.empty(5))))
         assert rep.passed and rep.counts["t_edges"] == 0
 
     def test_random_instances(self):
@@ -172,12 +166,12 @@ class TestHStar:
 
     def test_c4_container(self):
         g = Graph.cycle(4)
-        family = enumerate_h_star(ReductionInstance(g, EdgeSet.empty(4), EdgeSet.empty(4)))
+        family = enumerate_h_star(ReductionInstance(g, Graph.empty(4), Graph.empty(4)))
         assert family == [g]
 
     def test_p4_container_empty(self):
         g = Graph.path(4)
-        family = enumerate_h_star(ReductionInstance(g, EdgeSet.empty(4), EdgeSet.empty(4)))
+        family = enumerate_h_star(ReductionInstance(g, Graph.empty(4), Graph.empty(4)))
         assert family == []
 
     def test_members_satisfy_constraints(self):
@@ -186,10 +180,10 @@ class TestHStar:
             red = reduced_graph(inst)
             for h in enumerate_h_star(inst):
                 assert is_subgraph(h, inst.container)
-                assert is_subgraph(h, red) or not inst.selected.members
+                assert is_subgraph(h, red) or not inst.selected.edges()
                 assert is_subgraph(h, red)
-                got = {e for e in graph_edge_set(h).members} & inst.removal.members
-                assert got == inst.selected.members
+                got = set(h.edges()) & set(inst.removal.edges())
+                assert got == set(inst.selected.edges())
 
     def test_against_brute_force_family(self):
         for i in range(30):
@@ -198,7 +192,7 @@ class TestHStar:
             expected = [
                 g for g in brute_force_maximal_tf(n)
                 if is_subgraph(g, inst.container)
-                and graph_edge_set(g).members & inst.removal.members == inst.selected.members
+                and set(g.edges()) & set(inst.removal.edges()) == set(inst.selected.edges())
             ]
             assert enumerate_h_star(inst) == expected
 
@@ -210,14 +204,14 @@ class TestHStar:
     # K4 minus 01, with every edge at 0 and 1 in the removal set: the only
     # free pair is 23, so (0, 1) is a fixed non-edge no decision touches.
     _K4_MINUS_01 = Graph.from_edges(4, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
-    _AROUND_01 = EdgeSet.from_pairs(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
+    _AROUND_01 = Graph.from_edges(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
 
     def test_untouched_non_edge_without_common_neighbour(self):
-        inst = ReductionInstance(self._K4_MINUS_01, self._AROUND_01, EdgeSet.empty(4))
+        inst = ReductionInstance(self._K4_MINUS_01, self._AROUND_01, Graph.empty(4))
         assert enumerate_h_star(inst) == naive_h_star(inst) == []
 
     def test_untouched_non_edge_with_seed_common_neighbour(self):
-        selected = EdgeSet.from_pairs(4, [(0, 2), (1, 2)])
+        selected = Graph.from_edges(4, [(0, 2), (1, 2)])
         inst = ReductionInstance(self._K4_MINUS_01, self._AROUND_01, selected)
         family = enumerate_h_star(inst)
         assert family == naive_h_star(inst)
@@ -225,17 +219,17 @@ class TestHStar:
 
     def test_no_free_pairs(self):
         k4 = Graph.complete(4)
-        removal = graph_edge_set(k4)
-        star = EdgeSet.from_pairs(4, [(0, 1), (0, 2), (0, 3)])
+        removal = k4
+        star = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
         inst = ReductionInstance(k4, removal, star)
-        assert enumerate_h_star(inst) == naive_h_star(inst) == [star.as_graph()]
-        inst = ReductionInstance(k4, removal, EdgeSet.from_pairs(4, [(0, 1)]))
+        assert enumerate_h_star(inst) == naive_h_star(inst) == [star]
+        inst = ReductionInstance(k4, removal, Graph.from_edges(4, [(0, 1)]))
         assert enumerate_h_star(inst) == naive_h_star(inst) == []
 
     def test_guard(self):
         g = Graph.empty(11)
         with pytest.raises(GuardError):
-            enumerate_h_star(ReductionInstance(g, EdgeSet.empty(11), EdgeSet.empty(11)))
+            enumerate_h_star(ReductionInstance(g, Graph.empty(11), Graph.empty(11)))
 
 
 class TestClaim2:
@@ -248,7 +242,7 @@ class TestClaim2:
 
     def test_maximal_container_trivial(self):
         g = Graph.cycle(5)
-        rep = verify_claim2(ReductionInstance(g, EdgeSet.empty(5), EdgeSet.empty(5)))
+        rep = verify_claim2(ReductionInstance(g, Graph.empty(5), Graph.empty(5)))
         assert rep.passed
         assert rep.counts["h_star"] == 1
         assert rep.counts["mis_count_t"] == 1  # edgeless T has one MIS: everything
@@ -273,7 +267,7 @@ class TestBoundChain:
 
     def test_empty_removal(self):
         g = Graph.cycle(5)
-        rep = bound_chain(g, EdgeSet.empty(5))
+        rep = bound_chain(g, Graph.empty(5))
         assert rep.passed and rep.counts["fstar_subsets"] == 1
         assert rep.counts["sum_h_star"] == 1
 
@@ -299,9 +293,9 @@ class TestBoundChain:
 
     def test_guards(self):
         with pytest.raises(GuardError):
-            bound_chain(Graph.empty(9), EdgeSet.empty(9))
+            bound_chain(Graph.empty(9), Graph.empty(9))
         k6 = Graph.complete(6)
-        big = EdgeSet.from_pairs(6, k6.edges()[:13])
+        big = Graph.from_edges(6, k6.edges()[:13])
         with pytest.raises(GuardError):
             bound_chain(k6, big)
 
@@ -319,7 +313,7 @@ class TestPlantedDefects:
 
     def test_dropped_h_fails_chain(self, monkeypatch):
         real = reduction.enumerate_h_star
-        dropped = EdgeSet.from_pairs(4, [(0, 1)])
+        dropped = Graph.from_edges(4, [(0, 1)])
 
         def drop_one(inst):
             family = real(inst)
@@ -345,13 +339,27 @@ class TestPlantedDefects:
         monkeypatch.setattr(reduction, "build_auxiliary", plant)
         inst = ReductionInstance(
             Graph.complete(4),
-            EdgeSet.from_pairs(4, [(1, 2), (1, 3), (2, 3)]),
-            EdgeSet.from_pairs(4, [(1, 2), (2, 3)]),
+            Graph.from_edges(4, [(1, 2), (1, 3), (2, 3)]),
+            Graph.from_edges(4, [(1, 2), (2, 3)]),
         )
         assert verify_claim1(real(inst)).passed
         rep = verify_claim1(reduction.build_auxiliary(inst))
         assert not rep.passed
         assert rep.witnesses == [["0-1", "0-2", "0-3", "1-2", "1-3", "2-3"]]
+
+
+    def test_t_edge_between_disjoint_edges_fails_claim1(self):
+        # C5 with F* empty: T-vertices 01, 04, 12, 23, 34 and no T-edges.  A
+        # planted triangle on 01, 12 and 34 joins 34 to two edges it shares no
+        # endpoint with, so no selected edge can witness those T-edges.
+        aux = build_auxiliary(ReductionInstance(Graph.cycle(5), Graph.empty(5), Graph.empty(5)))
+        assert aux.vertex_to_edge == ((0, 1), (0, 4), (1, 2), (2, 3), (3, 4))
+        planted = aux.t_graph.with_edge(0, 2).with_edge(0, 4).with_edge(2, 4)
+        rep = verify_claim1(dataclasses.replace(aux, t_graph=planted))
+        assert not rep.passed
+        assert rep.witnesses == [["0-1", "1-2", "3-4", "0-2",
+                                  "0-1 and 3-4 share no endpoint",
+                                  "1-2 and 3-4 share no endpoint"]]
 
 
 class TestRandomInstances:
@@ -367,5 +375,5 @@ class TestRandomInstances:
         for i in range(50):
             inst = random_instance(rng_for(12, i), n_min=4, n_max=9)
             assert is_triangle_free(
-                inst.container.without_edges(inst.removal.pairs()))
-            assert inst.selected.issubset(inst.removal)
+                inst.container.without_edges(inst.removal.edges()))
+            assert set(inst.selected.edges()) <= set(inst.removal.edges())

@@ -174,6 +174,28 @@ class TestCli:
         assert main(["mis", "--g6", "C"]) == 2  # truncated graph6
         assert "error:" in capsys.readouterr().err
 
+    def test_reduce_missing_instance_file(self, tmp_path, capsys):
+        assert main(["reduce", "--instance", str(tmp_path / "absent.json")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "absent.json" in captured.err
+
+    def test_reduce_instance_missing_key(self, tmp_path, capsys):
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps({"container": "C~", "selected": []}))
+        assert main(["reduce", "--instance", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "'removal'" in captured.err
+
+    def test_mis_missing_file(self, tmp_path, capsys):
+        assert main(["mis", "--in", str(tmp_path / "absent.g6")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "absent.g6" in captured.err
+
+    def test_report_missing_file(self, tmp_path, capsys):
+        assert main(["report", "--json", str(tmp_path / "absent.json")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "absent.json" in captured.err
+
     def test_guard_violation_is_per_check_not_abort(self, tmp_path):
         # an over-cap guard fails that one check and the run carries on
         out = tmp_path / "rep.json"
