@@ -7,6 +7,13 @@ exhaustive verifier scans every labeled triangle-free graph up to 8 vertices,
 generating them incrementally instead of filtering all 2^28 graphs, and does
 the real-valued comparison count <= 2^{m/2} as count^2 <= 2^m in exact
 integer arithmetic.
+
+Its batch kernel, ``batch_mis_counts``, counts on numpy adjacency columns
+with one test per vertex subset S: S is a maximal independent set iff its
+neighbourhood N(S) is exactly V \\ S (independence is N(S) & S = 0,
+maximality is N(S) | S = V).  Columns and per-graph counters are uint8 for
+n <= 8 and uint16 for n <= 16, which the counts fit by Moon-Moser (at most
+18 sets at n = 8, 324 at n = 16); larger n raises GuardError.
 """
 from __future__ import annotations
 
@@ -20,6 +27,7 @@ from .graph6 import encode_graph6
 from .report import FAIL, PASS, Stopwatch, VerificationReport
 
 HUJTER_TUZA_MAX_N = 8
+BATCH_MAX_N = 16  # uint16 columns; Moon-Moser keeps the counts below 2^16
 
 
 @dataclass(frozen=True)
@@ -85,26 +93,33 @@ def mis_count(g: Graph) -> int:
 
 
 def batch_mis_counts(adj: np.ndarray, n: int) -> np.ndarray:
-    """MIS counts for a batch of graphs given as uint16 adjacency columns.
+    """MIS counts (int64) for a batch of graphs given as adjacency columns.
 
-    Walks all 2^n vertex subsets once, carrying the neighborhood union, and
-    tests independence and domination of each subset for every graph at once.
+    ``adj[:, v]`` holds the neighbour bits of vertex v.  Walks all 2^n vertex
+    subsets S once, carrying the neighbourhood union N(S), and counts S for
+    every graph at once when N(S) equals V \\ S exactly, which is independence
+    and maximality in one comparison.  Columns and counters are uint8 for
+    n <= 8 and uint16 otherwise; n > 16 raises GuardError.
     """
+    if n > BATCH_MAX_N:
+        raise GuardError(f"batch MIS kernel holds at most {BATCH_MAX_N} vertices, got n={n}")
+    dtype = np.uint8 if n <= 8 else np.uint16
     num = adj.shape[0]
-    counts = np.zeros(num, dtype=np.int64)
+    cols = [adj[:, v].astype(dtype) for v in range(n)]
+    counts = np.zeros(num, dtype=dtype)
+    hit = np.empty(num, dtype=bool)
     full = (1 << n) - 1
-    cols = [np.ascontiguousarray(adj[:, v]) for v in range(n)]
 
     def visit(v: int, neigh_or: np.ndarray, members: int) -> None:
         if v == n:
-            ok = ((neigh_or & members) == 0) & ((neigh_or | members) == full)
-            np.add(counts, ok, out=counts, casting="unsafe")
+            np.equal(neigh_or, dtype(full ^ members), out=hit)
+            np.add(counts, hit, out=counts)
             return
         visit(v + 1, neigh_or, members)
         visit(v + 1, neigh_or | cols[v], members | 1 << v)
 
-    visit(0, np.zeros(num, dtype=adj.dtype), 0)
-    return counts
+    visit(0, np.zeros(num, dtype=dtype), 0)
+    return counts.astype(np.int64)
 
 
 class _PerSizeScan:

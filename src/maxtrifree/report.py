@@ -96,7 +96,21 @@ def dumps_reports(reports: list[VerificationReport]) -> str:
 
 
 def loads_reports(text: str) -> list[VerificationReport]:
-    return [VerificationReport.from_dict(d) for d in json.loads(text)]
+    """Parse a report array; ValueError names the first entry that is not a report."""
+    data = json.loads(text)
+    if not isinstance(data, list):
+        raise ValueError(f"expected a JSON array of reports, got {type(data).__name__}")
+    reports = []
+    for i, entry in enumerate(data):
+        if not isinstance(entry, dict):
+            raise ValueError(f"report {i} is {type(entry).__name__}, not an object")
+        try:
+            reports.append(VerificationReport.from_dict(entry))
+        except KeyError as exc:
+            raise ValueError(f"report {i} lacks key {exc}") from None
+        except (TypeError, AttributeError, ValueError) as exc:
+            raise ValueError(f"report {i} is malformed: {exc}") from None
+    return reports
 
 
 def strip_timing(data: Any) -> Any:

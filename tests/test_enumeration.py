@@ -3,6 +3,7 @@ import hashlib
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from maxtrifree import (
@@ -72,6 +73,19 @@ class TestEnumerate:
         for n, expected in ORACLE_COUNTS.items():
             assert enumerate_maximal_tf(n).labeled_count == expected
             assert enumerate_maximal_tf(n, forward_prune=False).labeled_count == expected
+
+    def test_pruned_leaves_equal_unpruned_after_filter(self):
+        # the whole leaf-mask arrays, not just counts, where the oracle cannot reach
+        for n in (7, 8):
+            families = []
+            for prune in (True, False):
+                collector = enumeration._LeafCollector(n, forward_prune=prune)
+                collector.collect = True
+                scan.walk_triangle_free(n, forward_prune=prune, consume=collector.consume)
+                families.append(collector.sorted_masks())
+            pruned, filtered = families
+            assert len(pruned) == enumeration.PINNED_COUNTS[n]
+            assert np.array_equal(pruned, filtered), n
 
     def test_n1(self):
         assert enumerate_maximal_tf(1).labeled_count == 1

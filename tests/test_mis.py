@@ -106,6 +106,31 @@ class TestBatchCounts:
         got = batch_mis_counts(adj, 5)
         assert got.tolist() == [mis_count(g) for g in graphs]
 
+    def test_matches_naive_oracle_on_random_graphs(self):
+        # any graphs, not only triangle-free ones, across the uint8/uint16 switch
+        rng = np.random.default_rng(6)
+        for n in range(12):
+            pairs = n * (n - 1) // 2
+            graphs = [graph_from_edge_mask(n, sum(1 << i for i in range(pairs)
+                                                  if rng.random() < density))
+                      for density in (0.2, 0.5, 0.8) for _ in range(6)]
+            adj = np.array([g.rows for g in graphs], dtype=np.uint16)
+            got = batch_mis_counts(adj, n)
+            assert got.dtype == np.int64
+            assert got.tolist() == [len(naive_mis_family(g)) for g in graphs], n
+
+    def test_empty_and_complete_at_the_dtype_switch(self):
+        for n in (8, 9):
+            graphs = [Graph.empty(n), Graph.complete(n)]
+            adj = np.array([g.rows for g in graphs], dtype=np.uint16)
+            expected = [len(naive_mis_family(g)) for g in graphs]
+            assert expected == [1, n]
+            assert batch_mis_counts(adj, n).tolist() == expected
+
+    def test_guard_past_uint16_columns(self):
+        with pytest.raises(GuardError, match="n=17"):
+            batch_mis_counts(np.zeros((1, 17), dtype=np.uint32), 17)
+
 
 class TestHujterTuza:
     def test_small_exhaustive_against_naive(self):
@@ -142,6 +167,15 @@ class TestHujterTuza:
         a = verify_hujter_tuza(6, shards=1)
         b = verify_hujter_tuza(6, shards=8)
         assert a.counts == b.counts and a.witnesses == b.witnesses
+
+    def test_report_pinned_m8(self):
+        rep = verify_hujter_tuza(8)
+        assert rep.passed
+        assert [rep.counts[f"max_mis_m{m}"] for m in range(1, 9)] == \
+            [1, 2, 2, 4, 5, 8, 10, 16]
+        assert [rep.counts[f"scanned_m{m}"] for m in range(1, 9)] == \
+            [1, 2, 7, 41, 388, 5789, 133501, 4682270]
+        assert rep.witnesses == ['@', 'A_', 'B_', 'CK', 'DLo', 'E@Q?', 'FGEe?', 'G?CaC?']
 
     def test_guard(self):
         with pytest.raises(GuardError):

@@ -51,6 +51,17 @@ class TestReportType:
         assert "elapsed_ms" not in stripped[0]
         assert stripped[0]["counts"] == {"total": 7}
 
+    def test_loads_names_the_bad_entry(self):
+        good = make_report().to_dict()
+        with pytest.raises(ValueError, match="report 1 is int, not an object"):
+            loads_reports(json.dumps([good, 7]))
+        with pytest.raises(ValueError, match="report 1 lacks key 'status'"):
+            loads_reports(json.dumps([good, {"check_name": "x"}]))
+        with pytest.raises(ValueError, match="report 0 is malformed"):
+            loads_reports(json.dumps([dict(good, counts=[1])]))
+        with pytest.raises(ValueError, match="report 1 is malformed: status"):
+            loads_reports(json.dumps([good, dict(good, status="ok")]))
+
     def test_summary_line(self):
         assert make_report().summary_line().startswith("[PASS] demo")
 
@@ -195,6 +206,28 @@ class TestCli:
         assert main(["report", "--json", str(tmp_path / "absent.json")]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and "absent.json" in captured.err
+
+    def test_report_entry_without_keys(self, tmp_path, capsys):
+        path = tmp_path / "rep.json"
+        path.write_text('[{"x": 1}]')
+        assert main(["report", "--json", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert "report 0" in captured.err and "'check_name'" in captured.err
+
+    def test_report_file_not_an_array(self, tmp_path, capsys):
+        path = tmp_path / "rep.json"
+        path.write_text('{"a": 1}')
+        assert main(["report", "--json", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "JSON array" in captured.err
+
+    def test_report_on_an_instance_file(self, tmp_path, capsys):
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(worked_k4_instance().to_dict()))
+        assert main(["report", "--json", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "JSON array" in captured.err
 
     def test_guard_violation_is_per_check_not_abort(self, tmp_path):
         # an over-cap guard fails that one check and the run carries on
