@@ -3,7 +3,8 @@
 Common flags take defaults from MAXTRIFREE_-prefixed environment variables
 (MAXTRIFREE_SEED, MAXTRIFREE_SHARDS, MAXTRIFREE_GUARD_<KEY>).  verify,
 reduce and report exit 1 when any check fails; bad input (a missing or
-malformed file, a size past a cap) prints ``error: ...`` and exits 2.
+malformed file, a non-integer environment value, a missing or conflicting
+option, a size past a cap) prints ``error: ...`` and exits 2.
 """
 from __future__ import annotations
 
@@ -31,17 +32,22 @@ from .report import (
 ENV_PREFIX = "MAXTRIFREE_"
 
 
-def _env_int(name: str, fallback: int) -> int:
+def _env_int(name: str, fallback: int | None = None) -> int | None:
     raw = os.environ.get(ENV_PREFIX + name)
-    return int(raw) if raw else fallback
+    if not raw:
+        return fallback
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"{ENV_PREFIX}{name} must be an integer, got {raw!r}") from None
 
 
 def _env_guards() -> dict[str, int]:
     guards = {}
     for key in DEFAULT_GUARDS:
-        raw = os.environ.get(ENV_PREFIX + "GUARD_" + key.upper())
-        if raw:
-            guards[key] = int(raw)
+        value = _env_int("GUARD_" + key.upper())
+        if value is not None:
+            guards[key] = value
     return guards
 
 
@@ -53,12 +59,13 @@ def _parse_guard(text: str) -> tuple[str, int]:
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=_env_int("SEED", 1),
-                        help="64-bit seed for every random draw")
-    parser.add_argument("--shards", type=int, default=_env_int("SHARDS", 1),
+    parser.add_argument("--seed", type=int,
+                        help="64-bit seed for every random draw "
+                             "(default: MAXTRIFREE_SEED, else 1)")
+    parser.add_argument("--shards", type=int,
                         help="split the work into this many deterministic partitions, "
                              "run one after another in this process (not in parallel); "
-                             "reports do not depend on it")
+                             "reports do not depend on it (default: MAXTRIFREE_SHARDS, else 1)")
     parser.add_argument("--guard", type=_parse_guard, action="append", default=[],
                         metavar="KEY=VAL", help=f"override a size cap {sorted(DEFAULT_GUARDS)}")
     parser.add_argument("--json", dest="json_path", metavar="PATH",
@@ -66,10 +73,12 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _config(args) -> RunConfig:
+    # environment defaults are read here, inside main's error handling
     guards = _env_guards()
     guards.update(dict(args.guard))
-    return RunConfig(seed=args.seed, shards=args.shards, guards=guards,
-                     output_path=args.json_path)
+    seed = _env_int("SEED", 1) if args.seed is None else args.seed
+    shards = _env_int("SHARDS", 1) if args.shards is None else args.shards
+    return RunConfig(seed=seed, shards=shards, guards=guards, output_path=args.json_path)
 
 
 def _emit_reports(reports: list[VerificationReport], json_path: str | None) -> int:
@@ -88,8 +97,8 @@ def _load_single_graph(args) -> Graph:
     if args.infile:
         for g in iter_graph6_file(args.infile):
             return g
-        raise SystemExit(f"no graphs in {args.infile}")
-    raise SystemExit("provide --g6 or --in")
+        raise ValueError(f"no graphs in {args.infile}")
+    raise ValueError("provide --g6 or --in")
 
 
 # ---------------------------------------------------------------------------
@@ -115,9 +124,9 @@ def _cmd_construct(args) -> int:
             ]
     else:
         if args.r is None:
-            raise SystemExit("--r is required for the kr family")
+            raise ValueError("--r is required for the kr family")
         if args.stats:
-            raise SystemExit("--stats is only available for the folklore family")
+            raise ValueError("--stats is only available for the folklore family")
         if args.choice is not None:
             graphs = [constructions.kr_free_graph(
                 constructions.KrChoice.from_hex(args.n, args.r, args.choice))]
@@ -182,7 +191,7 @@ def _cmd_reduce(args) -> int:
     checks = args.check.split(",")
     unknown = set(checks) - {"claim1", "claim2", "chain"}
     if unknown:
-        raise SystemExit(f"unknown checks: {sorted(unknown)}")
+        raise ValueError(f"unknown checks: {sorted(unknown)}")
     instances: list[reduction.ReductionInstance] = []
     if args.instance:
         instances.append(reduction.ReductionInstance.load(args.instance))
@@ -191,7 +200,7 @@ def _cmd_reduce(args) -> int:
             instances.append(reduction.random_instance(
                 rng_for(config.seed, i), n_min=4, n_max=args.n or 8))
     if not instances:
-        raise SystemExit("provide --instance and/or --random")
+        raise ValueError("provide --instance and/or --random")
     reports = []
     for idx, inst in enumerate(instances):
         suffix = f"_{idx}" if len(instances) > 1 else ""

@@ -102,26 +102,19 @@ def _maximality_filter(adj: np.ndarray, n: int) -> np.ndarray:
     return keep
 
 
-class _LeafCollector:
-    def __init__(self, n: int, forward_prune: bool):
-        self.n = n
-        self.forward_prune = forward_prune
-        self.count = 0
-        self.batches: list[np.ndarray] = []
-        self.collect = False
+def _maximal_masks(n: int, *, shards: int = 1, forward_prune: bool = True) -> np.ndarray:
+    """Sorted edge masks of the maximal triangle-free graphs on [n], from the walker.
 
-    def consume(self, masks: np.ndarray, adj: np.ndarray) -> None:
-        if not self.forward_prune:
-            ok = _maximality_filter(adj, self.n)
-            masks = masks[ok]
-        self.count += len(masks)
-        if self.collect and len(masks):
-            self.batches.append(masks)
+    Without ``forward_prune`` the leaves are every triangle-free graph, and
+    ``_maximality_filter`` keeps the maximal ones.
+    """
+    batches = [np.zeros(0, dtype=np.int64)]
 
-    def sorted_masks(self) -> np.ndarray:
-        if not self.batches:
-            return np.zeros(0, dtype=np.int64)
-        return np.sort(np.concatenate(self.batches))
+    def consume(masks: np.ndarray, adj: np.ndarray) -> None:
+        batches.append(masks if forward_prune else masks[_maximality_filter(adj, n)])
+
+    scan.walk_triangle_free(n, forward_prune=forward_prune, consume=consume, shards=shards)
+    return np.sort(np.concatenate(batches))
 
 
 def check_size(n: int, guard: int) -> None:
@@ -151,18 +144,11 @@ def enumerate_maximal_tf(
     """
     check_size(n, guard)
     with Stopwatch() as sw:
-        collector = _LeafCollector(n, forward_prune)
-        collector.collect = stream_path is not None
-        scan.walk_triangle_free(
-            n,
-            forward_prune=forward_prune,
-            consume=collector.consume,
-            shards=shards,
-        )
-        count = collector.count
+        masks = _maximal_masks(n, shards=shards, forward_prune=forward_prune)
         if stream_path is not None:
             with open(stream_path, "wb") as fh:
-                fh.write(encode_graph6_masks(n, collector.sorted_masks()))
+                fh.write(encode_graph6_masks(n, masks))
+    count = len(masks)
     log2_over = round(math.log2(count) / (n * n), 6) if count else float("-inf")
     return CountRow(n, count, log2_over, sw.elapsed_ms)
 
@@ -178,10 +164,7 @@ def growth_table(n_max: int, *, shards: int = 1,
 def maximal_tf_family(n: int, *, guard: int = DEFAULT_ENUMERATION_GUARD) -> list[Graph]:
     """The maximal triangle-free graphs on [n], ascending by edge bitmask."""
     check_size(n, guard)
-    collector = _LeafCollector(n, forward_prune=True)
-    collector.collect = True
-    scan.walk_triangle_free(n, forward_prune=True, consume=collector.consume)
-    return [graph_from_edge_mask(n, int(m)) for m in collector.sorted_masks()]
+    return [graph_from_edge_mask(n, int(m)) for m in _maximal_masks(n)]
 
 
 def remark3_census(n: int) -> tuple[int, int]:

@@ -183,12 +183,8 @@ def graph_from_edge_mask(n: int, mask: int) -> Graph:
 
 def count_triangles(g: Graph) -> int:
     """Exact number of vertex triples spanning a triangle."""
-    return _count_triangles_rows(g.rows, g.n)
-
-
-def _count_triangles_rows(rows, n: int) -> int:
-    total = 0
-    for u in range(n):
+    rows, total = g.rows, 0
+    for u in range(g.n):
         ru = rows[u]
         for v in iter_bits(ru & _above(u)):
             # third vertex above v, so each triangle is counted once
@@ -198,11 +194,8 @@ def _count_triangles_rows(rows, n: int) -> int:
 
 def is_triangle_free(g: Graph) -> bool:
     """True iff g has no triangle; exits at the first one found."""
-    return _is_triangle_free_rows(g.rows, g.n)
-
-
-def _is_triangle_free_rows(rows, n: int) -> bool:
-    for u in range(n):
+    rows = g.rows
+    for u in range(g.n):
         ru = rows[u]
         for v in iter_bits(ru & _above(u)):
             if ru & rows[v]:
@@ -222,17 +215,16 @@ def find_triangle(g: Graph) -> tuple[int, int, int] | None:
 
 
 def is_maximal_triangle_free(g: Graph) -> bool:
-    """Triangle free, and every non-adjacent pair has a common neighbor."""
-    return _is_maximal_tf_rows(g.rows, g.n)
+    """Triangle free, and every non-adjacent pair has a common neighbor.
 
-
-def _is_maximal_tf_rows(rows, n: int) -> bool:
-    if not _is_triangle_free_rows(rows, n):
-        return False
-    for u in range(n):
+    One pass over the pairs: an edge with a common neighbour is a triangle and
+    a non-edge without one could be added, so either exits at once.
+    """
+    rows = g.rows
+    for u in range(g.n):
         ru = rows[u]
-        for v in range(u + 1, n):
-            if not ru >> v & 1 and not ru & rows[v]:
+        for v in range(u + 1, g.n):
+            if ru >> v & 1 == bool(ru & rows[v]):
                 return False
     return True
 

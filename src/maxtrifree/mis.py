@@ -150,8 +150,8 @@ class _PerSizeScan:
                 self.best_mask = cand
 
 
-def verify_hujter_tuza(max_n: int = HUJTER_TUZA_MAX_N, *, shards: int = 1,
-                       chunk: int = 1 << 18) -> VerificationReport:
+def verify_hujter_tuza(max_n: int = HUJTER_TUZA_MAX_N, *,
+                       shards: int = 1) -> VerificationReport:
     """Exhaustively check count^2 <= 2^m over all triangle-free graphs, m <= max_n.
 
     Reports the maximum count attained per m with one extremal witness in
@@ -169,8 +169,7 @@ def verify_hujter_tuza(max_n: int = HUJTER_TUZA_MAX_N, *, shards: int = 1,
         failure: str | None = None
         for m in range(1, max_n + 1):
             acc = _PerSizeScan(m)
-            scan.walk_triangle_free(
-                m, forward_prune=False, consume=acc.consume, shards=shards, chunk=chunk)
+            scan.walk_triangle_free(m, forward_prune=False, consume=acc.consume, shards=shards)
             counts[f"scanned_m{m}"] = acc.scanned
             counts[f"max_mis_m{m}"] = acc.max_count
             if acc.best_mask is not None:

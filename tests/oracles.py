@@ -98,12 +98,9 @@ def set_to_word(s) -> int:
     return word
 
 
-def walk_triangle_free_scalar(
-    n: int, *, forward_prune: bool,
-    pair_order: list[tuple[int, int]] | None = None,
-) -> list[int]:
+def walk_triangle_free_scalar(n: int, *, forward_prune: bool) -> list[int]:
     """Reference for scan.walk_triangle_free: the leaf edge bitmasks (unsorted)."""
-    pairs = list(pair_order) if pair_order is not None else list(combinations(range(n), 2))
+    pairs = list(combinations(range(n), 2))
     total = len(pairs)
     adj = [0] * n
     undecided = [((1 << n) - 1) ^ (1 << x) for x in range(n)]

@@ -77,13 +77,8 @@ class TestEnumerate:
     def test_pruned_leaves_equal_unpruned_after_filter(self):
         # the whole leaf-mask arrays, not just counts, where the oracle cannot reach
         for n in (7, 8):
-            families = []
-            for prune in (True, False):
-                collector = enumeration._LeafCollector(n, forward_prune=prune)
-                collector.collect = True
-                scan.walk_triangle_free(n, forward_prune=prune, consume=collector.consume)
-                families.append(collector.sorted_masks())
-            pruned, filtered = families
+            pruned = enumeration._maximal_masks(n)
+            filtered = enumeration._maximal_masks(n, forward_prune=False)
             assert len(pruned) == enumeration.PINNED_COUNTS[n]
             assert np.array_equal(pruned, filtered), n
 

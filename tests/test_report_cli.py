@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -163,9 +164,36 @@ class TestCli:
         assert main(["reduce", "--random", "3", "--check", "claim2", "--seed", "5"]) == 0
         assert capsys.readouterr().out.count("[PASS]") == 3
 
-    def test_reduce_unknown_check(self):
-        with pytest.raises(SystemExit):
-            main(["reduce", "--random", "1", "--check", "claim9"])
+    def test_reduce_unknown_check(self, capsys):
+        assert main(["reduce", "--random", "1", "--check", "claim9"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "claim9" in captured.err
+
+    @pytest.mark.parametrize("argv, needle", [
+        (["reduce", "--check", "claim1"], "--random"),
+        (["mis", "--count-only"], "--g6"),
+        (["construct", "--family", "kr", "--n", "6"], "--r"),
+        (["construct", "--family", "kr", "--n", "6", "--r", "3", "--stats"], "--stats"),
+    ])
+    def test_missing_or_conflicting_option(self, argv, needle, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and needle in captured.err
+
+    def test_mis_empty_file(self, tmp_path, capsys):
+        path = tmp_path / "empty.g6"
+        path.write_text("")
+        assert main(["mis", "--in", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "no graphs" in captured.err
+
+    @pytest.mark.parametrize("var", ["MAXTRIFREE_SEED", "MAXTRIFREE_SHARDS"])
+    def test_env_int_not_an_integer(self, var, capsys, monkeypatch):
+        monkeypatch.setenv(var, "abc")
+        assert main(["reduce", "--random", "1", "--check", "claim1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and var in captured.err
+        assert captured.out == ""
 
     def test_verify_small_suite(self, tmp_path, capsys):
         out = tmp_path / "rep.json"
@@ -256,12 +284,16 @@ class TestCli:
         assert "1/2 checks passed" in capsys.readouterr().out
 
     def test_env_seed(self, capsys, monkeypatch):
+        def run(*extra):
+            main(["reduce", "--random", "1", "--check", "claim1", *extra])
+            # elapsed_ms is the one field a rerun may change
+            return re.sub(r"\(\d+ ms\)", "", capsys.readouterr().out)
+
         monkeypatch.setenv("MAXTRIFREE_SEED", "77")
-        main(["reduce", "--random", "1", "--check", "claim1"])
-        first = capsys.readouterr().out
+        first = run()
         monkeypatch.delenv("MAXTRIFREE_SEED")
-        main(["reduce", "--random", "1", "--check", "claim1", "--seed", "77"])
-        assert capsys.readouterr().out == first
+        assert run("--seed", "77") == first
+        assert run() != first
 
     def test_env_guard(self, monkeypatch, tmp_path):
         monkeypatch.setenv("MAXTRIFREE_GUARD_ENUMERATION_N", "5")

@@ -1,6 +1,6 @@
 """Cross-checks between the batched walker, its scalar twin, and raw scans."""
 from maxtrifree import graph_from_edge_mask, is_maximal_triangle_free, is_triangle_free
-from maxtrifree.graph import lex_pairs
+from maxtrifree import scan
 from maxtrifree.scan import walk_triangle_free
 from oracles import walk_triangle_free_scalar
 
@@ -48,28 +48,24 @@ def test_shard_invariance():
         assert walk_triangle_free(6, forward_prune=False, shards=shards) == 5789
 
 
-def test_chunk_invariance():
-    base = collect(6, False)
-    for chunk in (1, 7, 64):
-        assert collect(6, False, chunk=chunk) == base
+def leaves_with_rows(n, forward_prune, **kw):
+    found = []
+
+    def consume(masks, adj):
+        found.extend((int(m), tuple(int(r) for r in rows)) for m, rows in zip(masks, adj))
+
+    assert walk_triangle_free(n, forward_prune=forward_prune, consume=consume, **kw) == len(found)
+    return sorted(found)
+
+
+def test_chunk_invariance(monkeypatch):
+    base = {prune: leaves_with_rows(6, prune) for prune in (False, True)}
+    for batch, shards in ((1, 1), (7, 1), (64, 1), (7, 3)):
+        monkeypatch.setattr(scan, "_BATCH", batch)
+        for prune in (False, True):
+            assert leaves_with_rows(6, prune, shards=shards) == base[prune], (batch, shards, prune)
 
 
 def test_adjacency_columns_match_masks():
-    seen = []
-
-    def consume(masks, adj):
-        for mask, rows in zip(masks, adj):
-            seen.append((int(mask), tuple(int(r) for r in rows)))
-
-    walk_triangle_free(5, forward_prune=True, consume=consume)
-    for mask, rows in seen:
+    for mask, rows in leaves_with_rows(5, True):
         assert graph_from_edge_mask(5, mask).rows == rows
-
-
-def test_pair_order_counts_invariant():
-    base = len(walk_triangle_free_scalar(5, forward_prune=True))
-    perms = [[4, 3, 2, 1, 0], [2, 0, 4, 1, 3], [1, 4, 0, 3, 2]]
-    for perm in perms:
-        order = [tuple(sorted((perm[u], perm[v]))) for u, v in lex_pairs(5)]
-        assert len(walk_triangle_free_scalar(5, forward_prune=True, pair_order=order)) == base
-        assert walk_triangle_free(5, forward_prune=True, pair_order=order) == base
