@@ -108,35 +108,29 @@ def _load_single_graph(args) -> Graph:
 
 def _cmd_construct(args) -> int:
     config = _config(args)
-    if args.family == "folklore":
-        if args.stats:
-            rep = constructions.folklore_family_stats(
-                args.n, shards=config.shards, guard=config.guard("folklore_n"))
-            return _emit_reports([rep], config.output_path)
-        if args.choice is not None:
-            graphs = [constructions.folklore_graph(
-                constructions.FolkloreChoice.from_hex(args.n, args.choice))]
-        else:
-            graphs = [
-                constructions.folklore_graph(constructions.FolkloreChoice.random(
-                    args.n, rng_for(config.seed, STREAM_FOLKLORE_SAMPLES + i)))
-                for i in range(args.samples)
-            ]
-    else:
-        if args.r is None:
-            raise ValueError("--r is required for the kr family")
-        if args.stats:
+    if args.family == "kr" and args.r is None:
+        raise ValueError("--r is required for the kr family")
+    if args.stats:
+        if args.family != "folklore":
             raise ValueError("--stats is only available for the folklore family")
-        if args.choice is not None:
-            graphs = [constructions.kr_free_graph(
-                constructions.KrChoice.from_hex(args.n, args.r, args.choice))]
-        else:
-            graphs = [
-                constructions.kr_free_graph(constructions.KrChoice.random(
-                    args.n, args.r, rng_for(config.seed, STREAM_KR_SAMPLES + i)))
-                for i in range(args.samples)
-            ]
-    lines = [encode_graph6(g) for g in graphs]
+        rep = constructions.folklore_family_stats(args.n, guard=config.guard("folklore_n"))
+        return _emit_reports([rep], config.output_path)
+    if config.output_path:
+        raise ValueError("--json writes a report, which only --stats makes")
+    if args.samples < 1:
+        raise ValueError(f"--samples must be positive, got {args.samples}")
+    if args.family == "folklore":
+        choice_type, build = constructions.FolkloreChoice, constructions.folklore_graph
+        stream_base, shape = STREAM_FOLKLORE_SAMPLES, (args.n,)
+    else:
+        choice_type, build = constructions.KrChoice, constructions.kr_free_graph
+        stream_base, shape = STREAM_KR_SAMPLES, (args.n, args.r)
+    if args.choice is not None:
+        choices = [choice_type.from_hex(*shape, args.choice)]
+    else:
+        choices = [choice_type.random(*shape, rng_for(config.seed, stream_base + i))
+                   for i in range(args.samples)]
+    lines = [encode_graph6(build(c)) for c in choices]
     if args.stream:
         with open(args.stream, "w", encoding="ascii") as fh:
             fh.write("\n".join(lines) + "\n")
@@ -169,6 +163,8 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_mis(args) -> int:
+    if args.count_only and args.json_path:
+        raise ValueError("--json writes the listed sets, which --count-only skips")
     g = _load_single_graph(args)
     if args.count_only:
         print(mis_count(g))

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from itertools import chain
 
 import numpy as np
 
-from .graph import Graph, GuardError, has_clique, lex_pairs
+from .graph import Graph, GuardError, lex_pairs
 from .graph6 import encode_graph6
 from .report import FAIL, PASS, Stopwatch, VerificationReport
 
@@ -72,6 +72,16 @@ class FolkloreChoice:
         return cls(n, tuple(int(b) for b in rng.integers(0, 2, size=width)))
 
 
+def _matched_graph(n: int, matching: int, edges) -> Graph:
+    """Graph on n vertices: matching edge e is (2e, 2e+1) for e < matching,
+    plus the given (x, y) edges."""
+    rows = [0] * n
+    for x, y in chain(((2 * e, 2 * e + 1) for e in range(matching)), edges):
+        rows[x] |= 1 << y
+        rows[y] |= 1 << x
+    return Graph(n, tuple(rows))
+
+
 def folklore_graph(choice: FolkloreChoice) -> Graph:
     """Build the graph for one choice vector.
 
@@ -81,18 +91,9 @@ def folklore_graph(choice: FolkloreChoice) -> Graph:
     """
     n = choice.n
     half = n // 2
-    rows = [0] * n
-    for i in range(n // 4):
-        a, b = 2 * i, 2 * i + 1
-        rows[a] |= 1 << b
-        rows[b] |= 1 << a
-    for i in range(n // 4):
-        for j in range(half):
-            x = 2 * i + choice.bits[i * half + j]
-            y = half + j
-            rows[x] |= 1 << y
-            rows[y] |= 1 << x
-    return Graph(n, tuple(rows))
+    return _matched_graph(n, n // 4, (
+        (2 * i + choice.bits[i * half + j], half + j)
+        for i in range(n // 4) for j in range(half)))
 
 
 def folklore_columns(n: int, codes: np.ndarray) -> np.ndarray:
@@ -115,18 +116,17 @@ def folklore_columns(n: int, codes: np.ndarray) -> np.ndarray:
     return cols
 
 
-def folklore_family_stats(n: int, *, shards: int = 1,
+def folklore_family_stats(n: int, *,
                           guard: int = FOLKLORE_STATS_MAX_N) -> VerificationReport:
     """Enumerate every choice; count distinct, triangle-free, maximal members.
 
-    Shards split the choice space into contiguous code ranges, each built at
-    once as adjacency columns by folklore_columns; the aggregate is independent
-    of the shard count.  One pass over the vertex pairs flags members with a
-    triangle (an edge whose ends have a common neighbour) and members that are
-    not maximal (a non-edge whose ends have none).  Distinct members are
-    counted by np.unique over the rows of all shards, viewed as fixed-width
-    bytes.  A Graph is built only for the witness of a member with a triangle,
-    from the rows that were checked, so a fault in the columns shows in it.
+    Every member is built at once as adjacency columns by folklore_columns.
+    One pass over the vertex pairs flags members with a triangle (an edge
+    whose ends have a common neighbour) and members that are not maximal (a
+    non-edge whose ends have none).  Distinct members are counted by
+    np.unique over the rows, viewed as fixed-width bytes.  A Graph is built
+    only for the witness of a member with a triangle, from the rows that were
+    checked, so a fault in the columns shows in it.
     """
     if n > guard:
         raise GuardError(f"family enumeration capped at n={guard}, got {n}")
@@ -138,9 +138,7 @@ def folklore_family_stats(n: int, *, shards: int = 1,
     width = folklore_bit_count(n)
     total = 1 << width
     with Stopwatch() as sw:
-        bounds = [total * s // shards for s in range(shards + 1)]
-        cols = np.concatenate([folklore_columns(n, np.arange(bounds[s], bounds[s + 1]))
-                               for s in range(shards)])
+        cols = folklore_columns(n, np.arange(total))
         triangle = np.zeros(total, dtype=bool)
         not_maximal = np.zeros(total, dtype=bool)
         for u, v in lex_pairs(n):
@@ -271,57 +269,30 @@ class KrChoice:
         return cls(n, r, pair, vert)
 
 
-def _edge_endpoints(n: int, r: int, e: int) -> tuple[int, int]:
-    class_size, per_class, _ = _kr_shape(n, r)
-    c, i = divmod(e, per_class)
-    base = c * class_size + 2 * i
-    return base, base + 1
-
-
 def kr_free_graph(choice: KrChoice) -> Graph:
-    """Build the r-class graph for one choice vector; contains no K_{r+1}."""
-    n, r = choice.n, choice.r
-    rows = [0] * n
-    _, per_class, matched = _kr_shape(n, r)
-    for e in range(matched * per_class):
-        a, b = _edge_endpoints(n, r, e)
-        rows[a] |= 1 << b
-        rows[b] |= 1 << a
-    for k, (e1, e2) in enumerate(kr_pair_slots(n, r)):
-        a1, a2 = _edge_endpoints(n, r, e1)
-        b1, b2 = _edge_endpoints(n, r, e2)
-        omit = choice.pair_choices[k]
-        for s, x in enumerate((a1, a2)):
-            for t, y in enumerate((b1, b2)):
-                if 2 * s + t == omit:
-                    continue
-                rows[x] |= 1 << y
-                rows[y] |= 1 << x
-    for k, (y, e) in enumerate(kr_vertex_slots(n, r)):
-        a, b = _edge_endpoints(n, r, e)
-        x = a if choice.vertex_choices[k] == 0 else b
-        rows[x] |= 1 << y
-        rows[y] |= 1 << x
-    g = Graph(n, tuple(rows))
-    assert not has_clique(g, r + 1), "construction produced a K_{r+1}"
-    return g
+    """Build the r-class graph for one choice vector.
 
-
-def kr_entropy_check(n: int, r: int) -> Fraction:
-    """log2 of the number of choice vectors, which equals (1 - 1/r) n^2 / 4.
-
-    Exact rational identity: C(r-1,2) (n/2r)^2 slots at 2 bits plus
-    (n/r)(r-1)(n/2r) endpoint bits.
+    Global matching edge e is (2e, 2e+1), so class c holds vertices
+    c*(n/r) .. (c+1)*(n/r) - 1 and the independent class comes last, the
+    layout of folklore_graph.  The construction contains no K_{r+1}; the
+    suite check kr_clique_free_samples tests that on seeded samples.
     """
-    _kr_shape(n, r)
-    per_class = n // (2 * r)
-    bits = Fraction(comb(r - 1, 2) * per_class * per_class * 2
-                    + (n // r) * (r - 1) * per_class)
-    target = Fraction(r - 1, r) * Fraction(n * n, 4)
-    if bits != target:
-        raise AssertionError(
-            f"entropy mismatch for (n={n}, r={r}): {bits} != {target}")
-    return bits
+    n, r = choice.n, choice.r
+    _, per_class, matched = _kr_shape(n, r)
+    cross = (
+        (2 * e1 + s, 2 * e2 + t)
+        for (e1, e2), omit in zip(kr_pair_slots(n, r), choice.pair_choices)
+        for s in (0, 1) for t in (0, 1) if 2 * s + t != omit)
+    single = ((2 * e + bit, y)
+              for (y, e), bit in zip(kr_vertex_slots(n, r), choice.vertex_choices))
+    return _matched_graph(n, matched * per_class, chain(cross, single))
+
+
+def kr_entropy_check(n: int, r: int) -> int:
+    """log2 of the number of choice vectors: 2 bits per pair slot plus 1 bit
+    per vertex slot.  The suite check kr_entropy_identity compares it with
+    (1 - 1/r) n^2 / 4."""
+    return 2 * len(kr_pair_slots(n, r)) + len(kr_vertex_slots(n, r))
 
 
 # ---------------------------------------------------------------------------

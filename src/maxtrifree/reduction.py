@@ -482,6 +482,8 @@ def random_instance(rng: np.random.Generator, *, n_min: int = 4, n_max: int = 8,
                     ) -> ReductionInstance:
     """Container ~ G(n, p) with p in {0.3, 0.5, 0.8}; removal from the greedy
     triangle removal; selected a random triangle-free subset of it."""
+    if n_max < n_min:
+        raise ValueError(f"n_max={n_max} is below n_min={n_min}")
     n = int(rng.integers(n_min, n_max + 1))
     p = EDGE_PROBABILITIES[int(rng.integers(len(EDGE_PROBABILITIES)))]
     container = random_graph(n, p, rng)

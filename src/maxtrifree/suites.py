@@ -164,8 +164,7 @@ def _constructions_checks(config: RunConfig) -> list[Check]:
     guard = config.guard("folklore_n")
     checks: list[Check] = [
         (f"folklore_stats_n{n}",
-         lambda n=n: constructions.folklore_family_stats(
-             n, shards=config.shards, guard=guard))
+         lambda n=n: constructions.folklore_family_stats(n, guard=guard))
         for n in range(4, guard + 1, 4)
     ]
     checks.append(("kr_entropy_identity", _kr_entropy_check_all))

@@ -22,14 +22,15 @@ from maxtrifree import (
     kr_entropy_check,
     kr_free_graph,
 )
-from maxtrifree import constructions
+from maxtrifree import constructions, suites
+from maxtrifree.cli import main
 from maxtrifree.constructions import (
     folklore_bit_count,
     folklore_columns,
     kr_pair_slots,
     kr_vertex_slots,
 )
-from maxtrifree.report import rng_for
+from maxtrifree.report import RunConfig, rng_for
 from oracles import folklore_census
 
 
@@ -104,17 +105,12 @@ class TestFolkloreStats:
         # forces two independent vertices with disjoint choices, so none are maximal
         assert rep.counts["maximal"] == 0
 
-    def test_shard_invariance(self):
-        a = folklore_family_stats(8, shards=1)
-        b = folklore_family_stats(8, shards=4)
-        assert a.counts == b.counts
-
-    def test_shard_invariance_n12(self):
-        a = folklore_family_stats(12, shards=1)
-        b = folklore_family_stats(12, shards=3)
-        assert a.counts == b.counts == {
+    def test_n12(self):
+        rep = folklore_family_stats(12)
+        assert rep.counts == {
             "total": 262144, "distinct": 262144, "triangle_free": 262144, "maximal": 3120}
-        assert a.parameters == b.parameters and a.witnesses == b.witnesses == []
+        assert rep.parameters == {"n": 12, "maximal_fraction": "195/16384"}
+        assert rep.witnesses == []
 
     def test_guard(self):
         with pytest.raises(GuardError):
@@ -228,6 +224,33 @@ class TestKrGraph:
                 for y, e in kr_vertex_slots(n, 2)
             )
             assert kr_free_graph(KrChoice(n, 2, (), vbits)) == folklore_graph(fc)
+
+
+class TestPlantedKrDefects:
+    """The kr checks FAIL with a witness when the construction is broken."""
+
+    def test_doubled_pair_slots_fail_clique_check(self, monkeypatch, capsys):
+        # each slot drawn twice joins all four cross edges of most slots: a K_{r+1}
+        real = constructions.kr_pair_slots
+        monkeypatch.setattr(constructions, "kr_pair_slots",
+                            lambda n, r: [slot for slot in real(n, r) for _ in (0, 1)])
+        rep = suites._kr_sample_check(RunConfig(seed=1))
+        assert not rep.passed
+        assert rep.witnesses
+        for text in rep.witnesses:
+            g = decode_graph6(text)
+            assert has_clique(g, {12: 4, 16: 5}[g.n])
+        assert main(["verify", "--suite", "constructions", "--seed", "1"]) == 1
+        assert "[FAIL] kr_clique_free_samples" in capsys.readouterr().out
+
+    def test_dropped_vertex_slot_fails_entropy_identity(self, monkeypatch, capsys):
+        real = constructions.kr_vertex_slots
+        monkeypatch.setattr(constructions, "kr_vertex_slots", lambda n, r: real(n, r)[1:])
+        rep = suites._kr_entropy_check_all()
+        assert not rep.passed
+        assert rep.witnesses[0] == ["n=4", "r=2"]
+        assert main(["verify", "--suite", "constructions", "--seed", "1"]) == 1
+        assert "[FAIL] kr_entropy_identity" in capsys.readouterr().out
 
 
 class TestEntropy:

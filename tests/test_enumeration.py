@@ -177,7 +177,8 @@ class TestRemark3:
 
 
 class TestPinnedCountChecks:
-    """growth_table and remark3_census FAIL when a count leaves the pin."""
+    """growth_table and remark3_census FAIL when a count leaves the pin, and
+    enumeration_oracle_equiv when a walker count leaves the brute-force one."""
 
     CONFIG = RunConfig(guards={"enumeration_n": 6})
 
@@ -212,6 +213,18 @@ class TestPinnedCountChecks:
         rep = suites._remark3_check(self.CONFIG)
         assert not rep.passed
         assert rep.witnesses == [["n=6", "pinned=211", "got=210"]]
+
+    def test_dropped_graph_fails_oracle_equivalence(self, monkeypatch):
+        real = enumeration.brute_force_maximal_tf
+
+        def drop_one(n):
+            family = real(n)
+            return family[1:] if n == 5 else family
+
+        monkeypatch.setattr(enumeration, "brute_force_maximal_tf", drop_one)
+        rep = suites._oracle_equivalence(RunConfig(guards={"oracle_n": 5}))
+        assert not rep.passed
+        assert rep.witnesses == [["n=5", "oracle=26", "pruned=27", "plain=27"]]
 
     def test_n_beyond_the_pin_is_unchecked(self):
         assert suites._pinned_count_witnesses({10: 1, 4: 7}) == []

@@ -212,3 +212,16 @@ class TestHujterTuza:
         assert not rep.passed
         assert rep.witnesses == [encode_graph6(planted[0])]
         assert decode_graph6(rep.witnesses[0]).n == 3
+
+    def test_skewed_matching_count_fails_equality(self, monkeypatch):
+        real = mis.mis_count
+        target = Graph.perfect_matching(3)
+
+        def skewed(g):
+            return real(g) + (g == target)
+
+        monkeypatch.setattr(mis, "mis_count", skewed)
+        rep = verify_matching_equality()
+        assert not rep.passed
+        assert rep.counts["mis_matching_k3"] == 9
+        assert rep.witnesses == [encode_graph6(target)]

@@ -377,3 +377,8 @@ class TestRandomInstances:
             assert is_triangle_free(
                 inst.container.without_edges(inst.removal.edges()))
             assert set(inst.selected.edges()) <= set(inst.removal.edges())
+
+    def test_sizes_below_n_min_are_rejected(self):
+        with pytest.raises(ValueError, match="n_max=3 is below n_min=4"):
+            random_instance(rng_for(1, 0), n_min=4, n_max=3)
+        assert random_instance(rng_for(1, 0), n_min=4, n_max=4).container.n == 4

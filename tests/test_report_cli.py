@@ -180,6 +180,19 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and needle in captured.err
 
+    @pytest.mark.parametrize("argv, needle", [
+        (["construct", "--n", "4", "--json", "{out}"], "--json"),
+        (["mis", "--g6", "C~", "--count-only", "--json", "{out}"], "--json"),
+        (["construct", "--n", "4", "--samples", "0"], "--samples"),
+        (["reduce", "--random", "2", "--n", "3"], "n_max=3"),
+    ])
+    def test_ignored_or_empty_option_is_a_usage_error(self, argv, needle, tmp_path, capsys):
+        out = tmp_path / "out.json"
+        assert main([arg.format(out=out) for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and needle in captured.err
+        assert captured.out == "" and not out.exists()
+
     def test_mis_empty_file(self, tmp_path, capsys):
         path = tmp_path / "empty.g6"
         path.write_text("")
