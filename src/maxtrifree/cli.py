@@ -113,12 +113,17 @@ def _cmd_construct(args) -> int:
     if args.stats:
         if args.family != "folklore":
             raise ValueError("--stats is only available for the folklore family")
+        if args.stream:
+            raise ValueError("--stream writes members, which --stats does not emit")
         rep = constructions.folklore_family_stats(args.n, guard=config.guard("folklore_n"))
         return _emit_reports([rep], config.output_path)
     if config.output_path:
         raise ValueError("--json writes a report, which only --stats makes")
-    if args.samples < 1:
-        raise ValueError(f"--samples must be positive, got {args.samples}")
+    if args.choice is not None and args.samples is not None:
+        raise ValueError("--samples draws random members, which --choice replaces")
+    samples = 1 if args.samples is None else args.samples
+    if samples < 1:
+        raise ValueError(f"--samples must be positive, got {samples}")
     if args.family == "folklore":
         choice_type, build = constructions.FolkloreChoice, constructions.folklore_graph
         stream_base, shape = STREAM_FOLKLORE_SAMPLES, (args.n,)
@@ -129,7 +134,7 @@ def _cmd_construct(args) -> int:
         choices = [choice_type.from_hex(*shape, args.choice)]
     else:
         choices = [choice_type.random(*shape, rng_for(config.seed, stream_base + i))
-                   for i in range(args.samples)]
+                   for i in range(samples)]
     lines = [encode_graph6(build(c)) for c in choices]
     if args.stream:
         with open(args.stream, "w", encoding="ascii") as fh:
@@ -244,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int)
     p.add_argument("--choice", metavar="HEX", help="explicit choice vector")
-    p.add_argument("--samples", type=int, default=1, help="random members to emit")
+    p.add_argument("--samples", type=int, help="random members to emit (default: 1)")
     p.add_argument("--stats", action="store_true", help="enumerate the whole family")
     p.add_argument("--stream", metavar="PATH", help="write graph6 lines here")
     _add_common(p)
@@ -260,7 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g6", help="graph6 string")
     p.add_argument("--in", dest="infile", metavar="PATH", help="graph6 file (first line)")
     p.add_argument("--count-only", action="store_true")
-    _add_common(p)
+    p.add_argument("--json", dest="json_path", metavar="PATH",
+                   help="write the listed sets here")
     p.set_defaults(func=_cmd_mis)
 
     p = sub.add_parser("reduce", help="run proof checks on reduction instances")

@@ -14,8 +14,16 @@ shape the batches: a frontier larger than ``_BATCH`` states is split in half,
 and a sharded walk fixes the first ``_SHARD_DEPTH`` decisions before dealing
 out the prefixes.  States evolve independently of one another, so the
 frontier may be split at any index; the leaf multiset never depends on the
-batches or the shards.  Leaf edge masks are int64 with one bit per pair, so
-the walker takes at most 63 pairs (n <= 11); larger n raises GuardError.
+batches or the shards.
+
+The frontier is stored as contiguous vertex columns: ``cols[x]`` holds the
+neighbour bits of vertex x in every state, so a level's tests read whole
+columns.  Each level counts both children and compacts the parent once into
+preallocated next-level arrays, absent child first, then present child.  The
+consumer receives the transposed view, one adjacency row per leaf.
+
+Leaf edge masks are int64 with one bit per pair, so the walker takes at most
+63 pairs (n <= 11); larger n raises GuardError.
 """
 from __future__ import annotations
 
@@ -50,7 +58,9 @@ def walk_triangle_free(
 
     Returns the number of leaves.  ``consume(masks, adj)`` receives leaf edge
     bitmasks (int64, bit i = i-th lexicographic pair present) and adjacency
-    rows (uint16, one column per vertex).  Batches hold at most ``_BATCH``
+    rows: ``adj`` is the (len(masks), n) uint16 transposed view of the
+    frontier's vertex columns, so ``adj[:, x]`` is vertex x's contiguous
+    column and ``adj[i]`` leaf i's rows.  Batches hold at most ``_BATCH``
     states per level.  With ``shards > 1`` the first ``_SHARD_DEPTH`` edge
     decisions are made on the whole frontier and the surviving prefixes are
     dealt round-robin, one shard after another; the leaf multiset does not
@@ -67,49 +77,60 @@ def walk_triangle_free(
     for u, v in pairs:
         cur[u] &= ~(1 << v)
         cur[v] &= ~(1 << u)
-        reach.append(np.array([bits | 1 << x for x, bits in enumerate(cur)], dtype=np.uint16))
+        reach.append([np.uint16(bits | 1 << x) for x, bits in enumerate(cur)])
         done.append([(x, list(iter_bits(((1 << n) - 1) ^ (1 << x) ^ cur[x]))) for x in (u, v)])
 
-    def children(masks: np.ndarray, adj: np.ndarray, level: int):
+    def children(masks: np.ndarray, cols: np.ndarray, level: int):
         u, v = pairs[level]
-        ok_present = (adj[:, u] & adj[:, v]) == 0
+        ok_present = (cols[u] & cols[v]) == 0
         if forward_prune:
             # The absent child dies once a decided pair x, w at u or v is a
             # non-edge that no undecided pair can give a common neighbour.
-            # With each vertex's own bit on its row of edges and undecided
+            # With each vertex's own bit on its column of edges and undecided
             # partners, "edge or common neighbour still possible" is one
-            # nonzero AND of the two rows.
-            rows = adj | reach[level]
+            # nonzero AND of the two columns.
             ok_absent = np.ones(len(masks), dtype=bool)
             for x, partners in done[level]:
+                col_x = cols[x] | reach[level][x]
                 for w in partners:
-                    ok_absent &= (rows[:, x] & rows[:, w]) != 0
-            am, aa = masks[ok_absent], adj[ok_absent]
+                    ok_absent &= (col_x & (cols[w] | reach[level][w])) != 0
+            absent = int(np.count_nonzero(ok_absent))
         else:
-            am, aa = masks, adj
-        pm = masks[ok_present] | np.int64(1 << level)
-        pa = adj[ok_present]  # boolean indexing copies, so pa may be edited in place
-        pa[:, u] |= np.uint16(1 << v)
-        pa[:, v] |= np.uint16(1 << u)
-        return np.concatenate([am, pm]), np.concatenate([aa, pa])
+            absent = len(masks)
+        size = absent + int(np.count_nonzero(ok_present))
+        # one compaction per child, straight into the next level's arrays
+        next_masks = np.empty(size, dtype=np.int64)
+        next_cols = np.empty((n, size), dtype=np.uint16)
+        if forward_prune:
+            np.compress(ok_absent, masks, out=next_masks[:absent])
+            np.compress(ok_absent, cols, axis=1, out=next_cols[:, :absent])
+        else:
+            next_masks[:absent] = masks
+            next_cols[:, :absent] = cols
+        np.compress(ok_present, masks, out=next_masks[absent:])
+        np.compress(ok_present, cols, axis=1, out=next_cols[:, absent:])
+        next_masks[absent:] |= np.int64(1 << level)
+        next_cols[u, absent:] |= np.uint16(1 << v)
+        next_cols[v, absent:] |= np.uint16(1 << u)
+        return next_masks, next_cols
 
-    def descend(masks: np.ndarray, adj: np.ndarray, level: int) -> int:
+    def descend(masks: np.ndarray, cols: np.ndarray, level: int) -> int:
         leaves = 0
         while level < len(pairs) and len(masks):
             if len(masks) > _BATCH:
                 mid = len(masks) // 2
-                leaves += descend(masks[:mid], adj[:mid], level)
-                masks, adj = masks[mid:], adj[mid:]
+                leaves += descend(masks[:mid], cols[:, :mid], level)
+                masks, cols = masks[mid:], cols[:, mid:]
             else:
-                masks, adj = children(masks, adj, level)
+                masks, cols = children(masks, cols, level)
                 level += 1
         if consume is not None and len(masks):
-            consume(masks, adj)
+            consume(masks, cols.T)
         return leaves + len(masks)
 
     masks = np.zeros(1, dtype=np.int64)
-    adj = np.zeros((1, n), dtype=np.uint16)
+    cols = np.zeros((n, 1), dtype=np.uint16)
     depth = min(_SHARD_DEPTH, len(pairs)) if shards > 1 else 0
     for level in range(depth):
-        masks, adj = children(masks, adj, level)
-    return sum(descend(masks[s::shards], adj[s::shards], depth) for s in range(shards))
+        masks, cols = children(masks, cols, level)
+    return sum(descend(masks[s::shards], cols[:, s::shards], depth) for s in range(shards))

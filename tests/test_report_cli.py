@@ -185,6 +185,8 @@ class TestCli:
         (["mis", "--g6", "C~", "--count-only", "--json", "{out}"], "--json"),
         (["construct", "--n", "4", "--samples", "0"], "--samples"),
         (["reduce", "--random", "2", "--n", "3"], "n_max=3"),
+        (["construct", "--n", "4", "--stats", "--stream", "{out}"], "--stream"),
+        (["construct", "--n", "4", "--choice", "1", "--samples", "5"], "--samples"),
     ])
     def test_ignored_or_empty_option_is_a_usage_error(self, argv, needle, tmp_path, capsys):
         out = tmp_path / "out.json"
@@ -192,6 +194,14 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and needle in captured.err
         assert captured.out == "" and not out.exists()
+
+    def test_mis_rejects_options_it_never_reads(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["mis", "--g6", "C~", "--count-only", "--shards", "7",
+                  "--guard", "oracle_n=3", "--seed", "5"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "unrecognized arguments" in captured.err and captured.out == ""
 
     def test_mis_empty_file(self, tmp_path, capsys):
         path = tmp_path / "empty.g6"

@@ -1,4 +1,6 @@
 """Cross-checks between the batched walker, its scalar twin, and raw scans."""
+import numpy as np
+
 from maxtrifree import graph_from_edge_mask, is_maximal_triangle_free, is_triangle_free
 from maxtrifree import scan
 from maxtrifree.scan import walk_triangle_free
@@ -13,9 +15,16 @@ def collect(n, forward_prune, **kw):
 
 
 def test_leaves_match_scalar_twin():
-    for n in range(1, 6):
+    for n in range(1, 8):
         for prune in (False, True):
             assert collect(n, prune) == sorted(walk_triangle_free_scalar(n, forward_prune=prune))
+
+
+def test_split_batches_and_shards_match_scalar_twin(monkeypatch):
+    # frontiers split into column slices of at most 7 states, dealt to 3 shards
+    monkeypatch.setattr(scan, "_BATCH", 7)
+    for prune in (False, True):
+        assert collect(6, prune, shards=3) == sorted(walk_triangle_free_scalar(6, forward_prune=prune))
 
 
 def test_tf_leaves_are_exactly_triangle_free():
@@ -52,6 +61,7 @@ def leaves_with_rows(n, forward_prune, **kw):
     found = []
 
     def consume(masks, adj):
+        assert adj.shape == (len(masks), n) and adj.dtype == np.uint16
         found.extend((int(m), tuple(int(r) for r in rows)) for m, rows in zip(masks, adj))
 
     assert walk_triangle_free(n, forward_prune=forward_prune, consume=consume, **kw) == len(found)
@@ -67,5 +77,6 @@ def test_chunk_invariance(monkeypatch):
 
 
 def test_adjacency_columns_match_masks():
-    for mask, rows in leaves_with_rows(5, True):
-        assert graph_from_edge_mask(5, mask).rows == rows
+    for prune in (False, True):
+        for mask, rows in leaves_with_rows(6, prune):
+            assert graph_from_edge_mask(6, mask).rows == rows
