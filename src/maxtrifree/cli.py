@@ -1,9 +1,10 @@
 """Command-line surface: construct, enumerate, mis, reduce, verify, report.
 
-Common flags take defaults from MAXTRIFREE_-prefixed environment variables
-(MAXTRIFREE_SEED, MAXTRIFREE_SHARDS, MAXTRIFREE_GUARD_<KEY>).  verify,
-reduce and report exit 1 when any check fails; bad input (a missing or
-malformed file, a non-integer environment value, a missing or conflicting
+Each command takes only the common flags it reads (--seed, --shards, --guard,
+--json), and those take defaults from MAXTRIFREE_-prefixed environment
+variables (MAXTRIFREE_SEED, MAXTRIFREE_SHARDS, MAXTRIFREE_GUARD_<KEY>).
+verify, reduce and report exit 1 when any check fails; bad input (a missing
+or malformed file, a non-integer environment value, a missing or conflicting
 option, a size past a cap) prints ``error: ...`` and exits 2.
 """
 from __future__ import annotations
@@ -58,27 +59,38 @@ def _parse_guard(text: str) -> tuple[str, int]:
     return key, int(value)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int,
-                        help="64-bit seed for every random draw "
-                             "(default: MAXTRIFREE_SEED, else 1)")
-    parser.add_argument("--shards", type=int,
-                        help="split the work into this many deterministic partitions, "
-                             "run one after another in this process (not in parallel); "
-                             "reports do not depend on it (default: MAXTRIFREE_SHARDS, else 1)")
-    parser.add_argument("--guard", type=_parse_guard, action="append", default=[],
-                        metavar="KEY=VAL", help=f"override a size cap {sorted(DEFAULT_GUARDS)}")
-    parser.add_argument("--json", dest="json_path", metavar="PATH",
-                        help="write the JSON report array here")
+def _add_common(parser: argparse.ArgumentParser, *options: str) -> None:
+    """Add the named common options ("seed", "shards", "guard", "json")."""
+    if "seed" in options:
+        parser.add_argument("--seed", type=int,
+                            help="64-bit seed for every random draw "
+                                 "(default: MAXTRIFREE_SEED, else 1)")
+    if "shards" in options:
+        parser.add_argument("--shards", type=int,
+                            help="split the work into this many deterministic partitions, "
+                                 "run one after another in this process (not in parallel); "
+                                 "reports do not depend on it "
+                                 "(default: MAXTRIFREE_SHARDS, else 1)")
+    if "guard" in options:
+        parser.add_argument("--guard", type=_parse_guard, action="append", default=[],
+                            metavar="KEY=VAL",
+                            help=f"override a size cap {sorted(DEFAULT_GUARDS)}")
+    if "json" in options:
+        parser.add_argument("--json", dest="json_path", metavar="PATH",
+                            help="write the JSON report array here")
 
 
 def _config(args) -> RunConfig:
-    # environment defaults are read here, inside main's error handling
-    guards = _env_guards()
-    guards.update(dict(args.guard))
-    seed = _env_int("SEED", 1) if args.seed is None else args.seed
-    shards = _env_int("SHARDS", 1) if args.shards is None else args.shards
-    return RunConfig(seed=seed, shards=shards, guards=guards, output_path=args.json_path)
+    # environment defaults are read here, inside main's error handling, and
+    # only for the options the command takes
+    config = {}
+    if "seed" in args:
+        config["seed"] = _env_int("SEED", 1) if args.seed is None else args.seed
+    if "shards" in args:
+        config["shards"] = _env_int("SHARDS", 1) if args.shards is None else args.shards
+    if "guard" in args:
+        config["guards"] = {**_env_guards(), **dict(args.guard)}
+    return RunConfig(**config)
 
 
 def _emit_reports(reports: list[VerificationReport], json_path: str | None) -> int:
@@ -92,6 +104,8 @@ def _emit_reports(reports: list[VerificationReport], json_path: str | None) -> i
 
 
 def _load_single_graph(args) -> Graph:
+    if args.g6 and args.infile:
+        raise ValueError("--g6 and --in both give the graph; provide one")
     if args.g6:
         return decode_graph6(args.g6)
     if args.infile:
@@ -110,14 +124,18 @@ def _cmd_construct(args) -> int:
     config = _config(args)
     if args.family == "kr" and args.r is None:
         raise ValueError("--r is required for the kr family")
+    if args.family == "folklore" and args.r is not None:
+        raise ValueError("--r sets the kr family's class count; the folklore family has none")
     if args.stats:
         if args.family != "folklore":
             raise ValueError("--stats is only available for the folklore family")
         if args.stream:
             raise ValueError("--stream writes members, which --stats does not emit")
+        if args.choice is not None or args.samples is not None:
+            raise ValueError("--choice and --samples pick members, which --stats does not emit")
         rep = constructions.folklore_family_stats(args.n, guard=config.guard("folklore_n"))
-        return _emit_reports([rep], config.output_path)
-    if config.output_path:
+        return _emit_reports([rep], args.json_path)
+    if args.json_path:
         raise ValueError("--json writes a report, which only --stats makes")
     if args.choice is not None and args.samples is not None:
         raise ValueError("--samples draws random members, which --choice replaces")
@@ -160,8 +178,8 @@ def _cmd_enumerate(args) -> int:
             n, shards=config.shards, stream_path=stream, guard=guard))
     table = enumeration.CountTable(tuple(rows))
     print(table.to_text())
-    if config.output_path:
-        with open(config.output_path, "w", encoding="ascii") as fh:
+    if args.json_path:
+        with open(args.json_path, "w", encoding="ascii") as fh:
             json.dump(table.to_dicts(), fh, indent=2, sort_keys=True)
             fh.write("\n")
     return 0
@@ -217,13 +235,13 @@ def _cmd_reduce(args) -> int:
             rep = reduction.bound_chain(inst.container, inst.removal)
             rep.check_name += suffix
             reports.append(rep)
-    return _emit_reports(reports, config.output_path)
+    return _emit_reports(reports, args.json_path)
 
 
 def _cmd_verify(args) -> int:
     config = _config(args)
     reports = suites.run_suite(config, args.suite)
-    return _emit_reports(reports, config.output_path)
+    return _emit_reports(reports, args.json_path)
 
 
 def _cmd_report(args) -> int:
@@ -252,13 +270,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, help="random members to emit (default: 1)")
     p.add_argument("--stats", action="store_true", help="enumerate the whole family")
     p.add_argument("--stream", metavar="PATH", help="write graph6 lines here")
-    _add_common(p)
+    _add_common(p, "seed", "guard", "json")
     p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("enumerate", help="count maximal triangle-free graphs")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--stream", metavar="PATH", help="stream the n-vertex family as graph6")
-    _add_common(p)
+    _add_common(p, "shards", "guard", "json")
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("mis", help="enumerate maximal independent sets of one graph")
@@ -276,12 +294,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--random", type=int, default=0, metavar="K",
                    help="also run K seeded random instances")
     p.add_argument("--n", type=int, help="max vertices for random instances")
-    _add_common(p)
+    _add_common(p, "seed", "json")
     p.set_defaults(func=_cmd_reduce)
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", choices=suites.SUITES, default="all")
-    _add_common(p)
+    _add_common(p, "seed", "shards", "guard", "json")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("report", help="summarize a JSON report array")

@@ -16,9 +16,10 @@ from itertools import chain
 
 import numpy as np
 
-from .graph import Graph, GuardError, lex_pairs
+from .graph import Graph, GuardError
 from .graph6 import encode_graph6
 from .report import FAIL, PASS, Stopwatch, VerificationReport
+from .scan import pair_flags
 
 FOLKLORE_STATS_MAX_N = 12
 MATCHING_PARTITION_MAX_N = 24
@@ -120,13 +121,13 @@ def folklore_family_stats(n: int, *,
                           guard: int = FOLKLORE_STATS_MAX_N) -> VerificationReport:
     """Enumerate every choice; count distinct, triangle-free, maximal members.
 
-    Every member is built at once as adjacency columns by folklore_columns.
-    One pass over the vertex pairs flags members with a triangle (an edge
-    whose ends have a common neighbour) and members that are not maximal (a
-    non-edge whose ends have none).  Distinct members are counted by
-    np.unique over the rows, viewed as fixed-width bytes.  A Graph is built
-    only for the witness of a member with a triangle, from the rows that were
-    checked, so a fault in the columns shows in it.
+    Every member is built at once as adjacency columns by folklore_columns,
+    and scan.pair_flags flags those with a triangle (an edge whose ends have
+    a common neighbour) and those that are not maximal (a non-edge whose ends
+    have none).  Distinct members are counted by np.unique over the rows,
+    viewed as fixed-width bytes.  A Graph is built only for the witness of a
+    member with a triangle, from the rows that were checked, so a fault in
+    the columns shows in it.
     """
     if n > guard:
         raise GuardError(f"family enumeration capped at n={guard}, got {n}")
@@ -139,13 +140,7 @@ def folklore_family_stats(n: int, *,
     total = 1 << width
     with Stopwatch() as sw:
         cols = folklore_columns(n, np.arange(total))
-        triangle = np.zeros(total, dtype=bool)
-        not_maximal = np.zeros(total, dtype=bool)
-        for u, v in lex_pairs(n):
-            edge = (cols[:, u] >> v & 1).astype(bool)
-            common = (cols[:, u] & cols[:, v]) != 0
-            triangle |= edge & common
-            not_maximal |= ~(edge | common)
+        triangle, not_maximal = pair_flags(cols)
         tf = total - int(np.count_nonzero(triangle))
         maximal = total - int(np.count_nonzero(triangle | not_maximal))
         # n = 0 has one member, whose zero-width row cannot be viewed as bytes

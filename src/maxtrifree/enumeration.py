@@ -93,25 +93,16 @@ def brute_force_maximal_tf(n: int) -> list[Graph]:
     return found
 
 
-def _maximality_filter(adj: np.ndarray, n: int) -> np.ndarray:
-    """Boolean keep-mask: every non-adjacent pair has a common neighbor."""
-    keep = np.ones(adj.shape[0], dtype=bool)
-    for u, v in lex_pairs(n):
-        nonedge = (adj[:, u] >> np.uint16(v)) & 1 == 0
-        keep &= ~(nonedge & ((adj[:, u] & adj[:, v]) == 0))
-    return keep
-
-
 def _maximal_masks(n: int, *, shards: int = 1, forward_prune: bool = True) -> np.ndarray:
-    """Sorted edge masks of the maximal triangle-free graphs on [n], from the walker.
-
-    Without ``forward_prune`` the leaves are every triangle-free graph, and
-    ``_maximality_filter`` keeps the maximal ones.
-    """
+    """Sorted edge masks of the maximal triangle-free graphs on [n], from the
+    walker; unpruned leaves are every triangle-free graph, filtered by
+    ``scan.pair_flags``."""
     batches = [np.zeros(0, dtype=np.int64)]
 
-    def consume(masks: np.ndarray, adj: np.ndarray) -> None:
-        batches.append(masks if forward_prune else masks[_maximality_filter(adj, n)])
+    def consume(adj: np.ndarray) -> None:
+        if not forward_prune:
+            adj = adj[~scan.pair_flags(adj)[1]]
+        batches.append(scan.edge_masks(adj))
 
     scan.walk_triangle_free(n, forward_prune=forward_prune, consume=consume, shards=shards)
     return np.sort(np.concatenate(batches))

@@ -132,22 +132,19 @@ class _PerSizeScan:
         self.best_mask: int | None = None
         self.violation_mask: int | None = None
 
-    def consume(self, masks: np.ndarray, adj: np.ndarray) -> None:
+    def consume(self, adj: np.ndarray) -> None:
         counts = batch_mis_counts(adj, self.m)
-        self.scanned += len(masks)
+        self.scanned += len(adj)
         bad = counts * counts > 1 << self.m
         if bad.any():
-            cand = int(masks[bad].min())
+            cand = int(scan.edge_masks(adj[bad]).min())
             if self.violation_mask is None or cand < self.violation_mask:
                 self.violation_mask = cand
         top = int(counts.max())
-        if top > self.max_count:
-            self.max_count = top
-            self.best_mask = int(masks[counts == top].min())
-        elif top == self.max_count:
-            cand = int(masks[counts == top].min())
-            if self.best_mask is None or cand < self.best_mask:
-                self.best_mask = cand
+        if top >= self.max_count:
+            cand = int(scan.edge_masks(adj[counts == top]).min())
+            if self.best_mask is None or (top, -cand) > (self.max_count, -self.best_mask):
+                self.max_count, self.best_mask = top, cand
 
 
 def verify_hujter_tuza(max_n: int = HUJTER_TUZA_MAX_N, *,

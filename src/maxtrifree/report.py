@@ -141,12 +141,11 @@ DEFAULT_GUARDS: dict[str, int] = {
 
 @dataclass
 class RunConfig:
-    """Seed, shard count, per-operation guards, and output path for a run."""
+    """Seed, shard count and per-operation guards for a run."""
 
     seed: int = 1
     shards: int = 1
     guards: dict[str, int] = field(default_factory=dict)
-    output_path: str | None = None
 
     def __post_init__(self) -> None:
         if self.shards < 1:

@@ -8,22 +8,17 @@ once every edge is decided that test degenerates to the exact common-neighbor
 condition, so surviving leaves are precisely the maximal triangle-free graphs.
 Without it, leaves are all triangle-free graphs.
 
-``walk_triangle_free`` takes three options: ``forward_prune``, the leaf
-consumer ``consume`` and the shard count ``shards``.  Two module constants
-shape the batches: a frontier larger than ``_BATCH`` states is split in half,
-and a sharded walk fixes the first ``_SHARD_DEPTH`` decisions before dealing
-out the prefixes.  States evolve independently of one another, so the
-frontier may be split at any index; the leaf multiset never depends on the
-batches or the shards.
+The frontier is its contiguous vertex columns and nothing else: ``cols[x]``
+holds the neighbour bits of vertex x in every state.  Each level compacts the
+parent once into preallocated next-level arrays, absent child first, then
+present child.  A frontier larger than ``_BATCH`` states is split in half, and
+a sharded walk fixes the first ``_SHARD_DEPTH`` decisions before dealing out
+the prefixes; states evolve independently, so the leaf multiset never depends
+on the batches or the shards.
 
-The frontier is stored as contiguous vertex columns: ``cols[x]`` holds the
-neighbour bits of vertex x in every state, so a level's tests read whole
-columns.  Each level counts both children and compacts the parent once into
-preallocated next-level arrays, absent child first, then present child.  The
-consumer receives the transposed view, one adjacency row per leaf.
-
-Leaf edge masks are int64 with one bit per pair, so the walker takes at most
-63 pairs (n <= 11); larger n raises GuardError.
+Consumers get one adjacency row per leaf.  ``edge_masks`` derives the leaves'
+int64 lexicographic edge masks, which cap the walker at n <= 11, and
+``pair_flags`` tests triangles and maximality on the same rows.
 """
 from __future__ import annotations
 
@@ -33,18 +28,48 @@ import numpy as np
 
 from .graph import GuardError, iter_bits, lex_pairs
 
-Consumer = Callable[[np.ndarray, np.ndarray], None]
+Consumer = Callable[[np.ndarray], None]
 
-_MAX_PAIRS = 63  # leaf edge masks are int64, one bit per decided pair
+_MAX_PAIRS = 63  # edge_masks returns int64, one bit per pair
 _BATCH = 1 << 18  # a frontier with more states than this is split in half
 _SHARD_DEPTH = 8  # decisions fixed before a sharded frontier is dealt out
 
 
 def check_capacity(n: int) -> None:
-    """Raise GuardError unless all C(n, 2) pairs fit the walker's edge masks."""
+    """Raise GuardError unless all C(n, 2) pairs fit the int64 edge masks."""
     if n * (n - 1) // 2 > _MAX_PAIRS:
         raise GuardError(
             f"walker decides at most {_MAX_PAIRS} pairs (n <= 11), got n={n}")
+
+
+def edge_masks(adj: np.ndarray) -> np.ndarray:
+    """Lexicographic edge masks (int64, bit i = pair i of lex_pairs) of (N, n)
+    uint16 adjacency rows; int64 holds 63 pairs, hence n <= 11.
+
+    The pairs (x, y > x) have consecutive ranks, so row x's bits above x,
+    shifted down by x + 1, land at the rank of (x, x + 1): n - 1 shifts.
+    """
+    n = adj.shape[1]
+    check_capacity(n)
+    masks = np.zeros(len(adj), dtype=np.int64)
+    rank = 0
+    for x in range(n - 1):
+        masks |= (adj[:, x] >> np.uint16(x + 1)).astype(np.int64) << rank
+        rank += n - 1 - x
+    return masks
+
+
+def pair_flags(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(triangle, not_maximal) flags of (N, n) uint16 adjacency rows: some
+    edge's ends have a common neighbour, some non-edge's ends have none."""
+    triangle = np.zeros(len(adj), dtype=bool)
+    not_maximal = np.zeros(len(adj), dtype=bool)
+    for u, v in lex_pairs(adj.shape[1]):
+        edge = (adj[:, u] >> np.uint16(v) & 1).astype(bool)
+        common = (adj[:, u] & adj[:, v]) != 0
+        triangle |= edge & common
+        not_maximal |= ~(edge | common)
+    return triangle, not_maximal
 
 
 def walk_triangle_free(
@@ -56,15 +81,13 @@ def walk_triangle_free(
 ) -> int:
     """Run the decision tree, feeding each leaf batch to *consume*.
 
-    Returns the number of leaves.  ``consume(masks, adj)`` receives leaf edge
-    bitmasks (int64, bit i = i-th lexicographic pair present) and adjacency
-    rows: ``adj`` is the (len(masks), n) uint16 transposed view of the
-    frontier's vertex columns, so ``adj[:, x]`` is vertex x's contiguous
-    column and ``adj[i]`` leaf i's rows.  Batches hold at most ``_BATCH``
-    states per level.  With ``shards > 1`` the first ``_SHARD_DEPTH`` edge
-    decisions are made on the whole frontier and the surviving prefixes are
-    dealt round-robin, one shard after another; the leaf multiset does not
-    depend on either.
+    Returns the number of leaves.  ``consume(adj)`` receives the (N, n)
+    uint16 transposed view of the frontier's vertex columns, so ``adj[:, x]``
+    is vertex x's contiguous column and ``adj[i]`` leaf i's rows, and
+    ``edge_masks(adj)`` derives their edge masks.  Batches hold at most
+    ``_BATCH`` states per level.  With ``shards > 1`` the first
+    ``_SHARD_DEPTH`` edge decisions are made on the whole frontier and the
+    surviving prefixes are dealt round-robin, one shard after another.
     """
     check_capacity(n)
     if shards < 1:
@@ -80,7 +103,7 @@ def walk_triangle_free(
         reach.append([np.uint16(bits | 1 << x) for x, bits in enumerate(cur)])
         done.append([(x, list(iter_bits(((1 << n) - 1) ^ (1 << x) ^ cur[x]))) for x in (u, v)])
 
-    def children(masks: np.ndarray, cols: np.ndarray, level: int):
+    def children(cols: np.ndarray, level: int) -> np.ndarray:
         u, v = pairs[level]
         ok_present = (cols[u] & cols[v]) == 0
         if forward_prune:
@@ -89,48 +112,41 @@ def walk_triangle_free(
             # With each vertex's own bit on its column of edges and undecided
             # partners, "edge or common neighbour still possible" is one
             # nonzero AND of the two columns.
-            ok_absent = np.ones(len(masks), dtype=bool)
+            ok_absent = np.ones(cols.shape[1], dtype=bool)
             for x, partners in done[level]:
                 col_x = cols[x] | reach[level][x]
                 for w in partners:
                     ok_absent &= (col_x & (cols[w] | reach[level][w])) != 0
             absent = int(np.count_nonzero(ok_absent))
         else:
-            absent = len(masks)
-        size = absent + int(np.count_nonzero(ok_present))
-        # one compaction per child, straight into the next level's arrays
-        next_masks = np.empty(size, dtype=np.int64)
-        next_cols = np.empty((n, size), dtype=np.uint16)
+            absent = cols.shape[1]
+        # one compaction per child, straight into the next level's array
+        next_cols = np.empty((n, absent + int(np.count_nonzero(ok_present))), dtype=np.uint16)
         if forward_prune:
-            np.compress(ok_absent, masks, out=next_masks[:absent])
             np.compress(ok_absent, cols, axis=1, out=next_cols[:, :absent])
         else:
-            next_masks[:absent] = masks
             next_cols[:, :absent] = cols
-        np.compress(ok_present, masks, out=next_masks[absent:])
         np.compress(ok_present, cols, axis=1, out=next_cols[:, absent:])
-        next_masks[absent:] |= np.int64(1 << level)
         next_cols[u, absent:] |= np.uint16(1 << v)
         next_cols[v, absent:] |= np.uint16(1 << u)
-        return next_masks, next_cols
+        return next_cols
 
-    def descend(masks: np.ndarray, cols: np.ndarray, level: int) -> int:
+    def descend(cols: np.ndarray, level: int) -> int:
         leaves = 0
-        while level < len(pairs) and len(masks):
-            if len(masks) > _BATCH:
-                mid = len(masks) // 2
-                leaves += descend(masks[:mid], cols[:, :mid], level)
-                masks, cols = masks[mid:], cols[:, mid:]
+        while level < len(pairs) and cols.shape[1]:
+            if cols.shape[1] > _BATCH:
+                mid = cols.shape[1] // 2
+                leaves += descend(cols[:, :mid], level)
+                cols = cols[:, mid:]
             else:
-                masks, cols = children(masks, cols, level)
+                cols = children(cols, level)
                 level += 1
-        if consume is not None and len(masks):
-            consume(masks, cols.T)
-        return leaves + len(masks)
+        if consume is not None and cols.shape[1]:
+            consume(cols.T)
+        return leaves + cols.shape[1]
 
-    masks = np.zeros(1, dtype=np.int64)
     cols = np.zeros((n, 1), dtype=np.uint16)
     depth = min(_SHARD_DEPTH, len(pairs)) if shards > 1 else 0
     for level in range(depth):
-        masks, cols = children(masks, cols, level)
-    return sum(descend(masks[s::shards], cols[:, s::shards], depth) for s in range(shards))
+        cols = children(cols, level)
+    return sum(descend(cols[:, s::shards], depth) for s in range(shards))

@@ -6,13 +6,16 @@ criterion adds two more full runs.
 """
 import json
 import math
+import os
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import maxtrifree
 from maxtrifree import (
     brute_force_maximal_tf,
     enumerate_maximal_tf,
@@ -26,11 +29,17 @@ ORACLE_COUNTS = {1: 1, 2: 1, 3: 3, 4: 7, 5: 27, 6: 211}
 
 def run_cli(tmp_dir, name, *args):
     out = tmp_dir / f"{name}.json"
+    # the child imports the same package as this process, from its source tree
+    src = str(Path(maxtrifree.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run(
         [sys.executable, "-m", "maxtrifree", "verify", "--suite", "all",
          "--seed", str(SEED), "--json", str(out), *args],
-        capture_output=True, text=True, timeout=1800,
+        capture_output=True, text=True, timeout=1800, env=env,
     )
+    if not out.exists():
+        pytest.fail(f"{name}: the CLI wrote no report (exit {proc.returncode})\n{proc.stderr}")
     return proc, out
 
 

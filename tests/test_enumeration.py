@@ -39,7 +39,7 @@ def _sorted_leaf_masks(n: int) -> list[int]:
     """Edge masks of the maximal triangle-free graphs on [n], straight from the walker."""
     batches = []
     scan.walk_triangle_free(n, forward_prune=True,
-                            consume=lambda masks, adj: batches.append(masks))
+                            consume=lambda adj: batches.append(scan.edge_masks(adj)))
     return sorted(int(m) for batch in batches for m in batch)
 
 
@@ -136,7 +136,7 @@ class TestEnumerate:
             enumerate_maximal_tf(10)
 
     def test_walker_capacity_is_a_guard_error(self):
-        # C(12, 2) = 66 pairs do not fit the walker's int64 edge masks; C(11, 2) = 55 do
+        # C(12, 2) = 66 pairs do not fit the int64 edge masks; C(11, 2) = 55 do
         scan.check_capacity(11)
         with pytest.raises(GuardError):
             enumerate_maximal_tf(12, guard=12)

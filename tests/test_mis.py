@@ -15,7 +15,7 @@ from maxtrifree import (
     verify_hujter_tuza,
     verify_matching_equality,
 )
-from maxtrifree import mis
+from maxtrifree import mis, scan
 from maxtrifree.mis import batch_mis_counts
 from oracles import naive_mis_family, set_to_word
 
@@ -168,14 +168,20 @@ class TestHujterTuza:
         b = verify_hujter_tuza(6, shards=8)
         assert a.counts == b.counts and a.witnesses == b.witnesses
 
-    def test_report_pinned_m8(self):
-        rep = verify_hujter_tuza(8)
-        assert rep.passed
-        assert [rep.counts[f"max_mis_m{m}"] for m in range(1, 9)] == \
-            [1, 2, 2, 4, 5, 8, 10, 16]
-        assert [rep.counts[f"scanned_m{m}"] for m in range(1, 9)] == \
-            [1, 2, 7, 41, 388, 5789, 133501, 4682270]
-        assert rep.witnesses == ['@', 'A_', 'B_', 'CK', 'DLo', 'E@Q?', 'FGEe?', 'G?CaC?']
+    def test_report_pinned_m8(self, monkeypatch):
+        # the scan-minimal witness must not depend on the batches or shards:
+        # frontiers split past 7 states for m <= 6 (m = 8 would take minutes
+        # that way), and past 2^12 states for m <= 8
+        for batch, shards, max_n in ((scan._BATCH, 1, 8), (7, 3, 6), (1 << 12, 3, 8)):
+            monkeypatch.setattr(scan, "_BATCH", batch)
+            rep = verify_hujter_tuza(max_n, shards=shards)
+            assert rep.passed
+            assert [rep.counts[f"max_mis_m{m}"] for m in range(1, max_n + 1)] == \
+                [1, 2, 2, 4, 5, 8, 10, 16][:max_n]
+            assert [rep.counts[f"scanned_m{m}"] for m in range(1, max_n + 1)] == \
+                [1, 2, 7, 41, 388, 5789, 133501, 4682270][:max_n]
+            assert rep.witnesses == \
+                ['@', 'A_', 'B_', 'CK', 'DLo', 'E@Q?', 'FGEe?', 'G?CaC?'][:max_n], batch
 
     def test_guard(self):
         with pytest.raises(GuardError):

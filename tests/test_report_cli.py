@@ -187,6 +187,10 @@ class TestCli:
         (["reduce", "--random", "2", "--n", "3"], "n_max=3"),
         (["construct", "--n", "4", "--stats", "--stream", "{out}"], "--stream"),
         (["construct", "--n", "4", "--choice", "1", "--samples", "5"], "--samples"),
+        (["mis", "--g6", "C~", "--in", "{out}", "--count-only"], "--in"),
+        (["construct", "--n", "4", "--stats", "--samples", "3"], "--samples"),
+        (["construct", "--n", "4", "--stats", "--choice", "1"], "--choice"),
+        (["construct", "--n", "4", "--r", "3"], "--r"),
     ])
     def test_ignored_or_empty_option_is_a_usage_error(self, argv, needle, tmp_path, capsys):
         out = tmp_path / "out.json"
@@ -195,10 +199,17 @@ class TestCli:
         assert captured.err.startswith("error:") and needle in captured.err
         assert captured.out == "" and not out.exists()
 
-    def test_mis_rejects_options_it_never_reads(self, capsys):
+    @pytest.mark.parametrize("argv", [
+        ["mis", "--g6", "C~", "--count-only", "--shards", "7", "--guard", "oracle_n=3",
+         "--seed", "5"],
+        ["enumerate", "--n", "1", "--seed", "99"],
+        ["construct", "--n", "4", "--shards", "5"],
+        ["reduce", "--random", "1", "--shards", "7"],
+        ["reduce", "--random", "1", "--guard", "folklore_n=2"],
+    ], ids=["mis", "enumerate-seed", "construct-shards", "reduce-shards", "reduce-guard"])
+    def test_command_rejects_options_it_never_reads(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["mis", "--g6", "C~", "--count-only", "--shards", "7",
-                  "--guard", "oracle_n=3", "--seed", "5"])
+            main(argv)
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert "unrecognized arguments" in captured.err and captured.out == ""
@@ -212,11 +223,24 @@ class TestCli:
 
     @pytest.mark.parametrize("var", ["MAXTRIFREE_SEED", "MAXTRIFREE_SHARDS"])
     def test_env_int_not_an_integer(self, var, capsys, monkeypatch):
+        # each on a command that takes the option the variable defaults
+        argv = {"MAXTRIFREE_SEED": ["reduce", "--random", "1", "--check", "claim1"],
+                "MAXTRIFREE_SHARDS": ["enumerate", "--n", "1"]}[var]
         monkeypatch.setenv(var, "abc")
-        assert main(["reduce", "--random", "1", "--check", "claim1"]) == 2
+        assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and var in captured.err
         assert captured.out == ""
+
+    def test_env_default_is_read_only_for_options_the_command_takes(self, monkeypatch):
+        # reduce takes neither --shards nor --guard, and enumerate takes no --seed
+        monkeypatch.setenv("MAXTRIFREE_SHARDS", "abc")
+        monkeypatch.setenv("MAXTRIFREE_GUARD_FOLKLORE_N", "abc")
+        assert main(["reduce", "--random", "1", "--check", "claim1"]) == 0
+        monkeypatch.delenv("MAXTRIFREE_SHARDS")
+        monkeypatch.delenv("MAXTRIFREE_GUARD_FOLKLORE_N")
+        monkeypatch.setenv("MAXTRIFREE_SEED", "abc")
+        assert main(["enumerate", "--n", "1"]) == 0
 
     def test_verify_small_suite(self, tmp_path, capsys):
         out = tmp_path / "rep.json"

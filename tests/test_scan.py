@@ -1,16 +1,22 @@
 """Cross-checks between the batched walker, its scalar twin, and raw scans."""
 import numpy as np
+import pytest
 
-from maxtrifree import graph_from_edge_mask, is_maximal_triangle_free, is_triangle_free
+from maxtrifree import (
+    GuardError,
+    graph_from_edge_mask,
+    is_maximal_triangle_free,
+    is_triangle_free,
+)
 from maxtrifree import scan
-from maxtrifree.scan import walk_triangle_free
-from oracles import walk_triangle_free_scalar
+from maxtrifree.scan import edge_masks, pair_flags, walk_triangle_free
+from oracles import naive_is_maximal_tf, naive_triangles, walk_triangle_free_scalar
 
 
 def collect(n, forward_prune, **kw):
     masks = []
     walk_triangle_free(n, forward_prune=forward_prune,
-                       consume=lambda ms, aj: masks.extend(int(x) for x in ms), **kw)
+                       consume=lambda adj: masks.extend(int(x) for x in edge_masks(adj)), **kw)
     return sorted(masks)
 
 
@@ -60,9 +66,13 @@ def test_shard_invariance():
 def leaves_with_rows(n, forward_prune, **kw):
     found = []
 
-    def consume(masks, adj):
-        assert adj.shape == (len(masks), n) and adj.dtype == np.uint16
-        found.extend((int(m), tuple(int(r) for r in rows)) for m, rows in zip(masks, adj))
+    def consume(*args):
+        # one (N, n) uint16 array per batch, nothing else
+        (adj,) = args
+        assert isinstance(adj, np.ndarray) and adj.dtype == np.uint16
+        assert adj.ndim == 2 and adj.shape[1] == n and len(adj)
+        found.extend((int(m), tuple(int(r) for r in rows))
+                     for m, rows in zip(edge_masks(adj), adj))
 
     assert walk_triangle_free(n, forward_prune=forward_prune, consume=consume, **kw) == len(found)
     return sorted(found)
@@ -80,3 +90,36 @@ def test_adjacency_columns_match_masks():
     for prune in (False, True):
         for mask, rows in leaves_with_rows(6, prune):
             assert graph_from_edge_mask(6, mask).rows == rows
+
+
+def _random_rows(n, rng, count=40):
+    masks = [int(rng.integers(0, 1 << (n * (n - 1) // 2))) for _ in range(count)]
+    graphs = [graph_from_edge_mask(n, m) for m in masks]
+    return graphs, np.array([g.rows for g in graphs], dtype=np.uint16).reshape(count, n)
+
+
+def test_edge_masks_match_graph_edge_mask():
+    rng = np.random.default_rng(10)
+    for n in range(1, 12):
+        graphs, adj = _random_rows(n, rng)
+        got = edge_masks(adj)
+        assert got.dtype == np.int64
+        assert got.tolist() == [g.edge_mask() for g in graphs], n
+
+
+def test_edge_masks_past_int64_is_a_guard_error():
+    with pytest.raises(GuardError):
+        edge_masks(np.zeros((1, 12), dtype=np.uint16))
+
+
+def test_pair_flags_match_scalar_predicates():
+    rng = np.random.default_rng(11)
+    for n in range(1, 9):
+        graphs, adj = _random_rows(n, rng, count=60)
+        # dense graphs as well, so that both flags are raised
+        graphs += [graph_from_edge_mask(n, (1 << (n * (n - 1) // 2)) - 1)]
+        adj = np.array([g.rows for g in graphs], dtype=np.uint16).reshape(len(graphs), n)
+        triangle, not_maximal = pair_flags(adj)
+        assert triangle.tolist() == [naive_triangles(g) > 0 for g in graphs], n
+        assert (~(triangle | not_maximal)).tolist() == \
+            [naive_is_maximal_tf(g) for g in graphs], n
