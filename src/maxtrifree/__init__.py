@@ -20,9 +20,7 @@ from .graph6 import (
     decode_graph6,
     encode_graph6,
     encode_graph6_masks,
-    iter_graph6_file,
     read_graph6_file,
-    write_graph6_file,
 )
 from .mis import (
     MisFamily,

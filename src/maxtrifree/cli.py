@@ -5,7 +5,8 @@ Each command takes only the common flags it reads (--seed, --shards, --guard,
 variables (MAXTRIFREE_SEED, MAXTRIFREE_SHARDS, MAXTRIFREE_GUARD_<KEY>).
 verify, reduce and report exit 1 when any check fails; bad input (a missing
 or malformed file, a non-integer environment value, a missing or conflicting
-option, a size past a cap) prints ``error: ...`` and exits 2.
+option, an explicit option the chosen mode would ignore, a size past a cap)
+prints ``error: ...`` and exits 2.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ import sys
 
 from . import constructions, enumeration, reduction, suites
 from .graph import Graph, GuardError, iter_bits
-from .graph6 import Graph6Error, decode_graph6, encode_graph6, iter_graph6_file
+from .graph6 import Graph6Error, decode_graph6, encode_graph6
 from .mis import enumerate_mis, mis_count
 from .reduction import InstanceError
 from .report import (
@@ -109,8 +110,10 @@ def _load_single_graph(args) -> Graph:
     if args.g6:
         return decode_graph6(args.g6)
     if args.infile:
-        for g in iter_graph6_file(args.infile):
-            return g
+        with open(args.infile, "r", encoding="ascii") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                if raw.strip():
+                    return decode_graph6(raw, line=lineno)
         raise ValueError(f"no graphs in {args.infile}")
     raise ValueError("provide --g6 or --in")
 
@@ -133,12 +136,18 @@ def _cmd_construct(args) -> int:
             raise ValueError("--stream writes members, which --stats does not emit")
         if args.choice is not None or args.samples is not None:
             raise ValueError("--choice and --samples pick members, which --stats does not emit")
+        if args.seed is not None:
+            raise ValueError("--seed draws random members, which --stats does not emit")
         rep = constructions.folklore_family_stats(args.n, guard=config.guard("folklore_n"))
         return _emit_reports([rep], args.json_path)
     if args.json_path:
         raise ValueError("--json writes a report, which only --stats makes")
+    if args.guard:
+        raise ValueError("--guard caps the family --stats enumerates; building members reads none")
     if args.choice is not None and args.samples is not None:
         raise ValueError("--samples draws random members, which --choice replaces")
+    if args.choice is not None and args.seed is not None:
+        raise ValueError("--seed draws random members, which --choice replaces")
     samples = 1 if args.samples is None else args.samples
     if samples < 1:
         raise ValueError(f"--samples must be positive, got {samples}")
@@ -211,6 +220,8 @@ def _cmd_reduce(args) -> int:
     unknown = set(checks) - {"claim1", "claim2", "chain"}
     if unknown:
         raise ValueError(f"unknown checks: {sorted(unknown)}")
+    if not args.random and (args.seed is not None or args.n is not None):
+        raise ValueError("--seed and --n shape the --random instances, which are not asked for")
     instances: list[reduction.ReductionInstance] = []
     if args.instance:
         instances.append(reduction.ReductionInstance.load(args.instance))

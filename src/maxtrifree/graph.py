@@ -12,6 +12,8 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterator
 
+import numpy as np
+
 MAX_VERTICES = 64
 
 #: Hard cap for the exhaustive edge-subset scan behind min_triangles_at_density.
@@ -159,6 +161,41 @@ class Graph:
             for v in iter_bits(self.rows[u]):
                 rows[perm[u]] |= 1 << perm[v]
         return Graph(self.n, tuple(rows))
+
+
+def graphs_from_rows(n: int, rows) -> list[Graph]:
+    """One Graph per row of the (N, n) int64 array *rows*, in order.
+
+    Equals ``[Graph(n, tuple(r)) for r in rows.tolist()]``, errors included,
+    but makes Graph's row checks (no bit at or past n, no self-loop, symmetry)
+    once over the whole array.  The first row that fails one is handed to
+    Graph, which raises its own error; otherwise each instance is made without
+    running ``__post_init__`` again.  The bit unpacking holds N * n * 8 *
+    ceil(n / 8) bytes, so pass large batches in blocks.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    if rows.ndim != 2 or rows.shape[1] != n:
+        raise ValueError(f"rows of shape {rows.shape} are not an (N, {n}) array")
+    if n > MAX_VERTICES:
+        Graph(n, (0,) * n)  # raises Graph's vertex-count error
+    # a bit at or past n; an int64 shifts by at most 63, and rows >> 63 flags
+    # the negative rows, which Graph rejects as bits past the last vertex
+    bad = np.any(rows >> min(n, 63), axis=1)
+    nbytes = (n + 7) // 8
+    octets = rows.astype("<i8").view(np.uint8).reshape(len(rows), n, 8)[:, :, :nbytes]
+    bits = np.unpackbits(octets, axis=2, bitorder="little")[:, :, :n]
+    bad |= np.any(bits[:, np.arange(n), np.arange(n)], axis=1)
+    bad |= np.any(bits != bits.transpose(0, 2, 1), axis=(1, 2))
+    if bad.any():
+        Graph(n, tuple(rows[bad.argmax()].tolist()))  # raises Graph's error for that row
+    new, set_field = object.__new__, object.__setattr__
+    graphs = []
+    for r in rows.tolist():
+        g = new(Graph)
+        set_field(g, "n", n)
+        set_field(g, "rows", tuple(r))
+        graphs.append(g)
+    return graphs
 
 
 def lex_pairs(n: int) -> list[tuple[int, int]]:

@@ -7,19 +7,22 @@ errors, so write-then-read is bit exact.
 
 Two batch forms serve whole streams.  ``encode_graph6_masks`` writes the
 lines of many graphs given as int64 lexicographic edge masks (n <= 11), with
-no ``Graph`` built.  ``read_graph6_file`` reads a file in blocks of lines and
-checks and unpacks the short-form lines of each block as uint8 arrays; every
-line a batch check rejects, and every header or long-form line, goes through
-``decode_graph6``, so its errors are those of ``iter_graph6_file``.
+no ``Graph`` built.  ``read_graph6_file`` reads a file in blocks of lines,
+checks and unpacks the short-form lines of each block as uint8 arrays, and
+hands their bit rows to ``graphs_from_rows``, so every Graph it builds was
+checked once per block, not once per graph.  Every line a batch check
+rejects, and every header or long-form line, goes through ``decode_graph6``,
+so a bad line raises the same line-numbered error as decoding the file line
+by line.
 """
 from __future__ import annotations
 
 from itertools import islice
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
-from .graph import MAX_VERTICES, Graph
+from .graph import MAX_VERTICES, Graph, graphs_from_rows
 
 #: Lines per block in read_graph6_file; bounds the block's arrays for any n <= 62
 #: and what the block holds on top of the graphs already decoded.
@@ -142,27 +145,6 @@ def encode_graph6_masks(n: int, masks) -> bytes:
     return out.tobytes()
 
 
-def write_graph6_file(path, graphs: Iterable[Graph]) -> int:
-    """Write a newline-delimited graph6 file; returns the number of lines."""
-    count = 0
-    with open(path, "w", encoding="ascii") as fh:
-        for g in graphs:
-            fh.write(encode_graph6(g))
-            fh.write("\n")
-            count += 1
-    return count
-
-
-def iter_graph6_file(path) -> Iterator[Graph]:
-    """Yield graphs from a newline-delimited graph6 file, with line-numbered errors."""
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            stripped = raw.strip()
-            if not stripped:
-                continue
-            yield decode_graph6(stripped, line=lineno)
-
-
 def _decode_short(n: int, lines: list[str]) -> list[Graph | None]:
     """Decode equal-length short-form lines for n vertices; None where a check fails.
 
@@ -187,7 +169,9 @@ def _decode_short(n: int, lines: list[str]) -> list[Graph | None]:
             rows[:, u] |= bit << v
             rows[:, v] |= bit << u
             i += 1
-    return [Graph(n, tuple(r)) if keep else None for r, keep in zip(rows.tolist(), ok.tolist())]
+    # the rows are symmetric and loop free by construction, rejected lines' too,
+    # so graphs_from_rows raises on none and decode_graph6 reports each rejection
+    return [g if keep else None for g, keep in zip(graphs_from_rows(n, rows), ok.tolist())]
 
 
 def _decode_block(lines: list[str], first_line: int) -> list[Graph]:
@@ -211,7 +195,12 @@ def _decode_block(lines: list[str], first_line: int) -> list[Graph]:
 
 
 def read_graph6_file(path) -> list[Graph]:
-    """All graphs of a newline-delimited graph6 file; equals list(iter_graph6_file(path))."""
+    """All graphs of a newline-delimited graph6 file, in file order.
+
+    Blank lines are skipped and a ``>>graph6<<`` header is allowed on any
+    line.  The first malformed line raises Graph6Error with its line number,
+    as ``decode_graph6`` would for that line alone.
+    """
     graphs: list[Graph] = []
     with open(path, "r", encoding="ascii") as fh:
         first_line = 1

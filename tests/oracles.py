@@ -4,13 +4,16 @@ Most of these work on explicit edge lists / vertex sets with itertools,
 deliberately avoiding the package's bit tricks so the two routes share no
 code path.  The scalar walker and the folklore census are the slow twins of
 the batched numpy paths: they use Python integers and the package's scalar
-Graph primitives, which the numpy paths do not call.
+Graph primitives, which the numpy paths do not call.  The line-by-line
+graph6 reader is the slow twin of ``read_graph6_file``'s block reader.
 """
 from itertools import combinations
 
 from maxtrifree import (
     FolkloreChoice,
     Graph,
+    decode_graph6,
+    encode_graph6,
     folklore_graph,
     is_maximal_triangle_free,
     is_triangle_free,
@@ -197,3 +200,25 @@ def folklore_census(n: int) -> dict[str, int]:
         tf += is_triangle_free(g)
         maximal += is_maximal_triangle_free(g)
     return {"total": total, "distinct": len(seen), "triangle_free": tf, "maximal": maximal}
+
+
+def write_graph6_file(path, graphs) -> int:
+    """Write a newline-delimited graph6 file; returns the number of lines."""
+    count = 0
+    with open(path, "w", encoding="ascii") as fh:
+        for g in graphs:
+            fh.write(encode_graph6(g))
+            fh.write("\n")
+            count += 1
+    return count
+
+
+def iter_graph6_file(path):
+    """Reference for graph6.read_graph6_file: decodes one line at a time, with
+    line-numbered errors."""
+    with open(path, "r", encoding="ascii") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            stripped = raw.strip()
+            if not stripped:
+                continue
+            yield decode_graph6(stripped, line=lineno)

@@ -10,11 +10,10 @@ from maxtrifree import (
     encode_graph6,
     encode_graph6_masks,
     graph_from_edge_mask,
-    iter_graph6_file,
     read_graph6_file,
-    write_graph6_file,
 )
 from maxtrifree import graph6
+from oracles import iter_graph6_file, write_graph6_file
 
 
 def nx_encode(g: Graph) -> str:
@@ -138,13 +137,15 @@ class TestFiles:
 
     def test_batch_reader_matches_lazy_reader(self, tmp_path, monkeypatch):
         graphs = [graph_from_edge_mask(n, m) for n, m in
-                  [(5, 0b1011001101), (1, 0), (9, 2 ** 36 - 1), (5, 0), (9, 12345)]]
+                  [(5, 0b1011001101), (1, 0), (9, 2 ** 36 - 1), (0, 0), (5, 0), (9, 12345),
+                   (2, 1)]]
         lines = ["", encode_graph6(Graph.path(64)), "  ", ">>graph6<<" + encode_graph6(graphs[0])]
         for i in range(300):
             g = graphs[i % len(graphs)]
             lines.append(encode_graph6(g))
             if i % 50 == 7:
                 lines += ["", ">>graph6<<" + encode_graph6(g), encode_graph6(Graph.path(64))]
+        assert {"?", "@", "A_"} <= set(lines)  # n = 0 and 1 have no data characters
         path = tmp_path / "mixed.g6"
         path.write_text("\n".join(lines) + "\n")
         lazy = list(iter_graph6_file(path))

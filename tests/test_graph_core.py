@@ -1,5 +1,6 @@
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -15,6 +16,7 @@ from maxtrifree import (
     is_triangle_free,
     min_triangles_at_density,
 )
+from maxtrifree.graph import graphs_from_rows
 from oracles import naive_is_maximal_tf, naive_max_clique, naive_min_triangles, naive_triangles
 
 
@@ -81,6 +83,57 @@ class TestGraphType:
         assert sorted(h.edges()) == [(0, 1), (1, 2), (2, 3)]
         with pytest.raises(ValueError):
             g.relabel([0, 0, 1, 2])
+
+
+class TestGraphsFromRows:
+    @given(st.data())
+    def test_matches_graph_by_graph(self, data):
+        n = data.draw(st.integers(0, 63))  # int64 rows hold vertices 0..62 in full
+        pairs = list(combinations(range(n), 2))
+        rows = np.zeros((data.draw(st.integers(0, 6)), n), dtype=np.int64)
+        for row in rows:
+            for u, v in data.draw(st.lists(st.sampled_from(pairs), max_size=40) if pairs
+                                  else st.just([])):
+                row[u] |= 1 << v
+                row[v] |= 1 << u
+        built = graphs_from_rows(n, rows)
+        assert built == [Graph(n, tuple(r)) for r in rows.tolist()]
+        assert all(type(r) is int for g in built for r in g.rows)
+
+    @pytest.mark.parametrize("n, u, bit, message", [
+        (6, 3, 1 << 6, r"^row 3 has bits beyond vertex 5$"),
+        (6, 3, 1 << 3, r"^self-loop at vertex 3$"),
+        (6, 3, 1 << 5, r"^asymmetric adjacency at \(3, 5\)$"),
+        (6, 3, -(1 << 62), r"^row 3 has bits beyond vertex 5$"),  # a negative int64 row
+        (63, 62, 1, r"^asymmetric adjacency at \(62, 0\)$"),
+    ])
+    def test_planted_defect_raises_graphs_error(self, n, u, bit, message):
+        rng = np.random.default_rng(n + u)
+        masks = rng.integers(0, 1 << min(n * (n - 1) // 2, 62), size=5).tolist()
+        rows = np.array([graph_from_edge_mask(n, m).rows for m in masks], dtype=np.int64)
+        rows[:, u] = 0  # u starts isolated, so the planted bit has no partner
+        rows[:, :u] &= ~(1 << u)
+        rows[:, u + 1:] &= ~(1 << u)
+        rows[2, u] |= bit
+        rows[4, 0] |= 1  # a later self-loop must not be the one reported
+        with pytest.raises(ValueError, match=message) as one:
+            Graph(n, tuple(rows[2].tolist()))
+        with pytest.raises(ValueError) as batch:
+            graphs_from_rows(n, rows)
+        assert str(batch.value) == str(one.value)
+
+    def test_empty_rows_and_empty_batch(self):
+        assert graphs_from_rows(0, np.zeros((3, 0), dtype=np.int64)) == [Graph(0, ())] * 3
+        assert graphs_from_rows(0, np.zeros((0, 0), dtype=np.int64)) == []
+        assert graphs_from_rows(5, np.zeros((0, 5), dtype=np.int64)) == []
+
+    def test_rejects_a_shape_or_size_graph_would_reject(self):
+        with pytest.raises(ValueError, match="not an"):
+            graphs_from_rows(3, np.zeros((2, 4), dtype=np.int64))
+        with pytest.raises(ValueError, match="not an"):
+            graphs_from_rows(3, np.zeros(3, dtype=np.int64))
+        with pytest.raises(ValueError, match="outside 0..64"):
+            graphs_from_rows(65, np.zeros((1, 65), dtype=np.int64))
 
 
 class TestTriangles:

@@ -191,10 +191,17 @@ class TestCli:
         (["construct", "--n", "4", "--stats", "--samples", "3"], "--samples"),
         (["construct", "--n", "4", "--stats", "--choice", "1"], "--choice"),
         (["construct", "--n", "4", "--r", "3"], "--r"),
+        (["construct", "--n", "4", "--guard", "folklore_n=2"], "--guard"),
+        (["construct", "--n", "4", "--choice", "1", "--seed", "5"], "--seed"),
+        (["construct", "--n", "4", "--stats", "--seed", "5"], "--seed"),
+        (["reduce", "--instance", "{inst}", "--seed", "3"], "--seed"),
+        (["reduce", "--instance", "{inst}", "--n", "5"], "--n"),
     ])
     def test_ignored_or_empty_option_is_a_usage_error(self, argv, needle, tmp_path, capsys):
         out = tmp_path / "out.json"
-        assert main([arg.format(out=out) for arg in argv]) == 2
+        inst = tmp_path / "inst.json"
+        worked_k4_instance().dump(inst)
+        assert main([arg.format(out=out, inst=inst) for arg in argv]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and needle in captured.err
         assert captured.out == "" and not out.exists()
@@ -241,6 +248,18 @@ class TestCli:
         monkeypatch.delenv("MAXTRIFREE_GUARD_FOLKLORE_N")
         monkeypatch.setenv("MAXTRIFREE_SEED", "abc")
         assert main(["enumerate", "--n", "1"]) == 0
+
+    def test_env_default_is_never_an_ignored_option(self, tmp_path, monkeypatch):
+        # the modes that reject an explicit --seed or --guard still run under
+        # the environment defaults of those options
+        inst = tmp_path / "inst.json"
+        worked_k4_instance().dump(inst)
+        monkeypatch.setenv("MAXTRIFREE_SEED", "5")
+        monkeypatch.setenv("MAXTRIFREE_GUARD_FOLKLORE_N", "12")
+        assert main(["construct", "--n", "4"]) == 0
+        assert main(["construct", "--n", "4", "--choice", "1"]) == 0
+        assert main(["construct", "--n", "4", "--stats"]) == 0
+        assert main(["reduce", "--instance", str(inst)]) == 0
 
     def test_verify_small_suite(self, tmp_path, capsys):
         out = tmp_path / "rep.json"

@@ -47,3 +47,20 @@ def test_every_cli_option_is_read():
                    if not isinstance(action, argparse._HelpAction)
                    and not re.search(rf"\bargs\.{action.dest}\b", source)]
     assert unread == []
+
+
+def test_object_new_only_in_the_batch_graph_constructor():
+    # graphs_from_rows makes Graph's checks once on a whole array and then builds
+    # each instance with object.__new__; nothing else may build a Graph unchecked
+    found = []
+    for path in sorted(Path(maxtrifree.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        spans = [(d.lineno, d.end_lineno, d.name) for d in tree.body
+                 if isinstance(d, (ast.FunctionDef, ast.ClassDef))]
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr == "__new__"
+                    or isinstance(node, ast.Constant) and node.value == "__new__"):
+                owner = next((name for first, last, name in spans
+                              if first <= node.lineno <= last), "<module>")
+                found.append(f"{path.name}:{owner}")
+    assert found == ["graph.py:graphs_from_rows"]
