@@ -5,7 +5,6 @@ independent set bounds, and the reduced/auxiliary graph proof pipeline."""
 from .graph import (
     Graph,
     GuardError,
-    count_triangles,
     find_triangle,
     graph_from_edge_mask,
     greedy_triangle_removal,
@@ -23,7 +22,6 @@ from .graph6 import (
     read_graph6_file,
 )
 from .mis import (
-    MisFamily,
     enumerate_mis,
     mis_count,
     verify_hujter_tuza,
@@ -46,7 +44,6 @@ from .enumeration import (
     growth_table,
     maximal_tf_family,
     remark3_census,
-    remark3_fraction,
 )
 from .reduction import (
     AuxiliaryGraph,

@@ -110,7 +110,9 @@ def _load_single_graph(args) -> Graph:
     if args.g6:
         return decode_graph6(args.g6)
     if args.infile:
-        with open(args.infile, "r", encoding="ascii") as fh:
+        # latin-1 maps every byte to one character, so a non-ASCII byte reaches
+        # decode_graph6's range check instead of failing the whole read
+        with open(args.infile, "r", encoding="latin-1") as fh:
             for lineno, raw in enumerate(fh, start=1):
                 if raw.strip():
                     return decode_graph6(raw, line=lineno)
@@ -174,18 +176,14 @@ def _cmd_construct(args) -> int:
 def _cmd_enumerate(args) -> int:
     config = _config(args)
     guard = config.guard("enumeration_n")
-    # the largest n is checked first, so a size limit stops the run before n = 1..n-1
+    # a size limit is an error before any warning is printed or any n is run
     enumeration.check_size(args.n, guard)
     if args.n > enumeration.DEFAULT_ENUMERATION_GUARD:
         print(f"warning: n={args.n} beyond the default guard "
               f"{enumeration.DEFAULT_ENUMERATION_GUARD}; this may take very long",
               file=sys.stderr)
-    rows = []
-    for n in range(1, args.n + 1):
-        stream = args.stream if n == args.n else None
-        rows.append(enumeration.enumerate_maximal_tf(
-            n, shards=config.shards, stream_path=stream, guard=guard))
-    table = enumeration.CountTable(tuple(rows))
+    table = enumeration.growth_table(args.n, shards=config.shards, guard=guard,
+                                     stream_path=args.stream)
     print(table.to_text())
     if args.json_path:
         with open(args.json_path, "w", encoding="ascii") as fh:
@@ -201,13 +199,13 @@ def _cmd_mis(args) -> int:
     if args.count_only:
         print(mis_count(g))
         return 0
-    family = enumerate_mis(g)
-    for word in family.sets:
+    sets = enumerate_mis(g)
+    for word in sets:
         print(f"{word:#x}", " ".join(str(v) for v in iter_bits(word)))
-    print(f"total {len(family)}")
+    print(f"total {len(sets)}")
     if args.json_path:
-        payload = {"graph": encode_graph6(g), "mis_count": len(family),
-                   "sets": [list(iter_bits(w)) for w in family.sets]}
+        payload = {"graph": encode_graph6(g), "mis_count": len(sets),
+                   "sets": [list(iter_bits(w)) for w in sets]}
         with open(args.json_path, "w", encoding="ascii") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")

@@ -52,10 +52,6 @@ class FolkloreChoice:
             raise ValueError("choice bits must be 0 or 1")
 
     @classmethod
-    def zeros(cls, n: int) -> "FolkloreChoice":
-        return cls(n, (0,) * folklore_bit_count(n))
-
-    @classmethod
     def from_int(cls, n: int, code: int) -> "FolkloreChoice":
         """Bit i of code (LSB first) is choice i in row-major order."""
         width = folklore_bit_count(n)
@@ -235,10 +231,6 @@ class KrChoice:
             raise ValueError("pair choices must be in {0, 1, 2, 3}")
         if any(b not in (0, 1) for b in self.vertex_choices):
             raise ValueError("vertex choices must be 0 or 1")
-
-    @classmethod
-    def zeros(cls, n: int, r: int) -> "KrChoice":
-        return cls(n, r, (0,) * len(kr_pair_slots(n, r)), (0,) * len(kr_vertex_slots(n, r)))
 
     @classmethod
     def from_int(cls, n: int, r: int, code: int) -> "KrChoice":

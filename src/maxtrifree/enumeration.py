@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Any
 
 import numpy as np
@@ -144,17 +143,20 @@ def enumerate_maximal_tf(
     return CountRow(n, count, log2_over, sw.elapsed_ms)
 
 
-def growth_table(n_max: int, *, shards: int = 1,
-                 guard: int = DEFAULT_ENUMERATION_GUARD) -> CountTable:
-    """CountRows for n = 1..n_max; no convergence assertion is made or implied."""
+def growth_table(n_max: int, *, shards: int = 1, guard: int = DEFAULT_ENUMERATION_GUARD,
+                 stream_path=None) -> CountTable:
+    """CountRows for n = 1..n_max, streaming the n_max family to ``stream_path``
+    when it is given; no convergence assertion is made or implied."""
     check_size(n_max, guard)
-    rows = [enumerate_maximal_tf(n, shards=shards, guard=guard) for n in range(1, n_max + 1)]
+    rows = [enumerate_maximal_tf(n, shards=shards, guard=guard,
+                                 stream_path=stream_path if n == n_max else None)
+            for n in range(1, n_max + 1)]
     return CountTable(tuple(rows))
 
 
-def maximal_tf_family(n: int, *, guard: int = DEFAULT_ENUMERATION_GUARD) -> list[Graph]:
+def maximal_tf_family(n: int) -> list[Graph]:
     """The maximal triangle-free graphs on [n], ascending by edge bitmask."""
-    check_size(n, guard)
+    check_size(n, DEFAULT_ENUMERATION_GUARD)
     return [graph_from_edge_mask(n, int(m)) for m in _maximal_masks(n)]
 
 
@@ -166,9 +168,3 @@ def remark3_census(n: int) -> tuple[int, int]:
     family = maximal_tf_family(n)
     admitting = sum(1 for g in family if check_matching_partition(g) is not None)
     return admitting, len(family)
-
-
-def remark3_fraction(n: int) -> Fraction:
-    """remark3_census as an exact fraction."""
-    admitting, total = remark3_census(n)
-    return Fraction(admitting, total)

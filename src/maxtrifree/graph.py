@@ -73,10 +73,6 @@ class Graph:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def empty(cls, n: int) -> "Graph":
-        return cls(n, (0,) * n)
-
-    @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
         rows = [0] * n
         for u, v in edges:
@@ -98,18 +94,6 @@ class Graph:
         return cls.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
     @classmethod
-    def path(cls, n: int) -> "Graph":
-        return cls.from_edges(n, [(i, i + 1) for i in range(n - 1)])
-
-    @classmethod
-    def star(cls, leaves: int) -> "Graph":
-        return cls.from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
-
-    @classmethod
-    def complete_bipartite(cls, a: int, b: int) -> "Graph":
-        return cls.from_edges(a + b, [(i, a + j) for i in range(a) for j in range(b)])
-
-    @classmethod
     def perfect_matching(cls, k: int) -> "Graph":
         """k disjoint edges on 2k vertices, pairs (2i, 2i+1)."""
         return cls.from_edges(2 * k, [(2 * i, 2 * i + 1) for i in range(k)])
@@ -118,9 +102,6 @@ class Graph:
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.rows[u] >> v & 1)
-
-    def degree(self, u: int) -> int:
-        return self.rows[u].bit_count()
 
     def edge_count(self) -> int:
         return sum(r.bit_count() for r in self.rows) // 2
@@ -139,27 +120,11 @@ class Graph:
 
     # -- derived graphs ----------------------------------------------------
 
-    def with_edge(self, u: int, v: int) -> "Graph":
-        rows = list(self.rows)
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-        return Graph(self.n, tuple(rows))
-
     def without_edges(self, pairs) -> "Graph":
         rows = list(self.rows)
         for u, v in pairs:
             rows[u] &= ~(1 << v)
             rows[v] &= ~(1 << u)
-        return Graph(self.n, tuple(rows))
-
-    def relabel(self, perm: list[int]) -> "Graph":
-        """Image under vertex relabeling u -> perm[u]."""
-        if sorted(perm) != list(range(self.n)):
-            raise ValueError("perm is not a permutation of the vertex set")
-        rows = [0] * self.n
-        for u in range(self.n):
-            for v in iter_bits(self.rows[u]):
-                rows[perm[u]] |= 1 << perm[v]
         return Graph(self.n, tuple(rows))
 
 
@@ -216,17 +181,6 @@ def graph_from_edge_mask(n: int, mask: int) -> Graph:
 # ---------------------------------------------------------------------------
 # Triangle and clique primitives
 # ---------------------------------------------------------------------------
-
-
-def count_triangles(g: Graph) -> int:
-    """Exact number of vertex triples spanning a triangle."""
-    rows, total = g.rows, 0
-    for u in range(g.n):
-        ru = rows[u]
-        for v in iter_bits(ru & _above(u)):
-            # third vertex above v, so each triangle is counted once
-            total += (ru & rows[v] & _above(v)).bit_count()
-    return total
 
 
 def is_triangle_free(g: Graph) -> bool:
@@ -343,7 +297,7 @@ def _min_triangle_table(n: int) -> tuple[int, ...]:
 
 
 def min_triangles_at_density(n: int, m: int) -> int:
-    """Exact minimum of count_triangles over all n-vertex graphs with m edges.
+    """Exact minimum triangle count over all n-vertex graphs with m edges.
 
     Scans every edge subset, so n is hard-capped at 7 (2^21 subsets).
     """

@@ -155,7 +155,7 @@ def _decode_short(n: int, lines: list[str]) -> list[Graph | None]:
     nchars = (nbits + 5) // 6
     if len(lines[0]) != nchars + 1:
         return [None] * len(lines)
-    text = "".join(lines).encode("ascii")
+    text = "".join(lines).encode("latin-1")
     codes = np.frombuffer(text, dtype=np.uint8).reshape(len(lines), nchars + 1)[:, 1:] - 63
     ok = np.all(codes <= 63, axis=1)  # below '?' wraps past 63
     bits = np.unpackbits((codes << 2)[:, :, None], axis=2)[:, :, :6]
@@ -202,7 +202,9 @@ def read_graph6_file(path) -> list[Graph]:
     as ``decode_graph6`` would for that line alone.
     """
     graphs: list[Graph] = []
-    with open(path, "r", encoding="ascii") as fh:
+    # latin-1 maps every byte to one character, so a non-ASCII byte reaches the
+    # range check and fails with its line number
+    with open(path, "r", encoding="latin-1") as fh:
         first_line = 1
         while block := [raw.strip() for raw in islice(fh, _BLOCK_LINES)]:
             graphs.extend(_decode_block(block, first_line))

@@ -17,8 +17,6 @@ n <= 8 and uint16 for n <= 16, which the counts fit by Moon-Moser (at most
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import scan
@@ -28,24 +26,7 @@ from .report import FAIL, PASS, Stopwatch, VerificationReport
 
 HUJTER_TUZA_MAX_N = 8
 BATCH_MAX_N = 16  # uint16 columns; Moon-Moser keeps the counts below 2^16
-
-
-@dataclass(frozen=True)
-class MisFamily:
-    """All maximal independent sets of one graph, as ascending bit words."""
-
-    host: Graph
-    sets: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if any(a >= b for a, b in zip(self.sets, self.sets[1:])):
-            raise ValueError("sets must be strictly ascending bit words")
-
-    def __len__(self) -> int:
-        return len(self.sets)
-
-    def as_vertex_lists(self) -> list[list[int]]:
-        return [list(iter_bits(word)) for word in self.sets]
+MATCHING_EQUALITY_MAX_K = 4  # perfect matchings on 2, 4, 6 and 8 vertices
 
 
 def _branch_vertex(rows, pool: int, cands: int) -> int:
@@ -78,12 +59,12 @@ def _mis_recurse(rows, full: int, chosen: int, cands: int, banned: int,
     return total
 
 
-def enumerate_mis(g: Graph) -> MisFamily:
-    """Every maximal independent set of g."""
+def enumerate_mis(g: Graph) -> tuple[int, ...]:
+    """Every maximal independent set of g, as ascending bit words."""
     out: list[int] = []
     full = (1 << g.n) - 1
     _mis_recurse(g.rows, full, 0, full, 0, out)
-    return MisFamily(g, tuple(sorted(out)))
+    return tuple(sorted(out))
 
 
 def mis_count(g: Graph) -> int:
@@ -184,12 +165,12 @@ def verify_hujter_tuza(max_n: int = HUJTER_TUZA_MAX_N, *,
         witnesses=witnesses, elapsed_ms=sw.elapsed_ms)
 
 
-def verify_matching_equality(max_k: int = 4) -> VerificationReport:
+def verify_matching_equality() -> VerificationReport:
     """Perfect matchings on 2k vertices attain the bound: mis_count = 2^k."""
     with Stopwatch() as sw:
         counts: dict[str, int] = {}
         bad: list[str] = []
-        for k in range(1, max_k + 1):
+        for k in range(1, MATCHING_EQUALITY_MAX_K + 1):
             g = Graph.perfect_matching(k)
             c = mis_count(g)
             counts[f"mis_matching_k{k}"] = c
@@ -198,7 +179,7 @@ def verify_matching_equality(max_k: int = 4) -> VerificationReport:
     return VerificationReport(
         check_name="hujter_tuza_matching_equality",
         status=FAIL if bad else PASS,
-        parameters={"max_k": max_k},
+        parameters={"max_k": MATCHING_EQUALITY_MAX_K},
         counts=counts,
         witnesses=bad,
         elapsed_ms=sw.elapsed_ms,

@@ -110,11 +110,6 @@ class ReductionInstance:
 
         return cls(container, parse("removal"), parse("selected"))
 
-    def dump(self, path) -> None:
-        with open(path, "w", encoding="ascii") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
     @classmethod
     def load(cls, path) -> "ReductionInstance":
         with open(path, "r", encoding="ascii") as fh:

@@ -36,6 +36,8 @@ CHAIN_INSTANCES = 100
 CHAIN_MAX_N = 6
 KR_SAMPLE_SHAPES = ((12, 3), (16, 4))
 KR_SAMPLES_PER_SHAPE = 1000
+KR_ENTROPY_MAX_N = 64
+KR_ENTROPY_MAX_R = 8
 
 Check = tuple[str, Callable[[], VerificationReport]]
 
@@ -140,12 +142,12 @@ def _kr_sample_check(config: RunConfig) -> VerificationReport:
     )
 
 
-def _kr_entropy_check_all(max_n: int = 64, max_r: int = 8) -> VerificationReport:
+def _kr_entropy_check_all() -> VerificationReport:
     with Stopwatch() as sw:
         checked = 0
         bad: list = []
-        for r in range(2, max_r + 1):
-            for n in range(2 * r, max_n + 1, 2 * r):
+        for r in range(2, KR_ENTROPY_MAX_R + 1):
+            for n in range(2 * r, KR_ENTROPY_MAX_N + 1, 2 * r):
                 bits = constructions.kr_entropy_check(n, r)
                 if bits != Fraction(r - 1, r) * Fraction(n * n, 4):
                     bad.append([f"n={n}", f"r={r}"])
@@ -153,7 +155,7 @@ def _kr_entropy_check_all(max_n: int = 64, max_r: int = 8) -> VerificationReport
     return VerificationReport(
         check_name="kr_entropy_identity",
         status=FAIL if bad else PASS,
-        parameters={"max_n": max_n, "max_r": max_r},
+        parameters={"max_n": KR_ENTROPY_MAX_N, "max_r": KR_ENTROPY_MAX_R},
         counts={"checked": checked},
         witnesses=bad,
         elapsed_ms=sw.elapsed_ms,

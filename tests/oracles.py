@@ -6,7 +6,11 @@ code path.  The scalar walker and the folklore census are the slow twins of
 the batched numpy paths: they use Python integers and the package's scalar
 Graph primitives, which the numpy paths do not call.  The line-by-line
 graph6 reader is the slow twin of ``read_graph6_file``'s block reader.
+
+The small graph builders and helpers at the top serve only the tests, so
+they live here and not in the package.
 """
+import json
 from itertools import combinations
 
 from maxtrifree import (
@@ -19,6 +23,44 @@ from maxtrifree import (
     is_triangle_free,
 )
 from maxtrifree.constructions import folklore_bit_count
+
+
+def empty_graph(n: int) -> Graph:
+    return Graph(n, (0,) * n)
+
+
+def path_graph(n: int) -> Graph:
+    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def star_graph(leaves: int) -> Graph:
+    return Graph.from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+
+
+def complete_bipartite(a: int, b: int) -> Graph:
+    return Graph.from_edges(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+
+
+def degree(g, u: int) -> int:
+    return sum(u in e for e in g.edges())
+
+
+def with_edge(g, u: int, v: int) -> Graph:
+    return Graph.from_edges(g.n, g.edges() + [(u, v)])
+
+
+def relabel(g, perm) -> Graph:
+    """Image of g under the vertex relabeling u -> perm[u]."""
+    if sorted(perm) != list(range(g.n)):
+        raise ValueError("perm is not a permutation of the vertex set")
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def dump_instance(inst, path) -> None:
+    """Write a reduction instance as the JSON file ReductionInstance.load reads."""
+    with open(path, "w", encoding="ascii") as fh:
+        json.dump(inst.to_dict(), fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def edge_set(g):
@@ -215,8 +257,9 @@ def write_graph6_file(path, graphs) -> int:
 
 def iter_graph6_file(path):
     """Reference for graph6.read_graph6_file: decodes one line at a time, with
-    line-numbered errors."""
-    with open(path, "r", encoding="ascii") as fh:
+    line-numbered errors.  Opened as latin-1, like the reader, so a non-ASCII
+    byte is a decode error of its line."""
+    with open(path, "r", encoding="latin-1") as fh:
         for lineno, raw in enumerate(fh, start=1):
             stripped = raw.strip()
             if not stripped:

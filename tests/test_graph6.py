@@ -13,7 +13,14 @@ from maxtrifree import (
     read_graph6_file,
 )
 from maxtrifree import graph6
-from oracles import iter_graph6_file, write_graph6_file
+from oracles import (
+    complete_bipartite,
+    empty_graph,
+    iter_graph6_file,
+    path_graph,
+    star_graph,
+    write_graph6_file,
+)
 
 
 def nx_encode(g: Graph) -> str:
@@ -28,16 +35,16 @@ class TestEncode:
         assert encode_graph6(Graph.complete(4)) == "C~"
 
     def test_single_vertex(self):
-        assert encode_graph6(Graph.empty(1)) == "@"
+        assert encode_graph6(empty_graph(1)) == "@"
 
     def test_matches_networkx_fixed(self):
-        for g in (Graph.cycle(5), Graph.star(6), Graph.complete_bipartite(3, 4),
-                  Graph.empty(2), Graph.perfect_matching(4), Graph.complete(10)):
+        for g in (Graph.cycle(5), star_graph(6), complete_bipartite(3, 4),
+                  empty_graph(2), Graph.perfect_matching(4), Graph.complete(10)):
             assert encode_graph6(g) == nx_encode(g)
 
     def test_long_form_n63_n64(self):
         for n in (63, 64):
-            g = Graph.path(n)
+            g = path_graph(n)
             enc = encode_graph6(g)
             assert enc.startswith("~")
             assert enc == nx_encode(g)
@@ -119,7 +126,7 @@ class TestDecode:
 
 class TestFiles:
     def test_round_trip(self, tmp_path):
-        graphs = [Graph.cycle(5), Graph.complete(4), Graph.empty(1), Graph.path(64)]
+        graphs = [Graph.cycle(5), Graph.complete(4), empty_graph(1), path_graph(64)]
         path = tmp_path / "corpus.g6"
         assert write_graph6_file(path, graphs) == 4
         assert read_graph6_file(path) == graphs
@@ -135,16 +142,30 @@ class TestFiles:
         with pytest.raises(Graph6Error, match="line 2"):
             list(iter_graph6_file(path))
 
+    @pytest.mark.parametrize("bad", [
+        b"C\xc3\xa9",  # a two-byte UTF-8 character, so the line has the wrong length
+        b"D?\xc3",     # one non-ASCII byte in a line of the right length for n=5
+    ])
+    def test_non_ascii_byte_is_a_line_numbered_error(self, tmp_path, bad):
+        path = tmp_path / "bad.g6"
+        path.write_bytes(b"C~\n" + bad + b"\nC~\n")
+        with pytest.raises(Graph6Error) as lazy:
+            list(iter_graph6_file(path))
+        with pytest.raises(Graph6Error) as batch:
+            read_graph6_file(path)
+        assert str(batch.value) == str(lazy.value) == \
+            "line 2: character '\xc3' outside graph6 range"
+
     def test_batch_reader_matches_lazy_reader(self, tmp_path, monkeypatch):
         graphs = [graph_from_edge_mask(n, m) for n, m in
                   [(5, 0b1011001101), (1, 0), (9, 2 ** 36 - 1), (0, 0), (5, 0), (9, 12345),
                    (2, 1)]]
-        lines = ["", encode_graph6(Graph.path(64)), "  ", ">>graph6<<" + encode_graph6(graphs[0])]
+        lines = ["", encode_graph6(path_graph(64)), "  ", ">>graph6<<" + encode_graph6(graphs[0])]
         for i in range(300):
             g = graphs[i % len(graphs)]
             lines.append(encode_graph6(g))
             if i % 50 == 7:
-                lines += ["", ">>graph6<<" + encode_graph6(g), encode_graph6(Graph.path(64))]
+                lines += ["", ">>graph6<<" + encode_graph6(g), encode_graph6(path_graph(64))]
         assert {"?", "@", "A_"} <= set(lines)  # n = 0 and 1 have no data characters
         path = tmp_path / "mixed.g6"
         path.write_text("\n".join(lines) + "\n")

@@ -23,7 +23,14 @@ from maxtrifree import (
 from maxtrifree.reduction import maximal_tf_subgraph_count
 from maxtrifree.report import rng_for
 
-from oracles import naive_h_star, naive_maximal_tf_within
+from oracles import (
+    dump_instance,
+    empty_graph,
+    naive_h_star,
+    naive_maximal_tf_within,
+    path_graph,
+    with_edge,
+)
 
 
 def is_subgraph(h: Graph, g: Graph) -> bool:
@@ -36,12 +43,12 @@ class TestInstanceValidation:
             ReductionInstance(
                 Graph.cycle(4),
                 Graph.from_edges(4, [(0, 2)]),
-                Graph.empty(4),
+                empty_graph(4),
             )
 
     def test_removal_insufficient(self):
         with pytest.raises(InstanceError):
-            ReductionInstance(Graph.complete(4), Graph.empty(4), Graph.empty(4))
+            ReductionInstance(Graph.complete(4), empty_graph(4), empty_graph(4))
 
     def test_selected_outside_removal(self):
         with pytest.raises(InstanceError):
@@ -59,13 +66,13 @@ class TestInstanceValidation:
 
     def test_host_mismatch(self):
         with pytest.raises(InstanceError):
-            ReductionInstance(Graph.complete(4), Graph.empty(5), Graph.empty(5))
+            ReductionInstance(Graph.complete(4), empty_graph(5), empty_graph(5))
 
     def test_json_round_trip(self, tmp_path):
         inst = worked_k4_instance()
         assert ReductionInstance.from_dict(inst.to_dict()) == inst
         path = tmp_path / "inst.json"
-        inst.dump(path)
+        dump_instance(inst, path)
         assert ReductionInstance.load(path) == inst
 
 
@@ -76,13 +83,13 @@ class TestReducedGraph:
 
     def test_nothing_removed(self):
         g = Graph.cycle(5)
-        inst = ReductionInstance(g, Graph.empty(5), Graph.empty(5))
+        inst = ReductionInstance(g, empty_graph(5), empty_graph(5))
         assert reduced_graph(inst) == g
 
     def test_empty_selected(self):
         g = Graph.complete(4)
         removal = Graph.from_edges(4, [(0, 1), (2, 3)])
-        inst = ReductionInstance(g, removal, Graph.empty(4))
+        inst = ReductionInstance(g, removal, empty_graph(4))
         red = reduced_graph(inst)
         assert red == g.without_edges(removal.edges())
         assert is_triangle_free(red)
@@ -115,15 +122,15 @@ class TestAuxiliary:
     def test_empty_selected_gives_edgeless(self):
         g = Graph.complete(4)
         removal = Graph.from_edges(4, [(0, 1), (2, 3)])
-        aux = build_auxiliary(ReductionInstance(g, removal, Graph.empty(4)))
+        aux = build_auxiliary(ReductionInstance(g, removal, empty_graph(4)))
         assert aux.t_graph.edge_count() == 0
 
     def test_c5_isolated(self):
-        aux = build_auxiliary(ReductionInstance(Graph.cycle(5), Graph.empty(5), Graph.empty(5)))
+        aux = build_auxiliary(ReductionInstance(Graph.cycle(5), empty_graph(5), empty_graph(5)))
         assert aux.t_graph.n == 5 and aux.t_graph.edge_count() == 0
 
     def test_empty_container_empty_t(self):
-        inst = ReductionInstance(Graph.empty(3), Graph.empty(3), Graph.empty(3))
+        inst = ReductionInstance(empty_graph(3), empty_graph(3), empty_graph(3))
         aux = build_auxiliary(inst)
         assert aux.t_graph.n == 0
         assert mis_count(aux.t_graph) == 1  # the empty set
@@ -147,7 +154,7 @@ class TestClaim1:
     def test_trivial_empty_selected(self):
         g = Graph.cycle(5)
         rep = verify_claim1(build_auxiliary(
-            ReductionInstance(g, Graph.empty(5), Graph.empty(5))))
+            ReductionInstance(g, empty_graph(5), empty_graph(5))))
         assert rep.passed and rep.counts["t_edges"] == 0
 
     def test_random_instances(self):
@@ -166,12 +173,12 @@ class TestHStar:
 
     def test_c4_container(self):
         g = Graph.cycle(4)
-        family = enumerate_h_star(ReductionInstance(g, Graph.empty(4), Graph.empty(4)))
+        family = enumerate_h_star(ReductionInstance(g, empty_graph(4), empty_graph(4)))
         assert family == [g]
 
     def test_p4_container_empty(self):
-        g = Graph.path(4)
-        family = enumerate_h_star(ReductionInstance(g, Graph.empty(4), Graph.empty(4)))
+        g = path_graph(4)
+        family = enumerate_h_star(ReductionInstance(g, empty_graph(4), empty_graph(4)))
         assert family == []
 
     def test_members_satisfy_constraints(self):
@@ -207,7 +214,7 @@ class TestHStar:
     _AROUND_01 = Graph.from_edges(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
 
     def test_untouched_non_edge_without_common_neighbour(self):
-        inst = ReductionInstance(self._K4_MINUS_01, self._AROUND_01, Graph.empty(4))
+        inst = ReductionInstance(self._K4_MINUS_01, self._AROUND_01, empty_graph(4))
         assert enumerate_h_star(inst) == naive_h_star(inst) == []
 
     def test_untouched_non_edge_with_seed_common_neighbour(self):
@@ -227,9 +234,9 @@ class TestHStar:
         assert enumerate_h_star(inst) == naive_h_star(inst) == []
 
     def test_guard(self):
-        g = Graph.empty(11)
+        g = empty_graph(11)
         with pytest.raises(GuardError):
-            enumerate_h_star(ReductionInstance(g, Graph.empty(11), Graph.empty(11)))
+            enumerate_h_star(ReductionInstance(g, empty_graph(11), empty_graph(11)))
 
 
 class TestClaim2:
@@ -242,7 +249,7 @@ class TestClaim2:
 
     def test_maximal_container_trivial(self):
         g = Graph.cycle(5)
-        rep = verify_claim2(ReductionInstance(g, Graph.empty(5), Graph.empty(5)))
+        rep = verify_claim2(ReductionInstance(g, empty_graph(5), empty_graph(5)))
         assert rep.passed
         assert rep.counts["h_star"] == 1
         assert rep.counts["mis_count_t"] == 1  # edgeless T has one MIS: everything
@@ -267,7 +274,7 @@ class TestBoundChain:
 
     def test_empty_removal(self):
         g = Graph.cycle(5)
-        rep = bound_chain(g, Graph.empty(5))
+        rep = bound_chain(g, empty_graph(5))
         assert rep.passed and rep.counts["fstar_subsets"] == 1
         assert rep.counts["sum_h_star"] == 1
 
@@ -293,7 +300,7 @@ class TestBoundChain:
 
     def test_guards(self):
         with pytest.raises(GuardError):
-            bound_chain(Graph.empty(9), Graph.empty(9))
+            bound_chain(empty_graph(9), empty_graph(9))
         k6 = Graph.complete(6)
         big = Graph.from_edges(6, k6.edges()[:13])
         with pytest.raises(GuardError):
@@ -334,7 +341,7 @@ class TestPlantedDefects:
 
         def plant(inst):
             aux = real(inst)
-            return dataclasses.replace(aux, t_graph=aux.t_graph.with_edge(0, 2))
+            return dataclasses.replace(aux, t_graph=with_edge(aux.t_graph, 0, 2))
 
         monkeypatch.setattr(reduction, "build_auxiliary", plant)
         inst = ReductionInstance(
@@ -352,9 +359,9 @@ class TestPlantedDefects:
         # C5 with F* empty: T-vertices 01, 04, 12, 23, 34 and no T-edges.  A
         # planted triangle on 01, 12 and 34 joins 34 to two edges it shares no
         # endpoint with, so no selected edge can witness those T-edges.
-        aux = build_auxiliary(ReductionInstance(Graph.cycle(5), Graph.empty(5), Graph.empty(5)))
+        aux = build_auxiliary(ReductionInstance(Graph.cycle(5), empty_graph(5), empty_graph(5)))
         assert aux.vertex_to_edge == ((0, 1), (0, 4), (1, 2), (2, 3), (3, 4))
-        planted = aux.t_graph.with_edge(0, 2).with_edge(0, 4).with_edge(2, 4)
+        planted = with_edge(with_edge(with_edge(aux.t_graph, 0, 2), 0, 4), 2, 4)
         rep = verify_claim1(dataclasses.replace(aux, t_graph=planted))
         assert not rep.passed
         assert rep.witnesses == [["0-1", "1-2", "3-4", "0-2",

@@ -15,6 +15,7 @@ from maxtrifree.report import (
     rng_for,
     strip_timing,
 )
+from oracles import dump_instance, star_graph
 
 
 def make_report(**overrides):
@@ -140,7 +141,7 @@ class TestCli:
         assert main(["construct", "--family", "folklore", "--n", "4",
                      "--choice", "0"]) == 0
         # the star at vertex 0: edges 01, 02, 03
-        assert capsys.readouterr().out.strip() == encode_graph6(Graph.star(3))
+        assert capsys.readouterr().out.strip() == encode_graph6(star_graph(3))
 
     def test_construct_stats(self, capsys):
         assert main(["construct", "--family", "folklore", "--n", "4", "--stats"]) == 0
@@ -154,7 +155,7 @@ class TestCli:
 
     def test_reduce_instance_file(self, tmp_path, capsys):
         path = tmp_path / "inst.json"
-        worked_k4_instance().dump(path)
+        dump_instance(worked_k4_instance(), path)
         assert main(["reduce", "--instance", str(path),
                      "--check", "claim1,claim2,chain"]) == 0
         out = capsys.readouterr().out
@@ -200,7 +201,7 @@ class TestCli:
     def test_ignored_or_empty_option_is_a_usage_error(self, argv, needle, tmp_path, capsys):
         out = tmp_path / "out.json"
         inst = tmp_path / "inst.json"
-        worked_k4_instance().dump(inst)
+        dump_instance(worked_k4_instance(), inst)
         assert main([arg.format(out=out, inst=inst) for arg in argv]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and needle in captured.err
@@ -220,6 +221,18 @@ class TestCli:
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert "unrecognized arguments" in captured.err and captured.out == ""
+
+    def test_mis_in_reads_only_the_first_graph(self, tmp_path, capsys):
+        # a non-ASCII byte on a later line does not stop the first from decoding
+        path = tmp_path / "corpus.g6"
+        path.write_bytes(b"C~\nC\xc3\xa9\nC~\n")
+        assert main(["mis", "--in", str(path), "--count-only"]) == 0
+        assert capsys.readouterr().out == "4\n"
+        path.write_bytes(b"\nC\xc3\xa9\n")
+        assert main(["mis", "--in", str(path), "--count-only"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: line 2: character '\xc3' outside graph6 range\n"
+        assert captured.out == ""
 
     def test_mis_empty_file(self, tmp_path, capsys):
         path = tmp_path / "empty.g6"
@@ -253,7 +266,7 @@ class TestCli:
         # the modes that reject an explicit --seed or --guard still run under
         # the environment defaults of those options
         inst = tmp_path / "inst.json"
-        worked_k4_instance().dump(inst)
+        dump_instance(worked_k4_instance(), inst)
         monkeypatch.setenv("MAXTRIFREE_SEED", "5")
         monkeypatch.setenv("MAXTRIFREE_GUARD_FOLKLORE_N", "12")
         assert main(["construct", "--n", "4"]) == 0

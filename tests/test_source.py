@@ -1,12 +1,21 @@
 import argparse
 import ast
+import importlib
 import inspect
 import re
+import sys
 import textwrap
 from pathlib import Path
 
 import maxtrifree
 from maxtrifree import cli
+
+PACKAGE_DIR = Path(maxtrifree.__file__).resolve().parent
+REPO = PACKAGE_DIR.parent.parent
+#: The roots of the reachability walk, whose every use of a package name keeps
+#: it: the CLI, the suites, the benchmark and the acceptance tests.
+ROOT_MODULES = ("cli.py", "suites.py")
+OUTSIDE_ROOTS = (*sorted((REPO / "perfbench").glob("*.py")), REPO / "tests" / "test_acceptance.py")
 
 
 def test_no_assert_statements_in_package():
@@ -64,3 +73,139 @@ def test_object_new_only_in_the_batch_graph_constructor():
                               if first <= node.lineno <= last), "<module>")
                 found.append(f"{path.name}:{owner}")
     assert found == ["graph.py:graphs_from_rows"]
+
+
+def _tracer_targets() -> list[str]:
+    tree = ast.parse((REPO / "perfbench" / "tracer.py").read_text(encoding="utf-8"))
+    return next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign) and node.targets[0].id == "TARGETS")
+
+
+def _foreign_modules(tree) -> set[str]:
+    # names bound to stdlib or numpy modules: np.empty or json.dump reach no
+    # method of the package
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                top = alias.name.partition(".")[0]
+                if top in sys.stdlib_module_names or top == "numpy":
+                    found.add(alias.asname or top)
+    return found
+
+
+def _uses(nodes, foreign, *, imports) -> set[str]:
+    """Names a bare reference uses, and ".attr" for each attribute reference."""
+    found = set()
+    for root in nodes:
+        for node in ast.walk(root):
+            if isinstance(node, ast.Name):
+                found.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                if not (isinstance(node.value, ast.Name) and node.value.id in foreign):
+                    found.add("." + node.attr)
+            elif imports and isinstance(node, ast.ImportFrom):
+                found.update(alias.name for alias in node.names)
+    return found
+
+
+def test_every_public_name_is_reached():
+    # Every function, class and method of the package, private helpers too,
+    # must be reached from the roots.  A function or class is reached by a bare
+    # or an attribute reference, a method only by an attribute reference
+    # (x.name) and only once its class is; imports inside the package keep
+    # nothing.  The walk goes by name, not by binding, so it over-approximates:
+    # a reference reaches every definition of that name, and perfbench's
+    # self.path attribute, for one, would keep a method named path alive.
+    defs = []  # (label, name, is_method, owner label, nodes it uses, foreign names)
+    seen = set()
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        if path.name in ("__init__.py", "__main__.py"):
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        foreign = _foreign_modules(tree)
+        body = [s for s in tree.body if not isinstance(s, (ast.Import, ast.ImportFrom))]
+        if path.name in ROOT_MODULES:
+            seen |= _uses(body, foreign, imports=False)
+            continue
+        for stmt in body:
+            if isinstance(stmt, ast.FunctionDef):
+                defs.append((f"{path.stem}.{stmt.name}", stmt.name, False, None, [stmt], foreign))
+            elif isinstance(stmt, ast.ClassDef):
+                label = f"{path.stem}.{stmt.name}"
+                methods = [m for m in stmt.body
+                           if isinstance(m, ast.FunctionDef) and not m.name.startswith("__")]
+                # fields, decorators and dunder methods come with the class
+                rest = [m for m in stmt.body if m not in methods]
+                defs.append((label, stmt.name, False, None,
+                             [*stmt.decorator_list, *stmt.bases, *rest], foreign))
+                defs += [(f"{label}.{m.name}", m.name, True, label, [m], foreign)
+                         for m in methods]
+            else:
+                seen |= _uses([stmt], foreign, imports=False)  # runs on import
+    for path in OUTSIDE_ROOTS:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        seen |= _uses([tree], _foreign_modules(tree), imports=True)
+    for target in _tracer_targets():
+        for part in target.split(".")[1:]:
+            seen |= {part, "." + part}
+    reached: set[str] = set()
+    grew = True
+    while grew:
+        grew = False
+        for label, name, is_method, owner, nodes, foreign in defs:
+            if label in reached or (owner is not None and owner not in reached):
+                continue
+            if "." + name in seen or (not is_method and name in seen):
+                reached.add(label)
+                seen |= _uses(nodes, foreign, imports=False)
+                grew = True
+    unreached = [label for label, *_ in defs if label not in reached]
+    assert unreached == []
+
+
+def _resolve(dotted: str) -> bool:
+    """Whether the dotted name exists, importing submodules as ``from . import`` does."""
+    parts = dotted.split(".")
+    obj = importlib.import_module(parts[0])
+    for i, part in enumerate(parts[1:], start=2):
+        try:
+            obj = getattr(obj, part)
+        except AttributeError:
+            try:
+                obj = importlib.import_module(".".join(parts[:i]))
+            except ImportError:
+                return False
+    return True
+
+
+def _attribute_chain(node) -> list[str] | None:
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return [node.id, *reversed(parts)] if isinstance(node, ast.Name) else None
+
+
+def test_benchmark_names_resolve():
+    # the benchmark and the acceptance tests reach the package by name; a name
+    # they use must not leave it, or a perfbench --trace 1 run breaks
+    wanted = {f"maxtrifree.{target}" for target in _tracer_targets()}
+    for path in OUTSIDE_ROOTS:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bound = {}  # local name -> dotted package name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound.update({a.asname or a.name: a.name for a in node.names
+                              if a.name.partition(".")[0] == "maxtrifree"})
+            elif isinstance(node, ast.ImportFrom) and node.module \
+                    and node.module.partition(".")[0] == "maxtrifree":
+                bound.update({a.asname or a.name: f"{node.module}.{a.name}"
+                              for a in node.names})
+        wanted |= set(bound.values())
+        for node in ast.walk(tree):
+            chain = _attribute_chain(node) if isinstance(node, ast.Attribute) else None
+            if chain and chain[0] in bound:
+                wanted.add(".".join([bound[chain[0]], *chain[1:]]))
+    assert len(wanted) > len(_tracer_targets())
+    assert sorted(name for name in wanted if not _resolve(name)) == []
