@@ -17,7 +17,7 @@ import sys
 
 from . import constructions, enumeration, reduction, suites
 from .graph import Graph, GuardError, iter_bits
-from .graph6 import Graph6Error, decode_graph6, encode_graph6
+from .graph6 import WHITESPACE, Graph6Error, decode_graph6, encode_graph6
 from .mis import enumerate_mis, mis_count
 from .reduction import InstanceError
 from .report import (
@@ -28,6 +28,7 @@ from .report import (
     VerificationReport,
     dumps_reports,
     loads_reports,
+    read_utf8,
     rng_for,
 )
 
@@ -114,7 +115,7 @@ def _load_single_graph(args) -> Graph:
         # decode_graph6's range check instead of failing the whole read
         with open(args.infile, "r", encoding="latin-1") as fh:
             for lineno, raw in enumerate(fh, start=1):
-                if raw.strip():
+                if raw.strip(WHITESPACE):
                     return decode_graph6(raw, line=lineno)
         raise ValueError(f"no graphs in {args.infile}")
     raise ValueError("provide --g6 or --in")
@@ -254,8 +255,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    with open(args.json_path, "r", encoding="ascii") as fh:
-        reports = loads_reports(fh.read())
+    reports = loads_reports(read_utf8(args.json_path))
     for rep in reports:
         print(rep.summary_line())
     failed = [r for r in reports if not r.passed]

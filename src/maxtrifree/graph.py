@@ -100,32 +100,38 @@ class Graph:
 
     # -- queries -----------------------------------------------------------
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.rows[u] >> v & 1)
-
     def edge_count(self) -> int:
         return sum(r.bit_count() for r in self.rows) // 2
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as pairs (u, v) with u < v, in lexicographic order."""
-        return [(u, v) for u in range(self.n) for v in iter_bits(self.rows[u] & _above(u))]
+        return row_pairs(self.rows)
 
     def edge_mask(self) -> int:
-        """Edges as a bitmask over lexicographic pair ranks (see pair_rank)."""
+        """Edges as a bitmask over lexicographic pair ranks (see lex_pairs).
+
+        The pairs (u, v > u) have consecutive ranks, so row u's bits above u,
+        shifted down by u + 1, land at the rank of (u, u + 1): n shifts.
+        """
         mask = 0
-        for p, (u, v) in enumerate(lex_pairs(self.n)):
-            if self.rows[u] >> v & 1:
-                mask |= 1 << p
+        rank = 0
+        for u, row in enumerate(self.rows):
+            mask |= row >> (u + 1) << rank
+            rank += self.n - 1 - u
         return mask
 
-    # -- derived graphs ----------------------------------------------------
 
-    def without_edges(self, pairs) -> "Graph":
-        rows = list(self.rows)
-        for u, v in pairs:
-            rows[u] &= ~(1 << v)
-            rows[v] &= ~(1 << u)
-        return Graph(self.n, tuple(rows))
+def row_pairs(rows) -> list[tuple[int, int]]:
+    """The pairs (u, v), u < v, with bit v set in rows[u], in lexicographic
+    order: one loop over each row's word masked to the bits above u."""
+    out = []
+    for u, row in enumerate(rows):
+        word = row & (-2 << u)
+        while word:
+            low = word & -word
+            out.append((u, low.bit_length() - 1))
+            word ^= low
+    return out
 
 
 def graphs_from_rows(n: int, rows) -> list[Graph]:

@@ -30,6 +30,11 @@ _BLOCK_LINES = 4_096
 
 HEADER = ">>graph6<<"
 
+#: The characters stripped from both ends of a line: ASCII whitespace only.
+#: str.strip() with no argument also drops Unicode spaces such as U+00A0 and
+#: the separators U+001C..U+001F, which would let a corrupt line decode.
+WHITESPACE = " \t\r\n\x0b\x0c"
+
 
 class Graph6Error(ValueError):
     def __init__(self, message: str, line: int | None = None):
@@ -69,8 +74,9 @@ def encode_graph6(g: Graph) -> str:
 
 
 def decode_graph6(text: str, line: int | None = None) -> Graph:
-    """Parse one graph6 string; raises Graph6Error on any malformation."""
-    s = text.strip()
+    """Parse one graph6 string, stripped of ASCII whitespace (``WHITESPACE``);
+    raises Graph6Error on any malformation."""
+    s = text.strip(WHITESPACE)
     if s.startswith(HEADER):
         s = s[len(HEADER):]
     if not s:
@@ -197,16 +203,17 @@ def _decode_block(lines: list[str], first_line: int) -> list[Graph]:
 def read_graph6_file(path) -> list[Graph]:
     """All graphs of a newline-delimited graph6 file, in file order.
 
-    Blank lines are skipped and a ``>>graph6<<`` header is allowed on any
-    line.  The first malformed line raises Graph6Error with its line number,
-    as ``decode_graph6`` would for that line alone.
+    Lines are stripped of ASCII whitespace (``WHITESPACE``), blank lines are
+    skipped and a ``>>graph6<<`` header is allowed on any line.  The first
+    malformed line raises Graph6Error with its line number, as
+    ``decode_graph6`` would for that line alone.
     """
     graphs: list[Graph] = []
     # latin-1 maps every byte to one character, so a non-ASCII byte reaches the
     # range check and fails with its line number
     with open(path, "r", encoding="latin-1") as fh:
         first_line = 1
-        while block := [raw.strip() for raw in islice(fh, _BLOCK_LINES)]:
+        while block := [raw.strip(WHITESPACE) for raw in islice(fh, _BLOCK_LINES)]:
             graphs.extend(_decode_block(block, first_line))
             first_line += len(block)
     return graphs

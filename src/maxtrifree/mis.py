@@ -1,12 +1,16 @@
 """Maximal independent set enumeration and the 2^{n/2} bound verifier.
 
-Enumeration branches on a highest-degree vertex with word-level candidate
-pruning (Bron-Kerbosch over the non-adjacency relation); the family is
-returned in ascending bit-word order regardless of the branching.  The
-exhaustive verifier scans every labeled triangle-free graph up to 8 vertices,
-generating them incrementally instead of filtering all 2^28 graphs, and does
-the real-valued comparison count <= 2^{m/2} as count^2 <= 2^m in exact
-integer arithmetic.
+Enumeration is Bron-Kerbosch over the non-adjacency relation on bit words,
+with Tomita's pivot (Tomita, Tanaka and Takahashi, Theor. Comput. Sci.
+2006): it branches only on the candidates in the closed neighbourhood N[p]
+of a pivot p, and picks p, candidate or banned, with the fewest of them.  A banned vertex with no candidate neighbour ends
+its branch at once.  The family is returned in ascending bit-word order
+regardless of the branching.
+
+The exhaustive verifier scans every labeled triangle-free graph up to 8
+vertices, generating them incrementally instead of filtering all 2^28
+graphs, and does the real-valued comparison count <= 2^{m/2} as
+count^2 <= 2^m in exact integer arithmetic.
 
 Its batch kernel, ``batch_mis_counts``, counts on numpy adjacency columns
 with one test per vertex subset S: S is a maximal independent set iff its
@@ -20,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import scan
-from .graph import Graph, GuardError, graph_from_edge_mask, iter_bits
+from .graph import Graph, GuardError, graph_from_edge_mask
 from .graph6 import encode_graph6
 from .report import FAIL, PASS, Stopwatch, VerificationReport
 
@@ -30,32 +34,48 @@ MATCHING_EQUALITY_MAX_K = 4  # perfect matchings on 2, 4, 6 and 8 vertices
 
 
 def _branch_vertex(rows, pool: int, cands: int) -> int:
-    """Vertex of maximum degree into cands among pool; ties to lowest index."""
-    best_deg = -1
+    """Vertex p of pool with the fewest candidates in N[p] (Tomita's pivot
+    rule); ties to the lowest index, and a count of 0 or 1 ends the scan."""
+    best_ext = cands.bit_count() + 1
     best = -1
-    for p in iter_bits(pool):
-        deg = (rows[p] & cands).bit_count()
-        if deg > best_deg:
-            best_deg = deg
+    while pool:
+        low = pool & -pool
+        p = low.bit_length() - 1
+        ext = ((rows[p] | low) & cands).bit_count()
+        if ext < best_ext:
+            best_ext = ext
             best = p
+            if ext <= 1:
+                break
+        pool ^= low
     return best
 
 
 def _mis_recurse(rows, full: int, chosen: int, cands: int, banned: int,
                  out: list[int] | None) -> int:
-    """Count the maximal independent sets extending chosen; append each to out."""
-    if cands == 0 and banned == 0:
+    """Count the maximal independent sets extending chosen; append each to out.
+
+    Every such set holds the pivot p or one of its candidate neighbours, so
+    only N[p] & cands is branched on; each tried vertex is banned afterwards,
+    and a banned vertex with no candidate neighbour left ends the branch.
+    """
+    if cands == 0:
+        if banned:
+            return 0
         if out is not None:
             out.append(chosen)
         return 1
     total = 0
     pivot = _branch_vertex(rows, cands | banned, cands)
     ext = cands & (rows[pivot] | 1 << pivot)
-    for v in iter_bits(ext):
-        keep = full & ~rows[v] & ~(1 << v)
-        total += _mis_recurse(rows, full, chosen | 1 << v, cands & keep, banned & keep, out)
-        cands &= ~(1 << v)
-        banned |= 1 << v
+    while ext:
+        low = ext & -ext
+        v = low.bit_length() - 1
+        ext ^= low
+        keep = full & ~rows[v] & ~low
+        total += _mis_recurse(rows, full, chosen | low, cands & keep, banned & keep, out)
+        cands &= ~low
+        banned |= low
     return total
 
 

@@ -12,9 +12,16 @@ independent set of T.
 Claim 2 and the counting chain share one depth-first search over the free
 container edges (``_maximal_tf_leaves``).  It adds an edge only when its ends
 have no common neighbour, and it cuts a branch as soon as some decided
-non-edge has no chosen or undecided common neighbour left.  Leaves need no
-test: they are triangle-free by construction, and once nothing is undecided
-the cut is exactly the maximality condition.
+non-edge has no chosen or undecided common neighbour left.  Deciding a pair
+absent shrinks the possible neighbourhoods of its two ends only, so the
+search re-checks just the non-edges that can have lost their last possible
+common neighbour.  Leaves need no test: they are triangle-free by
+construction, and once nothing is undecided the cut is exactly the
+maximality condition.
+
+Everything works on the graphs' adjacency bit rows: edge lists, the reduced
+graph and T's image words come from masked row words, not from per-edge
+queries.
 """
 from __future__ import annotations
 
@@ -32,10 +39,11 @@ from .graph import (
     is_triangle_free,
     iter_bits,
     lex_pairs,
+    row_pairs,
 )
 from .graph6 import decode_graph6, encode_graph6
 from .mis import mis_count
-from .report import FAIL, PASS, Stopwatch, VerificationReport
+from .report import FAIL, PASS, Stopwatch, VerificationReport, read_utf8
 
 H_STAR_MAX_N = 10
 CHAIN_MAX_N = 8
@@ -56,7 +64,7 @@ def _edge_strs(pairs) -> list[str]:
 
 def _edges_outside(g: Graph, host: Graph) -> list[tuple[int, int]]:
     """The edges of g that host lacks, in lexicographic order."""
-    return [(u, v) for u, v in g.edges() if not host.rows[u] >> v & 1]
+    return row_pairs([row & ~host_row for row, host_row in zip(g.rows, host.rows)])
 
 
 @dataclass(frozen=True)
@@ -77,8 +85,8 @@ class ReductionInstance:
         bad = _edges_outside(self.selected, self.removal)
         if bad:
             raise InstanceError(f"selected edge {bad[0]} is not in the removal set")
-        stripped = self.container.without_edges(self.removal.edges())
-        tri = find_triangle(stripped)
+        pairs = zip(self.container.rows, self.removal.rows)
+        tri = find_triangle(Graph(n, tuple(c & ~r for c, r in pairs)))
         if tri is not None:
             raise InstanceError(f"container minus removal has triangle {tri}")
         tri = find_triangle(self.selected)
@@ -112,8 +120,7 @@ class ReductionInstance:
 
     @classmethod
     def load(cls, path) -> "ReductionInstance":
-        with open(path, "r", encoding="ascii") as fh:
-            return cls.from_dict(json.load(fh))
+        return cls.from_dict(json.loads(read_utf8(path)))
 
 
 @dataclass(frozen=True)
@@ -137,15 +144,25 @@ def worked_k4_instance() -> ReductionInstance:
 
 def reduced_graph(inst: ReductionInstance) -> Graph:
     """Container minus (removal - selected) minus every edge that closes a
-    triangle with two selected edges.  The selected edges always survive."""
-    g = inst.container.without_edges(_edges_outside(inst.removal, inst.selected))
-    sel_rows = inst.selected.rows
-    doomed = [(u, v) for u, v in inst.container.edges() if sel_rows[u] & sel_rows[v]]
-    g = g.without_edges(doomed)
-    for u, v in inst.selected.edges():
-        if not g.has_edge(u, v):
-            raise AssertionError(f"selected edge ({u}, {v}) was removed from the reduction")
-    return g
+    triangle with two selected edges.  The selected edges always survive.
+
+    On rows: uv closes such a triangle iff v is a selected neighbour of some
+    selected neighbour w of u, so row u loses the OR of selected[w] over the
+    selected neighbours w of u."""
+    sel = inst.selected.rows
+    rows = []
+    for c, r, s in zip(inst.container.rows, inst.removal.rows, sel):
+        doomed = 0
+        word = s
+        while word:
+            low = word & -word
+            doomed |= sel[low.bit_length() - 1]
+            word ^= low
+        rows.append(c & ~(r & ~s) & ~doomed)
+    lost = row_pairs([s & ~row for s, row in zip(sel, rows)])
+    if lost:
+        raise AssertionError(f"selected edge {lost[0]} was removed from the reduction")
+    return Graph(inst.container.n, tuple(rows))
 
 
 def build_auxiliary(inst: ReductionInstance) -> AuxiliaryGraph:
@@ -163,7 +180,11 @@ def build_auxiliary(inst: ReductionInstance) -> AuxiliaryGraph:
     t_rows = [0] * len(pairs)
     for x, y in inst.selected.edges():
         # sx and sy are T-vertices joined through the selected edge xy
-        for s in iter_bits(red.rows[x] & red.rows[y]):
+        common = red.rows[x] & red.rows[y]
+        while common:
+            low = common & -common
+            s = low.bit_length() - 1
+            common ^= low
             i = index.get((s, x) if s < x else (x, s))
             j = index.get((s, y) if s < y else (y, s))
             if i is not None and j is not None:
@@ -224,9 +245,14 @@ def _maximal_tf_leaves(n: int, free: list[tuple[int, int]],
     rows per vertex carry the state: ``adj`` (edges so far), ``und`` (free
     partners still undecided) and ``non`` (decided non-edges, fixed ones
     included).  A pair goes in only when its ends have no common neighbour.
-    Deciding (u, v) absent shrinks the potential ``adj | und`` of u and v
-    only, so the branch survives iff every non-edge at u or v still has a
-    possible common neighbour; fixed non-edges are checked once at the root.
+    A branch lives while every non-edge xw still has a possible common
+    neighbour, some bit of pot(x) & pot(w) with pot = ``adj | und``; every
+    non-edge is checked once at the root.  Deciding (u, v) absent takes v out
+    of pot(u) and u out of pot(v) and leaves every other pot as it was, so
+    only three kinds of non-edge can lose their last common neighbour: uv
+    itself, uw with v in pot(w), and vw with u in pot(w).  As pot is
+    symmetric, these w are non[u] & pot(v) and non[v] & pot(u), and the
+    absent branch re-checks just these three kinds.
     """
     if n > H_STAR_MAX_N:
         raise GuardError(f"subgraph search capped at n={H_STAR_MAX_N}, got {n}")
@@ -240,9 +266,8 @@ def _maximal_tf_leaves(n: int, free: list[tuple[int, int]],
     leaves: list[tuple[int, ...]] = []
     last = len(free)
 
-    def viable(x: int) -> bool:
-        pot = adj[x] | und[x]
-        rest = non[x]
+    def meets(pot: int, rest: int) -> bool:
+        # pot shares a bit with pot(w) for every w in rest
         while rest:
             low = rest & -rest
             w = low.bit_length() - 1
@@ -259,12 +284,14 @@ def _maximal_tf_leaves(n: int, free: list[tuple[int, int]],
         bu, bv = 1 << u, 1 << v
         und[u] ^= bv
         und[v] ^= bu
-        non[u] |= bv
-        non[v] |= bu
-        if viable(u) and viable(v):
+        pot_u = adj[u] | und[u]  # the pots once (u, v) is absent
+        pot_v = adj[v] | und[v]
+        if pot_u & pot_v and meets(pot_u, non[u] & pot_v) and meets(pot_v, non[v] & pot_u):
+            non[u] |= bv
+            non[v] |= bu
             rec(k + 1)
-        non[u] ^= bv
-        non[v] ^= bu
+            non[u] ^= bv
+            non[v] ^= bu
         if not adj[u] & adj[v]:
             adj[u] |= bv
             adj[v] |= bu
@@ -274,7 +301,7 @@ def _maximal_tf_leaves(n: int, free: list[tuple[int, int]],
         und[u] ^= bv
         und[v] ^= bu
 
-    if all(viable(x) for x in range(n)):
+    if all(meets(adj[x] | und[x], non[x]) for x in range(n)):
         rec(0)
     return leaves
 

@@ -113,6 +113,17 @@ def loads_reports(text: str) -> list[VerificationReport]:
     return reports
 
 
+def read_utf8(path) -> str:
+    """The text of a UTF-8 file; bytes that are not UTF-8 raise a ValueError
+    that names the file."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path} is not UTF-8 text: {exc}") from None
+
+
 def strip_timing(data: Any) -> Any:
     """Copy of parsed JSON with every elapsed_ms removed, for byte comparisons."""
     if isinstance(data, dict):

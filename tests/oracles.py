@@ -45,6 +45,15 @@ def degree(g, u: int) -> int:
     return sum(u in e for e in g.edges())
 
 
+def has_edge(g, u: int, v: int) -> bool:
+    return bool(g.rows[u] >> v & 1)
+
+
+def without_edges(g, pairs) -> Graph:
+    gone = {frozenset(e) for e in pairs}
+    return Graph.from_edges(g.n, [e for e in g.edges() if frozenset(e) not in gone])
+
+
 def with_edge(g, u: int, v: int) -> Graph:
     return Graph.from_edges(g.n, g.edges() + [(u, v)])
 
@@ -231,6 +240,38 @@ def naive_h_star(inst) -> list:
     return naive_maximal_tf_within(inst.container.n, free, inst.selected.edges())
 
 
+def naive_reduced_graph(inst) -> Graph:
+    """Reference for reduction.reduced_graph, on edge sets: the container
+    minus (removal - selected), minus every container edge that closes a
+    triangle with two selected edges."""
+    selected = edge_set(inst.selected)
+    dropped = edge_set(inst.removal) - selected
+    kept = []
+    for u, v in inst.container.edges():
+        if frozenset((u, v)) in dropped:
+            continue
+        if any({u, w} in selected and {v, w} in selected for w in range(inst.container.n)):
+            continue
+        kept.append((u, v))
+    return Graph.from_edges(inst.container.n, kept)
+
+
+def naive_auxiliary_rows(inst) -> tuple[list, list[int]]:
+    """Reference for reduction.build_auxiliary: the T-vertices (the reduced
+    edges outside the selected set, in lexicographic order) and T's rows,
+    from a test of every pair of T-vertices: two are adjacent iff they share
+    one endpoint and a selected edge joins their other ends."""
+    selected = edge_set(inst.selected)
+    vertices = [e for e in naive_reduced_graph(inst).edges() if frozenset(e) not in selected]
+    rows = [0] * len(vertices)
+    for i, j in combinations(range(len(vertices)), 2):
+        e, f = set(vertices[i]), set(vertices[j])
+        if len(e & f) == 1 and frozenset(e ^ f) in selected:
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+    return vertices, rows
+
+
 def folklore_census(n: int) -> dict[str, int]:
     """Reference for constructions.folklore_family_stats: builds every member."""
     total = 1 << folklore_bit_count(n)
@@ -258,10 +299,10 @@ def write_graph6_file(path, graphs) -> int:
 def iter_graph6_file(path):
     """Reference for graph6.read_graph6_file: decodes one line at a time, with
     line-numbered errors.  Opened as latin-1, like the reader, so a non-ASCII
-    byte is a decode error of its line."""
+    byte is a decode error of its line; only ASCII whitespace is stripped."""
     with open(path, "r", encoding="latin-1") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            stripped = raw.strip()
+            stripped = raw.strip(" \t\r\n\v\f")
             if not stripped:
                 continue
             yield decode_graph6(stripped, line=lineno)

@@ -156,6 +156,22 @@ class TestFiles:
         assert str(batch.value) == str(lazy.value) == \
             "line 2: character '\xc3' outside graph6 range"
 
+    def test_only_ascii_whitespace_is_stripped(self, tmp_path):
+        # str.strip() would also drop U+00A0 and U+001F and read two K4s here
+        path = tmp_path / "spaces.g6"
+        path.write_bytes(b"C~\xa0\nC~\x1f\n")
+        with pytest.raises(Graph6Error) as lazy:
+            list(iter_graph6_file(path))
+        with pytest.raises(Graph6Error) as batch:
+            read_graph6_file(path)
+        assert str(batch.value) == str(lazy.value) == \
+            "line 1: character '\\xa0' outside graph6 range"
+        for ch in "\x1c\x1f\x85\xa0\u2003":  # str.isspace() holds for each
+            with pytest.raises(Graph6Error, match="outside graph6 range"):
+                decode_graph6("C~" + ch)
+        path.write_bytes(b" \tC~\x0b\x0c\r\n\x0c\n>>graph6<<C~\x0b\n")
+        assert read_graph6_file(path) == [Graph.complete(4)] * 2
+
     def test_batch_reader_matches_lazy_reader(self, tmp_path, monkeypatch):
         graphs = [graph_from_edge_mask(n, m) for n, m in
                   [(5, 0b1011001101), (1, 0), (9, 2 ** 36 - 1), (0, 0), (5, 0), (9, 12345),

@@ -6,22 +6,29 @@ from hypothesis import given, strategies as st
 from maxtrifree import (
     Graph,
     GuardError,
+    build_auxiliary,
     decode_graph6,
     encode_graph6,
     enumerate_mis,
     graph_from_edge_mask,
     is_triangle_free,
     mis_count,
+    random_instance,
     verify_hujter_tuza,
     verify_matching_equality,
 )
 from maxtrifree import mis, scan
 from maxtrifree.mis import batch_mis_counts
+from maxtrifree.report import STREAM_CLAIM2, rng_for
 from oracles import degree, empty_graph, naive_mis_family, set_to_word
 
 
 def nx_mis_words(g: Graph) -> list[int]:
-    """Maximal independent sets via networkx: maximal cliques of the complement."""
+    """Maximal independent sets via networkx: maximal cliques of the complement.
+    networkx finds no clique in a graph without vertices, whose one maximal
+    independent set is the empty set."""
+    if g.n == 0:
+        return [0]
     h = nx.Graph()
     h.add_nodes_from(range(g.n))
     h.add_edges_from(g.edges())
@@ -86,6 +93,38 @@ class TestCount:
 
     def test_large_matching_count_only(self):
         assert mis_count(Graph.perfect_matching(10)) == 1024
+
+
+class TestCountAgainstNetworkx:
+    """mis_count against networkx, which shares no code with it; enumerate_mis
+    runs the same recursion, so it cannot check the pivot rule."""
+
+    @given(graphs_up_to(12))
+    def test_random_graphs(self, g):
+        assert mis_count(g) == len(nx_mis_words(g))
+
+    def test_claim2_auxiliary_graphs(self):
+        sizes = set()
+        for i in range(300):
+            inst = random_instance(rng_for(1, STREAM_CLAIM2 + i), n_min=4, n_max=8)
+            t = build_auxiliary(inst).t_graph
+            sizes.add(t.n)
+            assert mis_count(t) == len(nx_mis_words(t)), inst.to_dict()
+        assert max(sizes) == 16
+
+    def test_isolated_vertices(self):
+        # an isolated vertex is its own only candidate, so it is a pivot with
+        # N[p] = {p}, and it lies in every maximal independent set
+        rng = np.random.default_rng(14)
+        for n in range(1, 10):
+            mask = int(rng.integers(0, 1 << (n * (n - 1) // 2)))
+            g = graph_from_edge_mask(n, mask)
+            expected = len(nx_mis_words(g))
+            for extra in (1, 3):
+                after = Graph(n + extra, g.rows + (0,) * extra)
+                before = Graph(n + extra, (0,) * extra + tuple(r << extra for r in g.rows))
+                for padded in (after, before):
+                    assert mis_count(padded) == len(nx_mis_words(padded)) == expected
 
 
 class TestBatchCounts:

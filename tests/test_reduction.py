@@ -26,10 +26,14 @@ from maxtrifree.report import rng_for
 from oracles import (
     dump_instance,
     empty_graph,
+    has_edge,
+    naive_auxiliary_rows,
     naive_h_star,
     naive_maximal_tf_within,
+    naive_reduced_graph,
     path_graph,
     with_edge,
+    without_edges,
 )
 
 
@@ -91,7 +95,7 @@ class TestReducedGraph:
         removal = Graph.from_edges(4, [(0, 1), (2, 3)])
         inst = ReductionInstance(g, removal, empty_graph(4))
         red = reduced_graph(inst)
-        assert red == g.without_edges(removal.edges())
+        assert red == without_edges(g, removal.edges())
         assert is_triangle_free(red)
 
     def test_two_selected_edges_kill_closers(self):
@@ -100,8 +104,17 @@ class TestReducedGraph:
         removal = Graph.from_edges(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
         selected = Graph.from_edges(4, [(0, 1), (0, 2)])
         red = reduced_graph(ReductionInstance(g, removal, selected))
-        assert not red.has_edge(1, 2)
-        assert red.has_edge(0, 1) and red.has_edge(0, 2)
+        assert not has_edge(red, 1, 2)
+        assert has_edge(red, 0, 1) and has_edge(red, 0, 2)
+
+    def test_removed_selected_edge_is_reported(self):
+        # ReductionInstance refuses a selected triangle, so build one past its
+        # checks: each selected edge then closes a triangle with the other two
+        inst = object.__new__(ReductionInstance)
+        for name in ("container", "removal", "selected"):
+            object.__setattr__(inst, name, Graph.complete(3))
+        with pytest.raises(AssertionError, match=r"^selected edge \(0, 1\) was removed"):
+            reduced_graph(inst)
 
     def test_monotone(self):
         for i in range(40):
@@ -109,7 +122,7 @@ class TestReducedGraph:
             red = reduced_graph(inst)
             assert is_subgraph(red, inst.container)
             for u, v in inst.selected.edges():
-                assert red.has_edge(u, v)
+                assert has_edge(red, u, v)
 
 
 class TestAuxiliary:
@@ -143,6 +156,36 @@ class TestAuxiliary:
                 u1, v1 = aux.vertex_to_edge[i1]
                 u2, v2 = aux.vertex_to_edge[i2]
                 assert {u1, v1} & {u2, v2}
+
+
+class TestDefinitionOracles:
+    """reduced_graph and build_auxiliary against edge-list oracles that
+    follow the definitions instead of the row arithmetic."""
+
+    INSTANCES = [random_instance(rng_for(13, i), n_min=4, n_max=10) for i in range(300)]
+
+    def test_reduced_graph(self):
+        for inst in self.INSTANCES:
+            assert reduced_graph(inst) == naive_reduced_graph(inst), inst.to_dict()
+
+    def test_auxiliary_graph(self):
+        for inst in self.INSTANCES:
+            aux = build_auxiliary(inst)
+            vertices, rows = naive_auxiliary_rows(inst)
+            assert list(aux.vertex_to_edge) == vertices, inst.to_dict()
+            assert list(aux.t_graph.rows) == rows, inst.to_dict()
+            assert aux.reduced == reduced_graph(inst)
+
+    def test_instances_cover_both_rules(self):
+        # some instances lose container edges to two selected ones, and most
+        # have T-edges, so neither comparison is vacuous
+        assert max(inst.container.n for inst in self.INSTANCES) == 10
+        killed = sum(reduced_graph(inst).edge_count() < inst.container.edge_count()
+                     - inst.removal.edge_count() + inst.selected.edge_count()
+                     for inst in self.INSTANCES)
+        assert killed >= 10
+        assert sum(build_auxiliary(inst).t_graph.edge_count() > 0
+                   for inst in self.INSTANCES) >= 150
 
 
 class TestClaim1:
@@ -382,7 +425,7 @@ class TestRandomInstances:
         for i in range(50):
             inst = random_instance(rng_for(12, i), n_min=4, n_max=9)
             assert is_triangle_free(
-                inst.container.without_edges(inst.removal.edges()))
+                without_edges(inst.container, inst.removal.edges()))
             assert set(inst.selected.edges()) <= set(inst.removal.edges())
 
     def test_sizes_below_n_min_are_rejected(self):

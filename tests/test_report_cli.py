@@ -234,6 +234,15 @@ class TestCli:
         assert captured.err == "error: line 2: character '\xc3' outside graph6 range\n"
         assert captured.out == ""
 
+    def test_mis_in_strips_only_ascii_whitespace(self, tmp_path, capsys):
+        path = tmp_path / "spaces.g6"
+        path.write_bytes(b"\x1f\nC~\n")
+        assert main(["mis", "--in", str(path), "--count-only"]) == 2
+        assert capsys.readouterr().err == "error: line 1: character '\\x1f' outside graph6 range\n"
+        path.write_bytes(b"\x0b\x0c\r\n\tC~\x0c\n")
+        assert main(["mis", "--in", str(path), "--count-only"]) == 0
+        assert capsys.readouterr().out == "4\n"
+
     def test_mis_empty_file(self, tmp_path, capsys):
         path = tmp_path / "empty.g6"
         path.write_text("")
@@ -308,6 +317,30 @@ class TestCli:
         assert main(["mis", "--in", str(tmp_path / "absent.g6")]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and "absent.g6" in captured.err
+
+    def test_reduce_instance_file_is_utf8(self, tmp_path, capsys):
+        path = tmp_path / "inst.json"
+        data = dict(worked_k4_instance().to_dict(), note="\u00e9")
+        path.write_text(json.dumps(data, ensure_ascii=False), encoding="utf-8")
+        assert main(["reduce", "--instance", str(path), "--check", "claim1"]) == 0
+        assert "claim1" in capsys.readouterr().out
+        path.write_bytes(b'{"note": "\xe9"}')  # latin-1, not UTF-8
+        assert main(["reduce", "--instance", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {path} is not UTF-8 text:")
+        assert captured.out == ""
+
+    def test_report_file_is_utf8(self, tmp_path, capsys):
+        path = tmp_path / "rep.json"
+        report = make_report(parameters={"note": "\u00e9"}).to_dict()
+        path.write_text(json.dumps([report], ensure_ascii=False), encoding="utf-8")
+        assert main(["report", "--json", str(path)]) == 0
+        assert "1/1 checks passed" in capsys.readouterr().out
+        path.write_bytes(path.read_bytes().replace("\u00e9".encode(), b"\xe9"))
+        assert main(["report", "--json", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {path} is not UTF-8 text:")
+        assert captured.out == ""
 
     def test_report_missing_file(self, tmp_path, capsys):
         assert main(["report", "--json", str(tmp_path / "absent.json")]) == 2
