@@ -18,7 +18,7 @@ from .graph6 import (
     Graph6Error,
     decode_graph6,
     encode_graph6,
-    encode_graph6_masks,
+    encode_graph6_rows,
     read_graph6_file,
 )
 from .mis import (

@@ -106,11 +106,11 @@ def _emit_reports(reports: list[VerificationReport], json_path: str | None) -> i
 
 
 def _load_single_graph(args) -> Graph:
-    if args.g6 and args.infile:
+    if args.g6 is not None and args.infile is not None:
         raise ValueError("--g6 and --in both give the graph; provide one")
-    if args.g6:
+    if args.g6 is not None:
         return decode_graph6(args.g6)
-    if args.infile:
+    if args.infile is not None:
         # latin-1 maps every byte to one character, so a non-ASCII byte reaches
         # decode_graph6's range check instead of failing the whole read
         with open(args.infile, "r", encoding="latin-1") as fh:

@@ -23,7 +23,7 @@ from .graph import (
     is_maximal_triangle_free,
     lex_pairs,
 )
-from .graph6 import encode_graph6_masks
+from .graph6 import encode_graph6_rows
 from .report import Stopwatch
 
 BRUTE_FORCE_MAX_N = 6
@@ -137,7 +137,7 @@ def enumerate_maximal_tf(
         masks = _maximal_masks(n, shards=shards, forward_prune=forward_prune)
         if stream_path is not None:
             with open(stream_path, "wb") as fh:
-                fh.write(encode_graph6_masks(n, masks))
+                fh.write(encode_graph6_rows(n, scan.mask_rows(n, masks)))
     count = len(masks)
     log2_over = round(math.log2(count) / (n * n), 6) if count else float("-inf")
     return CountRow(n, count, log2_over, sw.elapsed_ms)

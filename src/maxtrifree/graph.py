@@ -107,19 +107,6 @@ class Graph:
         """All edges as pairs (u, v) with u < v, in lexicographic order."""
         return row_pairs(self.rows)
 
-    def edge_mask(self) -> int:
-        """Edges as a bitmask over lexicographic pair ranks (see lex_pairs).
-
-        The pairs (u, v > u) have consecutive ranks, so row u's bits above u,
-        shifted down by u + 1, land at the rank of (u, u + 1): n shifts.
-        """
-        mask = 0
-        rank = 0
-        for u, row in enumerate(self.rows):
-            mask |= row >> (u + 1) << rank
-            rank += self.n - 1 - u
-        return mask
-
 
 def row_pairs(rows) -> list[tuple[int, int]]:
     """The pairs (u, v), u < v, with bit v set in rows[u], in lexicographic
@@ -175,7 +162,8 @@ def lex_pairs(n: int) -> list[tuple[int, int]]:
 
 
 def graph_from_edge_mask(n: int, mask: int) -> Graph:
-    """Inverse of Graph.edge_mask for the lexicographic pair ranking."""
+    """The graph whose edges are the set bits of *mask*: bit i is pair i of
+    ``lex_pairs(n)``."""
     rows = [0] * n
     for p, (u, v) in enumerate(lex_pairs(n)):
         if mask >> p & 1:
@@ -191,13 +179,7 @@ def graph_from_edge_mask(n: int, mask: int) -> Graph:
 
 def is_triangle_free(g: Graph) -> bool:
     """True iff g has no triangle; exits at the first one found."""
-    rows = g.rows
-    for u in range(g.n):
-        ru = rows[u]
-        for v in iter_bits(ru & _above(u)):
-            if ru & rows[v]:
-                return False
-    return True
+    return find_triangle(g) is None
 
 
 def find_triangle(g: Graph) -> tuple[int, int, int] | None:

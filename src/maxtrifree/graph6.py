@@ -5,20 +5,19 @@ x_{0,3}, ...), packed big-endian into 6-bit chunks, each offset by 63.  The
 decoder is strict: bad characters, wrong lengths, and nonzero padding are all
 errors, so write-then-read is bit exact.
 
-Two batch forms serve whole streams.  ``encode_graph6_masks`` writes the
-lines of many graphs given as int64 lexicographic edge masks (n <= 11), with
-no ``Graph`` built.  ``read_graph6_file`` reads a file in blocks of lines,
-checks and unpacks the short-form lines of each block as uint8 arrays, and
-hands their bit rows to ``graphs_from_rows``, so every Graph it builds was
-checked once per block, not once per graph.  Every line a batch check
-rejects, and every header or long-form line, goes through ``decode_graph6``,
-so a bad line raises the same line-numbered error as decoding the file line
-by line.
+One encoder serves single graphs and whole streams: ``encode_graph6_rows``
+writes the lines of many graphs given as unsigned bit rows, reading only the
+bits above the diagonal, and ``encode_graph6`` is that on one graph's rows.
+``read_graph6_file`` reads a file in blocks of lines, checks and unpacks the
+short-form lines of each block as uint8 arrays, and hands their bit rows to
+``graphs_from_rows``, so every Graph it builds was checked once per block,
+not once per graph.  Every line a batch check rejects, and every header or
+long-form line, goes through ``decode_graph6``, so a bad line raises the same
+line-numbered error as decoding the file line by line.
 """
 from __future__ import annotations
 
 from itertools import islice
-from typing import Iterator
 
 import numpy as np
 
@@ -44,33 +43,54 @@ class Graph6Error(ValueError):
         self.line = line
 
 
-def _column_bits(g: Graph) -> Iterator[int]:
-    for v in range(1, g.n):
-        row = g.rows[v]
-        for u in range(v):
-            yield row >> u & 1
+def encode_graph6_rows(n: int, rows) -> bytes:
+    """Newline-terminated graph6 lines, one per row of the (N, n) unsigned
+    array *rows*, for any n <= 64.
+
+    Only the bits above the diagonal are read: bit v of ``rows[i, u]`` is
+    x_{u,v} for u < v, so full adjacency rows and upper rows encode alike.
+    Column v of the upper triangle is one shift of the rows before it; the
+    bits are then summed six to a character.  An unsigned array keeps its
+    dtype; anything else becomes uint64.  A bad n, a wrong shape or a row
+    with a bit at or past n raises Graph6Error.
+    """
+    if not 0 <= n <= MAX_VERTICES:
+        raise Graph6Error(f"graph6 rows need 0 <= n <= {MAX_VERTICES}, got n={n}")
+    if not (isinstance(rows, np.ndarray) and rows.dtype.kind == "u"):
+        try:
+            rows = np.asarray(rows, dtype=np.uint64)
+        except OverflowError:
+            raise Graph6Error("rows must be unsigned words of at most 64 bits") from None
+    if rows.ndim != 2 or rows.shape[1] != n:
+        raise Graph6Error(f"rows of shape {rows.shape} are not an (N, {n}) array")
+    if n < 8 * rows.dtype.itemsize and np.any(rows >= rows.dtype.type(1 << n)):
+        raise Graph6Error(f"a row has a bit at or past vertex n={n}")
+    nchars = (n * (n - 1) // 2 + 5) // 6
+    bits = np.zeros((len(rows), 6 * nchars), dtype=np.uint8)
+    start = 0
+    for v in range(1, n):
+        # column v: x_{u,v} for u < v, shifted in the rows' own dtype and
+        # cast straight into the bits
+        column = bits[:, start:start + v]
+        np.right_shift(rows[:, :v], rows.dtype.type(v), out=column, casting="unsafe")
+        column &= 1
+        start += v
+    head = [n + 63] if n <= 62 else [126] + [(n >> s & 63) + 63 for s in (12, 6, 0)]
+    out = np.empty((len(rows), len(head) + nchars + 1), dtype=np.uint8)
+    out[:, :len(head)] = head
+    out[:, -1] = ord("\n")
+    codes = out[:, len(head):-1]
+    codes[...] = 63
+    groups = bits.reshape(len(rows), nchars, 6)
+    for j in range(6):  # six bits per character, the first the most significant
+        codes += groups[:, :, j] << (5 - j)
+    del bits, groups  # freed before the output is copied to bytes
+    return out.tobytes()
 
 
 def encode_graph6(g: Graph) -> str:
     """graph6 string for g (without trailing newline)."""
-    if g.n > MAX_VERTICES:
-        raise Graph6Error(f"graphs beyond {MAX_VERTICES} vertices are unsupported")
-    if g.n <= 62:
-        out = [chr(g.n + 63)]
-    else:
-        out = ["~"] + [chr((g.n >> shift & 63) + 63) for shift in (12, 6, 0)]
-    chunk = 0
-    filled = 0
-    for bit in _column_bits(g):
-        chunk = chunk << 1 | bit
-        filled += 1
-        if filled == 6:
-            out.append(chr(chunk + 63))
-            chunk = 0
-            filled = 0
-    if filled:
-        out.append(chr((chunk << (6 - filled)) + 63))
-    return "".join(out)
+    return encode_graph6_rows(g.n, [g.rows])[:-1].decode("ascii")
 
 
 def decode_graph6(text: str, line: int | None = None) -> Graph:
@@ -119,36 +139,6 @@ def decode_graph6(text: str, line: int | None = None) -> Graph:
                 rows[v] |= 1 << u
             i += 1
     return Graph(n, tuple(rows))
-
-
-def _column_ranks(n: int) -> np.ndarray:
-    """Lexicographic pair rank of each graph6 column-order bit x_{u,v}."""
-    return np.array([u * (2 * n - u - 1) // 2 + v - u - 1
-                     for v in range(1, n) for u in range(v)], dtype=np.intp)
-
-
-def encode_graph6_masks(n: int, masks) -> bytes:
-    """Newline-terminated graph6 lines for int64 lexicographic edge masks.
-
-    Equals ``"".join(encode_graph6(graph_from_edge_mask(n, m)) + "\\n" for m in
-    masks)``; the masks are int64, so n <= 11.
-    """
-    nbits = n * (n - 1) // 2
-    if n < 0 or nbits > 63:
-        raise Graph6Error(f"int64 edge masks hold n <= 11 vertices, got n={n}")
-    masks = np.asarray(masks, dtype=np.int64).reshape(-1)
-    if np.any(masks >> nbits):  # a set bit past the last pair, or a negative mask
-        raise Graph6Error(f"edge mask beyond the {nbits} pairs of n={n}")
-    nchars = (nbits + 5) // 6
-    bits = np.unpackbits(masks.astype("<i8").view(np.uint8).reshape(-1, 8),
-                         axis=1, bitorder="little")
-    columns = np.zeros((len(masks), nchars, 6), dtype=np.uint8)
-    columns.reshape(len(masks), 6 * nchars)[:, :nbits] = bits[:, _column_ranks(n)]
-    out = np.empty((len(masks), nchars + 2), dtype=np.uint8)
-    out[:, 0] = n + 63
-    out[:, 1:-1] = (np.packbits(columns, axis=2)[:, :, 0] >> 2) + 63
-    out[:, -1] = ord("\n")
-    return out.tobytes()
 
 
 def _decode_short(n: int, lines: list[str]) -> list[Graph | None]:

@@ -3,9 +3,9 @@
 Enumeration is Bron-Kerbosch over the non-adjacency relation on bit words,
 with Tomita's pivot (Tomita, Tanaka and Takahashi, Theor. Comput. Sci.
 2006): it branches only on the candidates in the closed neighbourhood N[p]
-of a pivot p, and picks p, candidate or banned, with the fewest of them.  A banned vertex with no candidate neighbour ends
-its branch at once.  The family is returned in ascending bit-word order
-regardless of the branching.
+of a pivot p, and picks p, candidate or banned, with the fewest of them.  A
+banned vertex with no candidate neighbour ends its branch at once.  The
+family is returned in ascending bit-word order regardless of the branching.
 
 The exhaustive verifier scans every labeled triangle-free graph up to 8
 vertices, generating them incrementally instead of filtering all 2^28
@@ -174,15 +174,11 @@ def verify_hujter_tuza(max_n: int = HUJTER_TUZA_MAX_N, *,
                 witnesses.append(encode_graph6(graph_from_edge_mask(m, acc.best_mask)))
             if acc.violation_mask is not None and failure is None:
                 failure = encode_graph6(graph_from_edge_mask(m, acc.violation_mask))
-    if failure is not None:
-        return VerificationReport(
-            check_name="hujter_tuza_exhaustive", status=FAIL,
-            parameters={"max_n": max_n}, counts=counts,
-            witnesses=[failure], elapsed_ms=sw.elapsed_ms)
     return VerificationReport(
-        check_name="hujter_tuza_exhaustive", status=PASS,
+        check_name="hujter_tuza_exhaustive",
+        status=PASS if failure is None else FAIL,
         parameters={"max_n": max_n}, counts=counts,
-        witnesses=witnesses, elapsed_ms=sw.elapsed_ms)
+        witnesses=witnesses if failure is None else [failure], elapsed_ms=sw.elapsed_ms)
 
 
 def verify_matching_equality() -> VerificationReport:

@@ -26,6 +26,7 @@ queries.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,17 +104,27 @@ class ReductionInstance:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "ReductionInstance":
-        for key in ("container", "removal", "selected"):
+    def from_dict(cls, data) -> "ReductionInstance":
+        """The instance of a ``to_dict`` object; InstanceError names the key
+        and the entry of any value of the wrong shape."""
+        if not isinstance(data, dict):
+            raise InstanceError(f"instance must be a JSON object, got {type(data).__name__}")
+        for key, kind, what in (("container", str, "a graph6 string"),
+                                ("removal", list, "a list of 'u-v' strings"),
+                                ("selected", list, "a list of 'u-v' strings")):
             if key not in data:
                 raise InstanceError(f"instance has no {key!r} key")
+            if not isinstance(data[key], kind):
+                raise InstanceError(f"{key!r} must be {what}, got {type(data[key]).__name__}")
         container = decode_graph6(data["container"])
 
         def parse(key: str) -> Graph:
             pairs = []
             for text in data[key]:
-                u, v = text.split("-")
-                pairs.append((int(u), int(v)))
+                match = re.fullmatch(r"([0-9]+)-([0-9]+)", text) if isinstance(text, str) else None
+                if match is None:
+                    raise InstanceError(f"{key!r} entry {text!r} is not a 'u-v' pair of integers")
+                pairs.append((int(match[1]), int(match[2])))
             return Graph.from_edges(container.n, pairs)
 
         return cls(container, parse("removal"), parse("selected"))
@@ -241,7 +252,9 @@ def _maximal_tf_leaves(n: int, free: list[tuple[int, int]],
     seed plus some subset of the free pairs; every other pair is a fixed
     non-edge.
 
-    The free pairs are decided in order, absent before present.  Three bit
+    The free pairs (u, v), u < v, are decided from the highest lexicographic
+    rank down, absent before present, so the leaves come out in ascending
+    edge-mask order (see ``enumerate_h_star``).  Three bit
     rows per vertex carry the state: ``adj`` (edges so far), ``und`` (free
     partners still undecided) and ``non`` (decided non-edges, fixed ones
     included).  A pair goes in only when its ends have no common neighbour.
@@ -256,6 +269,7 @@ def _maximal_tf_leaves(n: int, free: list[tuple[int, int]],
     """
     if n > H_STAR_MAX_N:
         raise GuardError(f"subgraph search capped at n={H_STAR_MAX_N}, got {n}")
+    free = sorted(free, reverse=True)
     adj = list(seed_rows)
     und = [0] * n
     for u, v in free:
@@ -317,15 +331,14 @@ def enumerate_h_star(inst: ReductionInstance) -> list[Graph]:
     longer gain a common neighbour.  Leaves need no test: every added edge
     had no common neighbour, so H is triangle-free, and with nothing left
     undecided the prune is exactly the common-neighbour condition.
-    Distinct decision paths give distinct H.  Results are ordered by
-    ascending edge bitmask.
+    Distinct decision paths give distinct H.  They come out by ascending
+    edge bitmask over the lexicographic pair ranks, with no sort: the search
+    fixes the most significant undecided bit first and tries 0 before 1, and
+    the other bits, F* and the fixed non-edges, are the same in every leaf.
     """
     n = inst.container.n
     free = _edges_outside(inst.container, inst.removal)
-    leaves = _maximal_tf_leaves(n, free, inst.selected.rows)
-    graphs = [Graph(n, rows) for rows in leaves]
-    graphs.sort(key=Graph.edge_mask)
-    return graphs
+    return [Graph(n, rows) for rows in _maximal_tf_leaves(n, free, inst.selected.rows)]
 
 
 def _image_word(inst: ReductionInstance, h: Graph,

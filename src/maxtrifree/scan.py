@@ -17,7 +17,8 @@ the prefixes; states evolve independently, so the leaf multiset never depends
 on the batches or the shards.
 
 Consumers get one adjacency row per leaf.  ``edge_masks`` derives the leaves'
-int64 lexicographic edge masks, which cap the walker at n <= 11, and
+int64 lexicographic edge masks, which cap the walker at n <= 11,
+``mask_rows`` turns masks back into upper rows for the graph6 encoder, and
 ``pair_flags`` tests triangles and maximality on the same rows.
 """
 from __future__ import annotations
@@ -57,6 +58,22 @@ def edge_masks(adj: np.ndarray) -> np.ndarray:
         masks |= (adj[:, x] >> np.uint16(x + 1)).astype(np.int64) << rank
         rank += n - 1 - x
     return masks
+
+
+def mask_rows(n: int, masks: np.ndarray) -> np.ndarray:
+    """Upper adjacency rows, (N, n) uint16, of int64 lexicographic edge masks:
+    bit v of row x is pair (x, v) for v > x, and no row has a bit below its
+    diagonal.  The inverse of ``edge_masks`` on those bits, with the same
+    n <= 11 cap: each row's block of ranks shifted up by x + 1, n - 1 shifts.
+    """
+    check_capacity(n)
+    rows = np.zeros((len(masks), n), dtype=np.uint16)
+    rank = 0
+    for x in range(n - 1):
+        width = n - 1 - x
+        rows[:, x] = (masks >> rank & (1 << width) - 1).astype(np.uint16) << np.uint16(x + 1)
+        rank += width
+    return rows
 
 
 def pair_flags(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -65,11 +65,32 @@ def relabel(g, perm) -> Graph:
     return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
 
 
+#: Instance dicts of the wrong shape, each with the text its InstanceError names.
+MALFORMED_INSTANCES = [
+    (7, "instance must be a JSON object, got int"),
+    (["C~"], "instance must be a JSON object, got list"),
+    ({"container": 5, "removal": [], "selected": []}, "'container' must be a graph6 string"),
+    ({"container": "C~", "removal": None, "selected": []}, "'removal' must be a list"),
+    ({"container": "C~", "removal": [], "selected": "0-1"}, "'selected' must be a list"),
+    ({"container": "C~", "removal": [1], "selected": []}, "'removal' entry 1 is not"),
+    ({"container": "C~", "removal": ["0-1-2"], "selected": []}, "'removal' entry '0-1-2' is not"),
+    ({"container": "C~", "removal": ["0-1"], "selected": ["0-x"]},
+     "'selected' entry '0-x' is not"),
+    ({"container": "C~", "removal": ["-1-2"], "selected": []}, "'removal' entry '-1-2' is not"),
+]
+
+
 def dump_instance(inst, path) -> None:
     """Write a reduction instance as the JSON file ReductionInstance.load reads."""
     with open(path, "w", encoding="ascii") as fh:
         json.dump(inst.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def edge_mask(g) -> int:
+    """Edges as a bitmask over lexicographic pair ranks (see lex_pairs)."""
+    ranks = {pair: i for i, pair in enumerate(combinations(range(g.n), 2))}
+    return sum(1 << ranks[e] for e in g.edges())
 
 
 def edge_set(g):
@@ -229,7 +250,7 @@ def naive_maximal_tf_within(n: int, free, seed) -> list:
             nbrs[v].remove(u)
 
     rec(0)
-    return sorted(found, key=Graph.edge_mask)
+    return sorted(found, key=edge_mask)
 
 
 def naive_h_star(inst) -> list:

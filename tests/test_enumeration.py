@@ -23,7 +23,7 @@ from maxtrifree import (
 from maxtrifree import enumeration, scan, suites
 from maxtrifree.enumeration import DEFAULT_ENUMERATION_GUARD, check_size
 from maxtrifree.report import RunConfig
-from oracles import degree, naive_is_maximal_tf
+from oracles import degree, edge_mask, naive_is_maximal_tf
 
 # labeled maximal triangle-free counts, frozen from the n<=6 brute-force scan
 # (n=5: the 5 stars, 10 copies of K_{2,3}, 12 copies of C5)
@@ -59,7 +59,7 @@ class TestBruteForce:
             assert naive_is_maximal_tf(g)
 
     def test_canonical_order(self):
-        masks = [g.edge_mask() for g in brute_force_maximal_tf(5)]
+        masks = [edge_mask(g) for g in brute_force_maximal_tf(5)]
         assert masks == sorted(masks)
 
     def test_guard(self):
@@ -95,9 +95,9 @@ class TestEnumerate:
         graphs = read_graph6_file(path)
         assert len(graphs) == row.labeled_count == 27
         assert all(is_maximal_triangle_free(g) for g in graphs)
-        masks = [g.edge_mask() for g in graphs]
+        masks = [edge_mask(g) for g in graphs]
         assert masks == sorted(masks)
-        assert [g.edge_mask() for g in brute_force_maximal_tf(5)] == masks
+        assert [edge_mask(g) for g in brute_force_maximal_tf(5)] == masks
 
     def test_stream_bytes_match_single_graph_codec(self, tmp_path):
         # n=1 has no data bits, n=2 one bit and five padding bits, n=4 six bits and none

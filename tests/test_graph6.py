@@ -8,13 +8,14 @@ from maxtrifree import (
     Graph6Error,
     decode_graph6,
     encode_graph6,
-    encode_graph6_masks,
+    encode_graph6_rows,
     graph_from_edge_mask,
     read_graph6_file,
 )
-from maxtrifree import graph6
+from maxtrifree import graph6, scan
 from oracles import (
     complete_bipartite,
+    edge_mask,
     empty_graph,
     iter_graph6_file,
     path_graph,
@@ -58,31 +59,75 @@ class TestEncode:
         assert encode_graph6(g) == nx_encode(g)
 
 
-class TestEncodeMasks:
+def random_rows(n, rng, count):
+    """Full adjacency rows, as Python ints, of *count* random graphs on [n]
+    with edge densities spread over 0..1."""
+    upper = np.triu(rng.random((count, n, n)) < rng.random((count, 1, 1)), 1)
+    bits = upper | upper.transpose(0, 2, 1)
+    weights = [1 << v for v in range(n)]
+    return [[sum(w for w, bit in zip(weights, row) if bit) for row in g] for g in bits.tolist()]
+
+
+def nx_lines(n, graphs_rows) -> bytes:
+    out = []
+    for rows in graphs_rows:
+        h = nx.empty_graph(n)
+        h.add_edges_from((u, v) for u in range(n) for v in range(u + 1, n) if rows[u] >> v & 1)
+        out.append(nx.to_graph6_bytes(h, header=False))
+    return b"".join(out)
+
+
+def upper(rows):
+    return [row >> (u + 1) << (u + 1) for u, row in enumerate(rows)]
+
+
+class TestEncodeRows:
     def test_matches_networkx_random(self):
+        # Python-int rows go straight to uint64: n = 64 rows with bit 63 stay exact
         rng = np.random.default_rng(6)
+        for n in [*range(13), 62, 63, 64]:
+            full = random_rows(n, rng, 40 if n > 12 else 200)
+            expected = nx_lines(n, full)
+            assert encode_graph6_rows(n, full) == expected, n
+            assert encode_graph6_rows(n, [upper(r) for r in full]) == expected, n
+            assert "".join(encode_graph6(Graph(n, tuple(r))) + "\n"
+                           for r in full).encode() == expected, n
+            if n <= 16:  # in the walker's own dtype, shifted without widening
+                wide = np.array(full, dtype=np.uint16).reshape(len(full), n)
+                assert encode_graph6_rows(n, wide) == expected, n
+
+    def test_upper_rows_from_mask_rows_encode_like_full_rows(self):
+        rng = np.random.default_rng(7)
         for n in range(1, 12):
-            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-            masks = rng.integers(0, 1 << len(pairs), size=500, dtype=np.int64)
-            expected = []
-            for m in masks.tolist():
-                h = nx.empty_graph(n)
-                h.add_edges_from(p for i, p in enumerate(pairs) if m >> i & 1)
-                expected.append(nx.to_graph6_bytes(h, header=False))
-            assert encode_graph6_masks(n, masks) == b"".join(expected), n
+            full = random_rows(n, rng, 300)
+            masks = np.array([edge_mask(Graph(n, tuple(r))) for r in full], dtype=np.int64)
+            rows = scan.mask_rows(n, masks)
+            assert rows.tolist() == [upper(r) for r in full], n
+            assert encode_graph6_rows(n, rows) == encode_graph6_rows(n, full) \
+                == nx_lines(n, full), n
 
     def test_edge_sizes(self):
-        assert encode_graph6_masks(1, [0, 0]) == b"@\n@\n"
-        assert encode_graph6_masks(2, [0, 1]) == b"A?\nA_\n"
-        assert encode_graph6_masks(4, [63]) == b"C~\n"
-        assert encode_graph6_masks(5, []) == b""
+        assert encode_graph6_rows(0, np.zeros((2, 0), dtype=np.uint16)) == b"?\n?\n"
+        assert encode_graph6_rows(1, [[0], [0]]) == b"@\n@\n"
+        assert encode_graph6_rows(2, [[0, 0], [0b10, 0b01]]) == b"A?\nA_\n"
+        assert encode_graph6_rows(4, [Graph.complete(4).rows]) == b"C~\n"
+        assert encode_graph6_rows(5, np.zeros((0, 5), dtype=np.uint16)) == b""
+        assert encode_graph6(empty_graph(0)) == "?"
 
-    def test_rejects_masks_that_do_not_fit(self):
-        with pytest.raises(Graph6Error, match="n <= 11"):
-            encode_graph6_masks(12, [0])
-        for bad in (1 << 10, -1):  # n=5 has 10 pairs
-            with pytest.raises(Graph6Error, match="beyond the 10 pairs"):
-                encode_graph6_masks(5, [0, bad])
+    def test_rejects_bad_rows(self):
+        for n in (-1, 65):
+            with pytest.raises(Graph6Error, match="0 <= n <= 64"):
+                encode_graph6_rows(n, np.zeros((1, 0), dtype=np.uint64))
+        for rows in ([0, 0], [[0, 0, 0]], np.zeros((1, 2, 2), dtype=np.uint8)):
+            with pytest.raises(Graph6Error, match=r"not an \(N, 2\) array"):
+                encode_graph6_rows(2, rows)
+        for rows in ([[0, 0, 1 << 5, 0, 0]], np.array([[0, 0, 0, 0, 1 << 7]], dtype=np.uint8),
+                     np.array([[0, 0, 0, 0, -1]], dtype=np.int64)):
+            with pytest.raises(Graph6Error, match="at or past vertex n=5"):
+                encode_graph6_rows(5, rows)
+        for bad in (-1, 1 << 64):
+            with pytest.raises(Graph6Error, match="unsigned words"):
+                encode_graph6_rows(2, [[0, bad]])
 
 
 class TestDecode:

@@ -24,6 +24,7 @@ from maxtrifree.reduction import maximal_tf_subgraph_count
 from maxtrifree.report import rng_for
 
 from oracles import (
+    MALFORMED_INSTANCES,
     dump_instance,
     empty_graph,
     has_edge,
@@ -71,6 +72,12 @@ class TestInstanceValidation:
     def test_host_mismatch(self):
         with pytest.raises(InstanceError):
             ReductionInstance(Graph.complete(4), empty_graph(5), empty_graph(5))
+
+    @pytest.mark.parametrize("data, needle", MALFORMED_INSTANCES)
+    def test_malformed_dict_is_an_instance_error(self, data, needle):
+        with pytest.raises(InstanceError) as err:
+            ReductionInstance.from_dict(data)
+        assert needle in str(err.value)
 
     def test_json_round_trip(self, tmp_path):
         inst = worked_k4_instance()

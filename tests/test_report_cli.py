@@ -15,7 +15,7 @@ from maxtrifree.report import (
     rng_for,
     strip_timing,
 )
-from oracles import dump_instance, star_graph
+from oracles import MALFORMED_INSTANCES, dump_instance, star_graph
 
 
 def make_report(**overrides):
@@ -312,6 +312,27 @@ class TestCli:
         assert main(["reduce", "--instance", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and "'removal'" in captured.err
+
+    @pytest.mark.parametrize("data, needle", MALFORMED_INSTANCES)
+    def test_reduce_malformed_instance_is_a_usage_error(self, tmp_path, capsys, data, needle):
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(data))
+        assert main(["reduce", "--instance", str(path), "--check", "claim1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and needle in captured.err
+        assert captured.out == ""
+
+    def test_mis_empty_g6_is_given(self, tmp_path, capsys):
+        # an empty --g6 is an explicit option: it conflicts with --in, and alone
+        # it is an empty graph6 string, not a missing option
+        path = tmp_path / "one.g6"
+        path.write_text("C~\n")
+        assert main(["mis", "--g6", "", "--in", str(path), "--count-only"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --g6 and --in both give the graph")
+        assert captured.out == ""
+        assert main(["mis", "--g6", ""]) == 2
+        assert capsys.readouterr().err == "error: empty graph6 string\n"
 
     def test_mis_missing_file(self, tmp_path, capsys):
         assert main(["mis", "--in", str(tmp_path / "absent.g6")]) == 2

@@ -9,8 +9,8 @@ from maxtrifree import (
     is_triangle_free,
 )
 from maxtrifree import scan
-from maxtrifree.scan import edge_masks, pair_flags, walk_triangle_free
-from oracles import naive_is_maximal_tf, naive_triangles, walk_triangle_free_scalar
+from maxtrifree.scan import edge_masks, mask_rows, pair_flags, walk_triangle_free
+from oracles import edge_mask, naive_is_maximal_tf, naive_triangles, walk_triangle_free_scalar
 
 
 def collect(n, forward_prune, **kw):
@@ -104,12 +104,28 @@ def test_edge_masks_match_graph_edge_mask():
         graphs, adj = _random_rows(n, rng)
         got = edge_masks(adj)
         assert got.dtype == np.int64
-        assert got.tolist() == [g.edge_mask() for g in graphs], n
+        assert got.tolist() == [edge_mask(g) for g in graphs], n
 
 
 def test_edge_masks_past_int64_is_a_guard_error():
     with pytest.raises(GuardError):
         edge_masks(np.zeros((1, 12), dtype=np.uint16))
+    with pytest.raises(GuardError):
+        mask_rows(12, np.zeros(1, dtype=np.int64))
+
+
+def test_mask_rows_inverts_edge_masks():
+    # mask_rows gives each full row's bits above the diagonal, and nothing else
+    rng = np.random.default_rng(12)
+    for n in range(1, 12):
+        graphs, adj = _random_rows(n, rng)
+        masks = edge_masks(adj)
+        rows = mask_rows(n, masks)
+        assert rows.dtype == np.uint16
+        above = np.array([(1 << n) - (2 << x) for x in range(n)], dtype=np.uint16)
+        assert np.array_equal(rows, adj & above), n
+        assert np.array_equal(edge_masks(rows), masks), n
+    assert mask_rows(5, np.zeros(0, dtype=np.int64)).shape == (0, 5)
 
 
 def test_pair_flags_match_scalar_predicates():

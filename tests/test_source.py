@@ -28,6 +28,15 @@ def test_no_assert_statements_in_package():
     assert found == []
 
 
+def test_package_lines_fit_100_columns():
+    long = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+            if len(line) > 100:
+                long.append(f"{path.name}:{lineno} ({len(line)} columns)")
+    assert long == []
+
+
 def _cli_functions_given_args(func):
     # the handler and every function of the CLI module it hands ``args`` to, transitively
     found, todo = [], [func]
