@@ -3,10 +3,13 @@
 Each command takes only the common flags it reads (--seed, --shards, --guard,
 --json), and those take defaults from MAXTRIFREE_-prefixed environment
 variables (MAXTRIFREE_SEED, MAXTRIFREE_SHARDS, MAXTRIFREE_GUARD_<KEY>).
+Guards are run settings that verify and enumerate read, and the reports of
+reduce and construct --stats are timed here with ``report.timed``.
 verify, reduce and report exit 1 when any check fails; bad input (a missing
-or malformed file, a non-integer environment value, a missing or conflicting
-option, an explicit option the chosen mode would ignore, a size past a cap)
-prints ``error: ...`` and exits 2.
+or malformed file, a non-integer environment value, a guard below the
+smallest n its checks run, a missing or conflicting option, an explicit
+option the chosen mode would ignore, a size past a cap) prints
+``error: ...`` and exits 2.
 """
 from __future__ import annotations
 
@@ -30,6 +33,7 @@ from .report import (
     loads_reports,
     read_utf8,
     rng_for,
+    timed,
 )
 
 ENV_PREFIX = "MAXTRIFREE_"
@@ -141,12 +145,10 @@ def _cmd_construct(args) -> int:
             raise ValueError("--choice and --samples pick members, which --stats does not emit")
         if args.seed is not None:
             raise ValueError("--seed draws random members, which --stats does not emit")
-        rep = constructions.folklore_family_stats(args.n, guard=config.guard("folklore_n"))
+        rep = timed(lambda: constructions.folklore_family_stats(args.n))
         return _emit_reports([rep], args.json_path)
     if args.json_path:
         raise ValueError("--json writes a report, which only --stats makes")
-    if args.guard:
-        raise ValueError("--guard caps the family --stats enumerates; building members reads none")
     if args.choice is not None and args.samples is not None:
         raise ValueError("--samples draws random members, which --choice replaces")
     if args.choice is not None and args.seed is not None:
@@ -176,15 +178,20 @@ def _cmd_construct(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     config = _config(args)
-    guard = config.guard("enumeration_n")
+    ignored = sorted({key for key, _ in args.guard} - {"enumeration_n"})
+    if ignored:
+        raise ValueError(f"--guard {ignored[0]} caps a verify check; enumerate reads "
+                         f"only enumeration_n")
+    guard, default = config.guard("enumeration_n"), DEFAULT_GUARDS["enumeration_n"]
     # a size limit is an error before any warning is printed or any n is run
-    enumeration.check_size(args.n, guard)
-    if args.n > enumeration.DEFAULT_ENUMERATION_GUARD:
-        print(f"warning: n={args.n} beyond the default guard "
-              f"{enumeration.DEFAULT_ENUMERATION_GUARD}; this may take very long",
-              file=sys.stderr)
-    table = enumeration.growth_table(args.n, shards=config.shards, guard=guard,
-                                     stream_path=args.stream)
+    if args.n > guard:
+        raise GuardError(f"n={args.n} is past the enumeration_n guard {guard}; "
+                         f"raise it with --guard enumeration_n={args.n} to go further")
+    enumeration.check_size(args.n)
+    if args.n > default:
+        print(f"warning: n={args.n} beyond the default guard {default}; "
+              f"this may take very long", file=sys.stderr)
+    table = enumeration.growth_table(args.n, shards=config.shards, stream_path=args.stream)
     print(table.to_text())
     if args.json_path:
         with open(args.json_path, "w", encoding="ascii") as fh:
@@ -216,7 +223,7 @@ def _cmd_mis(args) -> int:
 def _cmd_reduce(args) -> int:
     config = _config(args)
     checks = args.check.split(",")
-    unknown = set(checks) - {"claim1", "claim2", "chain"}
+    unknown = set(checks) - set(suites.INSTANCE_CHECKS)
     if unknown:
         raise ValueError(f"unknown checks: {sorted(unknown)}")
     if not args.random and (args.seed is not None or args.n is not None):
@@ -233,18 +240,11 @@ def _cmd_reduce(args) -> int:
     reports = []
     for idx, inst in enumerate(instances):
         suffix = f"_{idx}" if len(instances) > 1 else ""
-        if "claim1" in checks:
-            rep = reduction.verify_claim1(reduction.build_auxiliary(inst))
-            rep.check_name += suffix
-            reports.append(rep)
-        if "claim2" in checks:
-            rep = reduction.verify_claim2(inst)
-            rep.check_name += suffix
-            reports.append(rep)
-        if "chain" in checks:
-            rep = reduction.bound_chain(inst.container, inst.removal)
-            rep.check_name += suffix
-            reports.append(rep)
+        for name, check in suites.INSTANCE_CHECKS.items():
+            if name in checks:
+                rep = timed(lambda: check(inst))
+                rep.check_name += suffix
+                reports.append(rep)
     return _emit_reports(reports, args.json_path)
 
 
@@ -255,7 +255,11 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    reports = loads_reports(read_utf8(args.json_path))
+    text = read_utf8(args.json_path)
+    try:
+        reports = loads_reports(text)
+    except ValueError as exc:
+        raise ValueError(f"{args.json_path}: {exc}") from None
     for rep in reports:
         print(rep.summary_line())
     failed = [r for r in reports if not r.passed]
@@ -279,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, help="random members to emit (default: 1)")
     p.add_argument("--stats", action="store_true", help="enumerate the whole family")
     p.add_argument("--stream", metavar="PATH", help="write graph6 lines here")
-    _add_common(p, "seed", "guard", "json")
+    _add_common(p, "seed", "json")
     p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("enumerate", help="count maximal triangle-free graphs")

@@ -18,7 +18,7 @@ import numpy as np
 
 from .graph import Graph, GuardError
 from .graph6 import encode_graph6
-from .report import FAIL, PASS, Stopwatch, VerificationReport
+from .report import FAIL, PASS, VerificationReport
 from .scan import pair_flags
 
 FOLKLORE_STATS_MAX_N = 12
@@ -32,8 +32,8 @@ MATCHING_PARTITION_MAX_N = 24
 
 def folklore_bit_count(n: int) -> int:
     """Number of binary choices: one per (matching edge, independent vertex)."""
-    if n % 4:
-        raise ValueError(f"vertex count must be divisible by 4, got {n}")
+    if n < 0 or n % 4:
+        raise ValueError(f"vertex count must be a non-negative multiple of 4, got n={n}")
     return (n // 4) * (n // 2)
 
 
@@ -113,8 +113,7 @@ def folklore_columns(n: int, codes: np.ndarray) -> np.ndarray:
     return cols
 
 
-def folklore_family_stats(n: int, *,
-                          guard: int = FOLKLORE_STATS_MAX_N) -> VerificationReport:
+def folklore_family_stats(n: int) -> VerificationReport:
     """Enumerate every choice; count distinct, triangle-free, maximal members.
 
     Every member is built at once as adjacency columns by folklore_columns,
@@ -125,8 +124,6 @@ def folklore_family_stats(n: int, *,
     member with a triangle, from the rows that were checked, so a fault in
     the columns shows in it.
     """
-    if n > guard:
-        raise GuardError(f"family enumeration capped at n={guard}, got {n}")
     if n > FOLKLORE_STATS_MAX_N:
         # every member's rows are held at once: n = 16 would need 2^32 of them
         raise GuardError(
@@ -134,17 +131,16 @@ def folklore_family_stats(n: int, *,
             f"n={FOLKLORE_STATS_MAX_N}, got {n}")
     width = folklore_bit_count(n)
     total = 1 << width
-    with Stopwatch() as sw:
-        cols = folklore_columns(n, np.arange(total))
-        triangle, not_maximal = pair_flags(cols)
-        tf = total - int(np.count_nonzero(triangle))
-        maximal = total - int(np.count_nonzero(triangle | not_maximal))
-        # n = 0 has one member, whose zero-width row cannot be viewed as bytes
-        distinct = len(np.unique(cols.view(np.dtype((np.void, cols.itemsize * n))))) if n else 1
-        bad = [encode_graph6(Graph(n, tuple(int(r) for r in cols[k])))
-               for k in np.flatnonzero(triangle)]
-        if distinct != total:
-            bad.append(f"distinct={distinct}")
+    cols = folklore_columns(n, np.arange(total))
+    triangle, not_maximal = pair_flags(cols)
+    tf = total - int(np.count_nonzero(triangle))
+    maximal = total - int(np.count_nonzero(triangle | not_maximal))
+    # n = 0 has one member, whose zero-width row cannot be viewed as bytes
+    distinct = len(np.unique(cols.view(np.dtype((np.void, cols.itemsize * n))))) if n else 1
+    bad = [encode_graph6(Graph(n, tuple(int(r) for r in cols[k])))
+           for k in np.flatnonzero(triangle)]
+    if distinct != total:
+        bad.append(f"distinct={distinct}")
     frac = Fraction(maximal, total)
     status = FAIL if (tf != total or distinct != total) else PASS
     return VerificationReport(
@@ -158,7 +154,6 @@ def folklore_family_stats(n: int, *,
             "maximal": maximal,
         },
         witnesses=bad,
-        elapsed_ms=sw.elapsed_ms,
     )
 
 
@@ -171,8 +166,9 @@ def _kr_shape(n: int, r: int) -> tuple[int, int, int]:
     """(class size, matching edges per matched class, matched classes)."""
     if r < 2:
         raise ValueError("need at least 2 classes")
-    if n % (2 * r):
-        raise ValueError(f"vertex count must be divisible by 2r={2 * r}, got {n}")
+    if n < 0 or n % (2 * r):
+        raise ValueError(f"vertex count must be a non-negative multiple of 2r={2 * r}, "
+                         f"got n={n}")
     return n // r, n // (2 * r), r - 1
 
 

@@ -9,6 +9,7 @@ asymptotics, which are out of reach at these sizes.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 from typing import Any
 
@@ -24,11 +25,10 @@ from .graph import (
     lex_pairs,
 )
 from .graph6 import encode_graph6_rows
-from .report import Stopwatch
 
 BRUTE_FORCE_MAX_N = 6
-DEFAULT_ENUMERATION_GUARD = 9
 REMARK3_MAX_N = 7
+_STREAM_BLOCK = 1 << 16  # graphs per encode_graph6_rows call when streaming a family
 
 #: Labeled maximal triangle-free counts for n = 1..9, as the README pins them;
 #: n <= 6 agree with the brute-force oracle.
@@ -96,6 +96,7 @@ def _maximal_masks(n: int, *, shards: int = 1, forward_prune: bool = True) -> np
     """Sorted edge masks of the maximal triangle-free graphs on [n], from the
     walker; unpruned leaves are every triangle-free graph, filtered by
     ``scan.pair_flags``."""
+    check_size(n)
     batches = [np.zeros(0, dtype=np.int64)]
 
     def consume(adj: np.ndarray) -> None:
@@ -107,13 +108,10 @@ def _maximal_masks(n: int, *, shards: int = 1, forward_prune: bool = True) -> np
     return np.sort(np.concatenate(batches))
 
 
-def check_size(n: int, guard: int) -> None:
-    """Raise ValueError for n < 1, GuardError past the guard or the walker's capacity."""
+def check_size(n: int) -> None:
+    """Raise ValueError for n < 1, GuardError past the walker's capacity."""
     if n < 1:
         raise ValueError("need at least one vertex")
-    if n > guard:
-        raise GuardError(
-            f"enumeration guard is n={guard}; raise it explicitly to go further")
     scan.check_capacity(n)
 
 
@@ -122,7 +120,6 @@ def enumerate_maximal_tf(
     *,
     shards: int = 1,
     stream_path=None,
-    guard: int = DEFAULT_ENUMERATION_GUARD,
     forward_prune: bool = True,
 ) -> CountRow:
     """Count labeled maximal triangle-free graphs on [n] by backtracking.
@@ -130,25 +127,26 @@ def enumerate_maximal_tf(
     With ``forward_prune`` the tree is cut early at dead non-edges; without it
     every triangle-free leaf is reached and filtered by the maximality check.
     Both must agree with the brute-force oracle.  Streams the family as sorted
-    graph6 lines when ``stream_path`` is given.
+    graph6 lines when ``stream_path`` is given, ``_STREAM_BLOCK`` graphs at a
+    time.
     """
-    check_size(n, guard)
-    with Stopwatch() as sw:
-        masks = _maximal_masks(n, shards=shards, forward_prune=forward_prune)
-        if stream_path is not None:
-            with open(stream_path, "wb") as fh:
-                fh.write(encode_graph6_rows(n, scan.mask_rows(n, masks)))
+    start = time.perf_counter()
+    masks = _maximal_masks(n, shards=shards, forward_prune=forward_prune)
+    if stream_path is not None:
+        with open(stream_path, "wb") as fh:
+            for block in np.split(masks, range(_STREAM_BLOCK, len(masks), _STREAM_BLOCK)):
+                fh.write(encode_graph6_rows(n, scan.mask_rows(n, block)))
+    ms = int((time.perf_counter() - start) * 1000)  # the table's ms column, not a report's
     count = len(masks)
     log2_over = round(math.log2(count) / (n * n), 6) if count else float("-inf")
-    return CountRow(n, count, log2_over, sw.elapsed_ms)
+    return CountRow(n, count, log2_over, ms)
 
 
-def growth_table(n_max: int, *, shards: int = 1, guard: int = DEFAULT_ENUMERATION_GUARD,
-                 stream_path=None) -> CountTable:
+def growth_table(n_max: int, *, shards: int = 1, stream_path=None) -> CountTable:
     """CountRows for n = 1..n_max, streaming the n_max family to ``stream_path``
     when it is given; no convergence assertion is made or implied."""
-    check_size(n_max, guard)
-    rows = [enumerate_maximal_tf(n, shards=shards, guard=guard,
+    check_size(n_max)
+    rows = [enumerate_maximal_tf(n, shards=shards,
                                  stream_path=stream_path if n == n_max else None)
             for n in range(1, n_max + 1)]
     return CountTable(tuple(rows))
@@ -156,7 +154,6 @@ def growth_table(n_max: int, *, shards: int = 1, guard: int = DEFAULT_ENUMERATIO
 
 def maximal_tf_family(n: int) -> list[Graph]:
     """The maximal triangle-free graphs on [n], ascending by edge bitmask."""
-    check_size(n, DEFAULT_ENUMERATION_GUARD)
     return [graph_from_edge_mask(n, int(m)) for m in _maximal_masks(n)]
 
 

@@ -26,7 +26,7 @@ import numpy as np
 from . import scan
 from .graph import Graph, GuardError, graph_from_edge_mask
 from .graph6 import encode_graph6
-from .report import FAIL, PASS, Stopwatch, VerificationReport
+from .report import FAIL, PASS, VerificationReport
 
 HUJTER_TUZA_MAX_N = 8
 BATCH_MAX_N = 16  # uint16 columns; Moon-Moser keeps the counts below 2^16
@@ -161,42 +161,39 @@ def verify_hujter_tuza(max_n: int = HUJTER_TUZA_MAX_N, *,
             f"hujter-tuza verification capped at m={HUJTER_TUZA_MAX_N}, got {max_n}")
     if max_n < 1:
         raise ValueError("need at least one vertex")
-    with Stopwatch() as sw:
-        counts: dict[str, int] = {}
-        witnesses: list[str] = []
-        failure: str | None = None
-        for m in range(1, max_n + 1):
-            acc = _PerSizeScan(m)
-            scan.walk_triangle_free(m, forward_prune=False, consume=acc.consume, shards=shards)
-            counts[f"scanned_m{m}"] = acc.scanned
-            counts[f"max_mis_m{m}"] = acc.max_count
-            if acc.best_mask is not None:
-                witnesses.append(encode_graph6(graph_from_edge_mask(m, acc.best_mask)))
-            if acc.violation_mask is not None and failure is None:
-                failure = encode_graph6(graph_from_edge_mask(m, acc.violation_mask))
+    counts: dict[str, int] = {}
+    witnesses: list[str] = []
+    failure: str | None = None
+    for m in range(1, max_n + 1):
+        acc = _PerSizeScan(m)
+        scan.walk_triangle_free(m, forward_prune=False, consume=acc.consume, shards=shards)
+        counts[f"scanned_m{m}"] = acc.scanned
+        counts[f"max_mis_m{m}"] = acc.max_count
+        if acc.best_mask is not None:
+            witnesses.append(encode_graph6(graph_from_edge_mask(m, acc.best_mask)))
+        if acc.violation_mask is not None and failure is None:
+            failure = encode_graph6(graph_from_edge_mask(m, acc.violation_mask))
     return VerificationReport(
         check_name="hujter_tuza_exhaustive",
         status=PASS if failure is None else FAIL,
         parameters={"max_n": max_n}, counts=counts,
-        witnesses=witnesses if failure is None else [failure], elapsed_ms=sw.elapsed_ms)
+        witnesses=witnesses if failure is None else [failure])
 
 
 def verify_matching_equality() -> VerificationReport:
     """Perfect matchings on 2k vertices attain the bound: mis_count = 2^k."""
-    with Stopwatch() as sw:
-        counts: dict[str, int] = {}
-        bad: list[str] = []
-        for k in range(1, MATCHING_EQUALITY_MAX_K + 1):
-            g = Graph.perfect_matching(k)
-            c = mis_count(g)
-            counts[f"mis_matching_k{k}"] = c
-            if c != 1 << k:
-                bad.append(encode_graph6(g))
+    counts: dict[str, int] = {}
+    bad: list[str] = []
+    for k in range(1, MATCHING_EQUALITY_MAX_K + 1):
+        g = Graph.perfect_matching(k)
+        c = mis_count(g)
+        counts[f"mis_matching_k{k}"] = c
+        if c != 1 << k:
+            bad.append(encode_graph6(g))
     return VerificationReport(
         check_name="hujter_tuza_matching_equality",
         status=FAIL if bad else PASS,
         parameters={"max_k": MATCHING_EQUALITY_MAX_K},
         counts=counts,
         witnesses=bad,
-        elapsed_ms=sw.elapsed_ms,
     )

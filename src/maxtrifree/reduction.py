@@ -44,7 +44,7 @@ from .graph import (
 )
 from .graph6 import decode_graph6, encode_graph6
 from .mis import mis_count
-from .report import FAIL, PASS, Stopwatch, VerificationReport, read_utf8
+from .report import FAIL, PASS, VerificationReport, read_utf8
 
 H_STAR_MAX_N = 10
 CHAIN_MAX_N = 8
@@ -131,7 +131,12 @@ class ReductionInstance:
 
     @classmethod
     def load(cls, path) -> "ReductionInstance":
-        return cls.from_dict(json.loads(read_utf8(path)))
+        """The instance in a JSON file; any error in its content names the file."""
+        text = read_utf8(path)
+        try:
+            return cls.from_dict(json.loads(text))
+        except ValueError as exc:  # InstanceError, Graph6Error and JSON syntax alike
+            raise InstanceError(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -219,30 +224,28 @@ def _shared_selected_edge(aux: AuxiliaryGraph, i: int, j: int) -> str:
 def verify_claim1(aux: AuxiliaryGraph) -> VerificationReport:
     """Check that T is triangle-free; a failure names the three edges and the
     three selected edges behind them."""
-    with Stopwatch() as sw:
-        tri = find_triangle(aux.t_graph)
-        counts = {
-            "t_vertices": aux.t_graph.n,
-            "t_edges": aux.t_graph.edge_count(),
-            "reduced_edges": aux.reduced.edge_count(),
-        }
-        witnesses: list = []
-        if tri is not None:
-            i, j, k = tri
-            edges = [_edge_str(*aux.vertex_to_edge[x]) for x in tri]
-            ds = [
-                _shared_selected_edge(aux, i, j),
-                _shared_selected_edge(aux, i, k),
-                _shared_selected_edge(aux, j, k),
-            ]
-            witnesses.append(edges + ds)
+    tri = find_triangle(aux.t_graph)
+    counts = {
+        "t_vertices": aux.t_graph.n,
+        "t_edges": aux.t_graph.edge_count(),
+        "reduced_edges": aux.reduced.edge_count(),
+    }
+    witnesses: list = []
+    if tri is not None:
+        i, j, k = tri
+        edges = [_edge_str(*aux.vertex_to_edge[x]) for x in tri]
+        ds = [
+            _shared_selected_edge(aux, i, j),
+            _shared_selected_edge(aux, i, k),
+            _shared_selected_edge(aux, j, k),
+        ]
+        witnesses.append(edges + ds)
     return VerificationReport(
         check_name="claim1",
         status=FAIL if tri is not None else PASS,
         parameters={"n": aux.reduced.n, "selected": _edge_strs(aux.selected.edges())},
         counts=counts,
         witnesses=witnesses,
-        elapsed_ms=sw.elapsed_ms,
     )
 
 
@@ -376,27 +379,26 @@ def _mis_violation(aux: AuxiliaryGraph, h: Graph, word: int) -> list | None:
 def verify_claim2(inst: ReductionInstance) -> VerificationReport:
     """Check that H -> E(H) - F* maps the family injectively onto maximal
     independent sets of T, and record the slack against mis_count(T)."""
-    with Stopwatch() as sw:
-        aux = build_auxiliary(inst)
-        family = enumerate_h_star(inst)
-        t_n = aux.t_graph.n
-        index = {pair: i for i, pair in enumerate(aux.vertex_to_edge)}
-        witnesses: list = []
-        images: list[int] = []
-        for h in family:
-            word, problem = _image_word(inst, h, index)
-            if problem is None:
-                problem = _mis_violation(aux, h, word)
-            if problem is not None:
-                witnesses.append(problem)
-            else:
-                images.append(word)
-        if len(set(images)) != len(images):
-            witnesses.append(["duplicate edge-set image"])
-        mis_t = mis_count(aux.t_graph)
-        if not witnesses and len(family) > mis_t:
-            witnesses.append([f"family size {len(family)} exceeds mis count {mis_t}"])
-        ok = not witnesses
+    aux = build_auxiliary(inst)
+    family = enumerate_h_star(inst)
+    t_n = aux.t_graph.n
+    index = {pair: i for i, pair in enumerate(aux.vertex_to_edge)}
+    witnesses: list = []
+    images: list[int] = []
+    for h in family:
+        word, problem = _image_word(inst, h, index)
+        if problem is None:
+            problem = _mis_violation(aux, h, word)
+        if problem is not None:
+            witnesses.append(problem)
+        else:
+            images.append(word)
+    if len(set(images)) != len(images):
+        witnesses.append(["duplicate edge-set image"])
+    mis_t = mis_count(aux.t_graph)
+    if not witnesses and len(family) > mis_t:
+        witnesses.append([f"family size {len(family)} exceeds mis count {mis_t}"])
+    ok = not witnesses
     return VerificationReport(
         check_name="claim2",
         status=PASS if ok else FAIL,
@@ -408,7 +410,6 @@ def verify_claim2(inst: ReductionInstance) -> VerificationReport:
             "t_vertices": t_n,
         },
         witnesses=witnesses,
-        elapsed_ms=sw.elapsed_ms,
     )
 
 
@@ -436,34 +437,33 @@ def bound_chain(container: Graph, removal: Graph) -> VerificationReport:
     if len(edges) > CHAIN_MAX_REMOVAL:
         raise GuardError(
             f"bound chain capped at {CHAIN_MAX_REMOVAL} removal edges, got {len(edges)}")
-    with Stopwatch() as sw:
-        e_container = container.edge_count()
-        total = 0
-        subsets = 0
-        tf_subsets = 0
-        witnesses: list = []
-        for code in range(1 << len(edges)):
-            subsets += 1
-            fstar = Graph.from_edges(n, [e for i, e in enumerate(edges) if code >> i & 1])
-            if not is_triangle_free(fstar):
-                continue
-            tf_subsets += 1
-            inst = ReductionInstance(container, removal, fstar)
-            aux = build_auxiliary(inst)
-            h_count = len(enumerate_h_star(inst))
-            mis_t = mis_count(aux.t_graph)
-            t_n = aux.t_graph.n
-            label = _edge_strs(fstar.edges())
-            if h_count > mis_t:
-                witnesses.append([f"F*={label}", f"h_star {h_count} > mis {mis_t}"])
-            if mis_t * mis_t > 1 << t_n:
-                witnesses.append([f"F*={label}", f"mis {mis_t} breaks 2^({t_n}/2)"])
-            if t_n > e_container:
-                witnesses.append([f"F*={label}", f"|V(T)|={t_n} > e(G)={e_container}"])
-            total += h_count
-        direct = maximal_tf_subgraph_count(container)
-        if total != direct:
-            witnesses.append([f"partition sum {total} != direct count {direct}"])
+    e_container = container.edge_count()
+    total = 0
+    subsets = 0
+    tf_subsets = 0
+    witnesses: list = []
+    for code in range(1 << len(edges)):
+        subsets += 1
+        fstar = Graph.from_edges(n, [e for i, e in enumerate(edges) if code >> i & 1])
+        if not is_triangle_free(fstar):
+            continue
+        tf_subsets += 1
+        inst = ReductionInstance(container, removal, fstar)
+        aux = build_auxiliary(inst)
+        h_count = len(enumerate_h_star(inst))
+        mis_t = mis_count(aux.t_graph)
+        t_n = aux.t_graph.n
+        label = _edge_strs(fstar.edges())
+        if h_count > mis_t:
+            witnesses.append([f"F*={label}", f"h_star {h_count} > mis {mis_t}"])
+        if mis_t * mis_t > 1 << t_n:
+            witnesses.append([f"F*={label}", f"mis {mis_t} breaks 2^({t_n}/2)"])
+        if t_n > e_container:
+            witnesses.append([f"F*={label}", f"|V(T)|={t_n} > e(G)={e_container}"])
+        total += h_count
+    direct = maximal_tf_subgraph_count(container)
+    if total != direct:
+        witnesses.append([f"partition sum {total} != direct count {direct}"])
     return VerificationReport(
         check_name="bound_chain",
         status=FAIL if witnesses else PASS,
@@ -476,7 +476,6 @@ def bound_chain(container: Graph, removal: Graph) -> VerificationReport:
             "container_edges": e_container,
         },
         witnesses=witnesses,
-        elapsed_ms=sw.elapsed_ms,
     )
 
 

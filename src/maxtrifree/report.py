@@ -2,6 +2,8 @@
 
 Reports serialize to JSON with sorted keys so that two runs with the same
 RunConfig produce byte-identical output except for the elapsed_ms fields.
+A check only computes its report; whoever runs it stamps elapsed_ms with
+``timed``.
 
 Randomness policy (frozen): every random draw comes from numpy's Philox
 counter-based bit generator keyed by the 64-bit run seed and a per-use stream
@@ -13,7 +15,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -49,7 +51,7 @@ class VerificationReport:
     parameters: dict[str, Any]
     counts: dict[str, int]
     witnesses: list[Any]
-    elapsed_ms: int
+    elapsed_ms: int = 0
 
     def __post_init__(self) -> None:
         if self.status not in (PASS, FAIL):
@@ -133,13 +135,12 @@ def strip_timing(data: Any) -> Any:
     return data
 
 
-class Stopwatch:
-    def __enter__(self) -> "Stopwatch":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.elapsed_ms = int((time.perf_counter() - self._start) * 1000)
+def timed(check: Callable[[], VerificationReport]) -> VerificationReport:
+    """Run a check and stamp its report's elapsed_ms with the wall time it took."""
+    start = time.perf_counter()
+    rep = check()
+    rep.elapsed_ms = int((time.perf_counter() - start) * 1000)
+    return rep
 
 
 DEFAULT_GUARDS: dict[str, int] = {
@@ -149,10 +150,19 @@ DEFAULT_GUARDS: dict[str, int] = {
     "folklore_n": 12,      # full folklore family enumeration
 }
 
+#: The smallest n each guard's checks run; a guard below it leaves a check empty.
+GUARD_MINIMUMS: dict[str, int] = {
+    "oracle_n": 1,
+    "enumeration_n": 2,    # remark3_census starts at n = 2
+    "hujter_tuza_m": 1,
+    "folklore_n": 4,       # the folklore census runs n = 4, 8, ...
+}
+
 
 @dataclass
 class RunConfig:
-    """Seed, shard count and per-operation guards for a run."""
+    """Seed, shard count and size guards for a run; the suites and ``enumerate``
+    read the guards, and no library function takes one."""
 
     seed: int = 1
     shards: int = 1
@@ -164,6 +174,10 @@ class RunConfig:
         unknown = set(self.guards) - set(DEFAULT_GUARDS)
         if unknown:
             raise ValueError(f"unknown guard keys: {sorted(unknown)}")
+        for key, value in sorted(self.guards.items()):
+            if value < GUARD_MINIMUMS[key]:
+                raise ValueError(f"guard {key}={value} is below {GUARD_MINIMUMS[key]}, "
+                                 f"the smallest n its checks run")
         merged = dict(DEFAULT_GUARDS)
         merged.update(self.guards)
         self.guards = merged

@@ -2,12 +2,15 @@
 
 Every randomized check derives instance i from the Philox stream
 (seed, STREAM_BASE + i), so reruns and re-shardings regenerate identical
-instances.  A guard violation inside one check becomes that check's failure
-report instead of aborting the run.  Reports come back sorted by check name.
+instances.  The guards are read here as each check's largest n, and
+``run_suite`` times each check with ``report.timed``: the checks only compute.
+A hard cap hit inside one check becomes that check's failure report instead
+of aborting the run.  Reports come back sorted by check name.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from typing import Callable
 
 from . import constructions, enumeration, mis, reduction
@@ -21,9 +24,9 @@ from .report import (
     STREAM_CLAIM1,
     STREAM_CLAIM2,
     STREAM_KR_SAMPLES,
-    Stopwatch,
     VerificationReport,
     rng_for,
+    timed,
 )
 
 SUITES = ("claims", "hujter-tuza", "constructions", "enumeration", "all")
@@ -41,6 +44,14 @@ KR_ENTROPY_MAX_R = 8
 
 Check = tuple[str, Callable[[], VerificationReport]]
 
+#: The proof checks on one reduction instance, in report order, as ``reduce
+#: --check`` names them; lambdas, so a patched or traced binding applies.
+INSTANCE_CHECKS = {
+    "claim1": lambda inst: reduction.verify_claim1(reduction.build_auxiliary(inst)),
+    "claim2": lambda inst: reduction.verify_claim2(inst),
+    "chain": lambda inst: reduction.bound_chain(inst.container, inst.removal),
+}
+
 
 def _instance_witness(inst: reduction.ReductionInstance) -> list[str]:
     data = inst.to_dict()
@@ -51,30 +62,28 @@ def _instance_witness(inst: reduction.ReductionInstance) -> list[str]:
 
 def _claim_random_check(seed: int, stream_base: int, instances: int,
                         n_max: int, run_one) -> VerificationReport:
-    with Stopwatch() as sw:
-        failures: list = []
-        run = 0
-        for i in range(instances):
-            run += 1
-            rng = rng_for(seed, stream_base + i)
-            inst = reduction.random_instance(rng, n_min=4, n_max=n_max)
-            result = run_one(inst)
-            if not result.passed:
-                failures.append(_instance_witness(inst) + result.witnesses[:1])
-                if len(failures) >= 5:
-                    break
+    failures: list = []
+    run = 0
+    for i in range(instances):
+        run += 1
+        rng = rng_for(seed, stream_base + i)
+        inst = reduction.random_instance(rng, n_min=4, n_max=n_max)
+        result = run_one(inst)
+        if not result.passed:
+            failures.append(_instance_witness(inst) + result.witnesses[:1])
+            if len(failures) >= 5:
+                break
     return VerificationReport(
         check_name="random",
         status=FAIL if failures else PASS,
         parameters={"instances": instances, "n_max": n_max, "seed": seed},
         counts={"instances": run, "failures": len(failures)},
         witnesses=failures,
-        elapsed_ms=sw.elapsed_ms,
     )
 
 
 def _worked_claim2() -> VerificationReport:
-    rep = reduction.verify_claim2(reduction.worked_k4_instance())
+    rep = INSTANCE_CHECKS["claim2"](reduction.worked_k4_instance())
     if rep.passed and (rep.counts["h_star"] != 2 or rep.counts["mis_count_t"] != 4):
         rep.status = FAIL
         rep.witnesses = [["expected h_star=2, mis_count_t=4", str(rep.counts)]]
@@ -82,8 +91,7 @@ def _worked_claim2() -> VerificationReport:
 
 
 def _worked_chain() -> VerificationReport:
-    inst = reduction.worked_k4_instance()
-    rep = reduction.bound_chain(inst.container, inst.removal)
+    rep = INSTANCE_CHECKS["chain"](reduction.worked_k4_instance())
     if rep.passed and rep.counts["sum_h_star"] != 7:
         rep.status = FAIL
         rep.witnesses = [["expected partition sum 7", str(rep.counts)]]
@@ -92,19 +100,15 @@ def _worked_chain() -> VerificationReport:
 
 def _claims_checks(config: RunConfig) -> list[Check]:
     return [
-        ("claim1_worked_k4", lambda: reduction.verify_claim1(
-            reduction.build_auxiliary(reduction.worked_k4_instance()))),
+        ("claim1_worked_k4", lambda: INSTANCE_CHECKS["claim1"](reduction.worked_k4_instance())),
         ("claim2_worked_k4", _worked_claim2),
         ("chain_worked_k4", _worked_chain),
-        ("claim1_random", lambda: _claim_random_check(
-            config.seed, STREAM_CLAIM1, CLAIM1_INSTANCES, CLAIM1_MAX_N,
-            lambda inst: reduction.verify_claim1(reduction.build_auxiliary(inst)))),
-        ("claim2_random", lambda: _claim_random_check(
-            config.seed, STREAM_CLAIM2, CLAIM2_INSTANCES, CLAIM2_MAX_N,
-            reduction.verify_claim2)),
-        ("chain_random", lambda: _claim_random_check(
-            config.seed, STREAM_CHAIN, CHAIN_INSTANCES, CHAIN_MAX_N,
-            lambda inst: reduction.bound_chain(inst.container, inst.removal))),
+        ("claim1_random", partial(_claim_random_check, config.seed, STREAM_CLAIM1,
+                                  CLAIM1_INSTANCES, CLAIM1_MAX_N, INSTANCE_CHECKS["claim1"])),
+        ("claim2_random", partial(_claim_random_check, config.seed, STREAM_CLAIM2,
+                                  CLAIM2_INSTANCES, CLAIM2_MAX_N, INSTANCE_CHECKS["claim2"])),
+        ("chain_random", partial(_claim_random_check, config.seed, STREAM_CHAIN,
+                                 CHAIN_INSTANCES, CHAIN_MAX_N, INSTANCE_CHECKS["chain"])),
     ]
 
 
@@ -117,20 +121,19 @@ def _hujter_checks(config: RunConfig) -> list[Check]:
 
 
 def _kr_sample_check(config: RunConfig) -> VerificationReport:
-    with Stopwatch() as sw:
-        counts: dict[str, int] = {}
-        bad: list[str] = []
-        for shape_idx, (n, r) in enumerate(KR_SAMPLE_SHAPES):
-            ok = 0
-            for i in range(KR_SAMPLES_PER_SHAPE):
-                rng = rng_for(config.seed, STREAM_KR_SAMPLES + (shape_idx << 16) + i)
-                g = constructions.kr_free_graph(constructions.KrChoice.random(n, r, rng))
-                if has_clique(g, r + 1):
-                    bad.append(encode_graph6(g))
-                else:
-                    ok += 1
-            counts[f"clique_free_n{n}_r{r}"] = ok
-            counts[f"samples_n{n}_r{r}"] = KR_SAMPLES_PER_SHAPE
+    counts: dict[str, int] = {}
+    bad: list[str] = []
+    for shape_idx, (n, r) in enumerate(KR_SAMPLE_SHAPES):
+        ok = 0
+        for i in range(KR_SAMPLES_PER_SHAPE):
+            rng = rng_for(config.seed, STREAM_KR_SAMPLES + (shape_idx << 16) + i)
+            g = constructions.kr_free_graph(constructions.KrChoice.random(n, r, rng))
+            if has_clique(g, r + 1):
+                bad.append(encode_graph6(g))
+            else:
+                ok += 1
+        counts[f"clique_free_n{n}_r{r}"] = ok
+        counts[f"samples_n{n}_r{r}"] = KR_SAMPLES_PER_SHAPE
     return VerificationReport(
         check_name="kr_clique_free_samples",
         status=FAIL if bad else PASS,
@@ -138,36 +141,31 @@ def _kr_sample_check(config: RunConfig) -> VerificationReport:
                     "seed": config.seed},
         counts=counts,
         witnesses=bad[:5],
-        elapsed_ms=sw.elapsed_ms,
     )
 
 
 def _kr_entropy_check_all() -> VerificationReport:
-    with Stopwatch() as sw:
-        checked = 0
-        bad: list = []
-        for r in range(2, KR_ENTROPY_MAX_R + 1):
-            for n in range(2 * r, KR_ENTROPY_MAX_N + 1, 2 * r):
-                bits = constructions.kr_entropy_check(n, r)
-                if bits != Fraction(r - 1, r) * Fraction(n * n, 4):
-                    bad.append([f"n={n}", f"r={r}"])
-                checked += 1
+    checked = 0
+    bad: list = []
+    for r in range(2, KR_ENTROPY_MAX_R + 1):
+        for n in range(2 * r, KR_ENTROPY_MAX_N + 1, 2 * r):
+            bits = constructions.kr_entropy_check(n, r)
+            if bits != Fraction(r - 1, r) * Fraction(n * n, 4):
+                bad.append([f"n={n}", f"r={r}"])
+            checked += 1
     return VerificationReport(
         check_name="kr_entropy_identity",
         status=FAIL if bad else PASS,
         parameters={"max_n": KR_ENTROPY_MAX_N, "max_r": KR_ENTROPY_MAX_R},
         counts={"checked": checked},
         witnesses=bad,
-        elapsed_ms=sw.elapsed_ms,
     )
 
 
 def _constructions_checks(config: RunConfig) -> list[Check]:
-    guard = config.guard("folklore_n")
     checks: list[Check] = [
-        (f"folklore_stats_n{n}",
-         lambda n=n: constructions.folklore_family_stats(n, guard=guard))
-        for n in range(4, guard + 1, 4)
+        (f"folklore_stats_n{n}", lambda n=n: constructions.folklore_family_stats(n))
+        for n in range(4, config.guard("folklore_n") + 1, 4)
     ]
     checks.append(("kr_entropy_identity", _kr_entropy_check_all))
     checks.append(("kr_clique_free_samples", lambda: _kr_sample_check(config)))
@@ -175,23 +173,21 @@ def _constructions_checks(config: RunConfig) -> list[Check]:
 
 
 def _oracle_equivalence(config: RunConfig) -> VerificationReport:
-    with Stopwatch() as sw:
-        counts: dict[str, int] = {}
-        bad: list = []
-        for n in range(1, config.guard("oracle_n") + 1):
-            oracle = len(enumeration.brute_force_maximal_tf(n))
-            fast = enumeration.enumerate_maximal_tf(n, shards=config.shards).labeled_count
-            plain = enumeration.enumerate_maximal_tf(n, forward_prune=False).labeled_count
-            counts[f"count_n{n}"] = oracle
-            if fast != oracle or plain != oracle:
-                bad.append([f"n={n}", f"oracle={oracle}", f"pruned={fast}", f"plain={plain}"])
+    counts: dict[str, int] = {}
+    bad: list = []
+    for n in range(1, config.guard("oracle_n") + 1):
+        oracle = len(enumeration.brute_force_maximal_tf(n))
+        fast = enumeration.enumerate_maximal_tf(n, shards=config.shards).labeled_count
+        plain = enumeration.enumerate_maximal_tf(n, forward_prune=False).labeled_count
+        counts[f"count_n{n}"] = oracle
+        if fast != oracle or plain != oracle:
+            bad.append([f"n={n}", f"oracle={oracle}", f"pruned={fast}", f"plain={plain}"])
     return VerificationReport(
         check_name="enumeration_oracle_equiv",
         status=FAIL if bad else PASS,
         parameters={"max_n": config.guard("oracle_n")},
         counts=counts,
         witnesses=bad,
-        elapsed_ms=sw.elapsed_ms,
     )
 
 
@@ -204,47 +200,43 @@ def _pinned_count_witnesses(counts: dict[int, int]) -> list:
 
 
 def _growth_table_check(config: RunConfig) -> VerificationReport:
-    with Stopwatch() as sw:
-        guard = config.guard("enumeration_n")
-        table = enumeration.growth_table(guard, shards=config.shards, guard=guard)
-        counts = {f"count_n{row.n}": row.labeled_count for row in table.rows}
-        params: dict[str, object] = {
-            f"log2_over_n2_n{row.n}": f"{row.log2_count_over_n2:.6f}"
-            for row in table.rows
-        }
-        params["n_max"] = guard
-        bad = _pinned_count_witnesses({row.n: row.labeled_count for row in table.rows})
+    n_max = config.guard("enumeration_n")
+    table = enumeration.growth_table(n_max, shards=config.shards)
+    counts = {f"count_n{row.n}": row.labeled_count for row in table.rows}
+    params: dict[str, object] = {
+        f"log2_over_n2_n{row.n}": f"{row.log2_count_over_n2:.6f}"
+        for row in table.rows
+    }
+    params["n_max"] = n_max
+    bad = _pinned_count_witnesses({row.n: row.labeled_count for row in table.rows})
     return VerificationReport(
         check_name="growth_table",
         status=FAIL if bad else PASS,
         parameters=params,
         counts=counts,
         witnesses=bad,
-        elapsed_ms=sw.elapsed_ms,
     )
 
 
 def _remark3_check(config: RunConfig) -> VerificationReport:
-    with Stopwatch() as sw:
-        max_n = min(enumeration.REMARK3_MAX_N, config.guard("enumeration_n"))
-        counts: dict[str, int] = {}
-        params: dict[str, object] = {}
-        totals: dict[int, int] = {}
-        for n in range(2, max_n + 1):
-            admitting, total = enumeration.remark3_census(n)
-            frac = Fraction(admitting, total)
-            counts[f"admitting_n{n}"] = admitting
-            counts[f"family_n{n}"] = total
-            params[f"fraction_n{n}"] = f"{frac.numerator}/{frac.denominator}"
-            totals[n] = total
-        bad = _pinned_count_witnesses(totals)
+    max_n = min(enumeration.REMARK3_MAX_N, config.guard("enumeration_n"))
+    counts: dict[str, int] = {}
+    params: dict[str, object] = {}
+    totals: dict[int, int] = {}
+    for n in range(2, max_n + 1):
+        admitting, total = enumeration.remark3_census(n)
+        frac = Fraction(admitting, total)
+        counts[f"admitting_n{n}"] = admitting
+        counts[f"family_n{n}"] = total
+        params[f"fraction_n{n}"] = f"{frac.numerator}/{frac.denominator}"
+        totals[n] = total
+    bad = _pinned_count_witnesses(totals)
     return VerificationReport(
         check_name="remark3_census",
         status=FAIL if bad else PASS,
         parameters=params,
         counts=counts,
         witnesses=bad,
-        elapsed_ms=sw.elapsed_ms,
     )
 
 
@@ -267,8 +259,9 @@ _SUITE_BUILDERS = {
 def run_suite(config: RunConfig, suite: str) -> list[VerificationReport]:
     """Execute one named suite (or all of them); reports sorted by check name.
 
-    A GuardError raised by a check is converted into a failing report for
-    that check; the rest of the run proceeds.
+    Each check is timed by ``report.timed``.  A GuardError raised by a check
+    is converted into a failing report for that check; the rest of the run
+    proceeds.
     """
     if suite == "all":
         names = ["claims", "hujter-tuza", "constructions", "enumeration"]
@@ -280,17 +273,11 @@ def run_suite(config: RunConfig, suite: str) -> list[VerificationReport]:
     for name in names:
         for check_name, thunk in _SUITE_BUILDERS[name](config):
             try:
-                rep = thunk()
-                rep.check_name = check_name
+                rep = timed(thunk)
             except GuardError as exc:
-                rep = VerificationReport(
-                    check_name=check_name,
-                    status=FAIL,
-                    parameters={"error": str(exc)},
-                    counts={},
-                    witnesses=[str(exc)],
-                    elapsed_ms=0,
-                )
+                rep = VerificationReport(check_name, FAIL, parameters={"error": str(exc)},
+                                         counts={}, witnesses=[str(exc)])
+            rep.check_name = check_name
             reports.append(rep)
     reports.sort(key=lambda r: r.check_name)
     return reports

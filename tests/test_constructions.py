@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from math import comb
 
@@ -113,10 +114,8 @@ class TestFolkloreStats:
         assert rep.witnesses == []
 
     def test_guard(self):
-        with pytest.raises(GuardError):
-            folklore_family_stats(16)
-        with pytest.raises(GuardError):
-            folklore_family_stats(16, guard=16)  # past what the census holds in memory
+        with pytest.raises(GuardError, match="holds all members in memory"):
+            folklore_family_stats(16)  # past what the census holds in memory
 
     def test_counts_match_scalar_oracle(self):
         for n in (0, 4, 8):
@@ -251,6 +250,32 @@ class TestPlantedKrDefects:
         assert rep.witnesses[0] == ["n=4", "r=2"]
         assert main(["verify", "--suite", "constructions", "--seed", "1"]) == 1
         assert "[FAIL] kr_entropy_identity" in capsys.readouterr().out
+
+
+class TestNegativeVertexCount:
+    """n < 0 divides by 4 and by 2r like n > 0 does; it must not reach the shapes."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: folklore_bit_count(-4),
+        lambda: folklore_family_stats(-4),
+        lambda: kr_entropy_check(-6, 3),
+        lambda: kr_pair_slots(-6, 3),
+    ], ids=["bit_count", "family_stats", "kr_entropy", "kr_pair_slots"])
+    def test_rejected_naming_n(self, call):
+        with pytest.raises(ValueError, match="non-negative multiple of .*, got n=-"):
+            call()
+
+    @pytest.mark.parametrize("argv", [
+        ["construct", "--n", "-4", "--stats"],
+        ["construct", "--n", "-4"],
+        ["construct", "--family", "kr", "--n", "-6", "--r", "3"],
+    ])
+    def test_cli_usage_error(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert re.match(r"error: vertex count must be a non-negative multiple of .*, got n=-",
+                        captured.err)
+        assert captured.out == ""
 
 
 class TestEntropy:

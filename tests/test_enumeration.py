@@ -21,7 +21,7 @@ from maxtrifree import (
     remark3_census,
 )
 from maxtrifree import enumeration, scan, suites
-from maxtrifree.enumeration import DEFAULT_ENUMERATION_GUARD, check_size
+from maxtrifree.enumeration import check_size
 from maxtrifree.report import RunConfig
 from oracles import degree, edge_mask, naive_is_maximal_tf
 
@@ -122,7 +122,7 @@ class TestEnumerate:
     def test_size_below_one(self):
         for n in (0, -1):
             with pytest.raises(ValueError, match="need at least one vertex"):
-                check_size(n, DEFAULT_ENUMERATION_GUARD)
+                check_size(n)
             with pytest.raises(ValueError, match="need at least one vertex"):
                 enumerate_maximal_tf(n)
 
@@ -130,15 +130,11 @@ class TestEnumerate:
         for n in (3, 4, 5):
             assert maximal_tf_family(n) == brute_force_maximal_tf(n)
 
-    def test_guard(self):
-        with pytest.raises(GuardError):
-            enumerate_maximal_tf(10)
-
     def test_walker_capacity_is_a_guard_error(self):
         # C(12, 2) = 66 pairs do not fit the int64 edge masks; C(11, 2) = 55 do
         scan.check_capacity(11)
         with pytest.raises(GuardError):
-            enumerate_maximal_tf(12, guard=12)
+            enumerate_maximal_tf(12)
 
 
 class TestGrowthTable:

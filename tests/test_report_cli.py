@@ -1,19 +1,30 @@
 import json
 import re
+import time
 
 import pytest
 
-from maxtrifree import Graph, encode_graph6, enumeration, worked_k4_instance
+from maxtrifree import (
+    Graph,
+    build_auxiliary,
+    encode_graph6,
+    enumeration,
+    verify_claim1,
+    worked_k4_instance,
+)
+from maxtrifree import cli, suites
 from maxtrifree.cli import main
 from maxtrifree.suites import _claim_random_check
 from maxtrifree.report import (
     DEFAULT_GUARDS,
+    GUARD_MINIMUMS,
     RunConfig,
     VerificationReport,
     dumps_reports,
     loads_reports,
     rng_for,
     strip_timing,
+    timed,
 )
 from oracles import MALFORMED_INSTANCES, dump_instance, star_graph
 
@@ -67,6 +78,15 @@ class TestReportType:
     def test_summary_line(self):
         assert make_report().summary_line().startswith("[PASS] demo")
 
+    def test_timed_stamps_elapsed_ms(self):
+        def slow_check():
+            time.sleep(0.02)
+            return make_report(elapsed_ms=0)
+
+        assert timed(slow_check).elapsed_ms >= 20
+        # a check only computes: called directly, its report is not timed
+        assert verify_claim1(build_auxiliary(worked_k4_instance())).elapsed_ms == 0
+
 
 class TestRunConfig:
     def test_defaults(self):
@@ -82,6 +102,12 @@ class TestRunConfig:
     def test_unknown_guard(self):
         with pytest.raises(ValueError):
             RunConfig(guards={"bogus": 1})
+
+    def test_guard_minimums(self):
+        for key, minimum in GUARD_MINIMUMS.items():
+            assert RunConfig(guards={key: minimum}).guard(key) == minimum
+            with pytest.raises(ValueError, match=f"guard {key}={minimum - 1} is below"):
+                RunConfig(guards={key: minimum - 1})
 
     def test_bad_shards(self):
         with pytest.raises(ValueError):
@@ -136,6 +162,53 @@ class TestCli:
         assert main(["enumerate", "--n", "12", "--guard", "enumeration_n=12"]) == 2
         captured = capsys.readouterr()
         assert "error:" in captured.err and captured.out == ""
+
+    def test_enumerate_past_the_guard_exits_at_once(self, capsys, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("an n ran before the guard was compared with --n")
+
+        monkeypatch.setattr(enumeration, "enumerate_maximal_tf", no_run)
+        assert main(["enumerate", "--n", "10"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "enumeration_n" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv, guard", [
+        (["verify", "--guard", "oracle_n=0"], "oracle_n=0"),
+        (["verify", "--guard", "hujter_tuza_m=0"], "hujter_tuza_m=0"),
+        (["verify", "--guard", "enumeration_n=1"], "enumeration_n=1"),
+        (["verify", "--guard", "enumeration_n=0"], "enumeration_n=0"),
+        (["verify", "--guard", "folklore_n=3"], "folklore_n=3"),
+        (["verify", "--suite", "enumeration", "--guard", "oracle_n=-2"], "oracle_n=-2"),
+        (["enumerate", "--n", "1", "--guard", "enumeration_n=1"], "enumeration_n=1"),
+    ])
+    def test_guard_that_leaves_a_check_empty_is_a_usage_error(self, argv, guard, tmp_path,
+                                                             capsys):
+        # below these a check runs no n: it would pass with no counts, vanish
+        # from the report, or abort the run with a bare "need at least one vertex"
+        out = tmp_path / "rep.json"
+        assert main([*argv, "--json", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: guard {guard} is below")
+        assert captured.out == "" and not out.exists()
+
+    def test_every_report_is_stamped_by_timed(self, monkeypatch, tmp_path):
+        def stamp(check):
+            rep = check()
+            assert rep.elapsed_ms == 0  # the check itself left the field alone
+            rep.elapsed_ms = 4242
+            return rep
+
+        monkeypatch.setattr(cli, "timed", stamp)
+        monkeypatch.setattr(suites, "timed", stamp)
+        out = tmp_path / "rep.json"
+        for argv in (["verify", "--suite", "hujter-tuza", "--guard", "hujter_tuza_m=4"],
+                     ["verify", "--suite", "constructions", "--guard", "folklore_n=8"],
+                     ["reduce", "--random", "2", "--n", "5"],
+                     ["construct", "--n", "8", "--stats"]):
+            main([*argv, "--json", str(out)])
+            reports = loads_reports(out.read_text())
+            assert reports and all(r.elapsed_ms == 4242 for r in reports), argv
 
     def test_construct_choice(self, capsys):
         assert main(["construct", "--family", "folklore", "--n", "4",
@@ -192,7 +265,7 @@ class TestCli:
         (["construct", "--n", "4", "--stats", "--samples", "3"], "--samples"),
         (["construct", "--n", "4", "--stats", "--choice", "1"], "--choice"),
         (["construct", "--n", "4", "--r", "3"], "--r"),
-        (["construct", "--n", "4", "--guard", "folklore_n=2"], "--guard"),
+        (["enumerate", "--n", "4", "--guard", "oracle_n=3", "--json", "{out}"], "--guard"),
         (["construct", "--n", "4", "--choice", "1", "--seed", "5"], "--seed"),
         (["construct", "--n", "4", "--stats", "--seed", "5"], "--seed"),
         (["reduce", "--instance", "{inst}", "--seed", "3"], "--seed"),
@@ -214,7 +287,9 @@ class TestCli:
         ["construct", "--n", "4", "--shards", "5"],
         ["reduce", "--random", "1", "--shards", "7"],
         ["reduce", "--random", "1", "--guard", "folklore_n=2"],
-    ], ids=["mis", "enumerate-seed", "construct-shards", "reduce-shards", "reduce-guard"])
+        ["construct", "--n", "4", "--guard", "folklore_n=2"],
+    ], ids=["mis", "enumerate-seed", "construct-shards", "reduce-shards", "reduce-guard",
+            "construct-guard"])
     def test_command_rejects_options_it_never_reads(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -361,6 +436,35 @@ class TestCli:
         assert main(["report", "--json", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: {path} is not UTF-8 text:")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("text, needle", [
+        ('{"container": "C~", "removal": ["x"], "selected": []}',
+         "'removal' entry 'x' is not"),
+        ('{"container": "C~", "removal": ["0-9"], "selected": []}',
+         "edge (0, 9) outside vertex range"),
+        ('{"container": "C~", "removal": ["0-1"], "selected": ["2-3"]}',
+         "selected edge (2, 3) is not in the removal set"),
+        ('{"container": "C~", "removal": []', "Expecting ',' delimiter"),
+    ], ids=["entry", "range", "selected", "syntax"])
+    def test_reduce_instance_error_names_the_file(self, text, needle, tmp_path, capsys):
+        path = tmp_path / "inst.json"
+        path.write_text(text)
+        assert main(["reduce", "--instance", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {path}: ") and needle in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("text, needle", [
+        ('[{"check_name": "x"}]', "report 0 lacks key 'status'"),
+        ('[{check_name: "x"}]', "Expecting property name"),
+    ], ids=["key", "syntax"])
+    def test_report_error_names_the_file(self, text, needle, tmp_path, capsys):
+        path = tmp_path / "rep.json"
+        path.write_text(text)
+        assert main(["report", "--json", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {path}: ") and needle in captured.err
         assert captured.out == ""
 
     def test_report_missing_file(self, tmp_path, capsys):

@@ -218,3 +218,43 @@ def test_benchmark_names_resolve():
                 wanted.add(".".join([bound[chain[0]], *chain[1:]]))
     assert len(wanted) > len(_tracer_targets())
     assert sorted(name for name in wanted if not _resolve(name)) == []
+
+
+#: Names that read or stamp a wall time.
+CLOCKS = {"timed", "Stopwatch", "perf_counter", "monotonic", "time_ns"}
+
+
+def _names_used(node) -> set[str]:
+    if isinstance(node, ast.Name):
+        return {node.id}
+    if isinstance(node, ast.Attribute):
+        return {node.attr}
+    if isinstance(node, ast.ImportFrom):
+        return {alias.name for alias in node.names}
+    return set()
+
+
+def test_checks_take_no_guard_and_keep_no_clock():
+    # a guard is a run setting that the suites and the CLI read, and a report's
+    # elapsed_ms is stamped by whoever runs the check; no other function takes
+    # the one or reads a clock.  The enumerate table's ms column is a row
+    # field, timed inside enumerate_maximal_tf.
+    guards, clocks = [], []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                a = node.args
+                params = [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]
+                if any(p is not None and p.arg == "guard" for p in params):
+                    guards.append(f"{path.name}:{node.lineno}")
+        if path.name in ("report.py", "suites.py", "cli.py"):
+            continue
+        for stmt in tree.body:
+            place = getattr(stmt, "name", "<module>")
+            allowed = path.name == "enumeration.py" and place == "enumerate_maximal_tf"
+            if not allowed and any(CLOCKS & _names_used(node)
+                                   for node in ast.walk(stmt)):
+                clocks.append(f"{path.name}:{place}")
+    assert guards == []
+    assert clocks == []
