@@ -8,7 +8,8 @@ reduce and construct --stats are timed here with ``report.timed``.
 verify, reduce and report exit 1 when any check fails; bad input (a missing
 or malformed file, a non-integer environment value, a guard below the
 smallest n its checks run, a missing or conflicting option, an explicit
-option the chosen mode would ignore, a size past a cap) prints
+option the chosen mode would ignore, a size past a cap, an output path that
+cannot be written, which is tried before any computation) prints
 ``error: ...`` and exits 2.
 """
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .mis import enumerate_mis, mis_count
 from .reduction import InstanceError
 from .report import (
     DEFAULT_GUARDS,
+    GUARD_MINIMUMS,
     STREAM_FOLKLORE_SAMPLES,
     STREAM_KR_SAMPLES,
     RunConfig,
@@ -49,12 +51,19 @@ def _env_int(name: str, fallback: int | None = None) -> int | None:
         raise ValueError(f"{ENV_PREFIX}{name} must be an integer, got {raw!r}") from None
 
 
-def _env_guards() -> dict[str, int]:
+def _env_guards(typed: dict[str, int]) -> dict[str, int]:
+    """The MAXTRIFREE_GUARD_<KEY> values; one below its guard's minimum that
+    no --guard in *typed* replaces is an error naming the variable."""
     guards = {}
     for key in DEFAULT_GUARDS:
-        value = _env_int("GUARD_" + key.upper())
-        if value is not None:
-            guards[key] = value
+        name = "GUARD_" + key.upper()
+        value = _env_int(name)
+        if value is None:
+            continue
+        if key not in typed and value < GUARD_MINIMUMS[key]:
+            raise ValueError(f"{ENV_PREFIX}{name}={value} is below {GUARD_MINIMUMS[key]}, "
+                             f"the smallest n its checks run")
+        guards[key] = value
     return guards
 
 
@@ -95,8 +104,18 @@ def _config(args) -> RunConfig:
     if "shards" in args:
         config["shards"] = _env_int("SHARDS", 1) if args.shards is None else args.shards
     if "guard" in args:
-        config["guards"] = {**_env_guards(), **dict(args.guard)}
+        typed = dict(args.guard)
+        config["guards"] = {**_env_guards(typed), **typed}
     return RunConfig(**config)
+
+
+def _check_writable(*paths: str | None) -> None:
+    """Open each given output path for appending and close it, so a path that
+    cannot be written fails before any computation; an absent file is left
+    empty until the command writes it."""
+    for path in paths:
+        if path:
+            open(path, "ab").close()
 
 
 def _emit_reports(reports: list[VerificationReport], json_path: str | None) -> int:
@@ -145,6 +164,7 @@ def _cmd_construct(args) -> int:
             raise ValueError("--choice and --samples pick members, which --stats does not emit")
         if args.seed is not None:
             raise ValueError("--seed draws random members, which --stats does not emit")
+        _check_writable(args.json_path)
         rep = timed(lambda: constructions.folklore_family_stats(args.n))
         return _emit_reports([rep], args.json_path)
     if args.json_path:
@@ -167,6 +187,7 @@ def _cmd_construct(args) -> int:
     else:
         choices = [choice_type.random(*shape, rng_for(config.seed, stream_base + i))
                    for i in range(samples)]
+    _check_writable(args.stream)
     lines = [encode_graph6(build(c)) for c in choices]
     if args.stream:
         with open(args.stream, "w", encoding="ascii") as fh:
@@ -188,6 +209,7 @@ def _cmd_enumerate(args) -> int:
         raise GuardError(f"n={args.n} is past the enumeration_n guard {guard}; "
                          f"raise it with --guard enumeration_n={args.n} to go further")
     enumeration.check_size(args.n)
+    _check_writable(args.stream, args.json_path)
     if args.n > default:
         print(f"warning: n={args.n} beyond the default guard {default}; "
               f"this may take very long", file=sys.stderr)
@@ -204,6 +226,7 @@ def _cmd_mis(args) -> int:
     if args.count_only and args.json_path:
         raise ValueError("--json writes the listed sets, which --count-only skips")
     g = _load_single_graph(args)
+    _check_writable(args.json_path)
     if args.count_only:
         print(mis_count(g))
         return 0
@@ -237,6 +260,7 @@ def _cmd_reduce(args) -> int:
                 rng_for(config.seed, i), n_min=4, n_max=args.n or 8))
     if not instances:
         raise ValueError("provide --instance and/or --random")
+    _check_writable(args.json_path)
     reports = []
     for idx, inst in enumerate(instances):
         suffix = f"_{idx}" if len(instances) > 1 else ""
@@ -250,6 +274,7 @@ def _cmd_reduce(args) -> int:
 
 def _cmd_verify(args) -> int:
     config = _config(args)
+    _check_writable(args.json_path)
     reports = suites.run_suite(config, args.suite)
     return _emit_reports(reports, args.json_path)
 

@@ -7,6 +7,7 @@ here is a pure function.
 """
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -130,6 +131,14 @@ def graphs_from_rows(n: int, rows) -> list[Graph]:
     Graph, which raises its own error; otherwise each instance is made without
     running ``__post_init__`` again.  The bit unpacking holds N * n * 8 *
     ceil(n / 8) bytes, so pass large batches in blocks.
+
+    The instances are made with the cyclic garbage collector paused.  Each
+    instance, its ``__dict__`` and its row tuple are objects the collector
+    tracks, so a large read would otherwise run collection passes over
+    graphs that all stay alive, about a third of the time of reading a
+    stream back.  Nothing built here forms a reference cycle, so the pause
+    leaves nothing for the collector, and its state on return is its state
+    on entry.
     """
     rows = np.asarray(rows, dtype=np.int64)
     if rows.ndim != 2 or rows.shape[1] != n:
@@ -148,11 +157,18 @@ def graphs_from_rows(n: int, rows) -> list[Graph]:
         Graph(n, tuple(rows[bad.argmax()].tolist()))  # raises Graph's error for that row
     new, set_field = object.__new__, object.__setattr__
     graphs = []
-    for r in rows.tolist():
-        g = new(Graph)
-        set_field(g, "n", n)
-        set_field(g, "rows", tuple(r))
-        graphs.append(g)
+    # paused: the graphs form no cycles, so a pass over them would free nothing
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for r in rows.tolist():
+            g = new(Graph)
+            set_field(g, "n", n)
+            set_field(g, "rows", tuple(r))
+            graphs.append(g)
+    finally:
+        if enabled:
+            gc.enable()
     return graphs
 
 

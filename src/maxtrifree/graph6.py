@@ -11,13 +11,20 @@ bits above the diagonal, and ``encode_graph6`` is that on one graph's rows.
 ``read_graph6_file`` reads a file in blocks of lines, checks and unpacks the
 short-form lines of each block as uint8 arrays, and hands their bit rows to
 ``graphs_from_rows``, so every Graph it builds was checked once per block,
-not once per graph.  Every line a batch check rejects, and every header or
-long-form line, goes through ``decode_graph6``, so a bad line raises the same
-line-numbered error as decoding the file line by line.
+not once per graph.  A block whose lines share one short-form shape, as every
+block of an ``enumerate --stream`` file does, is decoded in one call and its
+graphs are returned as they are; any other block is grouped by shape line by
+line.  ``graphs_from_rows`` makes the instances with the cyclic garbage
+collector paused, since a read keeps every graph alive and the collector's
+passes over them would cost about a third of the read.  Every line a batch
+check rejects, and every header or long-form line, goes through
+``decode_graph6``, so a bad line raises the same line-numbered error as
+decoding the file line by line.
 """
 from __future__ import annotations
 
 from itertools import islice
+from operator import itemgetter
 
 import numpy as np
 
@@ -167,11 +174,26 @@ def _decode_short(n: int, lines: list[str]) -> list[Graph | None]:
             i += 1
     # the rows are symmetric and loop free by construction, rejected lines' too,
     # so graphs_from_rows raises on none and decode_graph6 reports each rejection
-    return [g if keep else None for g, keep in zip(graphs_from_rows(n, rows), ok.tolist())]
+    graphs = graphs_from_rows(n, rows)
+    if ok.all():
+        return graphs
+    return [g if keep else None for g, keep in zip(graphs, ok.tolist())]
 
 
 def _decode_block(lines: list[str], first_line: int) -> list[Graph]:
-    """Graphs of one block of stripped lines, in file order; blank lines skipped."""
+    """Graphs of one block of stripped lines, in file order; blank lines skipped.
+
+    A block whose lines all have one short-form shape (the same first
+    character and length, as in every block of a stream that ``enumerate``
+    writes) goes to ``_decode_short`` in one call.  Any other block, or one
+    with a rejected line, is grouped by shape line by line.
+    """
+    head = lines[0]
+    if (head and "?" <= head[0] <= "}" and len(set(map(len, lines))) == 1
+            and len(set(map(itemgetter(0), lines))) == 1):
+        graphs = _decode_short(ord(head[0]) - 63, lines)
+        if all(graphs):  # a rejected line's None is the only false entry
+            return graphs
     groups: dict[tuple[str, int], list[int]] = {}
     for i, s in enumerate(lines):
         if s and "?" <= s[0] <= "}":  # short form, n = 0..62; a header starts with '>'

@@ -262,3 +262,40 @@ class TestFiles:
         with pytest.raises(Graph6Error) as split:
             read_graph6_file(path)
         assert str(split.value) == str(lazy.value)
+
+    @pytest.mark.parametrize("bad", ["D!?", "D?\x7f", "D?@", "D@A"])
+    @pytest.mark.parametrize("block_lines", [None, 1000, 1001])
+    def test_one_shape_block_with_a_rejected_line(self, tmp_path, monkeypatch, bad,
+                                                  block_lines):
+        # every line has the shape of n = 5, so each block is tried in one call;
+        # 1000 and 1001 put the bad line first and last in its block
+        good = [encode_graph6(graph_from_edge_mask(5, m)) for m in range(1024)]
+        path = tmp_path / "bad.g6"
+        path.write_text("\n".join(good[:1000] + [bad] + good) + "\n")
+        if block_lines is not None:
+            monkeypatch.setattr(graph6, "_BLOCK_LINES", block_lines)
+        with pytest.raises(Graph6Error) as lazy:
+            list(iter_graph6_file(path))
+        with pytest.raises(Graph6Error) as batch:
+            read_graph6_file(path)
+        assert str(batch.value) == str(lazy.value)
+        assert batch.value.line == lazy.value.line == 1001
+
+    @pytest.mark.parametrize("block_lines, blocks", [(None, 1), (1000, 3), (500, 5)])
+    def test_one_shape_block_is_decoded_in_one_call(self, tmp_path, monkeypatch,
+                                                    block_lines, blocks):
+        path = tmp_path / "n5.g6"
+        path.write_bytes(encode_graph6_rows(5, scan.mask_rows(5, np.arange(2048) % 1024)))
+        lazy = list(iter_graph6_file(path))
+        handed, calls = [], []
+        decode_block, decode_short = graph6._decode_block, graph6._decode_short
+        monkeypatch.setattr(graph6, "_decode_block",
+                            lambda lines, first: handed.append(lines) or decode_block(lines, first))
+        monkeypatch.setattr(graph6, "_decode_short",
+                            lambda n, lines: calls.append(lines) or decode_short(n, lines))
+        if block_lines is not None:
+            monkeypatch.setattr(graph6, "_BLOCK_LINES", block_lines)
+        assert read_graph6_file(path) == lazy
+        # one call per block, on the block's own list: no line was regrouped
+        assert len(calls) == len(handed) == blocks
+        assert all(c is b for c, b in zip(calls, handed))

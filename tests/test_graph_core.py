@@ -1,3 +1,4 @@
+import gc
 from itertools import combinations
 
 import numpy as np
@@ -15,6 +16,7 @@ from maxtrifree import (
     is_triangle_free,
     min_triangles_at_density,
 )
+from maxtrifree import graph
 from maxtrifree.graph import graphs_from_rows
 from oracles import (
     complete_bipartite,
@@ -148,6 +150,39 @@ class TestGraphsFromRows:
         assert graphs_from_rows(0, np.zeros((3, 0), dtype=np.int64)) == [Graph(0, ())] * 3
         assert graphs_from_rows(0, np.zeros((0, 0), dtype=np.int64)) == []
         assert graphs_from_rows(5, np.zeros((0, 5), dtype=np.int64)) == []
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_restores_the_collectors_state(self, enabled):
+        rows = np.array([Graph.cycle(5).rows] * 3, dtype=np.int64)
+        bad = rows.copy()
+        bad[1, 0] |= 1  # a self-loop
+        was = gc.isenabled()
+        try:
+            gc.enable() if enabled else gc.disable()
+            assert graphs_from_rows(5, rows) == [Graph.cycle(5)] * 3
+            assert gc.isenabled() is enabled
+            with pytest.raises(ValueError, match="self-loop at vertex 0"):
+                graphs_from_rows(5, bad)
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable() if was else gc.disable()
+
+    def test_collector_paused_while_instances_are_made(self, monkeypatch):
+        # graph.tuple shadows the builtin in the loop that makes the instances
+        states = []
+
+        def failing_second_tuple(row):
+            states.append(gc.isenabled())
+            if len(states) == 2:
+                raise MemoryError
+            return tuple(row)
+
+        rows = np.array([Graph.cycle(5).rows] * 3, dtype=np.int64)
+        monkeypatch.setattr(graph, "tuple", failing_second_tuple, raising=False)
+        assert gc.isenabled()
+        with pytest.raises(MemoryError):
+            graphs_from_rows(5, rows)
+        assert states == [False, False] and gc.isenabled()
 
     def test_rejects_a_shape_or_size_graph_would_reject(self):
         with pytest.raises(ValueError, match="not an"):

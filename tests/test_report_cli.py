@@ -12,7 +12,7 @@ from maxtrifree import (
     verify_claim1,
     worked_k4_instance,
 )
-from maxtrifree import cli, suites
+from maxtrifree import cli, constructions, scan, suites
 from maxtrifree.cli import main
 from maxtrifree.suites import _claim_random_check
 from maxtrifree.report import (
@@ -334,6 +334,49 @@ class TestCli:
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and var in captured.err
+        assert captured.out == ""
+
+    def test_env_guard_below_its_minimum_names_the_variable(self, capsys, monkeypatch):
+        monkeypatch.setenv("MAXTRIFREE_GUARD_FOLKLORE_N", "3")
+        assert main(["verify", "--suite", "constructions"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("error: MAXTRIFREE_GUARD_FOLKLORE_N=3 is below 4, "
+                                "the smallest n its checks run\n")
+        assert captured.out == ""
+        # a --guard replaces the variable's value, and a bad --guard is reported as typed
+        assert main(["verify", "--suite", "constructions", "--guard", "folklore_n=4"]) == 0
+        capsys.readouterr()
+        assert main(["verify", "--suite", "constructions", "--guard", "folklore_n=2"]) == 2
+        assert capsys.readouterr().err.startswith("error: guard folklore_n=2 is below 4")
+
+    @pytest.mark.parametrize("argv", [
+        ["enumerate", "--n", "9", "--stream", "{missing}"],
+        ["enumerate", "--n", "9", "--json", "{missing}"],
+        ["verify", "--suite", "all", "--json", "{missing}"],
+        ["verify", "--suite", "all", "--json", "{directory}"],
+        ["mis", "--g6", "C~", "--json", "{missing}"],
+        ["reduce", "--random", "1", "--json", "{missing}"],
+        ["construct", "--n", "4", "--stats", "--json", "{missing}"],
+        ["construct", "--n", "4", "--stream", "{missing}"],
+    ])
+    def test_unwritable_output_fails_before_any_computation(self, argv, tmp_path, capsys,
+                                                            monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("computation ran before the output path was opened")
+
+        monkeypatch.setattr(scan, "walk_triangle_free", no_run)
+        monkeypatch.setattr(suites, "run_suite", no_run)
+        for name in ("enumerate_mis", "mis_count", "timed"):
+            monkeypatch.setattr(cli, name, no_run)
+        monkeypatch.setattr(constructions, "folklore_graph", no_run)
+        paths = {"missing": str(tmp_path / "no" / "dir" / "out"), "directory": str(tmp_path)}
+        argv = [arg.format(**paths) for arg in argv]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        path = argv[-1]
+        with pytest.raises(OSError) as opened:
+            open(path, "w")
+        assert captured.err == f"error: {opened.value}\n"
         assert captured.out == ""
 
     def test_env_default_is_read_only_for_options_the_command_takes(self, monkeypatch):
