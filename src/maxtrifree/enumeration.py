@@ -109,7 +109,7 @@ def _maximal_masks(n: int, *, shards: int = 1, forward_prune: bool = True) -> np
 
 
 def check_size(n: int) -> None:
-    """Raise ValueError for n < 1, GuardError past the walker's capacity."""
+    """Raise ValueError for n < 1, GuardError past the int64 edge masks' n <= 11."""
     if n < 1:
         raise ValueError("need at least one vertex")
     scan.check_capacity(n)

@@ -13,8 +13,6 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterator
 
-import numpy as np
-
 MAX_VERTICES = 64
 
 #: Hard cap for the exhaustive edge-subset scan behind min_triangles_at_density.
@@ -123,14 +121,13 @@ def row_pairs(rows) -> list[tuple[int, int]]:
 
 
 def graphs_from_rows(n: int, rows) -> list[Graph]:
-    """One Graph per row of the (N, n) int64 array *rows*, in order.
+    """One Graph per row of the (N, n) int64 array *rows*, in order, made
+    without Graph's row checks.
 
-    Equals ``[Graph(n, tuple(r)) for r in rows.tolist()]``, errors included,
-    but makes Graph's row checks (no bit at or past n, no self-loop, symmetry)
-    once over the whole array.  The first row that fails one is handed to
-    Graph, which raises its own error; otherwise each instance is made without
-    running ``__post_init__`` again.  The bit unpacking holds N * n * 8 *
-    ceil(n / 8) bytes, so pass large batches in blocks.
+    The caller guarantees what ``__post_init__`` would check: 0 <= n <= 64,
+    and every row is loop free, symmetric and has no bit at or past n.  The
+    one caller, ``graph6._decode_short``, builds its rows that way from lines
+    whose content it has checked, and a source test keeps it the only one.
 
     The instances are made with the cyclic garbage collector paused.  Each
     instance, its ``__dict__`` and its row tuple are objects the collector
@@ -140,21 +137,6 @@ def graphs_from_rows(n: int, rows) -> list[Graph]:
     leaves nothing for the collector, and its state on return is its state
     on entry.
     """
-    rows = np.asarray(rows, dtype=np.int64)
-    if rows.ndim != 2 or rows.shape[1] != n:
-        raise ValueError(f"rows of shape {rows.shape} are not an (N, {n}) array")
-    if n > MAX_VERTICES:
-        Graph(n, (0,) * n)  # raises Graph's vertex-count error
-    # a bit at or past n; an int64 shifts by at most 63, and rows >> 63 flags
-    # the negative rows, which Graph rejects as bits past the last vertex
-    bad = np.any(rows >> min(n, 63), axis=1)
-    nbytes = (n + 7) // 8
-    octets = rows.astype("<i8").view(np.uint8).reshape(len(rows), n, 8)[:, :, :nbytes]
-    bits = np.unpackbits(octets, axis=2, bitorder="little")[:, :, :n]
-    bad |= np.any(bits[:, np.arange(n), np.arange(n)], axis=1)
-    bad |= np.any(bits != bits.transpose(0, 2, 1), axis=(1, 2))
-    if bad.any():
-        Graph(n, tuple(rows[bad.argmax()].tolist()))  # raises Graph's error for that row
     new, set_field = object.__new__, object.__setattr__
     graphs = []
     # paused: the graphs form no cycles, so a pass over them would free nothing

@@ -8,23 +8,21 @@ errors, so write-then-read is bit exact.
 One encoder serves single graphs and whole streams: ``encode_graph6_rows``
 writes the lines of many graphs given as unsigned bit rows, reading only the
 bits above the diagonal, and ``encode_graph6`` is that on one graph's rows.
-``read_graph6_file`` reads a file in blocks of lines, checks and unpacks the
-short-form lines of each block as uint8 arrays, and hands their bit rows to
-``graphs_from_rows``, so every Graph it builds was checked once per block,
-not once per graph.  A block whose lines share one short-form shape, as every
-block of an ``enumerate --stream`` file does, is decoded in one call and its
-graphs are returned as they are; any other block is grouped by shape line by
-line.  ``graphs_from_rows`` makes the instances with the cyclic garbage
-collector paused, since a read keeps every graph alive and the collector's
-passes over them would cost about a third of the read.  Every line a batch
-check rejects, and every header or long-form line, goes through
+``read_graph6_file`` reads a file in blocks of lines and takes one of two
+paths per block.  A block whose lines share one short-form shape, as every
+block of an ``enumerate --stream`` file does, is checked and unpacked as
+uint8 arrays in one call, and its bit rows, symmetric and loop free by
+construction, go to ``graphs_from_rows``, which makes the instances without
+re-checking them and with the cyclic garbage collector paused: a read keeps
+every graph alive, and the collector's passes over them would cost about a
+third of the read.  Every other block (mixed shapes, a header, a long-form
+or blank line, or a line the batch checks reject) goes line by line through
 ``decode_graph6``, so a bad line raises the same line-numbered error as
 decoding the file line by line.
 """
 from __future__ import annotations
 
 from itertools import islice
-from operator import itemgetter
 
 import numpy as np
 
@@ -148,22 +146,28 @@ def decode_graph6(text: str, line: int | None = None) -> Graph:
     return Graph(n, tuple(rows))
 
 
-def _decode_short(n: int, lines: list[str]) -> list[Graph | None]:
-    """Decode equal-length short-form lines for n vertices; None where a check fails.
+def _decode_short(n: int, lines: list[str]) -> list[Graph] | None:
+    """The graphs of equal-length short-form lines for n vertices, or None if
+    any line fails a check.
 
-    Makes decode_graph6's checks (character range, body length, zero padding)
-    on all lines at once; a rejected line is left for decode_graph6 to report.
+    Makes decode_graph6's checks (first character, character range, body
+    length, zero padding) on all lines at once.  The rows are then built
+    symmetric, loop free and below bit n by construction, which is the
+    guarantee ``graphs_from_rows`` asks of its caller.
     """
     nbits = n * (n - 1) // 2
     nchars = (nbits + 5) // 6
     if len(lines[0]) != nchars + 1:
-        return [None] * len(lines)
+        return None
     text = "".join(lines).encode("latin-1")
-    codes = np.frombuffer(text, dtype=np.uint8).reshape(len(lines), nchars + 1)[:, 1:] - 63
-    ok = np.all(codes <= 63, axis=1)  # below '?' wraps past 63
+    chars = np.frombuffer(text, dtype=np.uint8).reshape(len(lines), nchars + 1)
+    codes = chars[:, 1:] - 63
+    if np.any(chars[:, 0] != n + 63) or np.any(codes > 63):  # below '?' wraps past 63
+        return None
     bits = np.unpackbits((codes << 2)[:, :, None], axis=2)[:, :, :6]
     bits = bits.reshape(len(lines), 6 * nchars)
-    ok &= ~np.any(bits[:, nbits:], axis=1)
+    if np.any(bits[:, nbits:]):
+        return None
     rows = np.zeros((len(lines), n), dtype=np.int64)
     i = 0
     for v in range(1, n):
@@ -172,44 +176,23 @@ def _decode_short(n: int, lines: list[str]) -> list[Graph | None]:
             rows[:, u] |= bit << v
             rows[:, v] |= bit << u
             i += 1
-    # the rows are symmetric and loop free by construction, rejected lines' too,
-    # so graphs_from_rows raises on none and decode_graph6 reports each rejection
-    graphs = graphs_from_rows(n, rows)
-    if ok.all():
-        return graphs
-    return [g if keep else None for g, keep in zip(graphs, ok.tolist())]
+    return graphs_from_rows(n, rows)
 
 
 def _decode_block(lines: list[str], first_line: int) -> list[Graph]:
     """Graphs of one block of stripped lines, in file order; blank lines skipped.
 
-    A block whose lines all have one short-form shape (the same first
-    character and length, as in every block of a stream that ``enumerate``
-    writes) goes to ``_decode_short`` in one call.  Any other block, or one
-    with a rejected line, is grouped by shape line by line.
+    A block whose lines all have one length and start with a short-form
+    vertex count (as every block of a stream that ``enumerate`` writes does)
+    goes to ``_decode_short`` in one call.  Any other block, or one that
+    call rejects, goes line by line through ``decode_graph6``.
     """
     head = lines[0]
-    if (head and "?" <= head[0] <= "}" and len(set(map(len, lines))) == 1
-            and len(set(map(itemgetter(0), lines))) == 1):
+    if head and "?" <= head[0] <= "}" and len(set(map(len, lines))) == 1:
         graphs = _decode_short(ord(head[0]) - 63, lines)
-        if all(graphs):  # a rejected line's None is the only false entry
+        if graphs is not None:
             return graphs
-    groups: dict[tuple[str, int], list[int]] = {}
-    for i, s in enumerate(lines):
-        if s and "?" <= s[0] <= "}":  # short form, n = 0..62; a header starts with '>'
-            groups.setdefault((s[0], len(s)), []).append(i)
-    decoded: list[Graph | None] = [None] * len(lines)
-    for (first, _), idx in groups.items():
-        for i, g in zip(idx, _decode_short(ord(first) - 63, [lines[i] for i in idx])):
-            decoded[i] = g
-    out = []
-    for i, s in enumerate(lines):
-        g = decoded[i]
-        if g is None and s:
-            g = decode_graph6(s, line=first_line + i)
-        if g is not None:
-            out.append(g)
-    return out
+    return [decode_graph6(s, line=first_line + i) for i, s in enumerate(lines) if s]
 
 
 def read_graph6_file(path) -> list[Graph]:

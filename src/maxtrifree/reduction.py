@@ -487,7 +487,8 @@ def bound_chain(container: Graph, removal: Graph) -> VerificationReport:
 def random_graph(n: int, p: float, rng: np.random.Generator) -> Graph:
     """Labeled G(n, p): each pair flips one coin, in lexicographic order."""
     rows = [0] * n
-    for (u, v), coin in zip(lex_pairs(n), rng.random(len(lex_pairs(n)))):
+    pairs = lex_pairs(n)
+    for (u, v), coin in zip(pairs, rng.random(len(pairs))):
         if coin < p:
             rows[u] |= 1 << v
             rows[v] |= 1 << u

@@ -16,10 +16,11 @@ a sharded walk fixes the first ``_SHARD_DEPTH`` decisions before dealing out
 the prefixes; states evolve independently, so the leaf multiset never depends
 on the batches or the shards.
 
-Consumers get one adjacency row per leaf.  ``edge_masks`` derives the leaves'
-int64 lexicographic edge masks, which cap the walker at n <= 11,
-``mask_rows`` turns masks back into upper rows for the graph6 encoder, and
-``pair_flags`` tests triangles and maximality on the same rows.
+Consumers get one adjacency row per leaf.  The walker's uint16 columns cap it
+at n <= 16.  ``edge_masks`` derives the leaves' int64 lexicographic edge
+masks, which cap their consumers at n <= 11, ``mask_rows`` turns masks back
+into upper rows for the graph6 encoder, and ``pair_flags`` tests triangles
+and maximality on the same rows.
 """
 from __future__ import annotations
 
@@ -32,6 +33,7 @@ from .graph import GuardError, iter_bits, lex_pairs
 Consumer = Callable[[np.ndarray], None]
 
 _MAX_PAIRS = 63  # edge_masks returns int64, one bit per pair
+_MAX_N = 16  # the frontier's uint16 columns hold one bit per vertex
 _BATCH = 1 << 18  # a frontier with more states than this is split in half
 _SHARD_DEPTH = 8  # decisions fixed before a sharded frontier is dealt out
 
@@ -40,7 +42,7 @@ def check_capacity(n: int) -> None:
     """Raise GuardError unless all C(n, 2) pairs fit the int64 edge masks."""
     if n * (n - 1) // 2 > _MAX_PAIRS:
         raise GuardError(
-            f"walker decides at most {_MAX_PAIRS} pairs (n <= 11), got n={n}")
+            f"int64 edge masks hold at most {_MAX_PAIRS} pairs (n <= 11), got n={n}")
 
 
 def edge_masks(adj: np.ndarray) -> np.ndarray:
@@ -105,8 +107,10 @@ def walk_triangle_free(
     ``_BATCH`` states per level.  With ``shards > 1`` the first
     ``_SHARD_DEPTH`` edge decisions are made on the whole frontier and the
     surviving prefixes are dealt round-robin, one shard after another.
+    n > 16 raises GuardError.
     """
-    check_capacity(n)
+    if n > _MAX_N:
+        raise GuardError(f"walker holds uint16 vertex columns (n <= {_MAX_N}), got n={n}")
     if shards < 1:
         raise ValueError("shards must be positive")
     pairs = lex_pairs(n)

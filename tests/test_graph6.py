@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -22,6 +24,17 @@ from oracles import (
     star_graph,
     write_graph6_file,
 )
+
+
+def routed(lines: list[str], block_lines: int) -> list[int]:
+    """The line numbers read_graph6_file hands to decode_graph6: every non-blank
+    line of a block whose lines do not all share one short-form shape."""
+    out = []
+    for start in range(0, len(lines), block_lines):
+        block = [s.strip() for s in lines[start:start + block_lines]]
+        if not "?" <= block[0][:1] <= "}" or len({(s[:1], len(s)) for s in block}) > 1:
+            out += [start + 1 + i for i, s in enumerate(block) if s]
+    return out
 
 
 def nx_encode(g: Graph) -> str:
@@ -223,7 +236,7 @@ class TestFiles:
                    (2, 1)]]
         lines = ["", encode_graph6(path_graph(64)), "  ", ">>graph6<<" + encode_graph6(graphs[0])]
         for i in range(300):
-            g = graphs[i % len(graphs)]
+            g = graphs[i // 10 % len(graphs)]  # runs of ten lines of one shape
             lines.append(encode_graph6(g))
             if i % 50 == 7:
                 lines += ["", ">>graph6<<" + encode_graph6(g), encode_graph6(path_graph(64))]
@@ -236,10 +249,45 @@ class TestFiles:
                             lambda text, line=None: single.append(line) or decode_graph6(text, line))
         assert read_graph6_file(path) == lazy
         assert len(lazy) == 300 + 2 + 2 * 6
-        # only the header and long-form lines leave the batch path
-        assert len(single) == 2 + 2 * 6
+        # the whole file is one mixed block, so every non-blank line is decoded alone
+        assert single == routed(lines, graph6._BLOCK_LINES) and len(single) == len(lazy)
+        single.clear()
         monkeypatch.setattr(graph6, "_BLOCK_LINES", 7)  # block edges inside runs
         assert read_graph6_file(path) == lazy
+        # a block inside a run takes the one-call path; every other goes line by line
+        assert single == routed(lines, 7) and len(single) < len(lazy)
+
+    def test_one_call_path_is_exact_for_every_short_form_n(self, tmp_path, monkeypatch):
+        # the rows _decode_short builds go to graphs_from_rows unchecked, so
+        # each must equal what Graph's own checks accept from decode_graph6
+        rng = np.random.default_rng(17)
+        results = []
+        decode_short = graph6._decode_short
+        monkeypatch.setattr(graph6, "_decode_short",
+                            lambda n, lines: results.append(decode_short(n, lines)) or results[-1])
+        for n in range(63):
+            pairs = list(combinations(range(n), 2))
+            graphs = [empty_graph(n), Graph.complete(n)] + [
+                Graph.from_edges(n, [p for p, coin in zip(pairs, rng.random(len(pairs)))
+                                     if coin < density])
+                for density in (0.1, 0.5, 0.9, 0.5)]
+            lines = [encode_graph6(g) for g in graphs]
+            path = tmp_path / f"n{n}.g6"
+            path.write_text("\n".join(lines) + "\n")
+            assert read_graph6_file(path) == graphs, n
+            assert graphs == [decode_graph6(s, line=i + 1) for i, s in enumerate(lines)], n
+        assert len(results) == 63 and all(results)  # one call per file, none rejected
+
+    @pytest.mark.parametrize("text", [
+        ">>graph6<<D??\nDQo\nD~{\nD??\n",  # a header on the first line only
+        "DQo\nD~{\n\nD??\n \t\nDQo\n",     # blank lines among one-shape lines
+        "B?\nC?\nBw\nCw\n",                 # one length, but n = 3 and n = 4
+    ])
+    def test_small_files_that_are_not_one_shape(self, tmp_path, text):
+        path = tmp_path / "small.g6"
+        path.write_text(text)
+        got = read_graph6_file(path)
+        assert got == list(iter_graph6_file(path)) and len(got) == 4
 
     @pytest.mark.parametrize("bad", [
         "D!?",     # '!' is below the graph6 range

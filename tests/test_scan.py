@@ -114,6 +114,12 @@ def test_edge_masks_past_int64_is_a_guard_error():
         mask_rows(12, np.zeros(1, dtype=np.int64))
 
 
+def test_walker_past_uint16_columns_is_a_guard_error():
+    # the walker holds no edge masks; its own cap is one uint16 bit per vertex
+    with pytest.raises(GuardError, match=r"n <= 16\), got n=17"):
+        walk_triangle_free(17, forward_prune=True)
+
+
 def test_mask_rows_inverts_edge_masks():
     # mask_rows gives each full row's bits above the diagonal, and nothing else
     rng = np.random.default_rng(12)

@@ -68,8 +68,8 @@ def test_every_cli_option_is_read():
 
 
 def test_object_new_only_in_the_batch_graph_constructor():
-    # graphs_from_rows makes Graph's checks once on a whole array and then builds
-    # each instance with object.__new__; nothing else may build a Graph unchecked
+    # graphs_from_rows builds each instance with object.__new__ from rows its
+    # caller built valid; nothing else may build a Graph unchecked
     found = []
     for path in sorted(Path(maxtrifree.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -82,6 +82,23 @@ def test_object_new_only_in_the_batch_graph_constructor():
                               if first <= node.lineno <= last), "<module>")
                 found.append(f"{path.name}:{owner}")
     assert found == ["graph.py:graphs_from_rows"]
+
+
+def test_graphs_from_rows_has_one_caller():
+    # graphs_from_rows checks nothing, so its one caller is the decoder that
+    # builds its rows symmetric, loop free and below bit n
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        spans = [(d.lineno, d.end_lineno, d.name) for d in tree.body
+                 if isinstance(d, (ast.FunctionDef, ast.ClassDef))]
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Name) and node.id == "graphs_from_rows"
+                    or isinstance(node, ast.Attribute) and node.attr == "graphs_from_rows"):
+                owner = next((name for first, last, name in spans
+                              if first <= node.lineno <= last), "<module>")
+                found.append(f"{path.name}:{owner}")
+    assert found == ["graph6.py:_decode_short"]
 
 
 def _tracer_targets() -> list[str]:
