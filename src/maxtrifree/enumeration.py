@@ -92,19 +92,32 @@ def brute_force_maximal_tf(n: int) -> list[Graph]:
     return found
 
 
-def _maximal_masks(n: int, *, shards: int = 1, forward_prune: bool = True) -> np.ndarray:
-    """Sorted edge masks of the maximal triangle-free graphs on [n], from the
-    walker; unpruned leaves are every triangle-free graph, filtered by
-    ``scan.pair_flags``."""
+def _walk_maximal(n: int, consume: scan.Consumer | None, *, shards: int = 1,
+                  forward_prune: bool = True) -> int:
+    """Count the maximal triangle-free graphs on [n] with the walker, feeding
+    their adjacency rows to *consume* when it is given; unpruned leaves are
+    every triangle-free graph, filtered by ``scan.pair_flags``."""
     check_size(n)
+    if forward_prune:
+        return scan.walk_triangle_free(n, forward_prune=True, consume=consume, shards=shards)
+    count = 0
+
+    def keep(adj: np.ndarray) -> None:
+        nonlocal count
+        maximal = ~scan.pair_flags(adj)[1]
+        count += int(np.count_nonzero(maximal))
+        if consume is not None:
+            consume(adj[maximal])
+
+    scan.walk_triangle_free(n, forward_prune=False, consume=keep, shards=shards)
+    return count
+
+
+def _maximal_masks(n: int, *, shards: int = 1, forward_prune: bool = True) -> np.ndarray:
+    """Sorted edge masks of the maximal triangle-free graphs on [n]."""
     batches = [np.zeros(0, dtype=np.int64)]
-
-    def consume(adj: np.ndarray) -> None:
-        if not forward_prune:
-            adj = adj[~scan.pair_flags(adj)[1]]
-        batches.append(scan.edge_masks(adj))
-
-    scan.walk_triangle_free(n, forward_prune=forward_prune, consume=consume, shards=shards)
+    _walk_maximal(n, lambda adj: batches.append(scan.edge_masks(adj)),
+                  shards=shards, forward_prune=forward_prune)
     return np.sort(np.concatenate(batches))
 
 
@@ -128,16 +141,18 @@ def enumerate_maximal_tf(
     every triangle-free leaf is reached and filtered by the maximality check.
     Both must agree with the brute-force oracle.  Streams the family as sorted
     graph6 lines when ``stream_path`` is given, ``_STREAM_BLOCK`` graphs at a
-    time.
+    time; without it the walker only counts, and no edge mask is built.
     """
     start = time.perf_counter()
-    masks = _maximal_masks(n, shards=shards, forward_prune=forward_prune)
-    if stream_path is not None:
+    if stream_path is None:
+        count = _walk_maximal(n, None, shards=shards, forward_prune=forward_prune)
+    else:
+        masks = _maximal_masks(n, shards=shards, forward_prune=forward_prune)
         with open(stream_path, "wb") as fh:
             for block in np.split(masks, range(_STREAM_BLOCK, len(masks), _STREAM_BLOCK)):
                 fh.write(encode_graph6_rows(n, scan.mask_rows(n, block)))
+        count = len(masks)
     ms = int((time.perf_counter() - start) * 1000)  # the table's ms column, not a report's
-    count = len(masks)
     log2_over = round(math.log2(count) / (n * n), 6) if count else float("-inf")
     return CountRow(n, count, log2_over, ms)
 

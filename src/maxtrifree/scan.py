@@ -2,19 +2,44 @@
 
 Edges of the n-vertex complete graph are decided present/absent one at a time
 in lexicographic pair order.  Branches that would close a triangle are cut.
-With ``forward_prune`` enabled, a branch is also cut as soon as some decided
-non-edge can no longer gain a common neighbor from the edges still undecided;
-once every edge is decided that test degenerates to the exact common-neighbor
-condition, so surviving leaves are precisely the maximal triangle-free graphs.
-Without it, leaves are all triangle-free graphs.
+Without ``forward_prune``, leaves are all triangle-free graphs.  With it, a
+branch is also cut as soon as some decided non-edge can no longer gain a
+common neighbour, and leaves are precisely the maximal triangle-free graphs.
 
-The frontier is its contiguous vertex columns and nothing else: ``cols[x]``
-holds the neighbour bits of vertex x in every state.  Each level compacts the
-parent once into preallocated next-level arrays, absent child first, then
-present child.  A frontier larger than ``_BATCH`` states is split in half, and
-a sharded walk fixes the first ``_SHARD_DEPTH`` decisions before dealing out
-the prefixes; states evolve independently, so the leaf multiset never depends
-on the batches or the shards.
+The forward prune keeps, per state and vertex x, a pot: ``pot[x]`` holds x's
+own bit, its edges, and its undecided partners z with N(x) and N(z)
+disjoint, the only partners that can still become edges.  A decided pair x, w
+survives while ``pot[x] & pot[w]`` is nonzero: an edge passes on the own
+bits, and a non-edge needs a common neighbour, which in every completion lies
+in both pots.  Pots only shrink, so a failed test is final and the cut is
+sound.  Once every pair is decided a pot is x's bit and N(x), and the test is
+the exact common-neighbour condition, provided each non-edge is tested after
+the last change to either endpoint's pot.  Lexicographic order provides that
+cheaply.  At level (u, v) only pairs below (u, v) are decided, so N(v) lies
+below u and N(u) lies below v, and:
+
+- the absent child changes no neighbourhood.  It drops v from ``pot[u]`` and
+  u from ``pot[v]`` and re-tests every decided partner of u and of v;
+- the present child keeps ``pot[u]``, with v turned from undecided partner
+  into edge: u's undecided partners lie above v, so none is in N(v), which
+  lies below u.  The partners of v in N(u) between u and v now share u with
+  v, so they leave ``pot[v]`` and v leaves each of their pots.  It re-tests
+  v's decided partners, all below u;
+- the shrunk pot of such a partner w is re-tested at level (w, v), which
+  comes later and is forced absent, as u is a common neighbour of w and v.
+
+So every non-edge is tested after the last change to either of its pots, and
+the leaves are exactly the maximal triangle-free graphs.
+
+The frontier is contiguous uint16 vertex columns, one entry per state:
+``state[x]`` holds the neighbour bits of vertex x in every state, and the
+pruned walk adds its n pot columns ``state[n + x]`` after them.  Each level
+compacts the parent once into preallocated next-level arrays, absent child
+first, then present child.  A frontier larger than ``_BATCH`` states is split
+in half, and a sharded walk fixes the first ``_SHARD_DEPTH`` decisions before
+dealing out the prefixes; both slice all of a state's columns together, and
+states evolve independently, so the leaf multiset never depends on the
+batches or the shards.
 
 Consumers get one adjacency row per leaf.  The walker's uint16 columns cap it
 at n <= 16.  ``edge_masks`` derives the leaves' int64 lexicographic edge
@@ -28,7 +53,7 @@ from typing import Callable
 
 import numpy as np
 
-from .graph import GuardError, iter_bits, lex_pairs
+from .graph import GuardError, lex_pairs
 
 Consumer = Callable[[np.ndarray], None]
 
@@ -103,71 +128,78 @@ def walk_triangle_free(
     Returns the number of leaves.  ``consume(adj)`` receives the (N, n)
     uint16 transposed view of the frontier's vertex columns, so ``adj[:, x]``
     is vertex x's contiguous column and ``adj[i]`` leaf i's rows, and
-    ``edge_masks(adj)`` derives their edge masks.  Batches hold at most
-    ``_BATCH`` states per level.  With ``shards > 1`` the first
-    ``_SHARD_DEPTH`` edge decisions are made on the whole frontier and the
-    surviving prefixes are dealt round-robin, one shard after another.
-    n > 16 raises GuardError.
+    ``edge_masks(adj)`` derives their edge masks.  A frontier is split in
+    half while it holds more than ``_BATCH`` states, and each state has at
+    most two children, so a level's output, and hence a batch, holds at most
+    2 * ``_BATCH`` states.  With ``shards > 1`` the first ``_SHARD_DEPTH``
+    edge decisions are made on the whole frontier and the surviving prefixes
+    are dealt round-robin, one shard after another.  n > 16 raises
+    GuardError.
     """
     if n > _MAX_N:
         raise GuardError(f"walker holds uint16 vertex columns (n <= {_MAX_N}), got n={n}")
     if shards < 1:
         raise ValueError("shards must be positive")
     pairs = lex_pairs(n)
-    # reach[p][x]: x's own bit and its partners still undecided once pair p
-    # is decided; done[p]: each endpoint x of pair p with its decided partners
-    reach, done = [], []
-    cur = [((1 << n) - 1) ^ (1 << x) for x in range(n)]
-    for u, v in pairs:
-        cur[u] &= ~(1 << v)
-        cur[v] &= ~(1 << u)
-        reach.append([np.uint16(bits | 1 << x) for x, bits in enumerate(cur)])
-        done.append([(x, list(iter_bits(((1 << n) - 1) ^ (1 << x) ^ cur[x]))) for x in (u, v)])
+    bit = [np.uint16(1 << x) for x in range(n)]
 
-    def children(cols: np.ndarray, level: int) -> np.ndarray:
+    def children(state: np.ndarray, level: int) -> np.ndarray:
         u, v = pairs[level]
-        ok_present = (cols[u] & cols[v]) == 0
+        ok_present = (state[u] & state[v]) == 0
         if forward_prune:
-            # The absent child dies once a decided pair x, w at u or v is a
-            # non-edge that no undecided pair can give a common neighbour.
-            # With each vertex's own bit on its column of edges and undecided
-            # partners, "edge or common neighbour still possible" is one
-            # nonzero AND of the two columns.
-            ok_absent = np.ones(cols.shape[1], dtype=bool)
-            for x, partners in done[level]:
-                col_x = cols[x] | reach[level][x]
-                for w in partners:
-                    ok_absent &= (col_x & (cols[w] | reach[level][w])) != 0
+            # each child's pots after its own update; a vertex whose pot
+            # shrank (u and v in the absent child, v in the present one) is
+            # re-tested against its decided partners, and a nonzero AND passes
+            pot = state[n:]
+            pot_u, pot_v = pot[u] & ~bit[v], pot[v] & ~bit[u]
+            ok_absent = (pot_u & pot_v) != 0
+            ok_absent &= np.all(pot[:v] & pot_u, axis=0)
+            ok_absent &= np.all(pot[:u] & pot_v, axis=0)
+            between = np.uint16((1 << v) - (2 << u))  # the vertices between u and v
+            ok_present &= np.all(pot[:u] & (pot[v] & ~(state[u] & between)), axis=0)
             absent = int(np.count_nonzero(ok_absent))
         else:
-            absent = cols.shape[1]
+            absent = state.shape[1]
         # one compaction per child, straight into the next level's array
-        next_cols = np.empty((n, absent + int(np.count_nonzero(ok_present))), dtype=np.uint16)
+        next_state = np.empty((len(state), absent + int(np.count_nonzero(ok_present))),
+                              dtype=np.uint16)
         if forward_prune:
-            np.compress(ok_absent, cols, axis=1, out=next_cols[:, :absent])
+            np.compress(ok_absent, state, axis=1, out=next_state[:, :absent])
         else:
-            next_cols[:, :absent] = cols
-        np.compress(ok_present, cols, axis=1, out=next_cols[:, absent:])
-        next_cols[u, absent:] |= np.uint16(1 << v)
-        next_cols[v, absent:] |= np.uint16(1 << u)
-        return next_cols
+            next_state[:, :absent] = state
+        np.compress(ok_present, state, axis=1, out=next_state[:, absent:])
+        next_state[u, absent:] |= bit[v]
+        next_state[v, absent:] |= bit[u]
+        if forward_prune:
+            next_state[n + u, :absent] &= ~bit[v]
+            next_state[n + v, :absent] &= ~bit[u]
+            # N(u) between u and v now shares u with v: those partners leave
+            # pot[v], and v leaves each of their pots
+            lost = next_state[u, absent:] & between
+            next_state[n + v, absent:] &= ~lost
+            for w in range(u + 1, v):
+                next_state[n + w, absent:] &= ~((lost & bit[w]) << np.uint16(v - w))
+        return next_state
 
-    def descend(cols: np.ndarray, level: int) -> int:
+    def descend(state: np.ndarray, level: int) -> int:
         leaves = 0
-        while level < len(pairs) and cols.shape[1]:
-            if cols.shape[1] > _BATCH:
-                mid = cols.shape[1] // 2
-                leaves += descend(cols[:, :mid], level)
-                cols = cols[:, mid:]
+        while level < len(pairs) and state.shape[1]:
+            if state.shape[1] > _BATCH:
+                mid = state.shape[1] // 2
+                leaves += descend(state[:, :mid], level)
+                state = state[:, mid:]
             else:
-                cols = children(cols, level)
+                state = children(state, level)
                 level += 1
-        if consume is not None and cols.shape[1]:
-            consume(cols.T)
-        return leaves + cols.shape[1]
+        if consume is not None and state.shape[1]:
+            consume(state[:n].T)
+        return leaves + state.shape[1]
 
-    cols = np.zeros((n, 1), dtype=np.uint16)
+    # the vertex columns, then the pruned walk's pot columns, which start
+    # full: every partner is undecided and no neighbourhood meets another
+    state = np.zeros((2 * n if forward_prune else n, 1), dtype=np.uint16)
+    state[n:] = (1 << n) - 1
     depth = min(_SHARD_DEPTH, len(pairs)) if shards > 1 else 0
     for level in range(depth):
-        cols = children(cols, level)
-    return sum(descend(cols[:, s::shards], depth) for s in range(shards))
+        state = children(state, level)
+    return sum(descend(state[:, s::shards], depth) for s in range(shards))

@@ -81,6 +81,17 @@ class TestEnumerate:
             assert len(pruned) == enumeration.PINNED_COUNTS[n]
             assert np.array_equal(pruned, filtered), n
 
+    def test_count_builds_no_edge_masks(self, monkeypatch):
+        # only a stream or the family needs masks; a count comes from the walk
+        def no_masks(adj):
+            raise AssertionError("edge masks built for a count")
+
+        monkeypatch.setattr(scan, "edge_masks", no_masks)
+        for prune in (True, False):
+            assert enumerate_maximal_tf(7, forward_prune=prune).labeled_count == \
+                enumeration.PINNED_COUNTS[7]
+            assert enumerate_maximal_tf(6, forward_prune=prune, shards=3).labeled_count == 211
+
     def test_n1(self):
         assert enumerate_maximal_tf(1).labeled_count == 1
 

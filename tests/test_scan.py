@@ -9,6 +9,7 @@ from maxtrifree import (
     is_triangle_free,
 )
 from maxtrifree import scan
+from maxtrifree.enumeration import PINNED_COUNTS
 from maxtrifree.scan import edge_masks, mask_rows, pair_flags, walk_triangle_free
 from oracles import edge_mask, naive_is_maximal_tf, naive_triangles, walk_triangle_free_scalar
 
@@ -84,6 +85,18 @@ def test_chunk_invariance(monkeypatch):
         monkeypatch.setattr(scan, "_BATCH", batch)
         for prune in (False, True):
             assert leaves_with_rows(6, prune, shards=shards) == base[prune], (batch, shards, prune)
+
+
+def test_pot_columns_split_and_dealt_with_adjacency(monkeypatch):
+    # the pruned frontier carries a pot column per vertex beside its adjacency
+    # columns; batch halving and shard dealing must take both together
+    base = leaves_with_rows(7, True)
+    monkeypatch.setattr(scan, "_BATCH", 7)
+    assert leaves_with_rows(7, True, shards=3) == base
+
+
+def test_pruned_count_without_consumer():
+    assert walk_triangle_free(9, forward_prune=True) == PINNED_COUNTS[9]
 
 
 def test_adjacency_columns_match_masks():
