@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Any
 
 import numpy as np
@@ -22,7 +23,6 @@ from .graph import (
     GuardError,
     graph_from_edge_mask,
     is_maximal_triangle_free,
-    lex_pairs,
 )
 from .graph6 import encode_graph6_rows
 
@@ -76,19 +76,24 @@ class CountTable:
 def brute_force_maximal_tf(n: int) -> list[Graph]:
     """All labeled maximal triangle-free graphs on [n] by full scan.
 
-    Scans every edge subset and keeps those passing the maximality predicate,
-    ordered by ascending adjacency bit pattern.
+    Tests the rows of every edge subset by ascending mask (bit p is pair p of
+    ``combinations(range(n), 2)``) and builds a Graph only for those it keeps;
+    it shares no helper with the walker's ``maximal_tf_family``.
     """
     if n > BRUTE_FORCE_MAX_N:
         raise GuardError(f"brute force capped at n={BRUTE_FORCE_MAX_N}, got {n}")
     if n < 1:
         raise ValueError("need at least one vertex")
     found = []
-    num_pairs = len(lex_pairs(n))
-    for mask in range(1 << num_pairs):
-        g = graph_from_edge_mask(n, mask)
-        if is_maximal_triangle_free(g):
-            found.append(g)
+    pairs = list(combinations(range(n), 2))
+    for mask in range(1 << len(pairs)):
+        rows = [0] * n
+        for p, (u, v) in enumerate(pairs):
+            if mask >> p & 1:
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+        if is_maximal_triangle_free(rows):
+            found.append(Graph(n, tuple(rows)))
     return found
 
 

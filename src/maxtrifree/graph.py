@@ -3,7 +3,10 @@
 A graph lives on vertices 0..n-1 with n <= 64, so each adjacency row fits a
 single machine word and neighbourhood intersections are one ``&``.  An edge
 set is a graph on the same vertices.  Graphs are immutable; every operation
-here is a pure function.
+here is a pure function.  The triangle predicates read bare bit rows, with
+n = len(rows); a caller holding a Graph passes ``g.rows``.  ``Graph`` checks
+its rows, so one is built only where a graph is kept: returned, stored or
+written out.
 """
 from __future__ import annotations
 
@@ -29,11 +32,6 @@ def iter_bits(word: int) -> Iterator[int]:
         low = word & -word
         yield low.bit_length() - 1
         word ^= low
-
-
-def _above(v: int) -> int:
-    # mask of all bit positions strictly greater than v
-    return -1 << (v + 1)
 
 
 @dataclass(frozen=True)
@@ -175,32 +173,31 @@ def graph_from_edge_mask(n: int, mask: int) -> Graph:
 # ---------------------------------------------------------------------------
 
 
-def is_triangle_free(g: Graph) -> bool:
-    """True iff g has no triangle; exits at the first one found."""
-    return find_triangle(g) is None
+def is_triangle_free(rows) -> bool:
+    """True iff the bit rows *rows* span no triangle; exits at the first one found."""
+    return find_triangle(rows) is None
 
 
-def find_triangle(g: Graph) -> tuple[int, int, int] | None:
-    """Some triangle (a, b, c) with a < b < c, or None; first in lex order."""
-    for u in range(g.n):
-        ru = g.rows[u]
-        for v in iter_bits(ru & _above(u)):
-            common = ru & g.rows[v] & _above(v)
+def find_triangle(rows) -> tuple[int, int, int] | None:
+    """Some triangle (a, b, c), a < b < c, of the bit rows *rows*; the first in
+    lex order, or None."""
+    for u, ru in enumerate(rows):
+        for v in iter_bits(ru & (-2 << u)):
+            common = ru & rows[v] & (-2 << v)
             if common:
                 return u, v, (common & -common).bit_length() - 1
     return None
 
 
-def is_maximal_triangle_free(g: Graph) -> bool:
-    """Triangle free, and every non-adjacent pair has a common neighbor.
+def is_maximal_triangle_free(rows) -> bool:
+    """The bit rows *rows* are triangle free, and every non-edge has a common neighbor.
 
     One pass over the pairs: an edge with a common neighbour is a triangle and
     a non-edge without one could be added, so either exits at once.
     """
-    rows = g.rows
-    for u in range(g.n):
-        ru = rows[u]
-        for v in range(u + 1, g.n):
+    n = len(rows)
+    for u, ru in enumerate(rows):
+        for v in range(u + 1, n):
             if ru >> v & 1 == bool(ru & rows[v]):
                 return False
     return True
@@ -233,26 +230,22 @@ def greedy_triangle_removal(g: Graph) -> Graph:
     """The removed edges F, as a graph on g's vertices, with g - F triangle free.
 
     Repeatedly removes an edge lying on the most remaining triangles; ties go
-    to the lexicographically first edge, so the result is reproducible.
+    to the lexicographically first edge, so the result is reproducible.  The
+    per-edge counts are kept in lexicographic order, and ``max`` returns the
+    first maximum; removing uv takes one off uw and vw per common neighbour w.
     """
-    n = g.n
     rows = list(g.rows)
-    while True:
-        best_cnt = 0
-        best: tuple[int, int] | None = None
-        for u in range(n):
-            ru = rows[u]
-            for v in iter_bits(ru & _above(u)):
-                cnt = (ru & rows[v]).bit_count()
-                if cnt > best_cnt:
-                    best_cnt = cnt
-                    best = (u, v)
-        if best is None:
+    tri = {(u, v): (rows[u] & rows[v]).bit_count() for u, v in row_pairs(rows)}
+    while tri:
+        u, v = max(tri, key=tri.get)
+        if not tri.pop((u, v)):
             break
-        u, v = best
         rows[u] &= ~(1 << v)
         rows[v] &= ~(1 << u)
-    return Graph(n, tuple(a & ~b for a, b in zip(g.rows, rows)))
+        for w in iter_bits(rows[u] & rows[v]):
+            tri[(u, w) if u < w else (w, u)] -= 1
+            tri[(v, w) if v < w else (w, v)] -= 1
+    return Graph(g.n, tuple(a & ~b for a, b in zip(g.rows, rows)))
 
 
 @lru_cache(maxsize=None)

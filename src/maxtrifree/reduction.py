@@ -86,11 +86,10 @@ class ReductionInstance:
         bad = _edges_outside(self.selected, self.removal)
         if bad:
             raise InstanceError(f"selected edge {bad[0]} is not in the removal set")
-        pairs = zip(self.container.rows, self.removal.rows)
-        tri = find_triangle(Graph(n, tuple(c & ~r for c, r in pairs)))
+        tri = find_triangle([c & ~r for c, r in zip(self.container.rows, self.removal.rows)])
         if tri is not None:
             raise InstanceError(f"container minus removal has triangle {tri}")
-        tri = find_triangle(self.selected)
+        tri = find_triangle(self.selected.rows)
         if tri is not None:
             raise InstanceError(f"selected set spans triangle {tri}")
 
@@ -224,7 +223,7 @@ def _shared_selected_edge(aux: AuxiliaryGraph, i: int, j: int) -> str:
 def verify_claim1(aux: AuxiliaryGraph) -> VerificationReport:
     """Check that T is triangle-free; a failure names the three edges and the
     three selected edges behind them."""
-    tri = find_triangle(aux.t_graph)
+    tri = find_triangle(aux.t_graph.rows)
     counts = {
         "t_vertices": aux.t_graph.n,
         "t_edges": aux.t_graph.edge_count(),
@@ -444,22 +443,24 @@ def bound_chain(container: Graph, removal: Graph) -> VerificationReport:
     witnesses: list = []
     for code in range(1 << len(edges)):
         subsets += 1
-        fstar = Graph.from_edges(n, [e for i, e in enumerate(edges) if code >> i & 1])
-        if not is_triangle_free(fstar):
+        rows = [0] * n
+        for i, (u, v) in enumerate(edges):
+            if code >> i & 1:
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+        if not is_triangle_free(rows):
             continue
         tf_subsets += 1
-        inst = ReductionInstance(container, removal, fstar)
+        inst = ReductionInstance(container, removal, Graph(n, tuple(rows)))
         aux = build_auxiliary(inst)
         h_count = len(enumerate_h_star(inst))
         mis_t = mis_count(aux.t_graph)
         t_n = aux.t_graph.n
-        label = _edge_strs(fstar.edges())
-        if h_count > mis_t:
-            witnesses.append([f"F*={label}", f"h_star {h_count} > mis {mis_t}"])
-        if mis_t * mis_t > 1 << t_n:
-            witnesses.append([f"F*={label}", f"mis {mis_t} breaks 2^({t_n}/2)"])
-        if t_n > e_container:
-            witnesses.append([f"F*={label}", f"|V(T)|={t_n} > e(G)={e_container}"])
+        for broken, why in ((h_count > mis_t, f"h_star {h_count} > mis {mis_t}"),
+                            (mis_t * mis_t > 1 << t_n, f"mis {mis_t} breaks 2^({t_n}/2)"),
+                            (t_n > e_container, f"|V(T)|={t_n} > e(G)={e_container}")):
+            if broken:
+                witnesses.append([f"F*={_edge_strs(row_pairs(rows))}", why])
         total += h_count
     direct = maximal_tf_subgraph_count(container)
     if total != direct:

@@ -166,6 +166,24 @@ def naive_max_clique(g) -> int:
     return best
 
 
+def greedy_triangle_removal_rescan(g) -> Graph:
+    """Reference for graph.greedy_triangle_removal: after every removal it
+    rescans every remaining edge for the one on the most triangles, the
+    lexicographically first among ties, and stops when none is on one."""
+    rows = list(g.rows)
+    while True:
+        best_cnt, best = 0, None
+        for u, v in combinations(range(g.n), 2):
+            cnt = (rows[u] & rows[v]).bit_count()
+            if rows[u] >> v & 1 and cnt > best_cnt:
+                best_cnt, best = cnt, (u, v)
+        if best is None:
+            return Graph(g.n, tuple(a & ~b for a, b in zip(g.rows, rows)))
+        u, v = best
+        rows[u] &= ~(1 << v)
+        rows[v] &= ~(1 << u)
+
+
 def set_to_word(s) -> int:
     word = 0
     for v in s:
@@ -301,8 +319,8 @@ def folklore_census(n: int) -> dict[str, int]:
     for code in range(total):
         g = folklore_graph(FolkloreChoice.from_int(n, code))
         seen.add(g.rows)
-        tf += is_triangle_free(g)
-        maximal += is_maximal_triangle_free(g)
+        tf += is_triangle_free(g.rows)
+        maximal += is_maximal_triangle_free(g.rows)
     return {"total": total, "distinct": len(seen), "triangle_free": tf, "maximal": maximal}
 
 

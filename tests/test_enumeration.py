@@ -66,6 +66,12 @@ class TestBruteForce:
         with pytest.raises(GuardError):
             brute_force_maximal_tf(7)
 
+    def test_builds_a_graph_only_for_each_graph_it_returns(self, graph_builds):
+        # the other 997 edge subsets of K5 are tested as bare rows
+        found = brute_force_maximal_tf(5)
+        assert len(found) == 27
+        assert graph_builds == [g.rows for g in found]
+
 
 class TestEnumerate:
     def test_oracle_equivalence(self):
@@ -105,7 +111,7 @@ class TestEnumerate:
         row = enumerate_maximal_tf(5, stream_path=path)
         graphs = read_graph6_file(path)
         assert len(graphs) == row.labeled_count == 27
-        assert all(is_maximal_triangle_free(g) for g in graphs)
+        assert all(is_maximal_triangle_free(g.rows) for g in graphs)
         masks = [edge_mask(g) for g in graphs]
         assert masks == sorted(masks)
         assert [edge_mask(g) for g in brute_force_maximal_tf(5)] == masks

@@ -18,11 +18,13 @@ from maxtrifree import (
 )
 from maxtrifree import graph
 from maxtrifree.graph import graphs_from_rows
+from maxtrifree.reduction import EDGE_PROBABILITIES, random_graph
 from oracles import (
     complete_bipartite,
     degree,
     edge_mask,
     empty_graph,
+    greedy_triangle_removal_rescan,
     has_edge,
     naive_is_maximal_tf,
     naive_max_clique,
@@ -167,25 +169,30 @@ class TestGraphsFromRows:
 
 class TestTriangles:
     def test_triangle_free_examples(self):
-        assert is_triangle_free(Graph.cycle(5))
-        assert not is_triangle_free(Graph.complete(3))
-        assert is_triangle_free(empty_graph(10))
+        assert is_triangle_free(Graph.cycle(5).rows)
+        assert not is_triangle_free(Graph.complete(3).rows)
+        assert is_triangle_free(empty_graph(10).rows)
 
     def test_exhaustive_small(self):
         for n in range(1, 5):
             for mask in range(1 << (n * (n - 1) // 2)):
                 g = graph_from_edge_mask(n, mask)
-                assert is_triangle_free(g) == (naive_triangles(g) == 0)
+                assert is_triangle_free(g.rows) == (naive_triangles(g) == 0)
 
     @given(random_graphs())
     def test_matches_naive_random(self, g):
-        assert is_triangle_free(g) == (naive_triangles(g) == 0)
+        assert is_triangle_free(g.rows) == (naive_triangles(g) == 0)
+
+    def test_predicates_read_rows_not_graphs(self):
+        for predicate in (find_triangle, is_triangle_free, is_maximal_triangle_free):
+            with pytest.raises(TypeError):
+                predicate(Graph.cycle(5))
 
     @given(random_graphs())
     def test_find_triangle_consistent(self, g):
-        tri = find_triangle(g)
+        tri = find_triangle(g.rows)
         if tri is None:
-            assert is_triangle_free(g)
+            assert is_triangle_free(g.rows)
         else:
             a, b, c = tri
             assert has_edge(g, a, b) and has_edge(g, a, c) and has_edge(g, b, c)
@@ -193,17 +200,17 @@ class TestTriangles:
 
 class TestMaximality:
     def test_examples(self):
-        assert is_maximal_triangle_free(Graph.cycle(5))
-        assert is_maximal_triangle_free(star_graph(3))
-        assert not is_maximal_triangle_free(path_graph(4))
+        assert is_maximal_triangle_free(Graph.cycle(5).rows)
+        assert is_maximal_triangle_free(star_graph(3).rows)
+        assert not is_maximal_triangle_free(path_graph(4).rows)
 
     @given(random_graphs())
     def test_matches_naive(self, g):
-        assert is_maximal_triangle_free(g) == naive_is_maximal_tf(g)
+        assert is_maximal_triangle_free(g.rows) == naive_is_maximal_tf(g)
 
     @given(random_graphs())
     def test_adding_any_nonedge_closes_triangle(self, g):
-        if not is_maximal_triangle_free(g):
+        if not is_maximal_triangle_free(g.rows):
             return
         for u, v in combinations(range(g.n), 2):
             if not has_edge(g, u, v):
@@ -229,7 +236,7 @@ class TestCliques:
 
     @given(random_graphs())
     def test_triangle_equivalence(self, g):
-        assert has_clique(g, 3) == (not is_triangle_free(g))
+        assert has_clique(g, 3) == (not is_triangle_free(g.rows))
 
 
 class TestGreedyRemoval:
@@ -243,19 +250,27 @@ class TestGreedyRemoval:
         f = greedy_triangle_removal(Graph.complete(4))
         assert f.edge_count() == 2
         remainder = without_edges(Graph.complete(4), f.edges())
-        assert is_triangle_free(remainder)
+        assert is_triangle_free(remainder.rows)
         assert sorted(degree(remainder, u) for u in range(4)) == [2, 2, 2, 2]  # a C4
         # brute force: no single edge removal suffices for K4
         for e in Graph.complete(4).edges():
-            assert not is_triangle_free(without_edges(Graph.complete(4), [e]))
+            assert not is_triangle_free(without_edges(Graph.complete(4), [e]).rows)
 
     def test_deterministic_tie_break(self):
         assert greedy_triangle_removal(Graph.complete(4)).edges() == [(0, 1), (2, 3)]
 
+    def test_matches_rescanning_reference(self):
+        # 2,000 seeded G(n, p), drawn as random_instance draws its containers
+        rng = np.random.default_rng(19)
+        for _ in range(2000):
+            n, p = int(rng.integers(4, 11)), EDGE_PROBABILITIES[int(rng.integers(3))]
+            g = random_graph(n, p, rng)
+            assert greedy_triangle_removal(g) == greedy_triangle_removal_rescan(g), g
+
     @given(random_graphs())
     def test_result_contract(self, g):
         f = greedy_triangle_removal(g)
-        assert is_triangle_free(without_edges(g, f.edges()))
+        assert is_triangle_free(without_edges(g, f.edges()).rows)
         assert f.edge_count() <= naive_triangles(g)
 
 

@@ -73,6 +73,13 @@ class TestInstanceValidation:
         with pytest.raises(InstanceError):
             ReductionInstance(Graph.complete(4), empty_graph(5), empty_graph(5))
 
+    def test_valid_instance_builds_no_graph_beyond_its_fields(self, graph_builds):
+        # the container-minus-removal and F* triangle tests read bare rows
+        for i in range(20):
+            inst = random_instance(rng_for(19, i))
+            assert graph_builds == [inst.container.rows, inst.removal.rows, inst.selected.rows]
+            graph_builds.clear()
+
     @pytest.mark.parametrize("data, needle", MALFORMED_INSTANCES)
     def test_malformed_dict_is_an_instance_error(self, data, needle):
         with pytest.raises(InstanceError) as err:
@@ -103,7 +110,7 @@ class TestReducedGraph:
         inst = ReductionInstance(g, removal, empty_graph(4))
         red = reduced_graph(inst)
         assert red == without_edges(g, removal.edges())
-        assert is_triangle_free(red)
+        assert is_triangle_free(red.rows)
 
     def test_two_selected_edges_kill_closers(self):
         # K4 with removal = {01, 02}: F* = {01, 02} forces edge 12 out
@@ -432,7 +439,7 @@ class TestRandomInstances:
         for i in range(50):
             inst = random_instance(rng_for(12, i), n_min=4, n_max=9)
             assert is_triangle_free(
-                without_edges(inst.container, inst.removal.edges()))
+                without_edges(inst.container, inst.removal.edges()).rows)
             assert set(inst.selected.edges()) <= set(inst.removal.edges())
 
     def test_sizes_below_n_min_are_rejected(self):

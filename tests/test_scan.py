@@ -38,7 +38,7 @@ def test_tf_leaves_are_exactly_triangle_free():
     n = 5
     got = collect(n, False)
     expected = [m for m in range(1 << 10)
-                if is_triangle_free(graph_from_edge_mask(n, m))]
+                if is_triangle_free(graph_from_edge_mask(n, m).rows)]
     assert got == expected
 
 
@@ -46,7 +46,7 @@ def test_pruned_leaves_are_exactly_maximal():
     n = 5
     got = collect(n, True)
     expected = [m for m in range(1 << 10)
-                if is_maximal_triangle_free(graph_from_edge_mask(n, m))]
+                if is_maximal_triangle_free(graph_from_edge_mask(n, m).rows)]
     assert got == expected
 
 
@@ -54,7 +54,7 @@ def test_prune_modes_agree_after_filter():
     n = 6
     pruned = collect(n, True)
     unpruned = [m for m in collect(n, False)
-                if is_maximal_triangle_free(graph_from_edge_mask(n, m))]
+                if is_maximal_triangle_free(graph_from_edge_mask(n, m).rows)]
     assert pruned == unpruned
 
 
@@ -97,6 +97,31 @@ def test_pot_columns_split_and_dealt_with_adjacency(monkeypatch):
 
 def test_pruned_count_without_consumer():
     assert walk_triangle_free(9, forward_prune=True) == PINNED_COUNTS[9]
+
+
+class _StateCountingNumpy:
+    """numpy, except that ``empty`` adds its column count to ``states``: the
+    walker allocates one array per level, one column per frontier state."""
+
+    def __init__(self):
+        self.states = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def empty(self, shape, *args, **kwargs):
+        self.states += shape[1]
+        return np.empty(shape, *args, **kwargs)
+
+
+@pytest.mark.parametrize("n, states", [(7, 17_236), (8, 210_288)])
+def test_pruned_frontier_states_pinned(monkeypatch, n, states):
+    # the leaves stay exact without any one of the pot updates, as later levels
+    # redo its work; only the frontier sizes, summed over the levels, show it
+    counting = _StateCountingNumpy()
+    monkeypatch.setattr(scan, "np", counting)
+    assert walk_triangle_free(n, forward_prune=True) == PINNED_COUNTS[n]
+    assert counting.states == states
 
 
 def test_adjacency_columns_match_masks():

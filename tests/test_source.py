@@ -8,7 +8,7 @@ import textwrap
 from pathlib import Path
 
 import maxtrifree
-from maxtrifree import cli
+from maxtrifree import cli, enumeration
 
 PACKAGE_DIR = Path(maxtrifree.__file__).resolve().parent
 REPO = PACKAGE_DIR.parent.parent
@@ -275,3 +275,20 @@ def test_checks_take_no_guard_and_keep_no_clock():
                 clocks.append(f"{path.name}:{place}")
     assert guards == []
     assert clocks == []
+
+
+def test_brute_force_oracle_shares_no_helper_with_the_walker():
+    # the oracle checks maximal_tf_family, which reaches the walker in scan
+    # and graph_from_edge_mask, whose pair order comes from lex_pairs; it may
+    # name none of them
+    tree = ast.parse((PACKAGE_DIR / "scan.py").read_text(encoding="utf-8"))
+    scan_names = {"scan"}
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            scan_names.add(stmt.name)
+        elif isinstance(stmt, ast.Assign):
+            scan_names |= {t.id for t in stmt.targets if isinstance(t, ast.Name)}
+    source = ast.parse(textwrap.dedent(inspect.getsource(enumeration.brute_force_maximal_tf)))
+    used = set().union(*(_names_used(node) for node in ast.walk(source)))
+    assert "walk_triangle_free" in scan_names
+    assert used & (scan_names | {"graph_from_edge_mask", "lex_pairs"}) == set()
