@@ -228,9 +228,9 @@ def _cmd_mis(args) -> int:
     g = _load_single_graph(args)
     _check_writable(args.json_path)
     if args.count_only:
-        print(mis_count(g))
+        print(mis_count(g.rows))
         return 0
-    sets = enumerate_mis(g)
+    sets = enumerate_mis(g.rows)
     for word in sets:
         print(f"{word:#x}", " ".join(str(v) for v in iter_bits(word)))
     print(f"total {len(sets)}")
@@ -257,7 +257,7 @@ def _cmd_reduce(args) -> int:
     if args.random:
         for i in range(args.random):
             instances.append(reduction.random_instance(
-                rng_for(config.seed, i), n_min=4, n_max=args.n or 8))
+                rng_for(config.seed, i), n_min=4, n_max=8 if args.n is None else args.n))
     if not instances:
         raise ValueError("provide --instance and/or --random")
     _check_writable(args.json_path)

@@ -3,10 +3,11 @@
 A graph lives on vertices 0..n-1 with n <= 64, so each adjacency row fits a
 single machine word and neighbourhood intersections are one ``&``.  An edge
 set is a graph on the same vertices.  Graphs are immutable; every operation
-here is a pure function.  The triangle predicates read bare bit rows, with
-n = len(rows); a caller holding a Graph passes ``g.rows``.  ``Graph`` checks
-its rows, so one is built only where a graph is kept: returned, stored or
-written out.
+here is a pure function.  Every predicate and counter, here and in ``mis``
+and ``reduction``, reads bare bit rows, with n = len(rows); a caller holding a
+Graph passes ``g.rows``.  ``Graph`` checks its rows, so one is built only where
+a graph is kept: an instance's fields, a constructed or enumerated graph that
+is returned, a decoded graph6 line, or a witness written out.
 """
 from __future__ import annotations
 
@@ -203,13 +204,13 @@ def is_maximal_triangle_free(rows) -> bool:
     return True
 
 
-def has_clique(g: Graph, k: int) -> bool:
-    """True iff g contains K_k; exact backtracking over ascending vertices."""
+def has_clique(rows, k: int) -> bool:
+    """True iff the bit rows *rows* contain K_k; exact backtracking over
+    ascending vertices."""
     if k < 1:
         raise ValueError("clique size must be at least 1")
-    if k > g.n:
+    if k > len(rows):
         return False
-    rows = g.rows
 
     def grow(cand: int, need: int) -> bool:
         if need == 0:
@@ -223,7 +224,7 @@ def has_clique(g: Graph, k: int) -> bool:
                 return True
         return False
 
-    return grow((1 << g.n) - 1, k)
+    return grow((1 << len(rows)) - 1, k)
 
 
 def greedy_triangle_removal(g: Graph) -> Graph:

@@ -6,6 +6,9 @@ with Tomita's pivot (Tomita, Tanaka and Takahashi, Theor. Comput. Sci.
 of a pivot p, and picks p, candidate or banned, with the fewest of them.  A
 banned vertex with no candidate neighbour ends its branch at once.  The
 family is returned in ascending bit-word order regardless of the branching.
+Both entry points read bare bit rows with n = len(rows), as the triangle
+predicates do; the only ``Graph``s built here are the perfect matchings of
+``verify_matching_equality`` and the witnesses the verifiers write out.
 
 The exhaustive verifier scans every labeled triangle-free graph up to 8
 vertices, generating them incrementally instead of filtering all 2^28
@@ -79,18 +82,18 @@ def _mis_recurse(rows, full: int, chosen: int, cands: int, banned: int,
     return total
 
 
-def enumerate_mis(g: Graph) -> tuple[int, ...]:
-    """Every maximal independent set of g, as ascending bit words."""
+def enumerate_mis(rows) -> tuple[int, ...]:
+    """Every maximal independent set of the bit rows *rows*, as ascending bit words."""
     out: list[int] = []
-    full = (1 << g.n) - 1
-    _mis_recurse(g.rows, full, 0, full, 0, out)
+    full = (1 << len(rows)) - 1
+    _mis_recurse(rows, full, 0, full, 0, out)
     return tuple(sorted(out))
 
 
-def mis_count(g: Graph) -> int:
-    """|enumerate_mis(g)| without materializing the family."""
-    full = (1 << g.n) - 1
-    return _mis_recurse(g.rows, full, 0, full, 0, None)
+def mis_count(rows) -> int:
+    """|enumerate_mis(rows)| without materializing the family."""
+    full = (1 << len(rows)) - 1
+    return _mis_recurse(rows, full, 0, full, 0, None)
 
 
 def batch_mis_counts(adj: np.ndarray, n: int) -> np.ndarray:
@@ -186,7 +189,7 @@ def verify_matching_equality() -> VerificationReport:
     bad: list[str] = []
     for k in range(1, MATCHING_EQUALITY_MAX_K + 1):
         g = Graph.perfect_matching(k)
-        c = mis_count(g)
+        c = mis_count(g.rows)
         counts[f"mis_matching_k{k}"] = c
         if c != 1 << k:
             bad.append(encode_graph6(g))

@@ -21,7 +21,9 @@ maximality condition.
 
 Everything works on the graphs' adjacency bit rows: edge lists, the reduced
 graph and T's image words come from masked row words, not from per-edge
-queries.
+queries.  The only ``Graph``s are an instance's three fields and the graphs a
+witness writes out; the reduced graph, T and each H* are tuples of bit rows,
+and ``bound_chain`` makes one ``Graph`` per triangle-free F* for its instance.
 """
 from __future__ import annotations
 
@@ -63,9 +65,9 @@ def _edge_strs(pairs) -> list[str]:
     return [_edge_str(u, v) for u, v in pairs]
 
 
-def _edges_outside(g: Graph, host: Graph) -> list[tuple[int, int]]:
-    """The edges of g that host lacks, in lexicographic order."""
-    return row_pairs([row & ~host_row for row, host_row in zip(g.rows, host.rows)])
+def _edges_outside(rows, host_rows) -> list[tuple[int, int]]:
+    """The edges of the bit rows *rows* that *host_rows* lacks, in lexicographic order."""
+    return row_pairs([row & ~host_row for row, host_row in zip(rows, host_rows)])
 
 
 @dataclass(frozen=True)
@@ -80,10 +82,10 @@ class ReductionInstance:
         n = self.container.n
         if self.removal.n != n or self.selected.n != n:
             raise InstanceError("edge sets must live on the container vertex set")
-        extra = _edges_outside(self.removal, self.container)
+        extra = _edges_outside(self.removal.rows, self.container.rows)
         if extra:
             raise InstanceError(f"removal edge {extra[0]} is not in the container")
-        bad = _edges_outside(self.selected, self.removal)
+        bad = _edges_outside(self.selected.rows, self.removal.rows)
         if bad:
             raise InstanceError(f"selected edge {bad[0]} is not in the removal set")
         tri = find_triangle([c & ~r for c, r in zip(self.container.rows, self.removal.rows)])
@@ -140,11 +142,11 @@ class ReductionInstance:
 
 @dataclass(frozen=True)
 class AuxiliaryGraph:
-    """T on the non-selected reduced edges, with the edge back-mapping."""
+    """T's rows on the non-selected reduced edges, the edge back-mapping, the reduced rows."""
 
-    t_graph: Graph
+    t_rows: tuple[int, ...]
     vertex_to_edge: tuple[tuple[int, int], ...]
-    reduced: Graph
+    reduced_rows: tuple[int, ...]
     selected: Graph
 
 
@@ -157,9 +159,9 @@ def worked_k4_instance() -> ReductionInstance:
     )
 
 
-def reduced_graph(inst: ReductionInstance) -> Graph:
-    """Container minus (removal - selected) minus every edge that closes a
-    triangle with two selected edges.  The selected edges always survive.
+def reduced_graph(inst: ReductionInstance) -> tuple[int, ...]:
+    """Rows of the container minus (removal - selected) minus every edge closing
+    a triangle with two selected edges.  The selected edges always survive.
 
     On rows: uv closes such a triangle iff v is a selected neighbour of some
     selected neighbour w of u, so row u loses the OR of selected[w] over the
@@ -168,16 +170,13 @@ def reduced_graph(inst: ReductionInstance) -> Graph:
     rows = []
     for c, r, s in zip(inst.container.rows, inst.removal.rows, sel):
         doomed = 0
-        word = s
-        while word:
-            low = word & -word
-            doomed |= sel[low.bit_length() - 1]
-            word ^= low
+        for w in iter_bits(s):
+            doomed |= sel[w]
         rows.append(c & ~(r & ~s) & ~doomed)
-    lost = row_pairs([s & ~row for s, row in zip(sel, rows)])
+    lost = _edges_outside(sel, rows)
     if lost:
         raise AssertionError(f"selected edge {lost[0]} was removed from the reduction")
-    return Graph(inst.container.n, tuple(rows))
+    return tuple(rows)
 
 
 def build_auxiliary(inst: ReductionInstance) -> AuxiliaryGraph:
@@ -187,7 +186,7 @@ def build_auxiliary(inst: ReductionInstance) -> AuxiliaryGraph:
     Built from the selected edges: for each selected xy, every common
     neighbour s of x and y in the reduced graph joins sx and sy."""
     red = reduced_graph(inst)
-    pairs = _edges_outside(red, inst.selected)
+    pairs = _edges_outside(red, inst.selected.rows)
     if len(pairs) > MAX_VERTICES:
         raise GuardError(
             f"auxiliary graph needs {len(pairs)} vertices, beyond the {MAX_VERTICES} cap")
@@ -195,17 +194,13 @@ def build_auxiliary(inst: ReductionInstance) -> AuxiliaryGraph:
     t_rows = [0] * len(pairs)
     for x, y in inst.selected.edges():
         # sx and sy are T-vertices joined through the selected edge xy
-        common = red.rows[x] & red.rows[y]
-        while common:
-            low = common & -common
-            s = low.bit_length() - 1
-            common ^= low
+        for s in iter_bits(red[x] & red[y]):
             i = index.get((s, x) if s < x else (x, s))
             j = index.get((s, y) if s < y else (y, s))
             if i is not None and j is not None:
                 t_rows[i] |= 1 << j
                 t_rows[j] |= 1 << i
-    return AuxiliaryGraph(Graph(len(pairs), tuple(t_rows)), tuple(pairs), red, inst.selected)
+    return AuxiliaryGraph(tuple(t_rows), tuple(pairs), red, inst.selected)
 
 
 def _shared_selected_edge(aux: AuxiliaryGraph, i: int, j: int) -> str:
@@ -223,11 +218,11 @@ def _shared_selected_edge(aux: AuxiliaryGraph, i: int, j: int) -> str:
 def verify_claim1(aux: AuxiliaryGraph) -> VerificationReport:
     """Check that T is triangle-free; a failure names the three edges and the
     three selected edges behind them."""
-    tri = find_triangle(aux.t_graph.rows)
+    tri = find_triangle(aux.t_rows)
     counts = {
-        "t_vertices": aux.t_graph.n,
-        "t_edges": aux.t_graph.edge_count(),
-        "reduced_edges": aux.reduced.edge_count(),
+        "t_vertices": len(aux.t_rows),
+        "t_edges": len(row_pairs(aux.t_rows)),
+        "reduced_edges": len(row_pairs(aux.reduced_rows)),
     }
     witnesses: list = []
     if tri is not None:
@@ -242,7 +237,7 @@ def verify_claim1(aux: AuxiliaryGraph) -> VerificationReport:
     return VerificationReport(
         check_name="claim1",
         status=FAIL if tri is not None else PASS,
-        parameters={"n": aux.reduced.n, "selected": _edge_strs(aux.selected.edges())},
+        parameters={"n": len(aux.reduced_rows), "selected": _edge_strs(aux.selected.edges())},
         counts=counts,
         witnesses=witnesses,
     )
@@ -322,9 +317,9 @@ def _maximal_tf_leaves(n: int, free: list[tuple[int, int]],
     return leaves
 
 
-def enumerate_h_star(inst: ReductionInstance) -> list[Graph]:
-    """All maximal triangle-free H on the container's vertex set with
-    H subseteq container and E(H) cap removal = selected.
+def enumerate_h_star(inst: ReductionInstance) -> list[tuple[int, ...]]:
+    """The bit rows of every maximal triangle-free H on the container's
+    vertex set with H subseteq container and E(H) cap removal = selected.
 
     ``_maximal_tf_leaves`` decides the container edges outside the removal
     set, seeded with the selected edges; the removal edges outside F* and
@@ -338,40 +333,41 @@ def enumerate_h_star(inst: ReductionInstance) -> list[Graph]:
     fixes the most significant undecided bit first and tries 0 before 1, and
     the other bits, F* and the fixed non-edges, are the same in every leaf.
     """
-    n = inst.container.n
-    free = _edges_outside(inst.container, inst.removal)
-    return [Graph(n, rows) for rows in _maximal_tf_leaves(n, free, inst.selected.rows)]
+    free = _edges_outside(inst.container.rows, inst.removal.rows)
+    return _maximal_tf_leaves(inst.container.n, free, inst.selected.rows)
 
 
-def _image_word(inst: ReductionInstance, h: Graph,
-                index: dict[tuple[int, int], int]) -> tuple[int, list | None]:
-    """Map E(H) - F* to a T bit word; a non-T edge is a counterexample."""
+def _image_word(aux: AuxiliaryGraph, h: tuple[int, ...]) -> tuple[int, list | None]:
+    """Map E(H) - F* to a T bit word, bit i for T-vertex (u, v) read off
+    h[u]; an edge outside the reduced graph is a counterexample."""
+    outside = _edges_outside(h, aux.reduced_rows)
+    if outside:
+        return 0, [encode_graph6(Graph(len(h), h)),
+                   f"edge {_edge_str(*outside[0])} outside reduced graph"]
     word = 0
-    for u, v in _edges_outside(h, inst.selected):
-        i = index.get((u, v))
-        if i is None:
-            return 0, [encode_graph6(h), f"edge {_edge_str(u, v)} outside reduced graph"]
-        word |= 1 << i
+    for i, (u, v) in enumerate(aux.vertex_to_edge):
+        if h[u] >> v & 1:
+            word |= 1 << i
     return word, None
 
 
-def _mis_violation(aux: AuxiliaryGraph, h: Graph, word: int) -> list | None:
+def _mis_violation(aux: AuxiliaryGraph, h: tuple[int, ...], word: int) -> list | None:
     """Witness if word is not a maximal independent set of T, else None."""
-    t_rows = aux.t_graph.rows
+    t_rows = aux.t_rows
     for i in iter_bits(word):
         hit = t_rows[i] & word
         if hit:
             j = (hit & -hit).bit_length() - 1
             return [
-                encode_graph6(h),
+                encode_graph6(Graph(len(h), h)),
                 _edge_str(*aux.vertex_to_edge[i]),
                 _edge_str(*aux.vertex_to_edge[j]),
                 _shared_selected_edge(aux, i, j),
             ]
-    for i in range(aux.t_graph.n):
-        if not word >> i & 1 and t_rows[i] & word == 0:
+    for i, row in enumerate(t_rows):
+        if not word >> i & 1 and row & word == 0:
             addable = _edge_str(*aux.vertex_to_edge[i])
-            return [encode_graph6(h), f"addable edge {addable}"]
+            return [encode_graph6(Graph(len(h), h)), f"addable edge {addable}"]
     return None
 
 
@@ -380,12 +376,10 @@ def verify_claim2(inst: ReductionInstance) -> VerificationReport:
     independent sets of T, and record the slack against mis_count(T)."""
     aux = build_auxiliary(inst)
     family = enumerate_h_star(inst)
-    t_n = aux.t_graph.n
-    index = {pair: i for i, pair in enumerate(aux.vertex_to_edge)}
     witnesses: list = []
     images: list[int] = []
     for h in family:
-        word, problem = _image_word(inst, h, index)
+        word, problem = _image_word(aux, h)
         if problem is None:
             problem = _mis_violation(aux, h, word)
         if problem is not None:
@@ -394,7 +388,7 @@ def verify_claim2(inst: ReductionInstance) -> VerificationReport:
             images.append(word)
     if len(set(images)) != len(images):
         witnesses.append(["duplicate edge-set image"])
-    mis_t = mis_count(aux.t_graph)
+    mis_t = mis_count(aux.t_rows)
     if not witnesses and len(family) > mis_t:
         witnesses.append([f"family size {len(family)} exceeds mis count {mis_t}"])
     ok = not witnesses
@@ -406,7 +400,7 @@ def verify_claim2(inst: ReductionInstance) -> VerificationReport:
             "h_star": len(family),
             "mis_count_t": mis_t,
             "slack": mis_t - len(family),
-            "t_vertices": t_n,
+            "t_vertices": len(aux.t_rows),
         },
         witnesses=witnesses,
     )
@@ -454,8 +448,8 @@ def bound_chain(container: Graph, removal: Graph) -> VerificationReport:
         inst = ReductionInstance(container, removal, Graph(n, tuple(rows)))
         aux = build_auxiliary(inst)
         h_count = len(enumerate_h_star(inst))
-        mis_t = mis_count(aux.t_graph)
-        t_n = aux.t_graph.n
+        mis_t = mis_count(aux.t_rows)
+        t_n = len(aux.t_rows)
         for broken, why in ((h_count > mis_t, f"h_star {h_count} > mis {mis_t}"),
                             (mis_t * mis_t > 1 << t_n, f"mis {mis_t} breaks 2^({t_n}/2)"),
                             (t_n > e_container, f"|V(T)|={t_n} > e(G)={e_container}")):

@@ -128,7 +128,7 @@ def _kr_sample_check(config: RunConfig) -> VerificationReport:
         for i in range(KR_SAMPLES_PER_SHAPE):
             rng = rng_for(config.seed, STREAM_KR_SAMPLES + (shape_idx << 16) + i)
             g = constructions.kr_free_graph(constructions.KrChoice.random(n, r, rng))
-            if has_clique(g, r + 1):
+            if has_clique(g.rows, r + 1):
                 bad.append(encode_graph6(g))
             else:
                 ok += 1

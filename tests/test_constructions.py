@@ -198,21 +198,21 @@ class TestKrGraph:
 
     def test_r3_zero_choice_k4_free(self):
         g = kr_free_graph(KrChoice.from_int(12, 3, 0))
-        assert not has_clique(g, 4)
+        assert not has_clique(g.rows, 4)
 
     def test_exhaustive_n6_r3(self):
         # 1 pair slot (4 values) x 4 vertex bits: the whole 64-member family
         for code in range(1 << 6):
             g = kr_free_graph(KrChoice.from_int(6, 3, code))
-            assert not has_clique(g, 4)
-            assert has_clique(g, 3)
+            assert not has_clique(g.rows, 4)
+            assert has_clique(g.rows, 3)
 
     @given(st.data())
     def test_sampled_clique_free(self, data):
         n, r = data.draw(st.sampled_from([(12, 3), (16, 4), (12, 2), (20, 5)]))
         seed = data.draw(st.integers(0, 2 ** 32))
         g = kr_free_graph(KrChoice.random(n, r, rng_for(seed, 0)))
-        assert not has_clique(g, r + 1)
+        assert not has_clique(g.rows, r + 1)
 
     def test_r2_matches_folklore(self):
         n = 8
@@ -238,7 +238,7 @@ class TestPlantedKrDefects:
         assert rep.witnesses
         for text in rep.witnesses:
             g = decode_graph6(text)
-            assert has_clique(g, {12: 4, 16: 5}[g.n])
+            assert has_clique(g.rows, {12: 4, 16: 5}[g.n])
         assert main(["verify", "--suite", "constructions", "--seed", "1"]) == 1
         assert "[FAIL] kr_clique_free_samples" in capsys.readouterr().out
 

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from maxtrifree import (
     Graph,
     GuardError,
+    enumerate_mis,
     find_triangle,
     graph_from_edge_mask,
     greedy_triangle_removal,
@@ -15,6 +16,7 @@ from maxtrifree import (
     is_maximal_triangle_free,
     is_triangle_free,
     min_triangles_at_density,
+    mis_count,
 )
 from maxtrifree import graph
 from maxtrifree.graph import graphs_from_rows
@@ -184,7 +186,8 @@ class TestTriangles:
         assert is_triangle_free(g.rows) == (naive_triangles(g) == 0)
 
     def test_predicates_read_rows_not_graphs(self):
-        for predicate in (find_triangle, is_triangle_free, is_maximal_triangle_free):
+        for predicate in (find_triangle, is_triangle_free, is_maximal_triangle_free,
+                          mis_count, enumerate_mis, lambda rows: has_clique(rows, 3)):
             with pytest.raises(TypeError):
                 predicate(Graph.cycle(5))
 
@@ -219,24 +222,24 @@ class TestMaximality:
 
 class TestCliques:
     def test_examples(self):
-        assert has_clique(Graph.complete(4), 4)
-        assert not has_clique(Graph.cycle(5), 3)
-        assert not has_clique(complete_bipartite(3, 3), 3)
+        assert has_clique(Graph.complete(4).rows, 4)
+        assert not has_clique(Graph.cycle(5).rows, 3)
+        assert not has_clique(complete_bipartite(3, 3).rows, 3)
 
     def test_k_one(self):
-        assert has_clique(empty_graph(1), 1)
+        assert has_clique(empty_graph(1).rows, 1)
         with pytest.raises(ValueError):
-            has_clique(empty_graph(1), 0)
+            has_clique(empty_graph(1).rows, 0)
 
     @given(random_graphs(max_n=6))
     def test_matches_naive(self, g):
         omega = naive_max_clique(g)
         for k in range(1, g.n + 1):
-            assert has_clique(g, k) == (k <= omega)
+            assert has_clique(g.rows, k) == (k <= omega)
 
     @given(random_graphs())
     def test_triangle_equivalence(self, g):
-        assert has_clique(g, 3) == (not is_triangle_free(g.rows))
+        assert has_clique(g.rows, 3) == (not is_triangle_free(g.rows))
 
 
 class TestGreedyRemoval:

@@ -20,6 +20,7 @@ from maxtrifree import (
     verify_claim2,
     worked_k4_instance,
 )
+from maxtrifree.graph import row_pairs
 from maxtrifree.reduction import maximal_tf_subgraph_count
 from maxtrifree.report import rng_for
 
@@ -27,19 +28,29 @@ from oracles import (
     MALFORMED_INSTANCES,
     dump_instance,
     empty_graph,
-    has_edge,
     naive_auxiliary_rows,
     naive_h_star,
     naive_maximal_tf_within,
     naive_reduced_graph,
     path_graph,
-    with_edge,
     without_edges,
 )
 
 
-def is_subgraph(h: Graph, g: Graph) -> bool:
-    return all(hr & ~gr == 0 for hr, gr in zip(h.rows, g.rows))
+def is_subgraph(h_rows, g_rows) -> bool:
+    return all(hr & ~gr == 0 for hr, gr in zip(h_rows, g_rows))
+
+
+def rows_of(graphs) -> list[tuple[int, ...]]:
+    return [g.rows for g in graphs]
+
+
+def with_row_edge(rows, u: int, v: int) -> tuple[int, ...]:
+    """The bit rows *rows* with the edge uv set."""
+    rows = list(rows)
+    rows[u] |= 1 << v
+    rows[v] |= 1 << u
+    return tuple(rows)
 
 
 class TestInstanceValidation:
@@ -97,20 +108,20 @@ class TestInstanceValidation:
 class TestReducedGraph:
     def test_worked_k4(self):
         red = reduced_graph(worked_k4_instance())
-        assert sorted(red.edges()) == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]
+        assert row_pairs(red) == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]
 
     def test_nothing_removed(self):
         g = Graph.cycle(5)
         inst = ReductionInstance(g, empty_graph(5), empty_graph(5))
-        assert reduced_graph(inst) == g
+        assert reduced_graph(inst) == g.rows
 
     def test_empty_selected(self):
         g = Graph.complete(4)
         removal = Graph.from_edges(4, [(0, 1), (2, 3)])
         inst = ReductionInstance(g, removal, empty_graph(4))
         red = reduced_graph(inst)
-        assert red == without_edges(g, removal.edges())
-        assert is_triangle_free(red.rows)
+        assert red == without_edges(g, removal.edges()).rows
+        assert is_triangle_free(red)
 
     def test_two_selected_edges_kill_closers(self):
         # K4 with removal = {01, 02}: F* = {01, 02} forces edge 12 out
@@ -118,8 +129,8 @@ class TestReducedGraph:
         removal = Graph.from_edges(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
         selected = Graph.from_edges(4, [(0, 1), (0, 2)])
         red = reduced_graph(ReductionInstance(g, removal, selected))
-        assert not has_edge(red, 1, 2)
-        assert has_edge(red, 0, 1) and has_edge(red, 0, 2)
+        assert not red[1] >> 2 & 1
+        assert red[0] >> 1 & 1 and red[0] >> 2 & 1
 
     def test_removed_selected_edge_is_reported(self):
         # ReductionInstance refuses a selected triangle, so build one past its
@@ -134,9 +145,9 @@ class TestReducedGraph:
         for i in range(40):
             inst = random_instance(rng_for(7, i), n_min=4, n_max=8)
             red = reduced_graph(inst)
-            assert is_subgraph(red, inst.container)
+            assert is_subgraph(red, inst.container.rows)
             for u, v in inst.selected.edges():
-                assert has_edge(red, u, v)
+                assert red[u] >> v & 1
 
 
 class TestAuxiliary:
@@ -144,29 +155,29 @@ class TestAuxiliary:
         aux = build_auxiliary(worked_k4_instance())
         assert aux.vertex_to_edge == ((0, 2), (0, 3), (1, 2), (1, 3))
         # a 2-edge perfect matching: 02-12 and 03-13
-        assert aux.t_graph.edges() == [(0, 2), (1, 3)]
+        assert row_pairs(aux.t_rows) == [(0, 2), (1, 3)]
 
     def test_empty_selected_gives_edgeless(self):
         g = Graph.complete(4)
         removal = Graph.from_edges(4, [(0, 1), (2, 3)])
         aux = build_auxiliary(ReductionInstance(g, removal, empty_graph(4)))
-        assert aux.t_graph.edge_count() == 0
+        assert aux.t_rows == (0,) * len(aux.t_rows)
 
     def test_c5_isolated(self):
         aux = build_auxiliary(ReductionInstance(Graph.cycle(5), empty_graph(5), empty_graph(5)))
-        assert aux.t_graph.n == 5 and aux.t_graph.edge_count() == 0
+        assert aux.t_rows == (0,) * 5
 
     def test_empty_container_empty_t(self):
         inst = ReductionInstance(empty_graph(3), empty_graph(3), empty_graph(3))
         aux = build_auxiliary(inst)
-        assert aux.t_graph.n == 0
-        assert mis_count(aux.t_graph) == 1  # the empty set
+        assert aux.t_rows == ()
+        assert mis_count(aux.t_rows) == 1  # the empty set
 
     def test_adjacent_t_vertices_share_endpoint(self):
         for i in range(60):
             inst = random_instance(rng_for(11, i), n_min=4, n_max=8)
             aux = build_auxiliary(inst)
-            for i1, i2 in aux.t_graph.edges():
+            for i1, i2 in row_pairs(aux.t_rows):
                 u1, v1 = aux.vertex_to_edge[i1]
                 u2, v2 = aux.vertex_to_edge[i2]
                 assert {u1, v1} & {u2, v2}
@@ -180,25 +191,25 @@ class TestDefinitionOracles:
 
     def test_reduced_graph(self):
         for inst in self.INSTANCES:
-            assert reduced_graph(inst) == naive_reduced_graph(inst), inst.to_dict()
+            assert reduced_graph(inst) == naive_reduced_graph(inst).rows, inst.to_dict()
 
     def test_auxiliary_graph(self):
         for inst in self.INSTANCES:
             aux = build_auxiliary(inst)
             vertices, rows = naive_auxiliary_rows(inst)
             assert list(aux.vertex_to_edge) == vertices, inst.to_dict()
-            assert list(aux.t_graph.rows) == rows, inst.to_dict()
-            assert aux.reduced == reduced_graph(inst)
+            assert list(aux.t_rows) == rows, inst.to_dict()
+            assert aux.reduced_rows == reduced_graph(inst)
 
     def test_instances_cover_both_rules(self):
         # some instances lose container edges to two selected ones, and most
         # have T-edges, so neither comparison is vacuous
         assert max(inst.container.n for inst in self.INSTANCES) == 10
-        killed = sum(reduced_graph(inst).edge_count() < inst.container.edge_count()
+        killed = sum(len(row_pairs(reduced_graph(inst))) < inst.container.edge_count()
                      - inst.removal.edge_count() + inst.selected.edge_count()
                      for inst in self.INSTANCES)
         assert killed >= 10
-        assert sum(build_auxiliary(inst).t_graph.edge_count() > 0
+        assert sum(any(build_auxiliary(inst).t_rows)
                    for inst in self.INSTANCES) >= 150
 
 
@@ -223,7 +234,7 @@ class TestClaim1:
 class TestHStar:
     def test_worked_k4_two_stars(self):
         family = enumerate_h_star(worked_k4_instance())
-        assert [sorted(h.edges()) for h in family] == [
+        assert [row_pairs(h) for h in family] == [
             [(0, 1), (0, 2), (0, 3)],
             [(0, 1), (1, 2), (1, 3)],
         ]
@@ -231,7 +242,7 @@ class TestHStar:
     def test_c4_container(self):
         g = Graph.cycle(4)
         family = enumerate_h_star(ReductionInstance(g, empty_graph(4), empty_graph(4)))
-        assert family == [g]
+        assert family == [g.rows]
 
     def test_p4_container_empty(self):
         g = path_graph(4)
@@ -243,10 +254,10 @@ class TestHStar:
             inst = random_instance(rng_for(5, i), n_min=4, n_max=7)
             red = reduced_graph(inst)
             for h in enumerate_h_star(inst):
-                assert is_subgraph(h, inst.container)
+                assert is_subgraph(h, inst.container.rows)
                 assert is_subgraph(h, red) or not inst.selected.edges()
                 assert is_subgraph(h, red)
-                got = set(h.edges()) & set(inst.removal.edges())
+                got = set(row_pairs(h)) & set(inst.removal.edges())
                 assert got == set(inst.selected.edges())
 
     def test_against_brute_force_family(self):
@@ -254,8 +265,8 @@ class TestHStar:
             inst = random_instance(rng_for(9, i), n_min=4, n_max=5)
             n = inst.container.n
             expected = [
-                g for g in brute_force_maximal_tf(n)
-                if is_subgraph(g, inst.container)
+                g.rows for g in brute_force_maximal_tf(n)
+                if is_subgraph(g.rows, inst.container.rows)
                 and set(g.edges()) & set(inst.removal.edges()) == set(inst.selected.edges())
             ]
             assert enumerate_h_star(inst) == expected
@@ -263,7 +274,7 @@ class TestHStar:
     def test_against_naive_search(self):
         for i in range(300):
             inst = random_instance(rng_for(13, i), n_min=4, n_max=8)
-            assert enumerate_h_star(inst) == naive_h_star(inst), inst.to_dict()
+            assert enumerate_h_star(inst) == rows_of(naive_h_star(inst)), inst.to_dict()
 
     # K4 minus 01, with every edge at 0 and 1 in the removal set: the only
     # free pair is 23, so (0, 1) is a fixed non-edge no decision touches.
@@ -278,15 +289,15 @@ class TestHStar:
         selected = Graph.from_edges(4, [(0, 2), (1, 2)])
         inst = ReductionInstance(self._K4_MINUS_01, self._AROUND_01, selected)
         family = enumerate_h_star(inst)
-        assert family == naive_h_star(inst)
-        assert [sorted(h.edges()) for h in family] == [[(0, 2), (1, 2), (2, 3)]]
+        assert family == rows_of(naive_h_star(inst))
+        assert [row_pairs(h) for h in family] == [[(0, 2), (1, 2), (2, 3)]]
 
     def test_no_free_pairs(self):
         k4 = Graph.complete(4)
         removal = k4
         star = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
         inst = ReductionInstance(k4, removal, star)
-        assert enumerate_h_star(inst) == naive_h_star(inst) == [star]
+        assert enumerate_h_star(inst) == rows_of(naive_h_star(inst)) == [star.rows]
         inst = ReductionInstance(k4, removal, Graph.from_edges(4, [(0, 1)]))
         assert enumerate_h_star(inst) == naive_h_star(inst) == []
 
@@ -340,7 +351,7 @@ class TestBoundChain:
             inst = random_instance(rng_for(6, i), n_min=4, n_max=5)
             n = inst.container.n
             expected = sum(
-                1 for g in brute_force_maximal_tf(n) if is_subgraph(g, inst.container))
+                1 for g in brute_force_maximal_tf(n) if is_subgraph(g.rows, inst.container.rows))
             assert maximal_tf_subgraph_count(inst.container) == expected
 
     def test_subgraph_count_matches_naive_search(self):
@@ -362,6 +373,20 @@ class TestBoundChain:
         big = Graph.from_edges(6, k6.edges()[:13])
         with pytest.raises(GuardError):
             bound_chain(k6, big)
+
+
+def test_claims_build_a_graph_only_for_each_chain_fstar(graph_builds):
+    # the reduced graph, T and each H* are bit rows; the chain's one Graph per
+    # triangle-free F* is the selected field of that F*'s instance
+    for i in range(20):
+        inst = random_instance(rng_for(20, i), n_min=4, n_max=6)
+        graph_builds.clear()
+        assert verify_claim1(build_auxiliary(inst)).passed
+        assert verify_claim2(inst).passed
+        assert graph_builds == []
+        rep = bound_chain(inst.container, inst.removal)
+        assert rep.passed
+        assert len(graph_builds) == rep.counts["fstar_triangle_free"]
 
 
 class TestPlantedDefects:
@@ -398,7 +423,7 @@ class TestPlantedDefects:
 
         def plant(inst):
             aux = real(inst)
-            return dataclasses.replace(aux, t_graph=with_edge(aux.t_graph, 0, 2))
+            return dataclasses.replace(aux, t_rows=with_row_edge(aux.t_rows, 0, 2))
 
         monkeypatch.setattr(reduction, "build_auxiliary", plant)
         inst = ReductionInstance(
@@ -418,8 +443,8 @@ class TestPlantedDefects:
         # endpoint with, so no selected edge can witness those T-edges.
         aux = build_auxiliary(ReductionInstance(Graph.cycle(5), empty_graph(5), empty_graph(5)))
         assert aux.vertex_to_edge == ((0, 1), (0, 4), (1, 2), (2, 3), (3, 4))
-        planted = with_edge(with_edge(with_edge(aux.t_graph, 0, 2), 0, 4), 2, 4)
-        rep = verify_claim1(dataclasses.replace(aux, t_graph=planted))
+        planted = with_row_edge(with_row_edge(with_row_edge(aux.t_rows, 0, 2), 0, 4), 2, 4)
+        rep = verify_claim1(dataclasses.replace(aux, t_rows=planted))
         assert not rep.passed
         assert rep.witnesses == [["0-1", "1-2", "3-4", "0-2",
                                   "0-1 and 3-4 share no endpoint",

@@ -270,6 +270,7 @@ class TestCli:
         (["construct", "--n", "4", "--stats", "--seed", "5"], "--seed"),
         (["reduce", "--instance", "{inst}", "--seed", "3"], "--seed"),
         (["reduce", "--instance", "{inst}", "--n", "5"], "--n"),
+        (["reduce", "--random", "1", "--n", "0"], "n_max=0"),
     ])
     def test_ignored_or_empty_option_is_a_usage_error(self, argv, needle, tmp_path, capsys):
         out = tmp_path / "out.json"
