@@ -42,7 +42,6 @@ from .enumeration import (
     brute_force_maximal_tf,
     enumerate_maximal_tf,
     growth_table,
-    maximal_tf_family,
     remark3_census,
 )
 from .reduction import (
@@ -53,7 +52,6 @@ from .reduction import (
     build_auxiliary,
     enumerate_h_star,
     random_instance,
-    reduced_graph,
     verify_claim1,
     verify_claim2,
     worked_k4_instance,

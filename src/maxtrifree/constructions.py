@@ -283,15 +283,15 @@ def kr_entropy_check(n: int, r: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def check_matching_partition(g: Graph) -> tuple[int, int] | None:
-    """Smallest X (as a bit word) with G[X] a perfect matching and V-X
-    independent, or None.  Exhaustive over subsets; capped at 24 vertices."""
-    if g.n > MATCHING_PARTITION_MAX_N:
+def check_matching_partition(rows) -> tuple[int, int] | None:
+    """Smallest X (as a bit word) with G[X] a perfect matching and V-X independent,
+    or None, for G's bit rows (n = len(rows)).  Exhaustive; capped at 24 vertices."""
+    n = len(rows)
+    if n > MATCHING_PARTITION_MAX_N:
         raise GuardError(
-            f"partition scan capped at n={MATCHING_PARTITION_MAX_N}, got {g.n}")
-    rows = g.rows
-    full = (1 << g.n) - 1
-    for x_mask in range(1 << g.n):
+            f"partition scan capped at n={MATCHING_PARTITION_MAX_N}, got {n}")
+    full = (1 << n) - 1
+    for x_mask in range(1 << n):
         y_mask = full ^ x_mask
         ok = True
         rest = x_mask

@@ -18,12 +18,7 @@ import numpy as np
 
 from . import scan
 from .constructions import check_matching_partition
-from .graph import (
-    Graph,
-    GuardError,
-    graph_from_edge_mask,
-    is_maximal_triangle_free,
-)
+from .graph import Graph, GuardError, is_maximal_triangle_free
 from .graph6 import encode_graph6_rows
 
 BRUTE_FORCE_MAX_N = 6
@@ -78,7 +73,7 @@ def brute_force_maximal_tf(n: int) -> list[Graph]:
 
     Tests the rows of every edge subset by ascending mask (bit p is pair p of
     ``combinations(range(n), 2)``) and builds a Graph only for those it keeps;
-    it shares no helper with the walker's ``maximal_tf_family``.
+    it shares no helper with the walker or ``graph_from_edge_mask``.
     """
     if n > BRUTE_FORCE_MAX_N:
         raise GuardError(f"brute force capped at n={BRUTE_FORCE_MAX_N}, got {n}")
@@ -172,16 +167,12 @@ def growth_table(n_max: int, *, shards: int = 1, stream_path=None) -> CountTable
     return CountTable(tuple(rows))
 
 
-def maximal_tf_family(n: int) -> list[Graph]:
-    """The maximal triangle-free graphs on [n], ascending by edge bitmask."""
-    return [graph_from_edge_mask(n, int(m)) for m in _maximal_masks(n)]
-
-
 def remark3_census(n: int) -> tuple[int, int]:
-    """(admitting, total): how many maximal triangle-free graphs on [n] split
-    into a perfect-matching part X and an independent part Y."""
+    """(admitting, total): how many of the walker's maximal triangle-free
+    graphs on [n] split into a perfect-matching part X and an independent Y."""
     if n > REMARK3_MAX_N:
         raise GuardError(f"matching-partition census capped at n={REMARK3_MAX_N}, got {n}")
-    family = maximal_tf_family(n)
-    admitting = sum(1 for g in family if check_matching_partition(g) is not None)
-    return admitting, len(family)
+    hits: list[bool] = []
+    total = _walk_maximal(n, lambda adj: hits.extend(
+        check_matching_partition(rows) is not None for rows in adj.tolist()))
+    return sum(hits), total

@@ -3,11 +3,12 @@
 A graph lives on vertices 0..n-1 with n <= 64, so each adjacency row fits a
 single machine word and neighbourhood intersections are one ``&``.  An edge
 set is a graph on the same vertices.  Graphs are immutable; every operation
-here is a pure function.  Every predicate and counter, here and in ``mis``
-and ``reduction``, reads bare bit rows, with n = len(rows); a caller holding a
-Graph passes ``g.rows``.  ``Graph`` checks its rows, so one is built only where
-a graph is kept: an instance's fields, a constructed or enumerated graph that
-is returned, a decoded graph6 line, or a witness written out.
+here is a pure function.  Every predicate and counter, here and in ``mis``,
+``reduction`` and the matching-partition scan, reads bare bit rows, with
+n = len(rows); a caller holding a Graph passes ``g.rows``.  ``Graph`` checks
+its rows, so one is built only where a graph is kept: an instance's fields, a
+constructed or enumerated graph that is returned, a decoded graph6 line, or a
+witness written out.  The counting chain and the Remark 3 census build none.
 """
 from __future__ import annotations
 

@@ -22,8 +22,9 @@ maximality condition.
 Everything works on the graphs' adjacency bit rows: edge lists, the reduced
 graph and T's image words come from masked row words, not from per-edge
 queries.  The only ``Graph``s are an instance's three fields and the graphs a
-witness writes out; the reduced graph, T and each H* are tuples of bit rows,
-and ``bound_chain`` makes one ``Graph`` per triangle-free F* for its instance.
+witness writes out; F*, the reduced graph, T and each H* are tuples of bit
+rows.  ``bound_chain`` checks its container and removal set once, as an
+instance with F* empty does, and runs every F* on rows.
 """
 from __future__ import annotations
 
@@ -70,6 +71,25 @@ def _edges_outside(rows, host_rows) -> list[tuple[int, int]]:
     return row_pairs([row & ~host_row for row, host_row in zip(rows, host_rows)])
 
 
+def _check_instance(container: Graph, removal: Graph, sel) -> None:
+    """Raise InstanceError for the first defect of the instance with F* rows *sel*."""
+    n = container.n
+    if removal.n != n or len(sel) != n:
+        raise InstanceError("edge sets must live on the container vertex set")
+    extra = _edges_outside(removal.rows, container.rows)
+    if extra:
+        raise InstanceError(f"removal edge {extra[0]} is not in the container")
+    bad = _edges_outside(sel, removal.rows)
+    if bad:
+        raise InstanceError(f"selected edge {bad[0]} is not in the removal set")
+    tri = find_triangle([c & ~r for c, r in zip(container.rows, removal.rows)])
+    if tri is not None:
+        raise InstanceError(f"container minus removal has triangle {tri}")
+    tri = find_triangle(sel)
+    if tri is not None:
+        raise InstanceError(f"selected set spans triangle {tri}")
+
+
 @dataclass(frozen=True)
 class ReductionInstance:
     """Container G, removal set F, and selected F* subseteq F."""
@@ -79,21 +99,7 @@ class ReductionInstance:
     selected: Graph
 
     def __post_init__(self) -> None:
-        n = self.container.n
-        if self.removal.n != n or self.selected.n != n:
-            raise InstanceError("edge sets must live on the container vertex set")
-        extra = _edges_outside(self.removal.rows, self.container.rows)
-        if extra:
-            raise InstanceError(f"removal edge {extra[0]} is not in the container")
-        bad = _edges_outside(self.selected.rows, self.removal.rows)
-        if bad:
-            raise InstanceError(f"selected edge {bad[0]} is not in the removal set")
-        tri = find_triangle([c & ~r for c, r in zip(self.container.rows, self.removal.rows)])
-        if tri is not None:
-            raise InstanceError(f"container minus removal has triangle {tri}")
-        tri = find_triangle(self.selected.rows)
-        if tri is not None:
-            raise InstanceError(f"selected set spans triangle {tri}")
+        _check_instance(self.container, self.removal, self.selected.rows)
 
     # -- serialization ------------------------------------------------------
 
@@ -142,12 +148,12 @@ class ReductionInstance:
 
 @dataclass(frozen=True)
 class AuxiliaryGraph:
-    """T's rows on the non-selected reduced edges, the edge back-mapping, the reduced rows."""
+    """T's rows, the reduced edge behind each T-vertex, and the reduced and F* rows."""
 
     t_rows: tuple[int, ...]
     vertex_to_edge: tuple[tuple[int, int], ...]
     reduced_rows: tuple[int, ...]
-    selected: Graph
+    selected: tuple[int, ...]
 
 
 def worked_k4_instance() -> ReductionInstance:
@@ -159,40 +165,34 @@ def worked_k4_instance() -> ReductionInstance:
     )
 
 
-def reduced_graph(inst: ReductionInstance) -> tuple[int, ...]:
-    """Rows of the container minus (removal - selected) minus every edge closing
-    a triangle with two selected edges.  The selected edges always survive.
+def build_auxiliary(inst: ReductionInstance) -> AuxiliaryGraph:
+    """The auxiliary graph T of an instance; see ``_auxiliary``."""
+    return _auxiliary(inst.container.rows, inst.removal.rows, inst.selected.rows)
 
-    On rows: uv closes such a triangle iff v is a selected neighbour of some
-    selected neighbour w of u, so row u loses the OR of selected[w] over the
-    selected neighbours w of u."""
-    sel = inst.selected.rows
-    rows = []
-    for c, r, s in zip(inst.container.rows, inst.removal.rows, sel):
+
+def _auxiliary(container, removal, sel) -> AuxiliaryGraph:
+    """T for the F* rows *sel*: vertices are non-selected reduced edges, two
+    adjacent iff a selected edge completes a triangle with both.  The reduced
+    graph is the container minus (removal - F*) minus every edge closing a
+    triangle with two F* edges: row u loses the OR of sel[w] over the F*
+    neighbours w of u.  For each F* edge xy, every common neighbour s of x and
+    y in the reduced graph joins the T-vertices sx and sy."""
+    red = []
+    for c, r, s in zip(container, removal, sel):
         doomed = 0
         for w in iter_bits(s):
             doomed |= sel[w]
-        rows.append(c & ~(r & ~s) & ~doomed)
-    lost = _edges_outside(sel, rows)
+        red.append(c & ~(r & ~s) & ~doomed)
+    lost = _edges_outside(sel, red)
     if lost:
         raise AssertionError(f"selected edge {lost[0]} was removed from the reduction")
-    return tuple(rows)
-
-
-def build_auxiliary(inst: ReductionInstance) -> AuxiliaryGraph:
-    """The auxiliary graph T: vertices are non-selected reduced edges, two
-    adjacent iff a selected edge completes a triangle with both.
-
-    Built from the selected edges: for each selected xy, every common
-    neighbour s of x and y in the reduced graph joins sx and sy."""
-    red = reduced_graph(inst)
-    pairs = _edges_outside(red, inst.selected.rows)
+    pairs = _edges_outside(red, sel)
     if len(pairs) > MAX_VERTICES:
         raise GuardError(
             f"auxiliary graph needs {len(pairs)} vertices, beyond the {MAX_VERTICES} cap")
     index = {pair: i for i, pair in enumerate(pairs)}
     t_rows = [0] * len(pairs)
-    for x, y in inst.selected.edges():
+    for x, y in row_pairs(sel):
         # sx and sy are T-vertices joined through the selected edge xy
         for s in iter_bits(red[x] & red[y]):
             i = index.get((s, x) if s < x else (x, s))
@@ -200,7 +200,7 @@ def build_auxiliary(inst: ReductionInstance) -> AuxiliaryGraph:
             if i is not None and j is not None:
                 t_rows[i] |= 1 << j
                 t_rows[j] |= 1 << i
-    return AuxiliaryGraph(tuple(t_rows), tuple(pairs), red, inst.selected)
+    return AuxiliaryGraph(tuple(t_rows), tuple(pairs), tuple(red), tuple(sel))
 
 
 def _shared_selected_edge(aux: AuxiliaryGraph, i: int, j: int) -> str:
@@ -237,7 +237,7 @@ def verify_claim1(aux: AuxiliaryGraph) -> VerificationReport:
     return VerificationReport(
         check_name="claim1",
         status=FAIL if tri is not None else PASS,
-        parameters={"n": len(aux.reduced_rows), "selected": _edge_strs(aux.selected.edges())},
+        parameters={"n": len(aux.reduced_rows), "selected": _edge_strs(row_pairs(aux.selected))},
         counts=counts,
         witnesses=witnesses,
     )
@@ -419,6 +419,8 @@ def bound_chain(container: Graph, removal: Graph) -> VerificationReport:
     the per-term inequalities plus the partition identity.  F* runs over the
     binary counter on the removal edges in lexicographic order.
 
+    G and F are checked once, with F* empty; each F* then runs on bit rows,
+    through ``_auxiliary`` and ``_maximal_tf_leaves`` over the free pairs.
     Per F*: |H(F*)| <= mis_count(T), mis_count(T)^2 <= 2^{|V(T)|}, and
     |V(T)| <= e(container).  Summing |H(F*)| over all F* must give exactly
     the number of maximal triangle-free subgraphs of the container.
@@ -430,13 +432,13 @@ def bound_chain(container: Graph, removal: Graph) -> VerificationReport:
     if len(edges) > CHAIN_MAX_REMOVAL:
         raise GuardError(
             f"bound chain capped at {CHAIN_MAX_REMOVAL} removal edges, got {len(edges)}")
+    _check_instance(container, removal, (0,) * n)
+    free = _edges_outside(container.rows, removal.rows)
     e_container = container.edge_count()
     total = 0
-    subsets = 0
     tf_subsets = 0
     witnesses: list = []
     for code in range(1 << len(edges)):
-        subsets += 1
         rows = [0] * n
         for i, (u, v) in enumerate(edges):
             if code >> i & 1:
@@ -445,11 +447,10 @@ def bound_chain(container: Graph, removal: Graph) -> VerificationReport:
         if not is_triangle_free(rows):
             continue
         tf_subsets += 1
-        inst = ReductionInstance(container, removal, Graph(n, tuple(rows)))
-        aux = build_auxiliary(inst)
-        h_count = len(enumerate_h_star(inst))
-        mis_t = mis_count(aux.t_rows)
-        t_n = len(aux.t_rows)
+        t_rows = _auxiliary(container.rows, removal.rows, rows).t_rows
+        h_count = len(_maximal_tf_leaves(n, free, rows))
+        mis_t = mis_count(t_rows)
+        t_n = len(t_rows)
         for broken, why in ((h_count > mis_t, f"h_star {h_count} > mis {mis_t}"),
                             (mis_t * mis_t > 1 << t_n, f"mis {mis_t} breaks 2^({t_n}/2)"),
                             (t_n > e_container, f"|V(T)|={t_n} > e(G)={e_container}")):
@@ -464,7 +465,7 @@ def bound_chain(container: Graph, removal: Graph) -> VerificationReport:
         status=FAIL if witnesses else PASS,
         parameters={"n": n, "removal": _edge_strs(edges)},
         counts={
-            "fstar_subsets": subsets,
+            "fstar_subsets": 1 << len(edges),
             "fstar_triangle_free": tf_subsets,
             "sum_h_star": total,
             "maximal_tf_subgraphs": direct,

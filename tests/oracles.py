@@ -19,10 +19,12 @@ from maxtrifree import (
     decode_graph6,
     encode_graph6,
     folklore_graph,
+    graph_from_edge_mask,
     is_maximal_triangle_free,
     is_triangle_free,
 )
 from maxtrifree.constructions import folklore_bit_count
+from maxtrifree.enumeration import _maximal_masks
 
 
 def empty_graph(n: int) -> Graph:
@@ -85,6 +87,12 @@ def dump_instance(inst, path) -> None:
     with open(path, "w", encoding="ascii") as fh:
         json.dump(inst.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def maximal_tf_family(n: int) -> list[Graph]:
+    """The walker's maximal triangle-free graphs on [n] as Graphs, ascending by
+    edge bitmask, for a graph-by-graph comparison with the brute-force oracle."""
+    return [graph_from_edge_mask(n, int(m)) for m in _maximal_masks(n)]
 
 
 def edge_mask(g) -> int:

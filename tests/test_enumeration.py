@@ -16,14 +16,13 @@ from maxtrifree import (
     graph_from_edge_mask,
     growth_table,
     is_maximal_triangle_free,
-    maximal_tf_family,
     read_graph6_file,
     remark3_census,
 )
 from maxtrifree import enumeration, scan, suites
 from maxtrifree.enumeration import check_size
 from maxtrifree.report import RunConfig
-from oracles import degree, edge_mask, naive_is_maximal_tf
+from oracles import degree, edge_mask, maximal_tf_family, naive_is_maximal_tf
 
 # labeled maximal triangle-free counts, frozen from the n<=6 brute-force scan
 # (n=5: the 5 stars, 10 copies of K_{2,3}, 12 copies of C5)
@@ -187,6 +186,11 @@ class TestRemark3:
         with pytest.raises(GuardError):
             remark3_census(8)
 
+    def test_census_builds_no_graph(self, graph_builds):
+        # the matching-partition scan reads the walker's leaf rows
+        assert remark3_census(7) == (7, 1743)
+        assert graph_builds == []
+
 
 class TestPinnedCountChecks:
     """growth_table and remark3_census FAIL when a count leaves the pin, and
@@ -215,13 +219,23 @@ class TestPinnedCountChecks:
         assert rep.witnesses == [["n=5", "pinned=27", "got=28"]]
 
     def test_dropped_graph_fails_remark3(self, monkeypatch):
-        real = enumeration.maximal_tf_family
+        # the census tallies the walker's leaf batches; drop the first n = 6 leaf
+        real = enumeration._walk_maximal
 
-        def drop_one(n, **kwargs):
-            family = real(n, **kwargs)
-            return family[1:] if n == 6 else family
+        def drop_one(n, consume, **kwargs):
+            if n != 6:
+                return real(n, consume, **kwargs)
+            dropped = []
 
-        monkeypatch.setattr(enumeration, "maximal_tf_family", drop_one)
+            def rest(adj):
+                if not dropped:
+                    dropped.append(adj[0])
+                    adj = adj[1:]
+                consume(adj)
+
+            return real(n, rest, **kwargs) - 1
+
+        monkeypatch.setattr(enumeration, "_walk_maximal", drop_one)
         rep = suites._remark3_check(self.CONFIG)
         assert not rep.passed
         assert rep.witnesses == [["n=6", "pinned=211", "got=210"]]

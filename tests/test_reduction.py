@@ -15,7 +15,6 @@ from maxtrifree import (
     is_triangle_free,
     mis_count,
     random_instance,
-    reduced_graph,
     verify_claim1,
     verify_claim2,
     worked_k4_instance,
@@ -107,19 +106,19 @@ class TestInstanceValidation:
 
 class TestReducedGraph:
     def test_worked_k4(self):
-        red = reduced_graph(worked_k4_instance())
+        red = build_auxiliary(worked_k4_instance()).reduced_rows
         assert row_pairs(red) == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]
 
     def test_nothing_removed(self):
         g = Graph.cycle(5)
         inst = ReductionInstance(g, empty_graph(5), empty_graph(5))
-        assert reduced_graph(inst) == g.rows
+        assert build_auxiliary(inst).reduced_rows == g.rows
 
     def test_empty_selected(self):
         g = Graph.complete(4)
         removal = Graph.from_edges(4, [(0, 1), (2, 3)])
         inst = ReductionInstance(g, removal, empty_graph(4))
-        red = reduced_graph(inst)
+        red = build_auxiliary(inst).reduced_rows
         assert red == without_edges(g, removal.edges()).rows
         assert is_triangle_free(red)
 
@@ -128,7 +127,7 @@ class TestReducedGraph:
         g = Graph.complete(4)
         removal = Graph.from_edges(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
         selected = Graph.from_edges(4, [(0, 1), (0, 2)])
-        red = reduced_graph(ReductionInstance(g, removal, selected))
+        red = build_auxiliary(ReductionInstance(g, removal, selected)).reduced_rows
         assert not red[1] >> 2 & 1
         assert red[0] >> 1 & 1 and red[0] >> 2 & 1
 
@@ -139,12 +138,12 @@ class TestReducedGraph:
         for name in ("container", "removal", "selected"):
             object.__setattr__(inst, name, Graph.complete(3))
         with pytest.raises(AssertionError, match=r"^selected edge \(0, 1\) was removed"):
-            reduced_graph(inst)
+            build_auxiliary(inst)
 
     def test_monotone(self):
         for i in range(40):
             inst = random_instance(rng_for(7, i), n_min=4, n_max=8)
-            red = reduced_graph(inst)
+            red = build_auxiliary(inst).reduced_rows
             assert is_subgraph(red, inst.container.rows)
             for u, v in inst.selected.edges():
                 assert red[u] >> v & 1
@@ -184,14 +183,15 @@ class TestAuxiliary:
 
 
 class TestDefinitionOracles:
-    """reduced_graph and build_auxiliary against edge-list oracles that
+    """The reduced rows and T of build_auxiliary against edge-list oracles that
     follow the definitions instead of the row arithmetic."""
 
     INSTANCES = [random_instance(rng_for(13, i), n_min=4, n_max=10) for i in range(300)]
 
     def test_reduced_graph(self):
         for inst in self.INSTANCES:
-            assert reduced_graph(inst) == naive_reduced_graph(inst).rows, inst.to_dict()
+            red = build_auxiliary(inst).reduced_rows
+            assert red == naive_reduced_graph(inst).rows, inst.to_dict()
 
     def test_auxiliary_graph(self):
         for inst in self.INSTANCES:
@@ -199,13 +199,13 @@ class TestDefinitionOracles:
             vertices, rows = naive_auxiliary_rows(inst)
             assert list(aux.vertex_to_edge) == vertices, inst.to_dict()
             assert list(aux.t_rows) == rows, inst.to_dict()
-            assert aux.reduced_rows == reduced_graph(inst)
 
     def test_instances_cover_both_rules(self):
         # some instances lose container edges to two selected ones, and most
         # have T-edges, so neither comparison is vacuous
         assert max(inst.container.n for inst in self.INSTANCES) == 10
-        killed = sum(len(row_pairs(reduced_graph(inst))) < inst.container.edge_count()
+        killed = sum(len(row_pairs(build_auxiliary(inst).reduced_rows))
+                     < inst.container.edge_count()
                      - inst.removal.edge_count() + inst.selected.edge_count()
                      for inst in self.INSTANCES)
         assert killed >= 10
@@ -252,7 +252,7 @@ class TestHStar:
     def test_members_satisfy_constraints(self):
         for i in range(60):
             inst = random_instance(rng_for(5, i), n_min=4, n_max=7)
-            red = reduced_graph(inst)
+            red = build_auxiliary(inst).reduced_rows
             for h in enumerate_h_star(inst):
                 assert is_subgraph(h, inst.container.rows)
                 assert is_subgraph(h, red) or not inst.selected.edges()
@@ -366,6 +366,24 @@ class TestBoundChain:
             rep = bound_chain(inst.container, inst.removal)
             assert rep.passed, inst.to_dict()
 
+    @pytest.mark.parametrize("container, removal, message", [
+        (Graph.cycle(4), Graph.from_edges(4, [(0, 2)]),
+         "removal edge (0, 2) is not in the container"),
+        (Graph.complete(4), Graph.from_edges(4, [(0, 1)]),
+         "container minus removal has triangle (0, 2, 3)"),
+        # both defects: the removal edge is reported first, as the instance does
+        (Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]),
+         Graph.from_edges(4, [(0, 3)]), "removal edge (0, 3) is not in the container"),
+        (Graph.complete(4), empty_graph(5), "edge sets must live on the container vertex set"),
+    ], ids=["removal-outside", "triangle-left", "both", "host-mismatch"])
+    def test_bad_container_pair_is_an_instance_error(self, container, removal, message):
+        with pytest.raises(InstanceError) as err:
+            ReductionInstance(container, removal, empty_graph(container.n))
+        assert str(err.value) == message
+        with pytest.raises(InstanceError) as err:
+            bound_chain(container, removal)
+        assert str(err.value) == message
+
     def test_guards(self):
         with pytest.raises(GuardError):
             bound_chain(empty_graph(9), empty_graph(9))
@@ -375,9 +393,10 @@ class TestBoundChain:
             bound_chain(k6, big)
 
 
-def test_claims_build_a_graph_only_for_each_chain_fstar(graph_builds):
-    # the reduced graph, T and each H* are bit rows; the chain's one Graph per
-    # triangle-free F* is the selected field of that F*'s instance
+def test_claims_and_chain_build_no_graph_per_fstar(graph_builds):
+    # F*, the reduced graph, T and each H* are bit rows; the chain's one
+    # Graph is the empty F* of the instance that checks its container once
+    fstars = 0
     for i in range(20):
         inst = random_instance(rng_for(20, i), n_min=4, n_max=6)
         graph_builds.clear()
@@ -386,7 +405,9 @@ def test_claims_build_a_graph_only_for_each_chain_fstar(graph_builds):
         assert graph_builds == []
         rep = bound_chain(inst.container, inst.removal)
         assert rep.passed
-        assert len(graph_builds) == rep.counts["fstar_triangle_free"]
+        assert len(graph_builds) <= 1
+        fstars += rep.counts["fstar_triangle_free"]
+    assert fstars > 2 * 20  # so one Graph per F* would break the bound
 
 
 class TestPlantedDefects:
@@ -401,14 +422,15 @@ class TestPlantedDefects:
         assert rep.witnesses == [["duplicate edge-set image"]]
 
     def test_dropped_h_fails_chain(self, monkeypatch):
-        real = reduction.enumerate_h_star
-        dropped = Graph.from_edges(4, [(0, 1)])
+        # the chain searches H(F*) from F*'s rows; drop one H of F* = {01}
+        real = reduction._maximal_tf_leaves
+        dropped = Graph.from_edges(4, [(0, 1)]).rows
 
-        def drop_one(inst):
-            family = real(inst)
-            return family[1:] if inst.selected == dropped else family
+        def drop_one(n, free, seed_rows):
+            family = real(n, free, seed_rows)
+            return family[1:] if tuple(seed_rows) == dropped else family
 
-        monkeypatch.setattr(reduction, "enumerate_h_star", drop_one)
+        monkeypatch.setattr(reduction, "_maximal_tf_leaves", drop_one)
         inst = worked_k4_instance()
         rep = bound_chain(inst.container, inst.removal)
         assert not rep.passed

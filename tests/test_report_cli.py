@@ -12,7 +12,7 @@ from maxtrifree import (
     verify_claim1,
     worked_k4_instance,
 )
-from maxtrifree import cli, constructions, scan, suites
+from maxtrifree import cli, constructions, reduction, scan, suites
 from maxtrifree.cli import main
 from maxtrifree.suites import _claim_random_check
 from maxtrifree.report import (
@@ -237,6 +237,28 @@ class TestCli:
     def test_reduce_random(self, capsys):
         assert main(["reduce", "--random", "3", "--check", "claim2", "--seed", "5"]) == 0
         assert capsys.readouterr().out.count("[PASS]") == 3
+
+    @pytest.mark.parametrize("argv, needle", [
+        (["reduce", "--random", "3", "--n", "9"], "--n 9 is beyond the chain check's cap of n=8"),
+        (["reduce", "--random", "3", "--n", "11", "--check", "claim1,claim2"],
+         "--n 11 is beyond the claim2 check's cap of n=10"),
+    ])
+    def test_reduce_n_beyond_a_check_cap_is_a_usage_error(self, argv, needle, monkeypatch,
+                                                           capsys):
+        # refused before any instance is drawn, whatever the draw would give
+        def no_draw(*args, **kwargs):
+            raise AssertionError("an instance was drawn")
+
+        monkeypatch.setattr(reduction, "random_instance", no_draw)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {needle}\n" and captured.out == ""
+
+    def test_reduce_n_within_the_checks_caps_runs(self, capsys):
+        assert main(["reduce", "--random", "3", "--n", "8", "--seed", "1"]) == 0
+        assert main(["reduce", "--random", "3", "--n", "11", "--check", "claim1",
+                     "--seed", "1"]) == 0
+        assert capsys.readouterr().out.count("[PASS]") == 12
 
     def test_reduce_unknown_check(self, capsys):
         assert main(["reduce", "--random", "1", "--check", "claim9"]) == 2

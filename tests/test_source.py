@@ -101,6 +101,53 @@ def test_graphs_from_rows_has_one_caller():
     assert found == ["graph6.py:_decode_short"]
 
 
+def _graph_builders(path) -> list[str]:
+    """The functions and methods of a package file that call Graph, one of its
+    classmethods or graph_from_edge_mask, as "file:name"."""
+    makers = {name for name, value in vars(maxtrifree.Graph).items()
+              if isinstance(value, classmethod)}
+
+    def builds(node) -> bool:
+        f = node.func if isinstance(node, ast.Call) else None
+        return (isinstance(f, ast.Name) and f.id in ("Graph", "graph_from_edge_mask")
+                or isinstance(f, ast.Attribute) and f.attr in makers
+                and isinstance(f.value, ast.Name) and f.value.id == "Graph")
+
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    owners = []
+    for stmt in tree.body:
+        if isinstance(stmt, ast.ClassDef):
+            owners += [(f"{stmt.name}.{m.name}", m) for m in stmt.body
+                       if isinstance(m, ast.FunctionDef)]
+        else:
+            owners.append((getattr(stmt, "name", "<module>"), stmt))
+    return [f"{path.name}:{name}" for name, node in owners
+            if any(builds(sub) for sub in ast.walk(node))]
+
+
+def test_graphs_are_built_only_where_kept():
+    # Graph checks its rows, so a Graph is built only for a graph that is
+    # kept: an instance's fields, a graph returned, decoded or written out as
+    # a witness.  The counting chain and the Remark 3 census work on rows.
+    found = [name for path in sorted(PACKAGE_DIR.glob("*.py")) for name in _graph_builders(path)]
+    assert found == [
+        "constructions.py:_matched_graph",
+        "constructions.py:folklore_family_stats",
+        "enumeration.py:brute_force_maximal_tf",
+        "graph.py:graph_from_edge_mask",
+        "graph.py:greedy_triangle_removal",
+        "graph6.py:decode_graph6",
+        "mis.py:verify_hujter_tuza",
+        "mis.py:verify_matching_equality",
+        "reduction.py:ReductionInstance.from_dict",
+        "reduction.py:worked_k4_instance",
+        "reduction.py:_image_word",
+        "reduction.py:_mis_violation",
+        "reduction.py:random_graph",
+        "reduction.py:random_tf_subset",
+    ]
+
+
 def _tracer_targets() -> list[str]:
     tree = ast.parse((REPO / "perfbench" / "tracer.py").read_text(encoding="utf-8"))
     return next(ast.literal_eval(node.value) for node in tree.body
@@ -278,8 +325,8 @@ def test_checks_take_no_guard_and_keep_no_clock():
 
 
 def test_brute_force_oracle_shares_no_helper_with_the_walker():
-    # the oracle checks maximal_tf_family, which reaches the walker in scan
-    # and graph_from_edge_mask, whose pair order comes from lex_pairs; it may
+    # the oracle checks the walker's family, which comes from scan and
+    # graph_from_edge_mask, whose pair order comes from lex_pairs; it may
     # name none of them
     tree = ast.parse((PACKAGE_DIR / "scan.py").read_text(encoding="utf-8"))
     scan_names = {"scan"}
