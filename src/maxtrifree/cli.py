@@ -251,12 +251,20 @@ def _cmd_reduce(args) -> int:
         raise ValueError(f"unknown checks: {sorted(unknown)}")
     if not args.random and (args.seed is not None or args.n is not None):
         raise ValueError("--seed and --n shape the --random instances, which are not asked for")
-    for name, cap in (("chain", reduction.CHAIN_MAX_N), ("claim2", reduction.H_STAR_MAX_N)):
-        if name in checks and args.n is not None and args.n > cap:
+    caps = [(name, cap) for name, cap in (("chain", reduction.CHAIN_MAX_N),
+                                          ("claim2", reduction.H_STAR_MAX_N))
+            if name in checks]
+    for name, cap in caps:
+        if args.n is not None and args.n > cap:
             raise GuardError(f"--n {args.n} is beyond the {name} check's cap of n={cap}")
     instances: list[reduction.ReductionInstance] = []
     if args.instance:
-        instances.append(reduction.ReductionInstance.load(args.instance))
+        inst = reduction.ReductionInstance.load(args.instance)
+        for name, cap in caps:
+            if inst.container.n > cap:
+                raise GuardError(f"{args.instance}: n={inst.container.n} is beyond "
+                                 f"the {name} check's cap of n={cap}")
+        instances.append(inst)
     if args.random:
         for i in range(args.random):
             instances.append(reduction.random_instance(

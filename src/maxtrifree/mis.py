@@ -13,16 +13,23 @@ predicates do; the only ``Graph``s built here are the perfect matchings of
 The exhaustive verifier scans every labeled triangle-free graph up to 8
 vertices, generating them incrementally instead of filtering all 2^28
 graphs, and does the real-valued comparison count <= 2^{m/2} as
-count^2 <= 2^m in exact integer arithmetic.
+count <= isqrt(2^m) in exact integer arithmetic.  It also holds each m's
+maximum to Hujter and Tuza's extremal value, attained by a perfect matching
+for even m and by C5 plus a matching for odd m, so a kernel that undercounts
+fails it too.
 
 Its batch kernel, ``batch_mis_counts``, counts on numpy adjacency columns
 with one test per vertex subset S: S is a maximal independent set iff its
 neighbourhood N(S) is exactly V \\ S (independence is N(S) & S = 0,
-maximality is N(S) | S = V).  Columns and per-graph counters are uint8 for
-n <= 8 and uint16 for n <= 16, which the counts fit by Moon-Moser (at most
-18 sets at n = 8, 324 at n = 16); larger n raises GuardError.
+maximality is N(S) | S = V).  Columns, the N(S) buffer and per-graph
+counters take the walker's column dtype, uint8 for n <= 8 and uint16 for
+n <= 16, which the counts fit by Moon-Moser (at most 18 sets at n = 8, 324
+at n = 16), and the walker's columns are read in place; larger n raises
+GuardError.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -102,28 +109,52 @@ def batch_mis_counts(adj: np.ndarray, n: int) -> np.ndarray:
     ``adj[:, v]`` holds the neighbour bits of vertex v.  Walks all 2^n vertex
     subsets S once, carrying the neighbourhood union N(S), and counts S for
     every graph at once when N(S) equals V \\ S exactly, which is independence
-    and maximality in one comparison.  Columns and counters are uint8 for
-    n <= 8 and uint16 otherwise; n > 16 raises GuardError.
+    and maximality in one comparison.  Columns and counters take the walker's
+    column dtype, uint8 for n <= 8 and uint16 otherwise, so the walker's own
+    contiguous columns are used as they are; n > 16 raises GuardError.
+
+    Row d of one preallocated (n + 1, N) buffer holds N(S) while S has d
+    members, so skipping a vertex reuses the row and adding one ORs into the
+    next: no array is allocated per subset.  Each test compares into one bool
+    buffer, added to the counters through a uint8 view, so at n <= 8 the add
+    runs on uint8 throughout and no bool is cast.
     """
     if n > BATCH_MAX_N:
         raise GuardError(f"batch MIS kernel holds at most {BATCH_MAX_N} vertices, got n={n}")
-    dtype = np.uint8 if n <= 8 else np.uint16
+    dtype = scan._column_dtype(n)
     num = adj.shape[0]
-    cols = [adj[:, v].astype(dtype) for v in range(n)]
+    cols = [np.ascontiguousarray(adj[:, v], dtype=dtype) for v in range(n)]
+    neigh = np.zeros((n + 1, num), dtype=dtype)
     counts = np.zeros(num, dtype=dtype)
     hit = np.empty(num, dtype=bool)
+    hit_u8 = hit.view(np.uint8)
     full = (1 << n) - 1
 
-    def visit(v: int, neigh_or: np.ndarray, members: int) -> None:
+    # depth first over (next vertex v, members so far), skipping v before
+    # taking it; a set that has just taken v - 1 ORs its column into row d.
+    # An explicit stack, as a recursive closure is a reference cycle that
+    # would hold the walker's columns until the cyclic collector runs
+    stack = [(0, 0)]
+    while stack:
+        v, members = stack.pop()
+        d = members.bit_count()
+        if v and members >> v - 1 & 1:
+            np.bitwise_or(neigh[d - 1], cols[v - 1], out=neigh[d])
         if v == n:
-            np.equal(neigh_or, dtype(full ^ members), out=hit)
-            np.add(counts, hit, out=counts)
-            return
-        visit(v + 1, neigh_or, members)
-        visit(v + 1, neigh_or | cols[v], members | 1 << v)
-
-    visit(0, np.zeros(num, dtype=dtype), 0)
+            np.equal(neigh[d], dtype(full ^ members), out=hit)
+            np.add(counts, hit_u8, out=counts)
+        else:
+            stack += [(v + 1, members | 1 << v), (v + 1, members)]
     return counts.astype(np.int64)
+
+
+def _extremal_mis(m: int) -> int:
+    """Hujter and Tuza's maximum MIS count over triangle-free graphs on m
+    vertices: 2^{m/2} for even m, 5 * 2^{(m-5)/2} for odd m >= 5, and 1 and 2
+    for m = 1 and m = 3."""
+    if m % 2 == 0:
+        return 1 << m // 2
+    return 5 << (m - 5) // 2 if m >= 5 else {1: 1, 3: 2}[m]
 
 
 class _PerSizeScan:
@@ -131,6 +162,7 @@ class _PerSizeScan:
 
     def __init__(self, m: int):
         self.m = m
+        self.bound = math.isqrt(1 << m)  # count <= bound iff count^2 <= 2^m
         self.scanned = 0
         self.max_count = 0
         self.best_mask: int | None = None
@@ -139,7 +171,7 @@ class _PerSizeScan:
     def consume(self, adj: np.ndarray) -> None:
         counts = batch_mis_counts(adj, self.m)
         self.scanned += len(adj)
-        bad = counts * counts > 1 << self.m
+        bad = counts > self.bound
         if bad.any():
             cand = int(scan.edge_masks(adj[bad]).min())
             if self.violation_mask is None or cand < self.violation_mask:
@@ -156,8 +188,9 @@ def verify_hujter_tuza(max_n: int = HUJTER_TUZA_MAX_N, *,
     """Exhaustively check count^2 <= 2^m over all triangle-free graphs, m <= max_n.
 
     Reports the maximum count attained per m with one extremal witness in
-    graph6 (the scan-minimal edge bitmask among attainers).  Fails with the
-    first counterexample graph if the bound were ever violated.
+    graph6 (the scan-minimal edge bitmask among attainers).  Fails at the
+    first m that breaks the bound, with the counterexample graph, or whose
+    maximum is not the extremal value, with ``m=``, ``expected=`` and ``got=``.
     """
     if max_n > HUJTER_TUZA_MAX_N:
         raise GuardError(
@@ -166,7 +199,7 @@ def verify_hujter_tuza(max_n: int = HUJTER_TUZA_MAX_N, *,
         raise ValueError("need at least one vertex")
     counts: dict[str, int] = {}
     witnesses: list[str] = []
-    failure: str | None = None
+    failure: list[str] | None = None
     for m in range(1, max_n + 1):
         acc = _PerSizeScan(m)
         scan.walk_triangle_free(m, forward_prune=False, consume=acc.consume, shards=shards)
@@ -174,13 +207,17 @@ def verify_hujter_tuza(max_n: int = HUJTER_TUZA_MAX_N, *,
         counts[f"max_mis_m{m}"] = acc.max_count
         if acc.best_mask is not None:
             witnesses.append(encode_graph6(graph_from_edge_mask(m, acc.best_mask)))
-        if acc.violation_mask is not None and failure is None:
-            failure = encode_graph6(graph_from_edge_mask(m, acc.violation_mask))
+        if failure is not None:
+            continue
+        if acc.violation_mask is not None:
+            failure = [encode_graph6(graph_from_edge_mask(m, acc.violation_mask))]
+        elif acc.max_count != _extremal_mis(m):
+            failure = [f"m={m}", f"expected={_extremal_mis(m)}", f"got={acc.max_count}"]
     return VerificationReport(
         check_name="hujter_tuza_exhaustive",
         status=PASS if failure is None else FAIL,
         parameters={"max_n": max_n}, counts=counts,
-        witnesses=witnesses if failure is None else [failure])
+        witnesses=witnesses if failure is None else failure)
 
 
 def verify_matching_equality() -> VerificationReport:

@@ -31,21 +31,24 @@ below u and N(u) lies below v, and:
 So every non-edge is tested after the last change to either of its pots, and
 the leaves are exactly the maximal triangle-free graphs.
 
-The frontier is contiguous uint16 vertex columns, one entry per state:
-``state[x]`` holds the neighbour bits of vertex x in every state, and the
-pruned walk adds its n pot columns ``state[n + x]`` after them.  Each level
-compacts the parent once into preallocated next-level arrays, absent child
-first, then present child.  A frontier larger than ``_BATCH`` states is split
-in half, and a sharded walk fixes the first ``_SHARD_DEPTH`` decisions before
-dealing out the prefixes; both slice all of a state's columns together, and
-states evolve independently, so the leaf multiset never depends on the
-batches or the shards.
+The frontier is contiguous vertex columns, one entry per state, in the
+narrowest dtype that holds a bit per vertex: uint8 for n <= 8, uint16 up to
+n = 16 (``_column_dtype``, which the MIS kernel shares, so the n <= 8 scans
+move one byte per vertex and state end to end).  ``state[x]`` holds the
+neighbour bits of vertex x in every state, and the pruned walk adds its n pot
+columns ``state[n + x]`` after them, in the same dtype.  Each level compacts
+the parent once into preallocated next-level arrays, absent child first, then
+present child.  A frontier larger than ``_BATCH`` states is split in half,
+and a sharded walk fixes the first ``_SHARD_DEPTH`` decisions before dealing
+out the prefixes; both slice all of a state's columns together, and states
+evolve independently, so the leaf multiset never depends on the batches or
+the shards.
 
-Consumers get one adjacency row per leaf.  The walker's uint16 columns cap it
-at n <= 16.  ``edge_masks`` derives the leaves' int64 lexicographic edge
-masks, which cap their consumers at n <= 11, ``mask_rows`` turns masks back
-into upper rows for the graph6 encoder, and ``pair_flags`` tests triangles
-and maximality on the same rows.
+Consumers get one adjacency row per leaf, in the frontier's dtype.  The
+widest columns, uint16, cap the walker at n <= 16.  ``edge_masks`` derives
+the leaves' int64 lexicographic edge masks, which cap their consumers at
+n <= 11, ``mask_rows`` turns masks back into upper rows for the graph6
+encoder, and ``pair_flags`` tests triangles and maximality on the same rows.
 """
 from __future__ import annotations
 
@@ -58,9 +61,15 @@ from .graph import GuardError, lex_pairs
 Consumer = Callable[[np.ndarray], None]
 
 _MAX_PAIRS = 63  # edge_masks returns int64, one bit per pair
-_MAX_N = 16  # the frontier's uint16 columns hold one bit per vertex
+_MAX_N = 16  # the frontier's widest columns, uint16, hold one bit per vertex
 _BATCH = 1 << 18  # a frontier with more states than this is split in half
 _SHARD_DEPTH = 8  # decisions fixed before a sharded frontier is dealt out
+
+
+def _column_dtype(n: int) -> type:
+    """The narrowest unsigned dtype holding one bit per vertex of an n-vertex
+    column: uint8 for n <= 8, uint16 otherwise."""
+    return np.uint8 if n <= 8 else np.uint16
 
 
 def check_capacity(n: int) -> None:
@@ -72,7 +81,7 @@ def check_capacity(n: int) -> None:
 
 def edge_masks(adj: np.ndarray) -> np.ndarray:
     """Lexicographic edge masks (int64, bit i = pair i of lex_pairs) of (N, n)
-    uint16 adjacency rows; int64 holds 63 pairs, hence n <= 11.
+    uint8 or uint16 adjacency rows; int64 holds 63 pairs, hence n <= 11.
 
     The pairs (x, y > x) have consecutive ranks, so row x's bits above x,
     shifted down by x + 1, land at the rank of (x, x + 1): n - 1 shifts.
@@ -104,8 +113,9 @@ def mask_rows(n: int, masks: np.ndarray) -> np.ndarray:
 
 
 def pair_flags(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(triangle, not_maximal) flags of (N, n) uint16 adjacency rows: some
-    edge's ends have a common neighbour, some non-edge's ends have none."""
+    """(triangle, not_maximal) flags of (N, n) uint8 or uint16 adjacency
+    rows: some edge's ends have a common neighbour, some non-edge's ends have
+    none."""
     triangle = np.zeros(len(adj), dtype=bool)
     not_maximal = np.zeros(len(adj), dtype=bool)
     for u, v in lex_pairs(adj.shape[1]):
@@ -126,22 +136,23 @@ def walk_triangle_free(
     """Run the decision tree, feeding each leaf batch to *consume*.
 
     Returns the number of leaves.  ``consume(adj)`` receives the (N, n)
-    uint16 transposed view of the frontier's vertex columns, so ``adj[:, x]``
-    is vertex x's contiguous column and ``adj[i]`` leaf i's rows, and
-    ``edge_masks(adj)`` derives their edge masks.  A frontier is split in
-    half while it holds more than ``_BATCH`` states, and each state has at
-    most two children, so a level's output, and hence a batch, holds at most
-    2 * ``_BATCH`` states.  With ``shards > 1`` the first ``_SHARD_DEPTH``
-    edge decisions are made on the whole frontier and the surviving prefixes
-    are dealt round-robin, one shard after another.  n > 16 raises
-    GuardError.
+    transposed view of the frontier's vertex columns, uint8 for n <= 8 and
+    uint16 otherwise, so ``adj[:, x]`` is vertex x's contiguous column and
+    ``adj[i]`` leaf i's rows, and ``edge_masks(adj)`` and ``pair_flags(adj)``
+    read them in either dtype.  A frontier is split in half while it holds
+    more than ``_BATCH`` states, and each state has at most two children, so
+    a level's output, and hence a batch, holds at most 2 * ``_BATCH``
+    states.  With ``shards > 1`` the first ``_SHARD_DEPTH`` edge decisions
+    are made on the whole frontier and the surviving prefixes are dealt
+    round-robin, one shard after another.  n > 16 raises GuardError.
     """
     if n > _MAX_N:
         raise GuardError(f"walker holds uint16 vertex columns (n <= {_MAX_N}), got n={n}")
     if shards < 1:
         raise ValueError("shards must be positive")
     pairs = lex_pairs(n)
-    bit = [np.uint16(1 << x) for x in range(n)]
+    dtype = _column_dtype(n)
+    bit = [dtype(1 << x) for x in range(n)]
 
     def children(state: np.ndarray, level: int) -> np.ndarray:
         u, v = pairs[level]
@@ -155,14 +166,14 @@ def walk_triangle_free(
             ok_absent = (pot_u & pot_v) != 0
             ok_absent &= np.all(pot[:v] & pot_u, axis=0)
             ok_absent &= np.all(pot[:u] & pot_v, axis=0)
-            between = np.uint16((1 << v) - (2 << u))  # the vertices between u and v
+            between = dtype((1 << v) - (2 << u))  # the vertices between u and v
             ok_present &= np.all(pot[:u] & (pot[v] & ~(state[u] & between)), axis=0)
             absent = int(np.count_nonzero(ok_absent))
         else:
             absent = state.shape[1]
         # one compaction per child, straight into the next level's array
         next_state = np.empty((len(state), absent + int(np.count_nonzero(ok_present))),
-                              dtype=np.uint16)
+                              dtype=dtype)
         if forward_prune:
             np.compress(ok_absent, state, axis=1, out=next_state[:, :absent])
         else:
@@ -178,7 +189,7 @@ def walk_triangle_free(
             lost = next_state[u, absent:] & between
             next_state[n + v, absent:] &= ~lost
             for w in range(u + 1, v):
-                next_state[n + w, absent:] &= ~((lost & bit[w]) << np.uint16(v - w))
+                next_state[n + w, absent:] &= ~((lost & bit[w]) << dtype(v - w))
         return next_state
 
     def descend(state: np.ndarray, level: int) -> int:
@@ -197,7 +208,7 @@ def walk_triangle_free(
 
     # the vertex columns, then the pruned walk's pot columns, which start
     # full: every partner is undecided and no neighbourhood meets another
-    state = np.zeros((2 * n if forward_prune else n, 1), dtype=np.uint16)
+    state = np.zeros((2 * n if forward_prune else n, 1), dtype=dtype)
     state[n:] = (1 << n) - 1
     depth = min(_SHARD_DEPTH, len(pairs)) if shards > 1 else 0
     for level in range(depth):

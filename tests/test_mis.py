@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -160,6 +163,41 @@ class TestBatchCounts:
             assert expected == [1, n]
             assert batch_mis_counts(adj, n).tolist() == expected
 
+    def test_walker_batch_as_handed_over(self):
+        # the first leaf batch of the unpruned n = 8 walk: uint8 columns, each
+        # contiguous, counted in place, then recast, sampled and re-laid out
+        first = []
+
+        def consume(adj):
+            if not first:
+                assert adj.dtype == np.uint8
+                assert all(adj[:, v].flags.c_contiguous for v in range(8))
+                first.append((adj.copy(), batch_mis_counts(adj, 8)))
+
+        scan.walk_triangle_free(8, forward_prune=False, consume=consume)
+        adj, counts = first[0]
+        assert len(adj) > 1000 and counts.dtype == np.int64
+        assert np.array_equal(batch_mis_counts(adj.astype(np.uint16), 8), counts)
+        sample = np.random.default_rng(22).choice(len(adj), size=300, replace=False)
+        assert [mis_count(adj[i].tolist()) for i in sample] == counts[sample].tolist()
+        assert not adj[:, 0].flags.c_contiguous
+        assert np.array_equal(batch_mis_counts(adj, 8), counts)
+        assert np.array_equal(batch_mis_counts(adj[::2], 8), counts[::2])
+
+    def test_keeps_no_reference_to_its_input(self):
+        # the walker's leaf columns are read in place, so a reference cycle in
+        # the kernel would keep each leaf batch alive until the cyclic
+        # collector ran
+        gc.disable()
+        try:
+            adj = np.zeros((4, 100), dtype=np.uint8).T
+            alive = weakref.ref(adj.base)
+            batch_mis_counts(adj, 4)
+            del adj
+            assert alive() is None
+        finally:
+            gc.enable()
+
     def test_guard_past_uint16_columns(self):
         with pytest.raises(GuardError, match="n=17"):
             batch_mis_counts(np.zeros((1, 17), dtype=np.uint32), 17)
@@ -251,6 +289,36 @@ class TestHujterTuza:
         assert not rep.passed
         assert rep.witnesses == [encode_graph6(planted[0])]
         assert decode_graph6(rep.witnesses[0]).n == 3
+
+    @pytest.mark.parametrize("only_m, max_n, witnesses", [
+        (None, 4, ["m=2", "expected=2", "got=1"]),
+        (8, 8, ["m=8", "expected=16", "got=15"]),
+    ])
+    def test_undercounting_kernel_fails_with_the_extremal_value(
+            self, monkeypatch, only_m, max_n, witnesses):
+        # one set dropped from every count above 1 breaks no bound, but the
+        # maximum falls below Hujter and Tuza's value at the first m it reaches
+        real = mis.batch_mis_counts
+
+        def undercount(adj, n):
+            counts = real(adj, n)
+            return counts - (counts > 1) if only_m in (None, n) else counts
+
+        monkeypatch.setattr(mis, "batch_mis_counts", undercount)
+        rep = verify_hujter_tuza(max_n)
+        assert not rep.passed
+        assert rep.counts[f"max_mis_m{max_n}"] == mis._extremal_mis(max_n) - 1
+        assert rep.witnesses == witnesses
+
+    def test_extremal_values(self):
+        # perfect matchings for even m, C5 plus a matching for odd m >= 5
+        assert [mis._extremal_mis(m) for m in range(1, 12)] == \
+            [1, 2, 2, 4, 5, 8, 10, 16, 20, 32, 40]
+        for m in range(4, 12):
+            head = Graph.cycle(5).rows if m % 2 else ()
+            matching = Graph.perfect_matching((m - len(head)) // 2).rows
+            rows = head + tuple(r << len(head) for r in matching)
+            assert mis_count(rows) == mis._extremal_mis(m), m
 
     def test_skewed_matching_count_fails_equality(self, monkeypatch):
         real = mis.mis_count

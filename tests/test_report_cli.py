@@ -260,6 +260,29 @@ class TestCli:
                      "--seed", "1"]) == 0
         assert capsys.readouterr().out.count("[PASS]") == 12
 
+    @pytest.mark.parametrize("n, checks, needle", [
+        (9, "claim1,claim2,chain", "n=9 is beyond the chain check's cap of n=8"),
+        (11, "claim1,claim2", "n=11 is beyond the claim2 check's cap of n=10"),
+    ])
+    def test_reduce_instance_beyond_a_check_cap_is_a_usage_error(
+            self, n, checks, needle, tmp_path, monkeypatch, capsys):
+        # the loaded instance meets the same caps as --n, before any check runs
+        path = tmp_path / "inst.json"
+        dump_instance(reduction.random_instance(rng_for(1, 0), n_min=n, n_max=n), path)
+
+        def no_check(*args, **kwargs):
+            raise AssertionError("a check ran")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(reduction, "build_auxiliary", no_check)
+            patch.setattr(reduction, "verify_claim2", no_check)
+            assert main(["reduce", "--instance", str(path), "--check", checks]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path}: {needle}\n" and captured.out == ""
+        within = "claim1" if n > reduction.H_STAR_MAX_N else "claim1,claim2"
+        assert main(["reduce", "--instance", str(path), "--check", within]) == 0
+        assert capsys.readouterr().out.count("[PASS]") == len(within.split(","))
+
     def test_reduce_unknown_check(self, capsys):
         assert main(["reduce", "--random", "1", "--check", "claim9"]) == 2
         captured = capsys.readouterr()

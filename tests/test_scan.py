@@ -27,6 +27,13 @@ def test_leaves_match_scalar_twin():
             assert collect(n, prune) == sorted(walk_triangle_free_scalar(n, forward_prune=prune))
 
 
+def test_pruned_n8_leaves_match_scalar_twin():
+    # vertex 7 is the top bit of a uint8 column, and the pots start at 0xFF
+    got = collect(8, True)
+    assert len(got) == PINNED_COUNTS[8] == 15_247
+    assert got == sorted(walk_triangle_free_scalar(8, forward_prune=True))
+
+
 def test_split_batches_and_shards_match_scalar_twin(monkeypatch):
     # frontiers split into column slices of at most 7 states, dealt to 3 shards
     monkeypatch.setattr(scan, "_BATCH", 7)
@@ -68,15 +75,40 @@ def leaves_with_rows(n, forward_prune, **kw):
     found = []
 
     def consume(*args):
-        # one (N, n) uint16 array per batch, nothing else
+        # one (N, n) array per batch, nothing else: uint8 columns while a
+        # vertex's bits fit a byte, uint16 from n = 9
         (adj,) = args
-        assert isinstance(adj, np.ndarray) and adj.dtype == np.uint16
+        assert isinstance(adj, np.ndarray)
+        assert adj.dtype == (np.uint8 if n <= 8 else np.uint16)
         assert adj.ndim == 2 and adj.shape[1] == n and len(adj)
-        found.extend((int(m), tuple(int(r) for r in rows))
-                     for m, rows in zip(edge_masks(adj), adj))
+        found.extend(zip(edge_masks(adj).tolist(), map(tuple, adj.tolist())))
 
     assert walk_triangle_free(n, forward_prune=forward_prune, consume=consume, **kw) == len(found)
     return sorted(found)
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_leaf_rows_at_the_dtype_switch(n):
+    # n = 8 is the widest uint8 frontier and n = 9 the narrowest uint16 one;
+    # either way a leaf's rows and its edge mask are the same graph
+    leaves = leaves_with_rows(n, True)
+    assert len(leaves) == PINNED_COUNTS[n]
+    for mask, rows in leaves[::101]:
+        assert graph_from_edge_mask(n, mask).rows == rows, n
+
+
+def test_uint8_leaves_give_the_uint16_masks_and_flags():
+    # the first leaf batch of the unpruned n = 8 walk, 383,586 graphs
+    batches = []
+    walk_triangle_free(8, forward_prune=False,
+                       consume=lambda adj: batches.append(adj) if not batches else None)
+    (adj,) = batches
+    wide = adj.astype(np.uint16)
+    assert np.array_equal(edge_masks(adj), edge_masks(wide))
+    triangle, not_maximal = pair_flags(adj)
+    assert not triangle.any() and 0 < np.count_nonzero(not_maximal) < len(adj)
+    for flags, wide_flags in zip((triangle, not_maximal), pair_flags(wide)):
+        assert np.array_equal(flags, wide_flags)
 
 
 def test_chunk_invariance(monkeypatch):
