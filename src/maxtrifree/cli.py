@@ -249,6 +249,8 @@ def _cmd_reduce(args) -> int:
     unknown = set(checks) - set(suites.INSTANCE_CHECKS)
     if unknown:
         raise ValueError(f"unknown checks: {sorted(unknown)}")
+    if args.random < 0:
+        raise ValueError(f"--random must be at least 0, got {args.random}")
     if not args.random and (args.seed is not None or args.n is not None):
         raise ValueError("--seed and --n shape the --random instances, which are not asked for")
     caps = [(name, cap) for name, cap in (("chain", reduction.CHAIN_MAX_N),

@@ -56,7 +56,7 @@ class FolkloreChoice:
         """Bit i of code (LSB first) is choice i in row-major order."""
         width = folklore_bit_count(n)
         if not 0 <= code < 1 << width:
-            raise ValueError(f"code needs at most {width} bits")
+            raise ValueError(f"code must be in 0..{(1 << width) - 1}, got {code}")
         return cls(n, tuple(code >> i & 1 for i in range(width)))
 
     @classmethod
@@ -235,7 +235,7 @@ class KrChoice:
         n_vert = len(kr_vertex_slots(n, r))
         width = 2 * n_pair + n_vert
         if not 0 <= code < 1 << width:
-            raise ValueError(f"code needs at most {width} bits")
+            raise ValueError(f"code must be in 0..{(1 << width) - 1}, got {code}")
         pair = tuple(code >> (2 * k) & 3 for k in range(n_pair))
         rest = code >> (2 * n_pair)
         vert = tuple(rest >> k & 1 for k in range(n_vert))
@@ -284,8 +284,9 @@ def kr_entropy_check(n: int, r: int) -> int:
 
 
 def check_matching_partition(rows) -> tuple[int, int] | None:
-    """Smallest X (as a bit word) with G[X] a perfect matching and V-X independent,
-    or None, for G's bit rows (n = len(rows)).  Exhaustive; capped at 24 vertices."""
+    """The pair (X, V-X) of bit words for the numerically smallest X with G[X] a
+    perfect matching and V-X independent, or None, for G's bit rows
+    (n = len(rows)).  Exhaustive; capped at 24 vertices."""
     n = len(rows)
     if n > MATCHING_PARTITION_MAX_N:
         raise GuardError(

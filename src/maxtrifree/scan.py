@@ -31,18 +31,25 @@ below u and N(u) lies below v, and:
 So every non-edge is tested after the last change to either of its pots, and
 the leaves are exactly the maximal triangle-free graphs.
 
-The frontier is contiguous vertex columns, one entry per state, in the
-narrowest dtype that holds a bit per vertex: uint8 for n <= 8, uint16 up to
-n = 16 (``_column_dtype``, which the MIS kernel shares, so the n <= 8 scans
-move one byte per vertex and state end to end).  ``state[x]`` holds the
-neighbour bits of vertex x in every state, and the pruned walk adds its n pot
-columns ``state[n + x]`` after them, in the same dtype.  Each level compacts
-the parent once into preallocated next-level arrays, absent child first, then
-present child.  A frontier larger than ``_BATCH`` states is split in half,
-and a sharded walk fixes the first ``_SHARD_DEPTH`` decisions before dealing
-out the prefixes; both slice all of a state's columns together, and states
-evolve independently, so the leaf multiset never depends on the batches or
-the shards.
+The pruned walk keeps the pots alone, since they hold all that the
+neighbourhoods would: under these updates ``pot[x]`` is exactly x's bit, N(x)
+and the undecided partners z with N(x) and N(z) disjoint.  So at level
+(u, v), where the pair is undecided, v is in ``pot[u]`` iff u and v share no
+neighbour, which is the triangle rule; N(u) between u and v is the part of
+``pot[u]`` between them, as u's undecided partners lie above v; and at a
+leaf, with no partner left undecided, ``pot[x]`` without x's bit is N(x).
+
+The frontier is n contiguous columns, one entry per state, in the narrowest
+dtype that holds a bit per vertex: uint8 for n <= 8, uint16 up to n = 16
+(``_column_dtype``, which the MIS kernel shares, so the n <= 8 scans move one
+byte per vertex and state end to end).  ``state[x]`` holds vertex x's
+neighbour bits in the unpruned walk and its pot in the pruned one.  Each
+level compacts the parent once into a preallocated next-level array, the
+absent child's columns first, then the present child's.  A frontier larger
+than ``_BATCH`` states is split in half, and a sharded walk fixes the first
+``_SHARD_DEPTH`` decisions before dealing out the prefixes; both slice all of
+a state's columns together, and states evolve independently, so the leaf
+multiset never depends on the batches or the shards.
 
 Consumers get one adjacency row per leaf, in the frontier's dtype.  The
 widest columns, uint16, cap the walker at n <= 16.  ``edge_masks`` derives
@@ -136,10 +143,12 @@ def walk_triangle_free(
     """Run the decision tree, feeding each leaf batch to *consume*.
 
     Returns the number of leaves.  ``consume(adj)`` receives the (N, n)
-    transposed view of the frontier's vertex columns, uint8 for n <= 8 and
-    uint16 otherwise, so ``adj[:, x]`` is vertex x's contiguous column and
-    ``adj[i]`` leaf i's rows, and ``edge_masks(adj)`` and ``pair_flags(adj)``
-    read them in either dtype.  A frontier is split in half while it holds
+    transposed view of an (n, N) array of adjacency columns, uint8 for
+    n <= 8 and uint16 otherwise, so ``adj[:, x]`` is vertex x's contiguous
+    column and ``adj[i]`` leaf i's rows, and ``edge_masks(adj)`` and
+    ``pair_flags(adj)`` read them in either dtype.  The unpruned walk hands
+    over a view of its frontier; the pruned walk a fresh array, its leaves'
+    pots without their own bits.  A frontier is split in half while it holds
     more than ``_BATCH`` states, and each state has at most two children, so
     a level's output, and hence a batch, holds at most 2 * ``_BATCH``
     states.  With ``shards > 1`` the first ``_SHARD_DEPTH`` edge decisions
@@ -153,43 +162,42 @@ def walk_triangle_free(
     pairs = lex_pairs(n)
     dtype = _column_dtype(n)
     bit = [dtype(1 << x) for x in range(n)]
+    own = np.array(bit, dtype=dtype)[:, None]  # a leaf's pot[x] is x's bit and N(x)
 
     def children(state: np.ndarray, level: int) -> np.ndarray:
         u, v = pairs[level]
-        ok_present = (state[u] & state[v]) == 0
         if forward_prune:
-            # each child's pots after its own update; a vertex whose pot
-            # shrank (u and v in the absent child, v in the present one) is
-            # re-tested against its decided partners, and a nonzero AND passes
-            pot = state[n:]
-            pot_u, pot_v = pot[u] & ~bit[v], pot[v] & ~bit[u]
+            # state[x] is pot[x], so v is in pot[u] iff u and v share no neighbour;
+            # a pot that shrank (u and v in the absent child, v in the present
+            # one) is re-tested against its decided partners' pots
+            between = dtype((1 << v) - (2 << u))  # N(u) between u and v: pot[u] & between
+            ok_present = (state[u] & bit[v]) != 0
+            ok_present &= np.all(state[:u] & (state[v] & ~(state[u] & between)), axis=0)
+            pot_u, pot_v = state[u] & ~bit[v], state[v] & ~bit[u]
             ok_absent = (pot_u & pot_v) != 0
-            ok_absent &= np.all(pot[:v] & pot_u, axis=0)
-            ok_absent &= np.all(pot[:u] & pot_v, axis=0)
-            between = dtype((1 << v) - (2 << u))  # the vertices between u and v
-            ok_present &= np.all(pot[:u] & (pot[v] & ~(state[u] & between)), axis=0)
+            ok_absent &= np.all(state[:v] & pot_u, axis=0)
+            ok_absent &= np.all(state[:u] & pot_v, axis=0)
             absent = int(np.count_nonzero(ok_absent))
         else:
+            ok_present = (state[u] & state[v]) == 0
             absent = state.shape[1]
         # one compaction per child, straight into the next level's array
-        next_state = np.empty((len(state), absent + int(np.count_nonzero(ok_present))),
-                              dtype=dtype)
+        next_state = np.empty((n, absent + int(np.count_nonzero(ok_present))), dtype=dtype)
+        np.compress(ok_present, state, axis=1, out=next_state[:, absent:])
         if forward_prune:
             np.compress(ok_absent, state, axis=1, out=next_state[:, :absent])
-        else:
-            next_state[:, :absent] = state
-        np.compress(ok_present, state, axis=1, out=next_state[:, absent:])
-        next_state[u, absent:] |= bit[v]
-        next_state[v, absent:] |= bit[u]
-        if forward_prune:
-            next_state[n + u, :absent] &= ~bit[v]
-            next_state[n + v, :absent] &= ~bit[u]
+            next_state[u, :absent] &= ~bit[v]
+            next_state[v, :absent] &= ~bit[u]
             # N(u) between u and v now shares u with v: those partners leave
             # pot[v], and v leaves each of their pots
             lost = next_state[u, absent:] & between
-            next_state[n + v, absent:] &= ~lost
+            next_state[v, absent:] &= ~lost
             for w in range(u + 1, v):
-                next_state[n + w, absent:] &= ~((lost & bit[w]) << dtype(v - w))
+                next_state[w, absent:] &= ~((lost & bit[w]) << dtype(v - w))
+        else:
+            next_state[:, :absent] = state
+            next_state[u, absent:] |= bit[v]
+            next_state[v, absent:] |= bit[u]
         return next_state
 
     def descend(state: np.ndarray, level: int) -> int:
@@ -203,13 +211,12 @@ def walk_triangle_free(
                 state = children(state, level)
                 level += 1
         if consume is not None and state.shape[1]:
-            consume(state[:n].T)
+            consume((state ^ own if forward_prune else state).T)
         return leaves + state.shape[1]
 
-    # the vertex columns, then the pruned walk's pot columns, which start
-    # full: every partner is undecided and no neighbourhood meets another
-    state = np.zeros((2 * n if forward_prune else n, 1), dtype=dtype)
-    state[n:] = (1 << n) - 1
+    # the adjacency columns start empty, and the pots full: every partner is
+    # undecided and no neighbourhood meets another
+    state = np.full((n, 1), (1 << n) - 1 if forward_prune else 0, dtype=dtype)
     depth = min(_SHARD_DEPTH, len(pairs)) if shards > 1 else 0
     for level in range(depth):
         state = children(state, level)

@@ -54,6 +54,11 @@ class TestFolkloreChoice:
         with pytest.raises(ValueError):
             FolkloreChoice.from_int(4, 4)
 
+    def test_out_of_range_code_names_the_range(self):
+        for code in (-1, 4):
+            with pytest.raises(ValueError, match=rf"^code must be in 0\.\.3, got {code}$"):
+                FolkloreChoice.from_int(4, code)
+
 
 class TestFolkloreGraph:
     def test_n4_star(self):
@@ -180,6 +185,12 @@ class TestKrChoice:
     def test_from_int_round_trip(self):
         c = KrChoice.from_int(6, 3, 0b1011_01)
         assert c.pair_choices == (1,) and c.vertex_choices == (1, 1, 0, 1)
+
+    def test_out_of_range_code_names_the_range(self):
+        # one pair slot (2 bits) and four vertex bits
+        for code in (-5, 64):
+            with pytest.raises(ValueError, match=rf"^code must be in 0\.\.63, got {code}$"):
+                KrChoice.from_int(6, 3, code)
 
 
 class TestKrGraph:

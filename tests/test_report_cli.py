@@ -316,6 +316,9 @@ class TestCli:
         (["reduce", "--instance", "{inst}", "--seed", "3"], "--seed"),
         (["reduce", "--instance", "{inst}", "--n", "5"], "--n"),
         (["reduce", "--random", "1", "--n", "0"], "n_max=0"),
+        (["reduce", "--instance", "{inst}", "--random", "-2"],
+         "--random must be at least 0, got -2"),
+        (["reduce", "--random", "-2"], "--random must be at least 0, got -2"),
     ])
     def test_ignored_or_empty_option_is_a_usage_error(self, argv, needle, tmp_path, capsys):
         out = tmp_path / "out.json"

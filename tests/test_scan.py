@@ -120,8 +120,8 @@ def test_chunk_invariance(monkeypatch):
 
 
 def test_pot_columns_split_and_dealt_with_adjacency(monkeypatch):
-    # the pruned frontier carries a pot column per vertex beside its adjacency
-    # columns; batch halving and shard dealing must take both together
+    # the pruned frontier is its pot columns alone, from which a leaf's
+    # adjacency is read; batch halving and shard dealing must take them together
     base = leaves_with_rows(7, True)
     monkeypatch.setattr(scan, "_BATCH", 7)
     assert leaves_with_rows(7, True, shards=3) == base
@@ -132,28 +132,46 @@ def test_pruned_count_without_consumer():
 
 
 class _StateCountingNumpy:
-    """numpy, except that ``empty`` adds its column count to ``states``: the
-    walker allocates one array per level, one column per frontier state."""
+    """numpy, except that ``empty`` adds its column count to ``states`` and
+    appends its row count to ``rows``: the walker allocates one array per
+    level, one column per frontier state."""
 
     def __init__(self):
         self.states = 0
+        self.rows = []
 
     def __getattr__(self, name):
         return getattr(np, name)
 
     def empty(self, shape, *args, **kwargs):
         self.states += shape[1]
+        self.rows.append(shape[0])
         return np.empty(shape, *args, **kwargs)
 
 
 @pytest.mark.parametrize("n, states", [(7, 17_236), (8, 210_288)])
 def test_pruned_frontier_states_pinned(monkeypatch, n, states):
-    # the leaves stay exact without any one of the pot updates, as later levels
-    # redo its work; only the frontier sizes, summed over the levels, show it
+    # the pots are the frontier, so two of the three pot updates decide the
+    # leaves: without the absent child's drops a leaf's pots keep its non-edges,
+    # and without v leaving each lost partner's pot the triangle rule admits
+    # triangles.  The leaves stay exact when a lost partner w stays in pot[v],
+    # as the forced-absent level (w, v) drops it anyway; only the frontier
+    # sizes, summed over the levels, show that
     counting = _StateCountingNumpy()
     monkeypatch.setattr(scan, "np", counting)
     assert walk_triangle_free(n, forward_prune=True) == PINNED_COUNTS[n]
     assert counting.states == states
+
+
+@pytest.mark.parametrize("n", [7, 8])
+@pytest.mark.parametrize("prune", [False, True])
+def test_level_arrays_hold_one_column_per_vertex(monkeypatch, n, prune):
+    # the pruned walk's frontier is its pots alone, n columns as the unpruned
+    # walk's adjacency is
+    counting = _StateCountingNumpy()
+    monkeypatch.setattr(scan, "np", counting)
+    walk_triangle_free(n, forward_prune=prune)
+    assert len(counting.rows) >= n * (n - 1) // 2 and set(counting.rows) == {n}
 
 
 def test_adjacency_columns_match_masks():
