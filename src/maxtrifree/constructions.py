@@ -10,6 +10,7 @@ omitted edge an explicit 4-way choice.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -23,6 +24,19 @@ from .scan import pair_flags
 
 FOLKLORE_STATS_MAX_N = 12
 MATCHING_PARTITION_MAX_N = 24
+
+_HEX = re.compile(r"(0[xX])?[0-9a-fA-F]+")
+
+
+def _code_from_hex(text: str, width: int) -> int:
+    """The code that ``construct --choice`` spells as *text*: hex digits with
+    an optional 0x, and nothing else.  Anything that is not one of the
+    2^width codes raises ValueError naming the option, the text as typed and
+    the range in hex."""
+    top = (1 << width) - 1
+    if _HEX.fullmatch(text) is None or int(text, 16) > top:
+        raise ValueError(f"--choice must be hex in 0x0..{top:#x}, got {text!r}")
+    return int(text, 16)
 
 
 # ---------------------------------------------------------------------------
@@ -61,7 +75,7 @@ class FolkloreChoice:
 
     @classmethod
     def from_hex(cls, n: int, text: str) -> "FolkloreChoice":
-        return cls.from_int(n, int(text, 16))
+        return cls.from_int(n, _code_from_hex(text, folklore_bit_count(n)))
 
     @classmethod
     def random(cls, n: int, rng: np.random.Generator) -> "FolkloreChoice":
@@ -243,7 +257,7 @@ class KrChoice:
 
     @classmethod
     def from_hex(cls, n: int, r: int, text: str) -> "KrChoice":
-        return cls.from_int(n, r, int(text, 16))
+        return cls.from_int(n, r, _code_from_hex(text, kr_entropy_check(n, r)))
 
     @classmethod
     def random(cls, n: int, r: int, rng: np.random.Generator) -> "KrChoice":

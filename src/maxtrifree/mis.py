@@ -24,8 +24,8 @@ neighbourhood N(S) is exactly V \\ S (independence is N(S) & S = 0,
 maximality is N(S) | S = V).  Columns, the N(S) buffer and per-graph
 counters take the walker's column dtype, uint8 for n <= 8 and uint16 for
 n <= 16, which the counts fit by Moon-Moser (at most 18 sets at n = 8, 324
-at n = 16), and the walker's columns are read in place; larger n raises
-GuardError.
+at n = 16), so the counts are returned in it; the walker's columns are read
+in place, and larger n raises GuardError.
 """
 from __future__ import annotations
 
@@ -104,7 +104,8 @@ def mis_count(rows) -> int:
 
 
 def batch_mis_counts(adj: np.ndarray, n: int) -> np.ndarray:
-    """MIS counts (int64) for a batch of graphs given as adjacency columns.
+    """MIS counts for a batch of graphs given as adjacency columns, in the
+    column dtype, which Moon-Moser bounds the counts to fit.
 
     ``adj[:, v]`` holds the neighbour bits of vertex v.  Walks all 2^n vertex
     subsets S once, carrying the neighbourhood union N(S), and counts S for
@@ -113,18 +114,20 @@ def batch_mis_counts(adj: np.ndarray, n: int) -> np.ndarray:
     column dtype, uint8 for n <= 8 and uint16 otherwise, so the walker's own
     contiguous columns are used as they are; n > 16 raises GuardError.
 
-    Row d of one preallocated (n + 1, N) buffer holds N(S) while S has d
-    members, so skipping a vertex reuses the row and adding one ORs into the
-    next: no array is allocated per subset.  Each test compares into one bool
-    buffer, added to the counters through a uint8 view, so at n <= 8 the add
-    runs on uint8 throughout and no bool is cast.
+    Row d of one (n + 1, N) buffer holds N(S) while S has d members, so
+    skipping a vertex reuses the row and adding one ORs into the next: no
+    array is allocated per subset.  Only row 0, N of the empty set, is
+    zeroed, as every other row is written before it is read.  Each test
+    compares into one bool buffer, added to the counters through a uint8
+    view, so at n <= 8 the add runs on uint8 throughout and no bool is cast.
     """
     if n > BATCH_MAX_N:
         raise GuardError(f"batch MIS kernel holds at most {BATCH_MAX_N} vertices, got n={n}")
     dtype = scan._column_dtype(n)
     num = adj.shape[0]
     cols = [np.ascontiguousarray(adj[:, v], dtype=dtype) for v in range(n)]
-    neigh = np.zeros((n + 1, num), dtype=dtype)
+    neigh = np.empty((n + 1, num), dtype=dtype)
+    neigh[0] = 0
     counts = np.zeros(num, dtype=dtype)
     hit = np.empty(num, dtype=bool)
     hit_u8 = hit.view(np.uint8)
@@ -145,7 +148,7 @@ def batch_mis_counts(adj: np.ndarray, n: int) -> np.ndarray:
             np.add(counts, hit_u8, out=counts)
         else:
             stack += [(v + 1, members | 1 << v), (v + 1, members)]
-    return counts.astype(np.int64)
+    return counts
 
 
 def _extremal_mis(m: int) -> int:

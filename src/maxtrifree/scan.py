@@ -44,12 +44,25 @@ dtype that holds a bit per vertex: uint8 for n <= 8, uint16 up to n = 16
 (``_column_dtype``, which the MIS kernel shares, so the n <= 8 scans move one
 byte per vertex and state end to end).  ``state[x]`` holds vertex x's
 neighbour bits in the unpruned walk and its pot in the pruned one.  Each
-level compacts the parent once into a preallocated next-level array, the
-absent child's columns first, then the present child's.  A frontier larger
-than ``_BATCH`` states is split in half, and a sharded walk fixes the first
-``_SHARD_DEPTH`` decisions before dealing out the prefixes; both slice all of
-a state's columns together, and states evolve independently, so the leaf
-multiset never depends on the batches or the shards.
+level compacts the parent into the leading columns of a level buffer, the
+absent child's columns first, then the present child's, gathering each row
+straight into the buffer (``_compact``).  A frontier larger than ``_BATCH``
+states is split in half, and a sharded walk fixes the first ``_SHARD_DEPTH``
+decisions before dealing out the prefixes; both slice all of a state's
+columns together, and states evolve independently, so the leaf multiset
+never depends on the batches or the shards.
+
+A walk reuses its level buffers, (n, 2 * ``_BATCH``) each, from a free list.
+Each frame of the split recursion takes one per level, gives back the one
+its previous level lived in once the next level is written, and its last one
+after ``consume``; it never gives back its parent's, where the second half
+of a split waits.  So a walk allocates one buffer per frame open at once,
+not an array per level, and no longer faults in fresh pages every level; the
+list is emptied when the walk returns.  ``_BATCH`` is 2^17, so a buffer is
+2 MB at n = 8 and 5 MB at n = 10; at 2^18 the pruned n = 10 count peaked
+at 113 MB of resident memory instead of 72 MB, and was no faster.  Since
+the next level overwrites a buffer, a leaf batch is valid only during
+``consume``.
 
 Consumers get one adjacency row per leaf, in the frontier's dtype.  The
 widest columns, uint16, cap the walker at n <= 16.  ``edge_masks`` derives
@@ -69,7 +82,7 @@ Consumer = Callable[[np.ndarray], None]
 
 _MAX_PAIRS = 63  # edge_masks returns int64, one bit per pair
 _MAX_N = 16  # the frontier's widest columns, uint16, hold one bit per vertex
-_BATCH = 1 << 18  # a frontier with more states than this is split in half
+_BATCH = 1 << 17  # a frontier with more states than this is split in half
 _SHARD_DEPTH = 8  # decisions fixed before a sharded frontier is dealt out
 
 
@@ -133,6 +146,19 @@ def pair_flags(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return triangle, not_maximal
 
 
+def _compact(keep: np.ndarray, state: np.ndarray, out: np.ndarray) -> None:
+    """Write the columns of *state* where *keep* holds into *out*, in order.
+
+    Each row of *out* is a contiguous slice of a level buffer, so ``np.take``
+    in ``clip`` mode gathers straight into it.  ``np.compress(out=)``, like
+    ``take`` in its default ``raise`` mode, copies ``out`` first and writes
+    the copy back, a fresh level-sized array per call.
+    """
+    index = np.flatnonzero(keep)
+    for row, dst in zip(state, out):
+        np.take(row, index, out=dst, mode="clip")
+
+
 def walk_triangle_free(
     n: int,
     *,
@@ -146,9 +172,10 @@ def walk_triangle_free(
     transposed view of an (n, N) array of adjacency columns, uint8 for
     n <= 8 and uint16 otherwise, so ``adj[:, x]`` is vertex x's contiguous
     column and ``adj[i]`` leaf i's rows, and ``edge_masks(adj)`` and
-    ``pair_flags(adj)`` read them in either dtype.  The unpruned walk hands
-    over a view of its frontier; the pruned walk a fresh array, its leaves'
-    pots without their own bits.  A frontier is split in half while it holds
+    ``pair_flags(adj)`` read them in either dtype.  A batch is valid only
+    during the call, as the walk reuses its memory: the unpruned walk hands
+    over a view of a level buffer, the pruned walk its leaves' pots without
+    their own bits.  A frontier is split in half while it holds
     more than ``_BATCH`` states, and each state has at most two children, so
     a level's output, and hence a batch, holds at most 2 * ``_BATCH``
     states.  With ``shards > 1`` the first ``_SHARD_DEPTH`` edge decisions
@@ -164,7 +191,9 @@ def walk_triangle_free(
     bit = [dtype(1 << x) for x in range(n)]
     own = np.array(bit, dtype=dtype)[:, None]  # a leaf's pot[x] is x's bit and N(x)
 
-    def children(state: np.ndarray, level: int) -> np.ndarray:
+    def children(state: np.ndarray, level: int, out: np.ndarray) -> np.ndarray:
+        """The next level, written into ``out[:, :size]`` and returned; *out*
+        must hold two columns per state of *state*."""
         u, v = pairs[level]
         if forward_prune:
             # state[x] is pot[x], so v is in pot[u] iff u and v share no neighbour;
@@ -181,11 +210,11 @@ def walk_triangle_free(
         else:
             ok_present = (state[u] & state[v]) == 0
             absent = state.shape[1]
-        # one compaction per child, straight into the next level's array
-        next_state = np.empty((n, absent + int(np.count_nonzero(ok_present))), dtype=dtype)
-        np.compress(ok_present, state, axis=1, out=next_state[:, absent:])
+        # one compaction per child, straight into the next level's columns
+        next_state = out[:, :absent + int(np.count_nonzero(ok_present))]
+        _compact(ok_present, state, next_state[:, absent:])
         if forward_prune:
-            np.compress(ok_absent, state, axis=1, out=next_state[:, :absent])
+            _compact(ok_absent, state, next_state[:, :absent])
             next_state[u, :absent] &= ~bit[v]
             next_state[v, :absent] &= ~bit[u]
             # N(u) between u and v now shares u with v: those partners leave
@@ -200,18 +229,28 @@ def walk_triangle_free(
             next_state[v, absent:] |= bit[u]
         return next_state
 
+    free: list[np.ndarray] = []  # spare level buffers, (n, 2 * _BATCH) each
+
     def descend(state: np.ndarray, level: int) -> int:
-        leaves = 0
+        # held is the buffer this frame's state lives in, once it has one; the
+        # parent's buffer is never given back here, as its second half waits there
+        leaves, held = 0, None
         while level < len(pairs) and state.shape[1]:
             if state.shape[1] > _BATCH:
                 mid = state.shape[1] // 2
                 leaves += descend(state[:, :mid], level)
                 state = state[:, mid:]
             else:
-                state = children(state, level)
+                out = free.pop() if free else np.empty((n, 2 * _BATCH), dtype=dtype)
+                state = children(state, level, out)
+                if held is not None:
+                    free.append(held)
+                held = out
                 level += 1
         if consume is not None and state.shape[1]:
             consume((state ^ own if forward_prune else state).T)
+        if held is not None:
+            free.append(held)
         return leaves + state.shape[1]
 
     # the adjacency columns start empty, and the pots full: every partner is
@@ -219,5 +258,7 @@ def walk_triangle_free(
     state = np.full((n, 1), (1 << n) - 1 if forward_prune else 0, dtype=dtype)
     depth = min(_SHARD_DEPTH, len(pairs)) if shards > 1 else 0
     for level in range(depth):
-        state = children(state, level)
-    return sum(descend(state[:, s::shards], depth) for s in range(shards))
+        state = children(state, level, np.empty((n, 2 * state.shape[1]), dtype=dtype))
+    leaves = sum(descend(state[:, s::shards], depth) for s in range(shards))
+    free.clear()  # descend is a reference cycle, which would keep the buffers alive
+    return leaves

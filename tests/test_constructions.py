@@ -49,6 +49,7 @@ class TestFolkloreChoice:
         c = FolkloreChoice.from_int(8, 0b10110001)
         assert c.bits == (1, 0, 0, 0, 1, 1, 0, 1)
         assert FolkloreChoice.from_hex(8, "b1") == c
+        assert FolkloreChoice.from_hex(8, "0xB1") == c
 
     def test_rejects_wide_code(self):
         with pytest.raises(ValueError):

@@ -152,7 +152,7 @@ class TestBatchCounts:
                       for density in (0.2, 0.5, 0.8) for _ in range(6)]
             adj = np.array([g.rows for g in graphs], dtype=np.uint16)
             got = batch_mis_counts(adj, n)
-            assert got.dtype == np.int64
+            assert got.dtype == (np.uint8 if n <= 8 else np.uint16)
             assert got.tolist() == [len(naive_mis_family(g)) for g in graphs], n
 
     def test_empty_and_complete_at_the_dtype_switch(self):
@@ -176,7 +176,7 @@ class TestBatchCounts:
 
         scan.walk_triangle_free(8, forward_prune=False, consume=consume)
         adj, counts = first[0]
-        assert len(adj) > 1000 and counts.dtype == np.int64
+        assert len(adj) > 1000 and counts.dtype == np.uint8
         assert np.array_equal(batch_mis_counts(adj.astype(np.uint16), 8), counts)
         sample = np.random.default_rng(22).choice(len(adj), size=300, replace=False)
         assert [mis_count(adj[i].tolist()) for i in sample] == counts[sample].tolist()

@@ -216,6 +216,20 @@ class TestCli:
         # the star at vertex 0: edges 01, 02, 03
         assert capsys.readouterr().out.strip() == encode_graph6(star_graph(3))
 
+    @pytest.mark.parametrize("argv, top, typed", [
+        (["--n", "8", "--choice", "1_0"], "0xff", "'1_0'"),  # not 0x10
+        (["--n", "8", "--choice", " 3"], "0xff", "' 3'"),
+        (["--n", "8", "--choice", "zz"], "0xff", "'zz'"),
+        (["--family", "kr", "--n", "6", "--r", "3", "--choice", "40"], "0x3f", "'40'"),
+    ], ids=["underscore", "space", "not-hex", "kr-range"])
+    def test_construct_choice_is_hex_digits(self, argv, top, typed, capsys):
+        # the error names the option, echoes the text as typed and gives the
+        # range in hex
+        assert main(["construct", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --choice must be hex in 0x0..{top}, got {typed}\n"
+
     def test_construct_stats(self, capsys):
         assert main(["construct", "--family", "folklore", "--n", "4", "--stats"]) == 0
         assert "folklore_stats_n4" in capsys.readouterr().out

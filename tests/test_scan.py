@@ -1,4 +1,7 @@
 """Cross-checks between the batched walker, its scalar twin, and raw scans."""
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -98,10 +101,11 @@ def test_leaf_rows_at_the_dtype_switch(n):
 
 
 def test_uint8_leaves_give_the_uint16_masks_and_flags():
-    # the first leaf batch of the unpruned n = 8 walk, 383,586 graphs
+    # the first leaf batch of the unpruned n = 8 walk, 171,933 graphs, copied
+    # as a batch is valid only during consume
     batches = []
     walk_triangle_free(8, forward_prune=False,
-                       consume=lambda adj: batches.append(adj) if not batches else None)
+                       consume=lambda adj: batches.append(adj.copy()) if not batches else None)
     (adj,) = batches
     wide = adj.astype(np.uint16)
     assert np.array_equal(edge_masks(adj), edge_masks(wide))
@@ -131,22 +135,33 @@ def test_pruned_count_without_consumer():
     assert walk_triangle_free(9, forward_prune=True) == PINNED_COUNTS[9]
 
 
-class _StateCountingNumpy:
-    """numpy, except that ``empty`` adds its column count to ``states`` and
-    appends its row count to ``rows``: the walker allocates one array per
-    level, one column per frontier state."""
+class _LevelCounter:
+    """Wraps ``scan._compact``, the walker's one compaction: each call adds
+    the column count of its ``out`` slice to ``states`` and appends its row
+    count to ``rows``, one column per frontier state.  ``made`` holds a weak
+    reference to each array the walker's ``np.empty`` calls return."""
 
-    def __init__(self):
+    def __init__(self, monkeypatch):
         self.states = 0
         self.rows = []
+        self.made = []
+        compact = scan._compact
+
+        def counting_compact(keep, state, out):
+            self.states += out.shape[1]
+            self.rows.append(out.shape[0])
+            compact(keep, state, out)
+
+        monkeypatch.setattr(scan, "_compact", counting_compact)
+        monkeypatch.setattr(scan, "np", self)
 
     def __getattr__(self, name):
         return getattr(np, name)
 
-    def empty(self, shape, *args, **kwargs):
-        self.states += shape[1]
-        self.rows.append(shape[0])
-        return np.empty(shape, *args, **kwargs)
+    def empty(self, *args, **kwargs):
+        array = np.empty(*args, **kwargs)
+        self.made.append(weakref.ref(array))
+        return array
 
 
 @pytest.mark.parametrize("n, states", [(7, 17_236), (8, 210_288)])
@@ -157,8 +172,7 @@ def test_pruned_frontier_states_pinned(monkeypatch, n, states):
     # triangles.  The leaves stay exact when a lost partner w stays in pot[v],
     # as the forced-absent level (w, v) drops it anyway; only the frontier
     # sizes, summed over the levels, show that
-    counting = _StateCountingNumpy()
-    monkeypatch.setattr(scan, "np", counting)
+    counting = _LevelCounter(monkeypatch)
     assert walk_triangle_free(n, forward_prune=True) == PINNED_COUNTS[n]
     assert counting.states == states
 
@@ -167,11 +181,25 @@ def test_pruned_frontier_states_pinned(monkeypatch, n, states):
 @pytest.mark.parametrize("prune", [False, True])
 def test_level_arrays_hold_one_column_per_vertex(monkeypatch, n, prune):
     # the pruned walk's frontier is its pots alone, n columns as the unpruned
-    # walk's adjacency is
-    counting = _StateCountingNumpy()
-    monkeypatch.setattr(scan, "np", counting)
+    # walk's adjacency is, with at least one compaction per level
+    counting = _LevelCounter(monkeypatch)
     walk_triangle_free(n, forward_prune=prune)
     assert len(counting.rows) >= n * (n - 1) // 2 and set(counting.rows) == {n}
+
+
+def test_level_buffers_are_reused(monkeypatch):
+    # the unpruned n = 8 walk runs 28 levels over 33 leaf batches, but holds
+    # only one buffer per open split frame plus the level being written, and
+    # hands each back for the next level to reuse.  descend is a reference
+    # cycle, so the walk empties its free list itself: no buffer outlives it
+    counting = _LevelCounter(monkeypatch)
+    gc.disable()
+    try:
+        assert walk_triangle_free(8, forward_prune=False) == 4_682_270
+        assert 0 < len(counting.made) <= 8
+        assert all(ref() is None for ref in counting.made)
+    finally:
+        gc.enable()
 
 
 def test_adjacency_columns_match_masks():
