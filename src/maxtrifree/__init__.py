@@ -30,7 +30,6 @@ from .mis import (
 from .constructions import (
     FolkloreChoice,
     KrChoice,
-    check_matching_partition,
     folklore_family_stats,
     folklore_graph,
     kr_entropy_check,

@@ -7,6 +7,14 @@ choices toggles a distinct edge, so choices map to pairwise distinct
 triangle-free graphs.  The r-class generalization additionally places exactly
 3 of the 4 edges between matching edges in distinct matched classes, with the
 omitted edge an explicit 4-way choice.
+
+A member is built one at a time as a ``Graph`` (``folklore_graph``,
+``kr_free_graph``) where it is kept, and many at a time as numpy adjacency
+rows where it is only tested: ``folklore_columns`` for the exhaustive folklore
+census, ``kr_columns`` for the seeded K_{r+1}-free samples, whose choices
+``kr_draw`` draws for ``KrChoice.random`` too.  ``matching_partition_flags``
+tests Remark 3's split (a perfect matching plus an independent set) on such
+rows, a batch of graphs per candidate set.
 """
 from __future__ import annotations
 
@@ -23,7 +31,6 @@ from .report import FAIL, PASS, VerificationReport
 from .scan import pair_flags
 
 FOLKLORE_STATS_MAX_N = 12
-MATCHING_PARTITION_MAX_N = 24
 
 _HEX = re.compile(r"(0[xX])?[0-9a-fA-F]+")
 
@@ -261,9 +268,14 @@ class KrChoice:
 
     @classmethod
     def random(cls, n: int, r: int, rng: np.random.Generator) -> "KrChoice":
-        pair = tuple(int(c) for c in rng.integers(0, 4, size=len(kr_pair_slots(n, r))))
-        vert = tuple(int(b) for b in rng.integers(0, 2, size=len(kr_vertex_slots(n, r))))
-        return cls(n, r, pair, vert)
+        pair, vert = kr_draw(rng, len(kr_pair_slots(n, r)), len(kr_vertex_slots(n, r)))
+        return cls(n, r, tuple(pair.tolist()), tuple(vert.tolist()))
+
+
+def kr_draw(rng: np.random.Generator, n_pair: int, n_vert: int) -> tuple[np.ndarray, np.ndarray]:
+    """One member's random choices, the only draw path: *n_pair* pair choices
+    in 0..3, then *n_vert* vertex choices in 0..1, both int64 arrays."""
+    return rng.integers(0, 4, size=n_pair), rng.integers(0, 2, size=n_vert)
 
 
 def kr_free_graph(choice: KrChoice) -> Graph:
@@ -285,6 +297,38 @@ def kr_free_graph(choice: KrChoice) -> Graph:
     return _matched_graph(n, matched * per_class, chain(cross, single))
 
 
+def kr_columns(n: int, r: int, pair: np.ndarray, vert: np.ndarray) -> np.ndarray:
+    """Adjacency rows of the members with the given stacked choices.
+
+    *pair* is (N, pair slots) and *vert* is (N, vertex slots), one member per
+    row, as ``KrChoice`` holds them; row k column x equals
+    ``kr_free_graph(KrChoice(n, r, pair[k], vert[k])).rows[x]``.  The rows are
+    uint16 up to n = 16, as ``folklore_columns`` builds them, and uint64 up
+    to n = 64.
+    """
+    _, per_class, matched = _kr_shape(n, r)
+    if n > 64:
+        raise GuardError(f"K_(r+1)-free rows hold at most 64 vertices, got n={n}")
+    dtype = np.uint16 if n <= 16 else np.uint64
+    cols = np.zeros((len(pair), n), dtype=dtype)
+    for e in range(matched * per_class):
+        cols[:, 2 * e] = 1 << (2 * e + 1)
+        cols[:, 2 * e + 1] = 1 << (2 * e)
+    for k, (e1, e2) in enumerate(kr_pair_slots(n, r)):
+        for s in (0, 1):
+            for t in (0, 1):
+                x, y = 2 * e1 + s, 2 * e2 + t
+                kept = (pair[:, k] != 2 * s + t).astype(dtype)
+                cols[:, x] |= kept << y
+                cols[:, y] |= kept << x
+    for k, (y, e) in enumerate(kr_vertex_slots(n, r)):
+        bit = vert[:, k].astype(dtype)
+        cols[:, y] |= dtype(1) << (bit + 2 * e)
+        cols[:, 2 * e] |= (bit ^ 1) << y
+        cols[:, 2 * e + 1] |= bit << y
+    return cols
+
+
 def kr_entropy_check(n: int, r: int) -> int:
     """log2 of the number of choice vectors: 2 bits per pair slot plus 1 bit
     per vertex slot.  The suite check kr_entropy_identity compares it with
@@ -297,34 +341,22 @@ def kr_entropy_check(n: int, r: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def check_matching_partition(rows) -> tuple[int, int] | None:
-    """The pair (X, V-X) of bit words for the numerically smallest X with G[X] a
-    perfect matching and V-X independent, or None, for G's bit rows
-    (n = len(rows)).  Exhaustive; capped at 24 vertices."""
-    n = len(rows)
-    if n > MATCHING_PARTITION_MAX_N:
-        raise GuardError(
-            f"partition scan capped at n={MATCHING_PARTITION_MAX_N}, got {n}")
-    full = (1 << n) - 1
-    for x_mask in range(1 << n):
-        y_mask = full ^ x_mask
-        ok = True
-        rest = x_mask
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            if (rows[low.bit_length() - 1] & x_mask).bit_count() != 1:
-                ok = False
-                break
-        if not ok:
-            continue
-        rest = y_mask
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            if rows[low.bit_length() - 1] & y_mask:
-                ok = False
-                break
-        if ok:
-            return x_mask, y_mask
-    return None
+def matching_partition_flags(adj: np.ndarray) -> np.ndarray:
+    """Which graphs of the (N, n) unsigned adjacency rows *adj* split into an
+    X with G[X] a perfect matching and an independent V - X.
+
+    Tries the 2^n sets X in turn, each against every graph at once: a vertex
+    v in X needs ``adj[:, v] & X`` to be a single bit, and a vertex outside X
+    needs ``adj[:, v] & (V - X)`` to be 0.
+    """
+    n = adj.shape[1]
+    sets = np.arange(1 << n, dtype=np.int64)[:, None]
+    inside = (sets >> np.arange(n) & 1).astype(bool)  # (2^n, n): v in X
+    # per X and v, the side of v whose neighbours are counted: X or V - X
+    sides = np.where(inside, sets, ((1 << n) - 1) ^ sets).astype(adj.dtype)
+    found = np.zeros(len(adj), dtype=bool)
+    for side, need in zip(sides, inside):
+        seen = adj & side
+        # at most one bit, and one exactly where v is in X
+        found |= np.all(((seen & (seen - 1)) == 0) & ((seen != 0) == need), axis=1)
+    return found

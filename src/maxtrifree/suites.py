@@ -2,8 +2,12 @@
 
 Every randomized check derives instance i from the Philox stream
 (seed, STREAM_BASE + i), so reruns and re-shardings regenerate identical
-instances.  The guards are read here as each check's largest n, and
-``run_suite`` times each check with ``report.timed``: the checks only compute.
+instances.  The K_{r+1}-free samples keep a stream each but are built and
+written out as one batch of adjacency rows per shape
+(``constructions.kr_columns``), so no sample becomes a ``KrChoice`` or a
+``Graph``; only the clique search runs per sample.  The guards are read here
+as each check's largest n, and ``run_suite`` times each check with
+``report.timed``: the checks only compute.
 A hard cap hit inside one check becomes that check's failure report instead
 of aborting the run.  Reports come back sorted by check name.
 """
@@ -13,9 +17,11 @@ from fractions import Fraction
 from functools import partial
 from typing import Callable
 
+import numpy as np
+
 from . import constructions, enumeration, mis, reduction
 from .graph import GuardError, has_clique
-from .graph6 import encode_graph6
+from .graph6 import encode_graph6_rows
 from .report import (
     FAIL,
     PASS,
@@ -120,19 +126,26 @@ def _hujter_checks(config: RunConfig) -> list[Check]:
     ]
 
 
+def _kr_sample_choices(seed: int, shape_idx: int, n: int, r: int) -> tuple[np.ndarray, ...]:
+    """The stacked (pair, vertex) choices of one shape's samples; sample i is
+    drawn from its own Philox stream, as ``KrChoice.random`` would draw it."""
+    n_pair = len(constructions.kr_pair_slots(n, r))
+    n_vert = len(constructions.kr_vertex_slots(n, r))
+    pair, vert = zip(*(
+        constructions.kr_draw(rng_for(seed, STREAM_KR_SAMPLES + (shape_idx << 16) + i),
+                              n_pair, n_vert)
+        for i in range(KR_SAMPLES_PER_SHAPE)))
+    return np.stack(pair), np.stack(vert)
+
+
 def _kr_sample_check(config: RunConfig) -> VerificationReport:
     counts: dict[str, int] = {}
     bad: list[str] = []
     for shape_idx, (n, r) in enumerate(KR_SAMPLE_SHAPES):
-        ok = 0
-        for i in range(KR_SAMPLES_PER_SHAPE):
-            rng = rng_for(config.seed, STREAM_KR_SAMPLES + (shape_idx << 16) + i)
-            g = constructions.kr_free_graph(constructions.KrChoice.random(n, r, rng))
-            if has_clique(g.rows, r + 1):
-                bad.append(encode_graph6(g))
-            else:
-                ok += 1
-        counts[f"clique_free_n{n}_r{r}"] = ok
+        cols = constructions.kr_columns(n, r, *_kr_sample_choices(config.seed, shape_idx, n, r))
+        hits = [k for k, rows in enumerate(cols.tolist()) if has_clique(rows, r + 1)]
+        bad += encode_graph6_rows(n, cols[hits]).decode("ascii").split()
+        counts[f"clique_free_n{n}_r{r}"] = KR_SAMPLES_PER_SHAPE - len(hits)
         counts[f"samples_n{n}_r{r}"] = KR_SAMPLES_PER_SHAPE
     return VerificationReport(
         check_name="kr_clique_free_samples",
@@ -191,12 +204,13 @@ def _oracle_equivalence(config: RunConfig) -> VerificationReport:
     )
 
 
-def _pinned_count_witnesses(counts: dict[int, int]) -> list:
+def _pinned_count_witnesses(counts: dict[int, int],
+                            pinned: dict[int, int] = enumeration.PINNED_COUNTS) -> list:
     """One witness per n whose count differs from the pinned one; n beyond
     the pin is not checked."""
-    return [[f"n={n}", f"pinned={enumeration.PINNED_COUNTS[n]}", f"got={count}"]
+    return [[f"n={n}", f"pinned={pinned[n]}", f"got={count}"]
             for n, count in counts.items()
-            if count != enumeration.PINNED_COUNTS.get(n, count)]
+            if count != pinned.get(n, count)]
 
 
 def _growth_table_check(config: RunConfig) -> VerificationReport:
@@ -219,18 +233,23 @@ def _growth_table_check(config: RunConfig) -> VerificationReport:
 
 
 def _remark3_check(config: RunConfig) -> VerificationReport:
+    """The census from n = 2 up, against both pins: a family total that leaves
+    ``PINNED_COUNTS`` is a witness, and then an admitting count that leaves
+    ``PINNED_ADMITTING``, so a recognizer that admits a non-star or misses a
+    star FAILs as a walker that drops a graph does."""
     max_n = min(enumeration.REMARK3_MAX_N, config.guard("enumeration_n"))
     counts: dict[str, int] = {}
     params: dict[str, object] = {}
     totals: dict[int, int] = {}
+    admitting: dict[int, int] = {}
     for n in range(2, max_n + 1):
-        admitting, total = enumeration.remark3_census(n)
-        frac = Fraction(admitting, total)
-        counts[f"admitting_n{n}"] = admitting
-        counts[f"family_n{n}"] = total
+        admitting[n], totals[n] = enumeration.remark3_census(n)
+        frac = Fraction(admitting[n], totals[n])
+        counts[f"admitting_n{n}"] = admitting[n]
+        counts[f"family_n{n}"] = totals[n]
         params[f"fraction_n{n}"] = f"{frac.numerator}/{frac.denominator}"
-        totals[n] = total
-    bad = _pinned_count_witnesses(totals)
+    bad = (_pinned_count_witnesses(totals)
+           + _pinned_count_witnesses(admitting, enumeration.PINNED_ADMITTING))
     return VerificationReport(
         check_name="remark3_census",
         status=FAIL if bad else PASS,

@@ -5,7 +5,9 @@ deliberately avoiding the package's bit tricks so the two routes share no
 code path.  The scalar walker and the folklore census are the slow twins of
 the batched numpy paths: they use Python integers and the package's scalar
 Graph primitives, which the numpy paths do not call.  The line-by-line
-graph6 reader is the slow twin of ``read_graph6_file``'s block reader.
+graph6 reader is the slow twin of ``read_graph6_file``'s block reader, and
+the scalar matching-partition recognizer that of the batched
+``matching_partition_flags``.
 
 The small graph builders and helpers at the top serve only the tests, so
 they live here and not in the package.
@@ -16,6 +18,7 @@ from itertools import combinations
 from maxtrifree import (
     FolkloreChoice,
     Graph,
+    GuardError,
     decode_graph6,
     encode_graph6,
     folklore_graph,
@@ -353,3 +356,40 @@ def iter_graph6_file(path):
             if not stripped:
                 continue
             yield decode_graph6(stripped, line=lineno)
+
+
+MATCHING_PARTITION_MAX_N = 24
+
+
+def check_matching_partition(rows) -> tuple[int, int] | None:
+    """Reference for constructions.matching_partition_flags: the pair (X, V-X)
+    of bit words for the numerically smallest X with G[X] a perfect matching
+    and V-X independent, or None, for G's bit rows (n = len(rows)).
+    Exhaustive; capped at 24 vertices."""
+    n = len(rows)
+    if n > MATCHING_PARTITION_MAX_N:
+        raise GuardError(
+            f"partition scan capped at n={MATCHING_PARTITION_MAX_N}, got {n}")
+    full = (1 << n) - 1
+    for x_mask in range(1 << n):
+        y_mask = full ^ x_mask
+        ok = True
+        rest = x_mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if (rows[low.bit_length() - 1] & x_mask).bit_count() != 1:
+                ok = False
+                break
+        if not ok:
+            continue
+        rest = y_mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if rows[low.bit_length() - 1] & y_mask:
+                ok = False
+                break
+        if ok:
+            return x_mask, y_mask
+    return None

@@ -12,7 +12,6 @@ from maxtrifree import (
     Graph,
     GuardError,
     KrChoice,
-    check_matching_partition,
     decode_graph6,
     find_triangle,
     folklore_family_stats,
@@ -28,11 +27,23 @@ from maxtrifree.cli import main
 from maxtrifree.constructions import (
     folklore_bit_count,
     folklore_columns,
+    kr_columns,
+    kr_draw,
     kr_pair_slots,
     kr_vertex_slots,
+    matching_partition_flags,
 )
-from maxtrifree.report import RunConfig, rng_for
-from oracles import degree, empty_graph, folklore_census, has_edge, star_graph
+from maxtrifree.graph import graph_from_edge_mask
+from maxtrifree.report import STREAM_KR_SAMPLES, RunConfig, rng_for
+from maxtrifree.scan import walk_triangle_free
+from oracles import (
+    check_matching_partition,
+    degree,
+    empty_graph,
+    folklore_census,
+    has_edge,
+    star_graph,
+)
 
 
 class TestFolkloreChoice:
@@ -237,6 +248,29 @@ class TestKrGraph:
             assert kr_free_graph(KrChoice(n, 2, (), vbits)) == folklore_graph(fc)
 
 
+class TestKrColumns:
+    """kr_columns builds the same rows as kr_free_graph, choice by choice."""
+
+    @pytest.mark.parametrize("shape_idx", range(len(suites.KR_SAMPLE_SHAPES)))
+    def test_suite_samples_match_kr_free_graph(self, shape_idx):
+        n, r = suites.KR_SAMPLE_SHAPES[shape_idx]
+        cols = kr_columns(n, r, *suites._kr_sample_choices(1, shape_idx, n, r))
+        assert len(cols) == suites.KR_SAMPLES_PER_SHAPE
+        for i, rows in enumerate(cols.tolist()):
+            rng = rng_for(1, STREAM_KR_SAMPLES + (shape_idx << 16) + i)
+            assert tuple(rows) == kr_free_graph(KrChoice.random(n, r, rng)).rows
+
+    @given(st.data())
+    def test_seeded_batches_match_kr_free_graph(self, data):
+        n, r = data.draw(st.sampled_from([(12, 3), (16, 4), (12, 2), (20, 5)]))
+        seed = data.draw(st.integers(0, 2 ** 32))
+        sizes = len(kr_pair_slots(n, r)), len(kr_vertex_slots(n, r))
+        pair, vert = zip(*(kr_draw(rng_for(seed, i), *sizes) for i in range(8)))
+        cols = kr_columns(n, r, np.stack(pair), np.stack(vert))
+        for i, rows in enumerate(cols.tolist()):
+            assert tuple(rows) == kr_free_graph(KrChoice.random(n, r, rng_for(seed, i))).rows
+
+
 class TestPlantedKrDefects:
     """The kr checks FAIL with a witness when the construction is broken."""
 
@@ -345,3 +379,24 @@ class TestMatchingPartition:
     def test_guard(self):
         with pytest.raises(GuardError):
             check_matching_partition(empty_graph(25).rows)
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_flags_match_oracle_on_walker_leaves(self, n):
+        # and the maximal graphs that split are the stars, which the census pins
+        def compare(adj):
+            expected = [check_matching_partition(rows) is not None for rows in adj.tolist()]
+            stars = [any(row == (1 << n) - 1 - (1 << v) for v, row in enumerate(rows))
+                     for rows in adj.tolist()]
+            assert matching_partition_flags(adj).tolist() == expected == stars
+
+        walk_triangle_free(n, forward_prune=True, consume=compare)
+
+    @given(st.data())
+    def test_flags_match_oracle_on_any_graph(self, data):
+        # non-maximal and triangle-containing graphs too, a batch at a time
+        n = data.draw(st.integers(1, 8))
+        masks = data.draw(st.lists(st.integers(0, (1 << n * (n - 1) // 2) - 1),
+                                   min_size=1, max_size=12))
+        rows = [graph_from_edge_mask(n, mask).rows for mask in masks]
+        flags = matching_partition_flags(np.array(rows, dtype=np.uint8))
+        assert flags.tolist() == [check_matching_partition(r) is not None for r in rows]

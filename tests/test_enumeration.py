@@ -187,7 +187,7 @@ class TestRemark3:
             remark3_census(8)
 
     def test_census_builds_no_graph(self, graph_builds):
-        # the matching-partition scan reads the walker's leaf rows
+        # the matching-partition flags read the walker's leaf batches
         assert remark3_census(7) == (7, 1743)
         assert graph_builds == []
 
@@ -238,7 +238,50 @@ class TestPinnedCountChecks:
         monkeypatch.setattr(enumeration, "_walk_maximal", drop_one)
         rep = suites._remark3_check(self.CONFIG)
         assert not rep.passed
-        assert rep.witnesses == [["n=6", "pinned=211", "got=210"]]
+        # the first n = 6 leaf is the star centred at 0, so the admitting
+        # count drops with the family total
+        assert rep.witnesses == [["n=6", "pinned=211", "got=210"], ["n=6", "pinned=6", "got=5"]]
+
+    @staticmethod
+    def _recognizer(vertex_ok):
+        """A matching-partition recognizer over the 2^n sets X that accepts X
+        when vertex_ok(adj, x, inside) holds at every vertex."""
+        def flags(adj):
+            n = adj.shape[1]
+            found = np.zeros(len(adj), dtype=bool)
+            for x in range(1 << n):
+                inside = np.array([x >> v & 1 for v in range(n)], dtype=bool)
+                found |= vertex_ok(adj, x, inside).all(axis=1)
+            return found
+        return flags
+
+    def test_recognizer_admitting_c4_fails_remark3(self, monkeypatch):
+        # a vertex of X may go without a partner in X, so C4 splits with X
+        # one side; at n = 4..6 every maximal triangle-free graph then splits
+        def lonely(adj, x, inside):
+            full = (1 << adj.shape[1]) - 1
+            seen = adj & np.where(inside, x, full ^ x).astype(adj.dtype)
+            return np.where(inside, (seen & (seen - 1)) == 0, seen == 0)
+
+        monkeypatch.setattr(enumeration, "matching_partition_flags", self._recognizer(lonely))
+        rep = suites._remark3_check(self.CONFIG)
+        assert not rep.passed
+        assert rep.counts["family_n6"] == 211
+        assert rep.witnesses == [["n=4", "pinned=4", "got=7"], ["n=5", "pinned=5", "got=27"],
+                                 ["n=6", "pinned=6", "got=211"]]
+
+    def test_recognizer_rejecting_stars_fails_remark3(self, monkeypatch):
+        # a vertex outside X is tested for no neighbour at all, not for none
+        # outside X, so a star's leaves, which see the centre in X, fail
+        def isolated(adj, x, inside):
+            full = (1 << adj.shape[1]) - 1
+            seen = adj & np.where(inside, x, full).astype(adj.dtype)
+            return np.where(inside, (seen != 0) & ((seen & (seen - 1)) == 0), seen == 0)
+
+        monkeypatch.setattr(enumeration, "matching_partition_flags", self._recognizer(isolated))
+        rep = suites._remark3_check(self.CONFIG)
+        assert not rep.passed
+        assert rep.witnesses == [[f"n={n}", f"pinned={n}", "got=0"] for n in range(3, 7)]
 
     def test_dropped_graph_fails_oracle_equivalence(self, monkeypatch):
         real = enumeration.brute_force_maximal_tf

@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from maxtrifree import (
     Graph,
     GuardError,
-    check_matching_partition,
     enumerate_mis,
     find_triangle,
     graph_from_edge_mask,
@@ -188,8 +187,7 @@ class TestTriangles:
 
     def test_predicates_read_rows_not_graphs(self):
         for predicate in (find_triangle, is_triangle_free, is_maximal_triangle_free,
-                          mis_count, enumerate_mis, lambda rows: has_clique(rows, 3),
-                          check_matching_partition):
+                          mis_count, enumerate_mis, lambda rows: has_clique(rows, 3)):
             with pytest.raises(TypeError):
                 predicate(Graph.cycle(5))
 
