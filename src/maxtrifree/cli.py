@@ -22,7 +22,7 @@ import sys
 from . import constructions, enumeration, reduction, suites
 from .graph import Graph, GuardError, iter_bits
 from .graph6 import WHITESPACE, Graph6Error, decode_graph6, encode_graph6
-from .mis import enumerate_mis, mis_count
+from .mis import HUJTER_TUZA_MAX_N, enumerate_mis, mis_count
 from .reduction import InstanceError
 from .report import (
     DEFAULT_GUARDS,
@@ -288,6 +288,11 @@ def _cmd_reduce(args) -> int:
 def _cmd_verify(args) -> int:
     config = _config(args)
     _check_writable(args.json_path)
+    guard, default = config.guard("hujter_tuza_m"), DEFAULT_GUARDS["hujter_tuza_m"]
+    # past the cap the check fails at once, so only a guard that runs is warned of
+    if args.suite in ("hujter-tuza", "all") and default < guard <= HUJTER_TUZA_MAX_N:
+        print(f"warning: hujter_tuza_m={guard} beyond the default guard {default}; "
+              f"this may take a while", file=sys.stderr)
     reports = suites.run_suite(config, args.suite)
     return _emit_reports(reports, args.json_path)
 

@@ -205,10 +205,11 @@ def _oracle_equivalence(config: RunConfig) -> VerificationReport:
 
 
 def _pinned_count_witnesses(counts: dict[int, int],
-                            pinned: dict[int, int] = enumeration.PINNED_COUNTS) -> list:
-    """One witness per n whose count differs from the pinned one; n beyond
-    the pin is not checked."""
-    return [[f"n={n}", f"pinned={pinned[n]}", f"got={count}"]
+                            pinned: dict[int, int] = enumeration.PINNED_COUNTS,
+                            label: str = "pinned") -> list:
+    """One witness per n whose count differs from the pinned one, the pin
+    named by *label*; n beyond the pin is not checked."""
+    return [[f"n={n}", f"{label}={pinned[n]}", f"got={count}"]
             for n, count in counts.items()
             if count != pinned.get(n, count)]
 
@@ -234,9 +235,10 @@ def _growth_table_check(config: RunConfig) -> VerificationReport:
 
 def _remark3_check(config: RunConfig) -> VerificationReport:
     """The census from n = 2 up, against both pins: a family total that leaves
-    ``PINNED_COUNTS`` is a witness, and then an admitting count that leaves
-    ``PINNED_ADMITTING``, so a recognizer that admits a non-star or misses a
-    star FAILs as a walker that drops a graph does."""
+    ``PINNED_COUNTS`` is a ``pinned=`` witness, and then an admitting count
+    that leaves ``PINNED_ADMITTING`` a ``pinned_admitting=`` one, so a
+    recognizer that admits a non-star or misses a star FAILs as a walker that
+    drops a graph does, and the witness says which count left its pin."""
     max_n = min(enumeration.REMARK3_MAX_N, config.guard("enumeration_n"))
     counts: dict[str, int] = {}
     params: dict[str, object] = {}
@@ -249,7 +251,8 @@ def _remark3_check(config: RunConfig) -> VerificationReport:
         counts[f"family_n{n}"] = totals[n]
         params[f"fraction_n{n}"] = f"{frac.numerator}/{frac.denominator}"
     bad = (_pinned_count_witnesses(totals)
-           + _pinned_count_witnesses(admitting, enumeration.PINNED_ADMITTING))
+           + _pinned_count_witnesses(admitting, enumeration.PINNED_ADMITTING,
+                                     "pinned_admitting"))
     return VerificationReport(
         check_name="remark3_census",
         status=FAIL if bad else PASS,

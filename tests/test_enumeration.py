@@ -240,7 +240,8 @@ class TestPinnedCountChecks:
         assert not rep.passed
         # the first n = 6 leaf is the star centred at 0, so the admitting
         # count drops with the family total
-        assert rep.witnesses == [["n=6", "pinned=211", "got=210"], ["n=6", "pinned=6", "got=5"]]
+        assert rep.witnesses == [["n=6", "pinned=211", "got=210"],
+                                 ["n=6", "pinned_admitting=6", "got=5"]]
 
     @staticmethod
     def _recognizer(vertex_ok):
@@ -267,8 +268,9 @@ class TestPinnedCountChecks:
         rep = suites._remark3_check(self.CONFIG)
         assert not rep.passed
         assert rep.counts["family_n6"] == 211
-        assert rep.witnesses == [["n=4", "pinned=4", "got=7"], ["n=5", "pinned=5", "got=27"],
-                                 ["n=6", "pinned=6", "got=211"]]
+        assert rep.witnesses == [["n=4", "pinned_admitting=4", "got=7"],
+                                 ["n=5", "pinned_admitting=5", "got=27"],
+                                 ["n=6", "pinned_admitting=6", "got=211"]]
 
     def test_recognizer_rejecting_stars_fails_remark3(self, monkeypatch):
         # a vertex outside X is tested for no neighbour at all, not for none
@@ -281,7 +283,8 @@ class TestPinnedCountChecks:
         monkeypatch.setattr(enumeration, "matching_partition_flags", self._recognizer(isolated))
         rep = suites._remark3_check(self.CONFIG)
         assert not rep.passed
-        assert rep.witnesses == [[f"n={n}", f"pinned={n}", "got=0"] for n in range(3, 7)]
+        assert rep.witnesses == [[f"n={n}", f"pinned_admitting={n}", "got=0"]
+                                 for n in range(3, 7)]
 
     def test_dropped_graph_fails_oracle_equivalence(self, monkeypatch):
         real = enumeration.brute_force_maximal_tf

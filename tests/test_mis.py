@@ -21,7 +21,7 @@ from maxtrifree import (
     verify_matching_equality,
 )
 from maxtrifree import mis, scan
-from maxtrifree.mis import batch_mis_counts
+from maxtrifree.mis import batch_mis_counts, extension_mis_counts
 from maxtrifree.report import STREAM_CLAIM2, rng_for
 from oracles import degree, empty_graph, naive_mis_family, set_to_word
 
@@ -36,6 +36,22 @@ def nx_mis_words(g: Graph) -> list[int]:
     h.add_nodes_from(range(g.n))
     h.add_edges_from(g.edges())
     return sorted(set_to_word(c) for c in nx.find_cliques(nx.complement(h)))
+
+
+def extension_rows(rows, x: int) -> list[int]:
+    """Bit rows of G' + v: the parent's rows with v = len(rows) joined to the set x."""
+    k = len(rows)
+    return [r | (x >> u & 1) << k for u, r in enumerate(rows)] + [x]
+
+
+def induced_rows(rows, keep: int) -> list[int]:
+    """Bit rows of the subgraph induced on the set keep, relabeled 0, 1, ..."""
+    kept = [u for u in range(len(rows)) if keep >> u & 1]
+    return [sum(1 << j for j, w in enumerate(kept) if rows[u] >> w & 1) for u in kept]
+
+
+def is_independent(rows, x: int) -> bool:
+    return not any(rows[u] & x for u in range(len(rows)) if x >> u & 1)
 
 
 def graphs_up_to(max_n):
@@ -203,6 +219,69 @@ class TestBatchCounts:
             batch_mis_counts(np.zeros((1, 17), dtype=np.uint32), 17)
 
 
+class TestExtensionCounts:
+    """extension_mis_counts cell by cell against mis_count of G' + v, and
+    against batch_mis_counts, which shares no code with it."""
+
+    @staticmethod
+    def expected(rows) -> list[int]:
+        return [mis_count(extension_rows(rows, x)) if is_independent(rows, x) else 0
+                for x in range(1 << len(rows))]
+
+    def test_every_graph_and_set_up_to_k4(self):
+        for k in range(5):
+            graphs = [graph_from_edge_mask(k, mask).rows
+                      for mask in range(1 << k * (k - 1) // 2)]
+            adj = np.array(graphs, dtype=np.uint8).reshape(len(graphs), k)
+            got = extension_mis_counts(adj, k)
+            assert got.shape == (1 << k, len(graphs)) and got.dtype == np.uint8
+            assert got.T.tolist() == [self.expected(rows) for rows in graphs], k
+
+    def test_random_graphs_up_to_k8(self):
+        # any parents, not only triangle-free ones, given as wider columns
+        rng = np.random.default_rng(26)
+        for k in range(5, 9):
+            pairs = k * (k - 1) // 2
+            graphs = [graph_from_edge_mask(k, sum(1 << i for i in range(pairs)
+                                                  if rng.random() < density)).rows
+                      for density in (0.2, 0.5, 0.8) for _ in range(4)]
+            got = extension_mis_counts(np.array(graphs, dtype=np.uint16), k)
+            assert got.T.tolist() == [self.expected(rows) for rows in graphs], k
+            # a cell is 0 exactly where X is not independent
+            assert (got == 0).T.tolist() == [[not is_independent(rows, x) for x in range(1 << k)]
+                                             for rows in graphs]
+
+    def test_matches_batch_kernel_on_a_walker_batch(self):
+        # the first leaf batch of the unpruned k = 7 walk, counted as handed
+        # over: every nonzero cell is a triangle-free graph on 8 vertices
+        first = []
+
+        def consume(adj):
+            if not first:
+                first.append((adj.copy(), extension_mis_counts(adj, 7)))
+
+        scan.walk_triangle_free(7, forward_prune=False, consume=consume)
+        parents, counts = first[0]
+        xs, idx = np.nonzero(counts)
+        rows = np.empty((len(idx), 8), dtype=np.uint8)
+        rows[:, :7] = parents[idx] | (xs[:, None] >> np.arange(7) & 1).astype(np.uint8) << 7
+        rows[:, 7] = xs
+        assert len(rows) > 100_000
+        assert np.array_equal(batch_mis_counts(rows, 8), counts[xs, idx])
+        assert not scan.pair_flags(rows)[0].any()
+
+    def test_scanned_counts_match_the_walk(self):
+        # two methods: the independent sets of the parents on m - 1 vertices
+        # against the leaves of the m-vertex walk
+        rep = verify_hujter_tuza(8)
+        assert [rep.counts[f"scanned_m{m}"] for m in range(1, 9)] == \
+            [scan.walk_triangle_free(m, forward_prune=False) for m in range(1, 9)]
+
+    def test_guard_past_uint8_columns(self):
+        with pytest.raises(GuardError, match="k=9"):
+            extension_mis_counts(np.zeros((1, 9), dtype=np.uint16), 9)
+
+
 class TestHujterTuza:
     def test_small_exhaustive_against_naive(self):
         # every triangle-free graph on up to 5 vertices, straight off subsets
@@ -256,7 +335,7 @@ class TestHujterTuza:
 
     def test_guard(self):
         with pytest.raises(GuardError):
-            verify_hujter_tuza(9)
+            verify_hujter_tuza(10)
 
     def test_matching_equality_check(self):
         rep = verify_matching_equality()
@@ -272,23 +351,23 @@ class TestHujterTuza:
             assert mis_count(g.rows) == rep.counts[f"max_mis_m{m}"]
 
     def test_skewed_batch_count_fails_with_witness(self, monkeypatch):
-        # the first m=3 batch reports 3 maximal independent sets for its last
-        # graph: 3^2 > 2^3, so the check must name that graph
-        real = mis.batch_mis_counts
+        # the first m=3 table reports 3 maximal independent sets for the
+        # empty parent on {0, 1} joined to both: 3^2 > 2^3, so the check must
+        # name that graph, the path 0-2-1
+        real = mis.extension_mis_counts
         planted = []
 
-        def skewed(adj, n):
-            counts = real(adj, n)
-            if n == 3 and not planted:
-                counts[-1] = 3
-                planted.append(Graph(n, tuple(int(row) for row in adj[-1])))
+        def skewed(adj, k):
+            counts = real(adj, k)
+            if k == 2 and not planted:
+                counts[0b11, 0] = 3
+                planted.append(Graph(3, tuple(extension_rows(adj[0].tolist(), 0b11))))
             return counts
 
-        monkeypatch.setattr(mis, "batch_mis_counts", skewed)
+        monkeypatch.setattr(mis, "extension_mis_counts", skewed)
         rep = verify_hujter_tuza(4)
         assert not rep.passed
-        assert rep.witnesses == [encode_graph6(planted[0])]
-        assert decode_graph6(rep.witnesses[0]).n == 3
+        assert rep.witnesses == [encode_graph6(planted[0])] == ["BW"]
 
     @pytest.mark.parametrize("only_m, max_n, witnesses", [
         (None, 4, ["m=2", "expected=2", "got=1"]),
@@ -298,17 +377,52 @@ class TestHujterTuza:
             self, monkeypatch, only_m, max_n, witnesses):
         # one set dropped from every count above 1 breaks no bound, but the
         # maximum falls below Hujter and Tuza's value at the first m it reaches
-        real = mis.batch_mis_counts
+        real = mis.extension_mis_counts
 
-        def undercount(adj, n):
-            counts = real(adj, n)
-            return counts - (counts > 1) if only_m in (None, n) else counts
+        def undercount(adj, k):
+            counts = real(adj, k)
+            return counts - (counts > 1) if only_m in (None, k + 1) else counts
 
-        monkeypatch.setattr(mis, "batch_mis_counts", undercount)
+        monkeypatch.setattr(mis, "extension_mis_counts", undercount)
         rep = verify_hujter_tuza(max_n)
         assert not rep.passed
         assert rep.counts[f"max_mis_m{max_n}"] == mis._extremal_mis(max_n) - 1
         assert rep.witnesses == witnesses
+
+    def test_kernel_without_the_sets_omitting_v_fails(self, monkeypatch):
+        # counting only the sets that contain v, mis(G' - X), gives the edge
+        # one set where it has two
+        real = mis.extension_mis_counts
+
+        def with_v_only(adj, k):
+            counts = real(adj, k)
+            for i, rows in enumerate(adj.tolist()):
+                for x in np.flatnonzero(counts[:, i]):
+                    counts[x, i] = mis_count(induced_rows(rows, (1 << k) - 1 ^ int(x)))
+            return counts
+
+        monkeypatch.setattr(mis, "extension_mis_counts", with_v_only)
+        rep = verify_hujter_tuza(4)
+        assert not rep.passed
+        assert rep.witnesses == ["m=2", "expected=2", "got=1"]
+
+    def test_kernel_counting_a_dependent_set_fails(self, monkeypatch):
+        # a kernel that counts the extensions by a non-independent X too
+        # scans K3 at m = 3, with 3 maximal independent sets: 3^2 > 2^3
+        real = mis.extension_mis_counts
+
+        def unmasked(adj, k):
+            counts = real(adj, k)
+            for i, rows in enumerate(adj.tolist()):
+                for x in np.flatnonzero(counts[:, i] == 0):
+                    counts[x, i] = mis_count(extension_rows(rows, int(x)))
+            return counts
+
+        monkeypatch.setattr(mis, "extension_mis_counts", unmasked)
+        rep = verify_hujter_tuza(4)
+        assert not rep.passed
+        assert rep.counts["scanned_m3"] == 8
+        assert rep.witnesses == [encode_graph6(Graph.complete(3))]
 
     def test_extremal_values(self):
         # perfect matchings for even m, C5 plus a matching for odd m >= 5

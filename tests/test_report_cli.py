@@ -12,7 +12,7 @@ from maxtrifree import (
     verify_claim1,
     worked_k4_instance,
 )
-from maxtrifree import cli, constructions, reduction, scan, suites
+from maxtrifree import cli, constructions, mis, reduction, scan, suites
 from maxtrifree.cli import main
 from maxtrifree.suites import _claim_random_check
 from maxtrifree.report import (
@@ -172,6 +172,24 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and "enumeration_n" in captured.err
         assert captured.out == ""
+
+    def test_hujter_tuza_past_the_default_warns(self, capsys, monkeypatch):
+        # m = 9 is an opt-in of tens of seconds; past the cap of 9 the check
+        # fails at once, so it is not warned of
+        ran = []
+
+        def stub(max_n, *, shards):
+            ran.append(max_n)
+            return make_report(check_name="hujter_tuza_exhaustive", elapsed_ms=0)
+
+        monkeypatch.setattr(mis, "verify_hujter_tuza", stub)
+        for guard, warned in ((8, False), (9, True), (10, False)):
+            assert main(["verify", "--suite", "hujter-tuza",
+                         "--guard", f"hujter_tuza_m={guard}"]) == 0
+            err = capsys.readouterr().err
+            assert err.startswith(f"warning: hujter_tuza_m={guard} beyond the default "
+                                  f"guard 8") == warned and (err == "") != warned
+        assert ran == [8, 9, 10]
 
     @pytest.mark.parametrize("argv, guard", [
         (["verify", "--guard", "oracle_n=0"], "oracle_n=0"),
