@@ -31,6 +31,7 @@ from .report import FAIL, PASS, VerificationReport
 from .scan import pair_flags
 
 FOLKLORE_STATS_MAX_N = 12
+_MAX_WITNESSES = 5  # members with a triangle written out, as the sample checks keep
 
 _HEX = re.compile(r"(0[xX])?[0-9a-fA-F]+")
 
@@ -140,10 +141,12 @@ def folklore_family_stats(n: int) -> VerificationReport:
     Every member is built at once as adjacency columns by folklore_columns,
     and scan.pair_flags flags those with a triangle (an edge whose ends have
     a common neighbour) and those that are not maximal (a non-edge whose ends
-    have none).  Distinct members are counted by np.unique over the rows,
-    viewed as fixed-width bytes.  A Graph is built only for the witness of a
-    member with a triangle, from the rows that were checked, so a fault in
-    the columns shows in it.
+    have none).  Distinct members are counted exactly by sorting the rows
+    with np.lexsort, as uint64 words (a row is 2n bytes, n a multiple of 4),
+    and counting the neighbours that differ.  A Graph is built only for the
+    witnesses, the first ``_MAX_WITNESSES`` members with a triangle, from
+    the rows that were checked, so a fault in the columns shows in them;
+    the counts give the totals.
     """
     if n > FOLKLORE_STATS_MAX_N:
         # every member's rows are held at once: n = 16 would need 2^32 of them
@@ -156,10 +159,14 @@ def folklore_family_stats(n: int) -> VerificationReport:
     triangle, not_maximal = pair_flags(cols)
     tf = total - int(np.count_nonzero(triangle))
     maximal = total - int(np.count_nonzero(triangle | not_maximal))
-    # n = 0 has one member, whose zero-width row cannot be viewed as bytes
-    distinct = len(np.unique(cols.view(np.dtype((np.void, cols.itemsize * n))))) if n else 1
+    if n:
+        words = cols.view(np.uint64)  # n / 4 words a row, as a row is 2n bytes
+        ordered = words[np.lexsort(words.T)]
+        distinct = 1 + int(np.count_nonzero(np.any(ordered[1:] != ordered[:-1], axis=1)))
+    else:
+        distinct = 1  # n = 0 has one member, with no words to compare
     bad = [encode_graph6(Graph(n, tuple(int(r) for r in cols[k])))
-           for k in np.flatnonzero(triangle)]
+           for k in np.flatnonzero(triangle)[:_MAX_WITNESSES]]
     if distinct != total:
         bad.append(f"distinct={distinct}")
     frac = Fraction(maximal, total)

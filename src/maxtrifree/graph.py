@@ -195,7 +195,9 @@ def is_maximal_triangle_free(rows) -> bool:
     """The bit rows *rows* are triangle free, and every non-edge has a common neighbor.
 
     One pass over the pairs: an edge with a common neighbour is a triangle and
-    a non-edge without one could be added, so either exits at once.
+    a non-edge without one could be added, so either exits at once.  Public
+    API and the tests' cross-check: the package's batched routes
+    (``scan.pair_flags``, the brute-force oracle's mask tests) do not call it.
     """
     n = len(rows)
     for u, ru in enumerate(rows):
@@ -207,7 +209,8 @@ def is_maximal_triangle_free(rows) -> bool:
 
 def has_clique(rows, k: int) -> bool:
     """True iff the bit rows *rows* contain K_k; exact backtracking over
-    ascending vertices."""
+    ascending vertices.  Public API and the tests' cross-check of the batched
+    ``scan.clique_flags``, which the K_{r+1}-free sample check runs."""
     if k < 1:
         raise ValueError("clique size must be at least 1")
     if k > len(rows):

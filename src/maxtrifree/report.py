@@ -8,14 +8,17 @@ A check only computes its report; whoever runs it stamps elapsed_ms with
 Randomness policy (frozen): every random draw comes from numpy's Philox
 counter-based bit generator keyed by the 64-bit run seed and a per-use stream
 index, so any shard can regenerate any instance independently of processing
-order.
+order.  ``rng_for`` builds one such generator; ``rng_streams`` walks a block
+of consecutive streams with one generator re-keyed in place, drawing what
+``rng_for`` would draw for each, so each generator it yields is valid only
+until the next is drawn.
 """
 from __future__ import annotations
 
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
@@ -36,6 +39,28 @@ def rng_for(seed: int, stream: int) -> np.random.Generator:
     """Philox generator keyed by (seed, stream); independent of call order."""
     key = np.array([seed & _MASK64, stream & _MASK64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def rng_streams(seed: int, base: int, count: int) -> Iterator[np.random.Generator]:
+    """Yield the generator of ``rng_for(seed, base + i)`` for i < *count*.
+
+    It is one generator, re-keyed in place before each yield: the key becomes
+    (seed, base + i), and the counter, the output buffer and the spare 32-bit
+    half-word start empty, the state of a fresh ``Philox(key=...)``.  So each
+    yielded generator is valid only until the next one is drawn.  A fresh
+    generator per stream would pay for ``SeedSequence`` OS entropy that its
+    key then overrides, several times the cost of the reset.
+    """
+    gen = rng_for(seed, base)
+    for stream in range(base, base + count):
+        key = np.array([seed & _MASK64, stream & _MASK64], dtype=np.uint64)
+        gen.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+            "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+            "has_uint32": 0, "uinteger": 0,
+        }
+        yield gen
 
 
 @dataclass

@@ -69,6 +69,8 @@ widest columns, uint16, cap the walker at n <= 16.  ``edge_masks`` derives
 the leaves' int64 lexicographic edge masks, which cap their consumers at
 n <= 11, ``mask_rows`` turns masks back into upper rows for the graph6
 encoder, and ``pair_flags`` tests triangles and maximality on the same rows.
+``clique_flags`` searches any batch of adjacency rows for a K_k, one pass
+per clique size over a frontier of (graph, candidates) entries.
 """
 from __future__ import annotations
 
@@ -144,6 +146,50 @@ def pair_flags(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         triangle |= edge & common
         not_maximal |= ~(edge | common)
     return triangle, not_maximal
+
+
+def clique_flags(adj: np.ndarray, k: int) -> np.ndarray:
+    """Which graphs of the (N, n) adjacency rows *adj* (uint8, uint16 or
+    int64) contain K_k.
+
+    Grows cliques in ascending vertex order, one pass per clique size.  The
+    frontier after d passes holds one (graph, candidates) entry per d-clique
+    whose candidates, the common neighbours above its top vertex, still
+    number at least k - d; the next pass extends each entry by each of its
+    candidates x in turn, with candidates narrowed to those above x and
+    adjacent to x.  Every clique of a graph is reached once, by adding its
+    vertices in ascending order, and an entry dropped by the count could
+    not reach size k, so a graph has an entry after k passes iff it
+    contains K_k.  Raises ValueError for k < 1, as ``graph.has_clique``
+    does; k > n gives all False.
+    """
+    if k < 1:
+        raise ValueError("clique size must be at least 1")
+    n = adj.shape[1]
+    flags = np.zeros(len(adj), dtype=bool)
+    if k > n:
+        return flags
+    if adj.dtype.kind == "i":
+        adj = adj.view(f"u{adj.dtype.itemsize}")  # bitwise_count reads a sign
+    dtype = adj.dtype.type
+    full = (1 << n) - 1
+    above = [dtype(full & -2 << x) for x in range(n)]  # the vertices above x
+    graph = np.arange(len(adj))
+    cand = np.full(len(adj), full, dtype=dtype)
+    for d in range(k):
+        if not len(graph):
+            break
+        grown_graph, grown_cand = [], []
+        for x in range(n):
+            has_x = np.flatnonzero(cand >> dtype(x) & dtype(1))
+            g = graph[has_x]
+            c = cand[has_x] & adj[g, x] & above[x]
+            keep = np.bitwise_count(c) >= k - d - 1
+            grown_graph.append(g[keep])
+            grown_cand.append(c[keep])
+        graph, cand = np.concatenate(grown_graph), np.concatenate(grown_cand)
+    flags[graph] = True
+    return flags
 
 
 def _compact(keep: np.ndarray, state: np.ndarray, out: np.ndarray) -> None:

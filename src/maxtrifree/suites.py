@@ -5,7 +5,9 @@ Every randomized check derives instance i from the Philox stream
 instances.  The K_{r+1}-free samples keep a stream each but are built and
 written out as one batch of adjacency rows per shape
 (``constructions.kr_columns``), so no sample becomes a ``KrChoice`` or a
-``Graph``; only the clique search runs per sample.  The guards are read here
+``Graph``, and searched for a K_{r+1} on those rows as one batch
+(``scan.clique_flags``).  A block of streams is walked by one re-keyed
+generator (``report.rng_streams``).  The guards are read here
 as each check's largest n, and ``run_suite`` times each check with
 ``report.timed``: the checks only compute.
 A hard cap hit inside one check becomes that check's failure report instead
@@ -19,8 +21,8 @@ from typing import Callable
 
 import numpy as np
 
-from . import constructions, enumeration, mis, reduction
-from .graph import GuardError, has_clique
+from . import constructions, enumeration, mis, reduction, scan
+from .graph import GuardError
 from .graph6 import encode_graph6_rows
 from .report import (
     FAIL,
@@ -31,7 +33,7 @@ from .report import (
     STREAM_CLAIM2,
     STREAM_KR_SAMPLES,
     VerificationReport,
-    rng_for,
+    rng_streams,
     timed,
 )
 
@@ -70,9 +72,8 @@ def _claim_random_check(seed: int, stream_base: int, instances: int,
                         n_max: int, run_one) -> VerificationReport:
     failures: list = []
     run = 0
-    for i in range(instances):
+    for rng in rng_streams(seed, stream_base, instances):
         run += 1
-        rng = rng_for(seed, stream_base + i)
         inst = reduction.random_instance(rng, n_min=4, n_max=n_max)
         result = run_one(inst)
         if not result.passed:
@@ -132,9 +133,9 @@ def _kr_sample_choices(seed: int, shape_idx: int, n: int, r: int) -> tuple[np.nd
     n_pair = len(constructions.kr_pair_slots(n, r))
     n_vert = len(constructions.kr_vertex_slots(n, r))
     pair, vert = zip(*(
-        constructions.kr_draw(rng_for(seed, STREAM_KR_SAMPLES + (shape_idx << 16) + i),
-                              n_pair, n_vert)
-        for i in range(KR_SAMPLES_PER_SHAPE)))
+        constructions.kr_draw(rng, n_pair, n_vert)
+        for rng in rng_streams(seed, STREAM_KR_SAMPLES + (shape_idx << 16),
+                               KR_SAMPLES_PER_SHAPE)))
     return np.stack(pair), np.stack(vert)
 
 
@@ -143,7 +144,7 @@ def _kr_sample_check(config: RunConfig) -> VerificationReport:
     bad: list[str] = []
     for shape_idx, (n, r) in enumerate(KR_SAMPLE_SHAPES):
         cols = constructions.kr_columns(n, r, *_kr_sample_choices(config.seed, shape_idx, n, r))
-        hits = [k for k, rows in enumerate(cols.tolist()) if has_clique(rows, r + 1)]
+        hits = np.flatnonzero(scan.clique_flags(cols, r + 1))
         bad += encode_graph6_rows(n, cols[hits]).decode("ascii").split()
         counts[f"clique_free_n{n}_r{r}"] = KR_SAMPLES_PER_SHAPE - len(hits)
         counts[f"samples_n{n}_r{r}"] = KR_SAMPLES_PER_SHAPE

@@ -2,12 +2,12 @@
 
 Most of these work on explicit edge lists / vertex sets with itertools,
 deliberately avoiding the package's bit tricks so the two routes share no
-code path.  The scalar walker and the folklore census are the slow twins of
-the batched numpy paths: they use Python integers and the package's scalar
-Graph primitives, which the numpy paths do not call.  The line-by-line
-graph6 reader is the slow twin of ``read_graph6_file``'s block reader, and
-the scalar matching-partition recognizer that of the batched
-``matching_partition_flags``.
+code path.  The scalar walker, the folklore census and the mask-by-mask
+brute-force scan are the slow twins of the batched numpy paths: they use
+Python integers and the package's scalar Graph primitives, which the numpy
+paths do not call.  The line-by-line graph6 reader is the slow twin of
+``read_graph6_file``'s block reader, and the scalar matching-partition
+recognizer that of the batched ``matching_partition_flags``.
 
 The small graph builders and helpers at the top serve only the tests, so
 they live here and not in the package.
@@ -90,6 +90,24 @@ def dump_instance(inst, path) -> None:
     with open(path, "w", encoding="ascii") as fh:
         json.dump(inst.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def brute_force_maximal_tf_scalar(n: int) -> list[Graph]:
+    """Reference for enumeration.brute_force_maximal_tf: every edge mask's
+    rows, one mask at a time in ascending order (bit p is pair p of
+    ``combinations(range(n), 2)``), through the scalar
+    ``is_maximal_triangle_free``; a Graph for each that passes."""
+    found = []
+    pairs = list(combinations(range(n), 2))
+    for mask in range(1 << len(pairs)):
+        rows = [0] * n
+        for p, (u, v) in enumerate(pairs):
+            if mask >> p & 1:
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+        if is_maximal_triangle_free(rows):
+            found.append(Graph(n, tuple(rows)))
+    return found
 
 
 def maximal_tf_family(n: int) -> list[Graph]:

@@ -158,6 +158,20 @@ class TestFolkloreStats:
         assert rep.counts["distinct"] == 255
         assert rep.witnesses == ["distinct=255"]
 
+    def test_planted_distant_duplicate_fails(self, monkeypatch):
+        # the last member made equal to the first: equal rows far apart in
+        # code order still meet once the rows are sorted
+        def duplicate_ends(n, codes):
+            cols = folklore_columns(n, codes)
+            cols[-1] = cols[0]
+            return cols
+
+        monkeypatch.setattr(constructions, "folklore_columns", duplicate_ends)
+        rep = folklore_family_stats(12)
+        assert not rep.passed
+        assert rep.counts["distinct"] == rep.counts["total"] - 1
+        assert rep.witnesses == [f"distinct={rep.counts['total'] - 1}"]
+
     def test_planted_triangle_fails(self, monkeypatch):
         n = 8
         y0, y1 = n // 2, n // 2 + 1  # both joined to vertex 0 in member 0
@@ -174,6 +188,26 @@ class TestFolkloreStats:
         assert rep.counts["triangle_free"] == 255
         assert len(rep.witnesses) == 1
         assert find_triangle(decode_graph6(rep.witnesses[0]).rows) == (0, y0, y1)
+
+    def test_triangle_in_every_member_keeps_five_witnesses(self, monkeypatch):
+        # vertex 2 joined to both ends of matching edge (0, 1) closes a
+        # triangle in every member and keeps the members distinct; the counts
+        # give the total, and five members are written out
+        def triangle_in_all(n, codes):
+            cols = folklore_columns(n, codes)
+            cols[:, 0] |= 0b100
+            cols[:, 1] |= 0b100
+            cols[:, 2] |= 0b11
+            return cols
+
+        monkeypatch.setattr(constructions, "folklore_columns", triangle_in_all)
+        rep = folklore_family_stats(12)
+        assert not rep.passed
+        assert rep.counts["triangle_free"] == 0
+        assert rep.counts["distinct"] == rep.counts["total"]
+        assert len(rep.witnesses) == 5
+        for text in rep.witnesses:
+            assert find_triangle(decode_graph6(text).rows) == (0, 1, 2)
 
 
 class TestKrChoice:

@@ -22,7 +22,13 @@ from maxtrifree import (
 from maxtrifree import enumeration, scan, suites
 from maxtrifree.enumeration import check_size
 from maxtrifree.report import RunConfig
-from oracles import degree, edge_mask, maximal_tf_family, naive_is_maximal_tf
+from oracles import (
+    brute_force_maximal_tf_scalar,
+    degree,
+    edge_mask,
+    maximal_tf_family,
+    naive_is_maximal_tf,
+)
 
 # labeled maximal triangle-free counts, frozen from the n<=6 brute-force scan
 # (n=5: the 5 stars, 10 copies of K_{2,3}, 12 copies of C5)
@@ -64,6 +70,12 @@ class TestBruteForce:
     def test_guard(self):
         with pytest.raises(GuardError):
             brute_force_maximal_tf(7)
+
+    def test_matches_scalar_route(self):
+        # the batched mask tests keep exactly the graphs, in order, that the
+        # mask-by-mask route through is_maximal_triangle_free keeps
+        for n in range(1, 7):
+            assert brute_force_maximal_tf(n) == brute_force_maximal_tf_scalar(n)
 
     def test_builds_a_graph_only_for_each_graph_it_returns(self, graph_builds):
         # the other 997 edge subsets of K5 are tested as bare rows

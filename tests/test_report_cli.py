@@ -18,11 +18,15 @@ from maxtrifree.suites import _claim_random_check
 from maxtrifree.report import (
     DEFAULT_GUARDS,
     GUARD_MINIMUMS,
+    STREAM_CHAIN,
+    STREAM_CLAIM1,
+    STREAM_KR_SAMPLES,
     RunConfig,
     VerificationReport,
     dumps_reports,
     loads_reports,
     rng_for,
+    rng_streams,
     strip_timing,
     timed,
 )
@@ -124,6 +128,29 @@ class TestRng:
 
     def test_seed_matters(self):
         assert rng_for(1, 0).random() != rng_for(2, 0).random()
+
+    DRAWS = (
+        lambda g: g.integers(0, 4),  # one 32-bit half of a 64-bit word
+        lambda g: g.integers(0, 2, size=5).tolist(),
+        lambda g: g.random(),
+        lambda g: g.random(3).tolist(),
+        lambda g: g.permutation(7).tolist(),
+    )
+
+    @pytest.mark.parametrize("base", [STREAM_CLAIM1, STREAM_CHAIN,
+                                      STREAM_KR_SAMPLES + (1 << 16)])
+    def test_streams_draw_as_rng_for(self, base):
+        # stream i makes the first i % 5 + 1 draws, so streams 0, 5, ... are
+        # left with a half-used 32-bit word when the next one is keyed
+        seen = 0
+        for i, gen in enumerate(rng_streams(3, base, 10)):
+            fresh = rng_for(3, base + i)
+            for draw in self.DRAWS[:i % len(self.DRAWS) + 1]:
+                assert draw(gen) == draw(fresh)
+            if i % len(self.DRAWS) == 0:
+                assert gen.bit_generator.state["has_uint32"] == 1
+            seen += 1
+        assert seen == 10
 
 
 class TestCli:

@@ -8,12 +8,13 @@ import pytest
 from maxtrifree import (
     GuardError,
     graph_from_edge_mask,
+    has_clique,
     is_maximal_triangle_free,
     is_triangle_free,
 )
 from maxtrifree import scan
 from maxtrifree.enumeration import PINNED_COUNTS
-from maxtrifree.scan import edge_masks, mask_rows, pair_flags, walk_triangle_free
+from maxtrifree.scan import clique_flags, edge_masks, mask_rows, pair_flags, walk_triangle_free
 from oracles import edge_mask, naive_is_maximal_tf, naive_triangles, walk_triangle_free_scalar
 
 
@@ -261,3 +262,32 @@ def test_pair_flags_match_scalar_predicates():
         assert triangle.tolist() == [naive_triangles(g) > 0 for g in graphs], n
         assert (~(triangle | not_maximal)).tolist() == \
             [naive_is_maximal_tf(g) for g in graphs], n
+
+
+class TestCliqueFlags:
+    """clique_flags against the scalar has_clique, graph by graph."""
+
+    def test_every_small_graph(self):
+        for n in range(1, 6):
+            rows = [graph_from_edge_mask(n, m).rows for m in range(1 << n * (n - 1) // 2)]
+            adj = np.array(rows, dtype=np.uint8).reshape(len(rows), n)
+            for k in range(1, 7):
+                assert clique_flags(adj, k).tolist() == [has_clique(r, k) for r in rows]
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int64])
+    def test_random_graphs(self, dtype):
+        rng = np.random.default_rng(16)
+        density = np.repeat([0.2, 0.5, 0.8, 0.95], 16)[:, None, None]  # sparse to dense
+        for n in range(2, 9 if dtype == np.uint8 else 17):
+            upper = np.triu(rng.random((len(density), n, n)) < density, 1)
+            adj = ((upper | upper.transpose(0, 2, 1)) << np.arange(n)).sum(axis=2).astype(dtype)
+            rows = adj.tolist()
+            for k in range(1, n + 1):
+                assert clique_flags(adj, k).tolist() == [has_clique(r, k) for r in rows]
+
+    def test_k_beyond_n_and_below_one(self):
+        adj = np.array([graph_from_edge_mask(4, (1 << 6) - 1).rows], dtype=np.uint8)
+        assert clique_flags(adj, 4).tolist() == [True]
+        assert clique_flags(adj, 5).tolist() == [False]
+        with pytest.raises(ValueError, match="at least 1"):
+            clique_flags(adj, 0)
