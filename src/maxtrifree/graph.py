@@ -121,7 +121,7 @@ def row_pairs(rows) -> list[tuple[int, int]]:
 
 
 def graphs_from_rows(n: int, rows) -> list[Graph]:
-    """One Graph per row of the (N, n) int64 array *rows*, in order, made
+    """One Graph per row of the (N, n) integer array *rows*, in order, made
     without Graph's row checks.
 
     The caller guarantees what ``__post_init__`` would check: 0 <= n <= 64,

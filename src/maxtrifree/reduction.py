@@ -497,10 +497,11 @@ def random_tf_subset(g: Graph, rng: np.random.Generator) -> Graph:
     insertion preserves triangle-freeness."""
     edges = g.edges()
     order = rng.permutation(len(edges))
+    coins = rng.random(len(edges))  # one double per edge, as len(edges) scalar draws give
     rows = [0] * g.n
-    for idx in order:
-        u, v = edges[int(idx)]
-        if rng.random() < 0.5 and rows[u] & rows[v] == 0:
+    for idx, coin in zip(order.tolist(), coins.tolist()):
+        u, v = edges[idx]
+        if coin < 0.5 and rows[u] & rows[v] == 0:
             rows[u] |= 1 << v
             rows[v] |= 1 << u
     return Graph(g.n, tuple(rows))

@@ -19,13 +19,14 @@ from maxtrifree import (
     read_graph6_file,
     remark3_census,
 )
-from maxtrifree import enumeration, scan, suites
+from maxtrifree import enumeration, graph6, scan, suites
 from maxtrifree.enumeration import check_size
 from maxtrifree.report import RunConfig
 from oracles import (
     brute_force_maximal_tf_scalar,
     degree,
     edge_mask,
+    iter_graph6_file,
     maximal_tf_family,
     naive_is_maximal_tf,
 )
@@ -126,6 +127,19 @@ class TestEnumerate:
         masks = [edge_mask(g) for g in graphs]
         assert masks == sorted(masks)
         assert [edge_mask(g) for g in brute_force_maximal_tf(5)] == masks
+
+    def test_streaming_n8_reads_back_in_blocks(self, tmp_path):
+        # 15,247 lines: three full blocks of the reader and a partial fourth
+        path = tmp_path / "n8.g6"
+        row = enumerate_maximal_tf(8, stream_path=path)
+        graphs = read_graph6_file(path)
+        assert len(graphs) == row.labeled_count == 15_247
+        assert divmod(len(graphs), graph6._BLOCK_LINES) == (3, 2_959)
+        lazy = list(iter_graph6_file(path))
+        assert len(lazy) == len(graphs)
+        for i, (got, expected) in enumerate(zip(graphs, lazy)):
+            assert got == expected, i
+        assert [edge_mask(g) for g in graphs] == _sorted_leaf_masks(8)
 
     def test_stream_bytes_match_single_graph_codec(self, tmp_path):
         # n=1 has no data bits, n=2 one bit and five padding bits, n=4 six bits and none

@@ -278,6 +278,19 @@ class TestFiles:
             assert graphs == [decode_graph6(s, line=i + 1) for i, s in enumerate(lines)], n
         assert len(results) == 63 and all(results)  # one call per file, none rejected
 
+    def test_code_tables_are_bounded(self):
+        # at most two tables of at most 12 rows per character position.  Pair i
+        # is the same pair for every n, so n = 62 holds every full position of
+        # a smaller n; the others add short last positions and each word dtype
+        for n in (0, 1, 2, 3, 4, 5, 8, 9, 16, 17, 32, 33, 61, 62):
+            entries = graph6._code_tables(n)
+            positions = [c for c, *_ in entries]
+            assert sorted(set(positions)) == list(range((n * (n - 1) // 2 + 5) // 6)), n
+            assert max(map(positions.count, positions), default=0) <= 2, n
+            for c, lo, hi, table in entries:
+                assert 0 <= lo < hi <= n and hi - lo <= 12, n
+                assert table.shape == (hi - lo, 64) and table.dtype.itemsize * 8 >= n, n
+
     @pytest.mark.parametrize("text", [
         ">>graph6<<D??\nDQo\nD~{\nD??\n",  # a header on the first line only
         "DQo\nD~{\n\nD??\n \t\nDQo\n",     # blank lines among one-shape lines
@@ -328,6 +341,46 @@ class TestFiles:
             read_graph6_file(path)
         assert str(batch.value) == str(lazy.value)
         assert batch.value.line == lazy.value.line == 1001
+
+    @pytest.mark.parametrize("case", ["crlf", "space", "tab", "no_final_newline", "blank_tail"])
+    @pytest.mark.parametrize("block_lines, chunk_chars", [(None, None), (40, 5), (41, 5)])
+    def test_one_shape_file_with_whitespace_to_strip(self, tmp_path, monkeypatch, case,
+                                                     block_lines, chunk_chars):
+        # line 41 is the odd one; blocks of 40 and 41 lines put it first and
+        # last in its block, and 5-character chunks end inside lines
+        good = [encode_graph6(graph_from_edge_mask(5, m)) for m in range(45)]
+        if block_lines is not None:
+            monkeypatch.setattr(graph6, "_BLOCK_LINES", block_lines)
+        if chunk_chars is not None:
+            monkeypatch.setattr(graph6, "_CHUNK_CHARS", chunk_chars)
+        path = tmp_path / f"{case}.g6"
+
+        def write(odd: str) -> None:
+            text = {
+                "crlf": "".join(s + "\r\n" for s in good[:40] + [odd] + good[41:]),
+                "space": "\n".join(good[:40] + [odd + " "] + good[41:]) + "\n",
+                "tab": "\n".join(good[:40] + ["\t" + odd + "\t"] + good[41:]) + "\n",
+                "no_final_newline": "\n".join(good[:40] + [odd]),
+                "blank_tail": "\n".join(good[:40] + [odd]) + "\n\n \n\t\r\n\n",
+            }[case]
+            path.write_bytes(text.encode("ascii"))
+
+        write(good[40])
+        lazy = list(iter_graph6_file(path))
+        single = []
+        monkeypatch.setattr(graph6, "decode_graph6",
+                            lambda text, line=None: single.append(line) or decode_graph6(text, line))
+        assert read_graph6_file(path) == lazy
+        assert lazy == [graph_from_edge_mask(5, m) for m in range(len(lazy))]
+        if case != "blank_tail":  # stripped, every block has one shape
+            assert single == []
+        write("D?@")  # nonzero padding bits
+        with pytest.raises(Graph6Error) as expected:
+            list(iter_graph6_file(path))
+        with pytest.raises(Graph6Error) as batch:
+            read_graph6_file(path)
+        assert str(batch.value) == str(expected.value) == "line 41: nonzero padding bits"
+        assert batch.value.line == 41
 
     @pytest.mark.parametrize("block_lines, blocks", [(None, 1), (1000, 3), (500, 5)])
     def test_one_shape_block_is_decoded_in_one_call(self, tmp_path, monkeypatch,
