@@ -117,9 +117,32 @@ def enumerate_mis(rows) -> tuple[int, ...]:
 
 
 def mis_count(rows) -> int:
-    """|enumerate_mis(rows)| without materializing the family."""
+    """|enumerate_mis(rows)| without materializing the family.
+
+    A maximal independent set of a disjoint union is one of each component,
+    so the count is the product of the components' counts.  An isolated
+    vertex lies in every set and adds a factor of 1, so it is skipped, and
+    each component with an edge is one ``_mis_recurse`` from its vertex set.
+    """
     full = (1 << len(rows)) - 1
-    return _mis_recurse(rows, full, 0, full, 0, None)
+    left = 0
+    for x, row in enumerate(rows):
+        if row:
+            left |= 1 << x
+    total = 1
+    while left:
+        comp = frontier = left & -left
+        while frontier:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= rows[low.bit_length() - 1]
+                frontier ^= low
+            frontier = reach & ~comp
+            comp |= frontier
+        total *= _mis_recurse(rows, full, 0, comp, 0, None)
+        left &= ~comp
+    return total
 
 
 def batch_mis_counts(adj: np.ndarray, n: int) -> np.ndarray:

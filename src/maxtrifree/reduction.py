@@ -10,21 +10,25 @@ inside the container with E(H) cap F = F* lands injectively on a maximal
 independent set of T.
 
 Claim 2 and the counting chain share one depth-first search over the free
-container edges (``_maximal_tf_leaves``).  It adds an edge only when its ends
-have no common neighbour, and it cuts a branch as soon as some decided
-non-edge has no chosen or undecided common neighbour left.  Deciding a pair
-absent shrinks the possible neighbourhoods of its two ends only, so the
-search re-checks just the non-edges that can have lost their last possible
-common neighbour.  Leaves need no test: they are triangle-free by
-construction, and once nothing is undecided the cut is exactly the
+container edges (``_maximal_tf_leaves``).  Its state is one bit row per
+vertex, pot: the edges so far plus the undecided free partners, that is the
+neighbours a vertex can still have.  It adds an edge only when its ends have
+no common neighbour, which changes no pot, and it cuts a branch as soon as
+some non-edge has no common neighbour left in the two pots.  Deciding a pair
+absent takes one bit out of the pots of its two ends only, so the search
+re-checks just the non-edges that can have lost their last possible common
+neighbour.  Leaves need no test: they are triangle-free by construction, and
+once nothing is undecided, pot is the graph and the cut is exactly the
 maximality condition.
 
 Everything works on the graphs' adjacency bit rows: edge lists, the reduced
 graph and T's image words come from masked row words, not from per-edge
-queries.  The only ``Graph``s are an instance's three fields and the graphs a
-witness writes out; F*, the reduced graph, T and each H* are tuples of bit
-rows.  ``bound_chain`` checks its container and removal set once, as an
-instance with F* empty does, and runs every F* on rows.
+queries, and a T-vertex's index is a popcount of its row's T-vertices below
+it, not a dictionary lookup.  The only ``Graph``s are an instance's three
+fields and the graphs a witness writes out; F*, the reduced graph, T and
+each H* are tuples of bit rows.  ``bound_chain`` checks its container and
+removal set once, as an instance with F* empty does, and runs every F* on
+rows.
 """
 from __future__ import annotations
 
@@ -176,31 +180,52 @@ def _auxiliary(container, removal, sel) -> AuxiliaryGraph:
     graph is the container minus (removal - F*) minus every edge closing a
     triangle with two F* edges: row u loses the OR of sel[w] over the F*
     neighbours w of u.  For each F* edge xy, every common neighbour s of x and
-    y in the reduced graph joins the T-vertices sx and sy."""
+    y in the reduced graph joins the T-vertices sx and sy.
+
+    T-vertices are numbered by rank: with up[a] the T-vertices (a, b), b > a,
+    as a bit row, (a, b) is vertex off[a] + popcount(up[a] below b), where
+    off[a] counts the T-vertices of the rows above a.  Once no F* edge is
+    lost, sx and sy are T-vertices: were sx in F*, sy would close a triangle
+    with sx and xy and so be outside the reduced graph.
+    """
     red = []
     for c, r, s in zip(container, removal, sel):
         doomed = 0
-        for w in iter_bits(s):
-            doomed |= sel[w]
+        rest = s
+        while rest:
+            low = rest & -rest
+            doomed |= sel[low.bit_length() - 1]
+            rest ^= low
         red.append(c & ~(r & ~s) & ~doomed)
-    lost = _edges_outside(sel, red)
-    if lost:
+    if any(s & ~r for s, r in zip(sel, red)):
+        lost = _edges_outside(sel, red)
         raise AssertionError(f"selected edge {lost[0]} was removed from the reduction")
-    pairs = _edges_outside(red, sel)
-    if len(pairs) > MAX_VERTICES:
+    off = []
+    up = []
+    t_n = 0
+    for a, (r, s) in enumerate(zip(red, sel)):
+        row = r & ~s & (-2 << a)
+        off.append(t_n)
+        up.append(row)
+        t_n += row.bit_count()
+    if t_n > MAX_VERTICES:
         raise GuardError(
-            f"auxiliary graph needs {len(pairs)} vertices, beyond the {MAX_VERTICES} cap")
-    index = {pair: i for i, pair in enumerate(pairs)}
-    t_rows = [0] * len(pairs)
+            f"auxiliary graph needs {t_n} vertices, beyond the {MAX_VERTICES} cap")
+    t_rows = [0] * t_n
     for x, y in row_pairs(sel):
         # sx and sy are T-vertices joined through the selected edge xy
-        for s in iter_bits(red[x] & red[y]):
-            i = index.get((s, x) if s < x else (x, s))
-            j = index.get((s, y) if s < y else (y, s))
-            if i is not None and j is not None:
-                t_rows[i] |= 1 << j
-                t_rows[j] |= 1 << i
-    return AuxiliaryGraph(tuple(t_rows), tuple(pairs), tuple(red), tuple(sel))
+        common = red[x] & red[y]
+        while common:
+            low = common & -common
+            common ^= low
+            s = low.bit_length() - 1
+            a, b = (s, x) if s < x else (x, s)
+            i = off[a] + (up[a] & ((1 << b) - 1)).bit_count()
+            a, b = (s, y) if s < y else (y, s)
+            j = off[a] + (up[a] & ((1 << b) - 1)).bit_count()
+            t_rows[i] |= 1 << j
+            t_rows[j] |= 1 << i
+    return AuxiliaryGraph(tuple(t_rows), tuple(row_pairs(up)), tuple(red), tuple(sel))
 
 
 def _shared_selected_edge(aux: AuxiliaryGraph, i: int, j: int) -> str:
@@ -221,8 +246,8 @@ def verify_claim1(aux: AuxiliaryGraph) -> VerificationReport:
     tri = find_triangle(aux.t_rows)
     counts = {
         "t_vertices": len(aux.t_rows),
-        "t_edges": len(row_pairs(aux.t_rows)),
-        "reduced_edges": len(row_pairs(aux.reduced_rows)),
+        "t_edges": sum(row.bit_count() for row in aux.t_rows) // 2,
+        "reduced_edges": sum(row.bit_count() for row in aux.reduced_rows) // 2,
     }
     witnesses: list = []
     if tri is not None:
@@ -251,68 +276,78 @@ def _maximal_tf_leaves(n: int, free: list[tuple[int, int]],
 
     The free pairs (u, v), u < v, are decided from the highest lexicographic
     rank down, absent before present, so the leaves come out in ascending
-    edge-mask order (see ``enumerate_h_star``).  Three bit
-    rows per vertex carry the state: ``adj`` (edges so far), ``und`` (free
-    partners still undecided) and ``non`` (decided non-edges, fixed ones
-    included).  A pair goes in only when its ends have no common neighbour.
-    A branch lives while every non-edge xw still has a possible common
-    neighbour, some bit of pot(x) & pot(w) with pot = ``adj | und``; every
-    non-edge is checked once at the root.  Deciding (u, v) absent takes v out
-    of pot(u) and u out of pot(v) and leaves every other pot as it was, so
-    only three kinds of non-edge can lose their last common neighbour: uv
-    itself, uw with v in pot(w), and vw with u in pot(w).  As pot is
-    symmetric, these w are non[u] & pot(v) and non[v] & pot(u), and the
-    absent branch re-checks just these three kinds.
+    edge-mask order (see ``enumerate_h_star``).  One bit row per vertex
+    carries the state: ``pot[x]``, x's edges so far plus its undecided free
+    partners, the neighbours x can still have.  x's non-edges, fixed ones
+    included, are the rest, ``full & ~(bit x | pot[x])``.  At level k the
+    undecided partners are those in ``free[k:]``, so x's adjacency is pot[x]
+    without them; the masks that drop them from the rows of u and v are made
+    once per level, before the search.
+
+    A pair goes in only when its ends have no common neighbour; deciding it
+    present changes no pot, since its ends already counted each other.  A
+    branch lives while every non-edge xw still has a possible common
+    neighbour, a bit of pot[x] & pot[w]; every non-edge is checked once at
+    the root.  Deciding (u, v) absent takes v out of pot[u] and u out of
+    pot[v] and leaves every other pot as it was, so only three kinds of
+    non-edge can lose their last possible common neighbour: uv itself, uw
+    with v in pot[w], and vw with u in pot[w].  As pot is symmetric, these w
+    are the new pot[v] minus pot[u], and pot[u] minus pot[v], and the absent
+    branch re-checks just these three kinds.  At a leaf nothing is
+    undecided, so pot is the graph.
     """
     if n > H_STAR_MAX_N:
         raise GuardError(f"subgraph search capped at n={H_STAR_MAX_N}, got {n}")
     free = sorted(free, reverse=True)
-    adj = list(seed_rows)
-    und = [0] * n
+    pot = list(seed_rows)
     for u, v in free:
-        und[u] |= 1 << v
-        und[v] |= 1 << u
+        pot[u] |= 1 << v
+        pot[v] |= 1 << u
     full = (1 << n) - 1
-    non = [full & ~(1 << x | adj[x] | und[x]) for x in range(n)]
-    leaves: list[tuple[int, ...]] = []
     last = len(free)
-
-    def meets(pot: int, rest: int) -> bool:
-        # pot shares a bit with pot(w) for every w in rest
-        while rest:
-            low = rest & -rest
-            w = low.bit_length() - 1
-            if not pot & (adj[w] | und[w]):
-                return False
-            rest ^= low
-        return True
+    # per level: the pair, its two bits, and the masks whose AND with pot[u]
+    # and pot[v] are their adjacencies there, as free[k:] is undecided
+    levels = [()] * last
+    und = [0] * n
+    for k in range(last - 1, -1, -1):
+        u, v = free[k]
+        bu, bv = 1 << u, 1 << v
+        und[u] |= bv
+        und[v] |= bu
+        levels[k] = (u, v, bu, bv, full & ~und[u], full & ~und[v])
+    leaves: list[tuple[int, ...]] = []
 
     def rec(k: int) -> None:
         if k == last:
-            leaves.append(tuple(adj))
+            leaves.append(tuple(pot))
             return
-        u, v = free[k]
-        bu, bv = 1 << u, 1 << v
-        und[u] ^= bv
-        und[v] ^= bu
-        pot_u = adj[u] | und[u]  # the pots once (u, v) is absent
-        pot_v = adj[v] | und[v]
-        if pot_u & pot_v and meets(pot_u, non[u] & pot_v) and meets(pot_v, non[v] & pot_u):
-            non[u] |= bv
-            non[v] |= bu
+        u, v, bu, bv, keep_u, keep_v = levels[k]
+        pot_u = pot[u] ^ bv  # the pots once (u, v) is absent
+        pot_v = pot[v] ^ bu
+        if pot_u & pot_v:
+            rest = pot_v & ~pot_u  # w with uw a non-edge and v in pot[w]
+            while rest:
+                low = rest & -rest
+                if not pot_u & pot[low.bit_length() - 1]:
+                    break
+                rest ^= low
+            else:
+                rest = pot_u & ~pot_v
+                while rest:
+                    low = rest & -rest
+                    if not pot_v & pot[low.bit_length() - 1]:
+                        break
+                    rest ^= low
+                else:
+                    pot[u] = pot_u
+                    pot[v] = pot_v
+                    rec(k + 1)
+                    pot[u] = pot_u | bv
+                    pot[v] = pot_v | bu
+        if not pot[u] & keep_u & pot[v] & keep_v:
             rec(k + 1)
-            non[u] ^= bv
-            non[v] ^= bu
-        if not adj[u] & adj[v]:
-            adj[u] |= bv
-            adj[v] |= bu
-            rec(k + 1)
-            adj[u] ^= bv
-            adj[v] ^= bu
-        und[u] ^= bv
-        und[v] ^= bu
 
-    if all(meets(adj[x] | und[x], non[x]) for x in range(n)):
+    if all(pot[x] & pot[w] for x in range(n) for w in iter_bits(full & ~(1 << x | pot[x]))):
         rec(0)
     return leaves
 
@@ -340,8 +375,8 @@ def enumerate_h_star(inst: ReductionInstance) -> list[tuple[int, ...]]:
 def _image_word(aux: AuxiliaryGraph, h: tuple[int, ...]) -> tuple[int, list | None]:
     """Map E(H) - F* to a T bit word, bit i for T-vertex (u, v) read off
     h[u]; an edge outside the reduced graph is a counterexample."""
-    outside = _edges_outside(h, aux.reduced_rows)
-    if outside:
+    if any(hr & ~rr for hr, rr in zip(h, aux.reduced_rows)):
+        outside = _edges_outside(h, aux.reduced_rows)
         return 0, [encode_graph6(Graph(len(h), h)),
                    f"edge {_edge_str(*outside[0])} outside reduced graph"]
     word = 0
@@ -484,7 +519,7 @@ def random_graph(n: int, p: float, rng: np.random.Generator) -> Graph:
     """Labeled G(n, p): each pair flips one coin, in lexicographic order."""
     rows = [0] * n
     pairs = lex_pairs(n)
-    for (u, v), coin in zip(pairs, rng.random(len(pairs))):
+    for (u, v), coin in zip(pairs, rng.random(len(pairs)).tolist()):
         if coin < p:
             rows[u] |= 1 << v
             rows[v] |= 1 << u

@@ -23,7 +23,7 @@ from maxtrifree import (
 from maxtrifree import mis, scan
 from maxtrifree.mis import batch_mis_counts, extension_mis_counts
 from maxtrifree.report import STREAM_CLAIM2, rng_for
-from oracles import degree, empty_graph, naive_mis_family, set_to_word
+from oracles import degree, empty_graph, naive_mis_family, path_graph, relabel, set_to_word
 
 
 def nx_mis_words(g: Graph) -> list[int]:
@@ -144,6 +144,68 @@ class TestCountAgainstNetworkx:
                 before = Graph(n + extra, (0,) * extra + tuple(r << extra for r in g.rows))
                 for padded in (after, before):
                     assert mis_count(padded.rows) == len(nx_mis_words(padded)) == expected
+
+
+def disjoint_union(*graphs) -> Graph:
+    """The graphs side by side, the first on the lowest vertices."""
+    rows, shift = [], 0
+    for g in graphs:
+        rows += [row << shift for row in g.rows]
+        shift += g.n
+    return Graph(shift, tuple(rows))
+
+
+def union_cases() -> list[Graph]:
+    """Disjoint unions for mis_count's product over components: C5 + K3 + P3
+    plus isolated vertices, also relabeled so the components interleave, the
+    graph with no vertices, and a 16-vertex claim-2 T with five components
+    that have edges and four isolated vertices."""
+    union = disjoint_union(Graph.cycle(5), Graph.complete(3), path_graph(3), empty_graph(2))
+    rng = np.random.default_rng(29)
+    cases = [union, disjoint_union(empty_graph(3), union)]
+    cases += [relabel(union, rng.permutation(union.n).tolist()) for _ in range(4)]
+    cases.append(Graph(0, ()))
+    t = build_auxiliary(random_instance(rng_for(1, STREAM_CLAIM2 + 103), n_min=4, n_max=8)).t_rows
+    cases.append(Graph(len(t), t))
+    return cases
+
+
+def check_union_counts() -> None:
+    for g in union_cases():
+        assert mis_count(g.rows) == len(nx_mis_words(g)), g.rows
+
+
+class TestCountOnComponents:
+    """mis_count multiplies the counts of the components with an edge."""
+
+    def test_unions_against_networkx(self):
+        check_union_counts()
+        counts = [mis_count(g.rows) for g in union_cases()]
+        assert counts[:6] == [5 * 3 * 2] * 6
+        assert counts[6] == 1  # the empty set
+
+    def test_cases_have_several_components(self):
+        t = union_cases()[-1]
+        h = nx.Graph()
+        h.add_nodes_from(range(t.n))
+        h.add_edges_from(t.edges())
+        sizes = sorted(len(c) for c in nx.connected_components(h))
+        assert t.n == 16 and sizes == [1, 1, 1, 1, 2, 2, 2, 2, 4]
+
+    def test_dropped_factor_fails(self, monkeypatch):
+        # the first component's recursion reports 1: the product loses its factor
+        real = mis._mis_recurse
+
+        def drop_first(rows, full, chosen, cands, banned, out):
+            first = next(1 << x for x, row in enumerate(rows) if row)
+            if chosen == 0 and cands & first:
+                return 1
+            return real(rows, full, chosen, cands, banned, out)
+
+        monkeypatch.setattr(mis, "_mis_recurse", drop_first)
+        assert mis_count(Graph.cycle(5).rows) == 1
+        with pytest.raises(AssertionError):
+            check_union_counts()
 
 
 class TestBatchCounts:

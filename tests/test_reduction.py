@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import json
 
 import pytest
 
@@ -12,6 +14,7 @@ from maxtrifree import (
     brute_force_maximal_tf,
     build_auxiliary,
     enumerate_h_star,
+    graph_from_edge_mask,
     is_triangle_free,
     mis_count,
     random_instance,
@@ -393,6 +396,48 @@ class TestBoundChain:
             bound_chain(k6, big)
 
 
+def _submasks(mask: int):
+    """Every submask of mask, mask itself first and 0 last."""
+    sub = mask
+    while True:
+        yield sub
+        if not sub:
+            return
+        sub = (sub - 1) & mask
+
+
+class TestExhaustiveSmall:
+    """Every instance (C, F, F*) with n <= 4: any container C, any F subseteq
+    E(C) with C - F triangle-free, and any triangle-free F* subseteq F."""
+
+    def test_h_star_and_chain_on_every_instance(self):
+        instances = {}
+        for n in range(1, 5):
+            count = 0
+            for c in range(1 << n * (n - 1) // 2):
+                container = graph_from_edge_mask(n, c)
+                for f in _submasks(c):
+                    if not is_triangle_free(graph_from_edge_mask(n, c & ~f).rows):
+                        continue
+                    removal = graph_from_edge_mask(n, f)
+                    found = 0
+                    for s in _submasks(f):
+                        selected = graph_from_edge_mask(n, s)
+                        if not is_triangle_free(selected.rows):
+                            continue
+                        inst = ReductionInstance(container, removal, selected)
+                        family = enumerate_h_star(inst)
+                        assert family == rows_of(naive_h_star(inst)), inst.to_dict()
+                        found += len(family)
+                        count += 1
+                    rep = bound_chain(container, removal)
+                    assert rep.passed, (container.edges(), removal.edges())
+                    assert rep.counts["sum_h_star"] == found
+                    assert found == rep.counts["maximal_tf_subgraphs"]
+            instances[n] = count
+        assert instances == {1: 1, 2: 4, 3: 62, 4: 3626}
+
+
 def test_claims_and_chain_build_no_graph_per_fstar(graph_builds):
     # F*, the reduced graph, T and each H* are bit rows; the chain's one
     # Graph is the empty F* of the instance that checks its container once
@@ -488,6 +533,16 @@ class TestRandomInstances:
             assert is_triangle_free(
                 without_edges(inst.container, inst.removal.edges()).rows)
             assert set(inst.selected.edges()) <= set(inst.removal.edges())
+
+    def test_draws_pinned(self):
+        # 200 seeded draws, hashed when random_graph still compared numpy
+        # scalars: reading the coins as floats keeps every instance
+        digest = hashlib.sha256()
+        for i in range(200):
+            inst = random_instance(rng_for(21, i), n_min=4, n_max=10)
+            digest.update(json.dumps(inst.to_dict(), sort_keys=True).encode() + b"\n")
+        assert digest.hexdigest() == (
+            "ebfa3f0ecf38081bae545af65d1e8b9bb4d578ef6f0a85eca617116930958b22")
 
     def test_sizes_below_n_min_are_rejected(self):
         with pytest.raises(ValueError, match="n_max=3 is below n_min=4"):
