@@ -80,11 +80,11 @@ def _check_instance(container: Graph, removal: Graph, sel) -> None:
     n = container.n
     if removal.n != n or len(sel) != n:
         raise InstanceError("edge sets must live on the container vertex set")
-    extra = _edges_outside(removal.rows, container.rows)
-    if extra:
+    if any(r & ~c for r, c in zip(removal.rows, container.rows)):
+        extra = _edges_outside(removal.rows, container.rows)
         raise InstanceError(f"removal edge {extra[0]} is not in the container")
-    bad = _edges_outside(sel, removal.rows)
-    if bad:
+    if any(s & ~r for s, r in zip(sel, removal.rows)):
+        bad = _edges_outside(sel, removal.rows)
         raise InstanceError(f"selected edge {bad[0]} is not in the removal set")
     tri = find_triangle([c & ~r for c, r in zip(container.rows, removal.rows)])
     if tri is not None:

@@ -68,7 +68,9 @@ class VerificationReport:
     """One check's outcome: status, parameters, integer counts, witnesses.
 
     Witness entries are graph6 strings or lists of "u-v" edge strings; a
-    failing report must carry at least one witness.
+    failing report must carry at least one witness.  Every field's type is
+    checked, and ``from_dict`` passes the loaded values through unchanged,
+    so a malformed report file raises ValueError instead of being coerced.
     """
 
     check_name: str
@@ -79,13 +81,22 @@ class VerificationReport:
     elapsed_ms: int = 0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.check_name, str):
+            raise ValueError("check_name is not a string")
         if self.status not in (PASS, FAIL):
             raise ValueError(f"status must be {PASS!r} or {FAIL!r}")
+        for name in ("parameters", "counts"):
+            if not isinstance(getattr(self, name), dict):
+                raise ValueError(f"{name} is not an object")
+        if not isinstance(self.witnesses, list):
+            raise ValueError("witnesses is not a list")
         if self.status == FAIL and not self.witnesses:
             raise ValueError("failing report must carry a witness")
         for key, value in self.counts.items():
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ValueError(f"count {key!r} is not an integer")
+        if not isinstance(self.elapsed_ms, int) or isinstance(self.elapsed_ms, bool):
+            raise ValueError("elapsed_ms is not an integer")
 
     @property
     def passed(self) -> bool:
@@ -106,10 +117,10 @@ class VerificationReport:
         return cls(
             check_name=data["check_name"],
             status=data["status"],
-            parameters=dict(data["parameters"]),
-            counts={k: int(v) for k, v in data["counts"].items()},
-            witnesses=list(data["witnesses"]),
-            elapsed_ms=int(data["elapsed_ms"]),
+            parameters=data["parameters"],
+            counts=data["counts"],
+            witnesses=data["witnesses"],
+            elapsed_ms=data["elapsed_ms"],
         )
 
     def summary_line(self) -> str:

@@ -6,51 +6,52 @@ Without ``forward_prune``, leaves are all triangle-free graphs.  With it, a
 branch is also cut as soon as some decided non-edge can no longer gain a
 common neighbour, and leaves are precisely the maximal triangle-free graphs.
 
-The forward prune keeps, per state and vertex x, a pot: ``pot[x]`` holds x's
-own bit, its edges, and its undecided partners z with N(x) and N(z)
-disjoint, the only partners that can still become edges.  A decided pair x, w
-survives while ``pot[x] & pot[w]`` is nonzero: an edge passes on the own
-bits, and a non-edge needs a common neighbour, which in every completion lies
-in both pots.  Pots only shrink, so a failed test is final and the cut is
-sound.  Once every pair is decided a pot is x's bit and N(x), and the test is
-the exact common-neighbour condition, provided each non-edge is tested after
-the last change to either endpoint's pot.  Lexicographic order provides that
-cheaply.  At level (u, v) only pairs below (u, v) are decided, so N(v) lies
-below u and N(u) lies below v, and:
+The walk keeps, per state and vertex x, a pot: ``pot[x]`` holds x's own bit,
+its edges, and its undecided partners z with N(x) and N(z) disjoint, the only
+partners that can still become edges.  At level (u, v) only pairs below
+(u, v) are decided, so N(v) lies below u and N(u) lies below v, and:
 
 - the absent child changes no neighbourhood.  It drops v from ``pot[u]`` and
-  u from ``pot[v]`` and re-tests every decided partner of u and of v;
+  u from ``pot[v]``;
 - the present child keeps ``pot[u]``, with v turned from undecided partner
   into edge: u's undecided partners lie above v, so none is in N(v), which
   lies below u.  The partners of v in N(u) between u and v now share u with
-  v, so they leave ``pot[v]`` and v leaves each of their pots.  It re-tests
-  v's decided partners, all below u;
-- the shrunk pot of such a partner w is re-tested at level (w, v), which
-  comes later and is forced absent, as u is a common neighbour of w and v.
+  v, so they leave ``pot[v]`` and v leaves each of their pots.
 
-So every non-edge is tested after the last change to either of its pots, and
-the leaves are exactly the maximal triangle-free graphs.
+Under these updates ``pot[x]`` stays exactly x's bit, N(x) and the undecided
+partners z with N(x) and N(z) disjoint, so the pots hold all that the
+neighbourhoods would.  At level (u, v), where the pair is undecided, v is in
+``pot[u]`` iff u and v share no neighbour, which is the triangle rule; N(u)
+between u and v is the part of ``pot[u]`` between them, as u's undecided
+partners lie above v; and at a leaf, with no partner left undecided,
+``pot[x]`` without x's bit is N(x).
 
-The pruned walk keeps the pots alone, since they hold all that the
-neighbourhoods would: under these updates ``pot[x]`` is exactly x's bit, N(x)
-and the undecided partners z with N(x) and N(z) disjoint.  So at level
-(u, v), where the pair is undecided, v is in ``pot[u]`` iff u and v share no
-neighbour, which is the triangle rule; N(u) between u and v is the part of
-``pot[u]`` between them, as u's undecided partners lie above v; and at a
-leaf, with no partner left undecided, ``pot[x]`` without x's bit is N(x).
+The forward prune only adds a cut.  A decided pair x, w survives while
+``pot[x] & pot[w]`` is nonzero: an edge passes on the own bits, and a
+non-edge needs a common neighbour, which in every completion lies in both
+pots.  Pots only shrink, so a failed test is final and the cut is sound.
+Once every pair is decided a pot is x's bit and N(x), and the test is the
+exact common-neighbour condition, provided each non-edge is tested after the
+last change to either endpoint's pot.  Lexicographic order provides that
+cheaply: the absent child re-tests every decided partner of u and of v; the
+present child re-tests v's decided partners, all below u; and the shrunk pot
+of a lost partner w is re-tested at level (w, v), which comes later and is
+forced absent, as u is a common neighbour of w and v.  So every non-edge is
+tested after the last change to either of its pots, and the leaves are
+exactly the maximal triangle-free graphs.  Without the prune, every state's
+absent child survives, a copy of its parent's columns with the two drops.
 
 The frontier is n contiguous columns, one entry per state, in the narrowest
 dtype that holds a bit per vertex: uint8 for n <= 8, uint16 up to n = 16
 (``_column_dtype``, which the MIS kernel shares, so the n <= 8 scans move one
-byte per vertex and state end to end).  ``state[x]`` holds vertex x's
-neighbour bits in the unpruned walk and its pot in the pruned one.  Each
-level compacts the parent into the leading columns of a level buffer, the
-absent child's columns first, then the present child's, gathering each row
-straight into the buffer (``_compact``).  A frontier larger than ``_BATCH``
-states is split in half, and a sharded walk fixes the first ``_SHARD_DEPTH``
-decisions before dealing out the prefixes; both slice all of a state's
-columns together, and states evolve independently, so the leaf multiset
-never depends on the batches or the shards.
+byte per vertex and state end to end).  ``state[x]`` holds vertex x's pot in
+either walk.  Each level compacts the parent into the leading columns of a
+level buffer, the absent child's columns first, then the present child's,
+gathering each row straight into the buffer (``_compact``).  A frontier
+larger than ``_BATCH`` states is split in half, and a sharded walk fixes the
+first ``_SHARD_DEPTH`` decisions before dealing out the prefixes; both slice
+all of a state's columns together, and states evolve independently, so the
+leaf multiset never depends on the batches or the shards.
 
 A walk reuses its level buffers, (n, 2 * ``_BATCH``) each, from a free list.
 Each frame of the split recursion takes one per level, gives back the one
@@ -61,8 +62,8 @@ not an array per level, and no longer faults in fresh pages every level; the
 list is emptied when the walk returns.  ``_BATCH`` is 2^17, so a buffer is
 2 MB at n = 8 and 5 MB at n = 10; at 2^18 the pruned n = 10 count peaked
 at 113 MB of resident memory instead of 72 MB, and was no faster.  Since
-the next level overwrites a buffer, a leaf batch is valid only during
-``consume``.
+the next level overwrites a buffer, no buffer is handed over: a leaf batch
+is its leaves' pots without their own bits, a fresh array.
 
 Consumers get one adjacency row per leaf, in the frontier's dtype.  The
 widest columns, uint16, cap the walker at n <= 16.  ``edge_masks`` derives
@@ -218,10 +219,9 @@ def walk_triangle_free(
     transposed view of an (n, N) array of adjacency columns, uint8 for
     n <= 8 and uint16 otherwise, so ``adj[:, x]`` is vertex x's contiguous
     column and ``adj[i]`` leaf i's rows, and ``edge_masks(adj)`` and
-    ``pair_flags(adj)`` read them in either dtype.  A batch is valid only
-    during the call, as the walk reuses its memory: the unpruned walk hands
-    over a view of a level buffer, the pruned walk its leaves' pots without
-    their own bits.  A frontier is split in half while it holds
+    ``pair_flags(adj)`` read them in either dtype.  Each batch is a fresh
+    array, the leaves' pots without their own bits, which the walk never
+    touches again.  A frontier is split in half while it holds
     more than ``_BATCH`` states, and each state has at most two children, so
     a level's output, and hence a batch, holds at most 2 * ``_BATCH``
     states.  With ``shards > 1`` the first ``_SHARD_DEPTH`` edge decisions
@@ -241,12 +241,12 @@ def walk_triangle_free(
         """The next level, written into ``out[:, :size]`` and returned; *out*
         must hold two columns per state of *state*."""
         u, v = pairs[level]
+        # state[x] is pot[x], so v is in pot[u] iff u and v share no neighbour
+        between = dtype((1 << v) - (2 << u))  # N(u) between u and v: pot[u] & between
+        ok_present = (state[u] & bit[v]) != 0
         if forward_prune:
-            # state[x] is pot[x], so v is in pot[u] iff u and v share no neighbour;
             # a pot that shrank (u and v in the absent child, v in the present
             # one) is re-tested against its decided partners' pots
-            between = dtype((1 << v) - (2 << u))  # N(u) between u and v: pot[u] & between
-            ok_present = (state[u] & bit[v]) != 0
             ok_present &= np.all(state[:u] & (state[v] & ~(state[u] & between)), axis=0)
             pot_u, pot_v = state[u] & ~bit[v], state[v] & ~bit[u]
             ok_absent = (pot_u & pot_v) != 0
@@ -254,25 +254,22 @@ def walk_triangle_free(
             ok_absent &= np.all(state[:u] & pot_v, axis=0)
             absent = int(np.count_nonzero(ok_absent))
         else:
-            ok_present = (state[u] & state[v]) == 0
             absent = state.shape[1]
         # one compaction per child, straight into the next level's columns
         next_state = out[:, :absent + int(np.count_nonzero(ok_present))]
         _compact(ok_present, state, next_state[:, absent:])
         if forward_prune:
             _compact(ok_absent, state, next_state[:, :absent])
-            next_state[u, :absent] &= ~bit[v]
-            next_state[v, :absent] &= ~bit[u]
-            # N(u) between u and v now shares u with v: those partners leave
-            # pot[v], and v leaves each of their pots
-            lost = next_state[u, absent:] & between
-            next_state[v, absent:] &= ~lost
-            for w in range(u + 1, v):
-                next_state[w, absent:] &= ~((lost & bit[w]) << dtype(v - w))
         else:
             next_state[:, :absent] = state
-            next_state[u, absent:] |= bit[v]
-            next_state[v, absent:] |= bit[u]
+        next_state[u, :absent] &= ~bit[v]
+        next_state[v, :absent] &= ~bit[u]
+        # N(u) between u and v now shares u with v: those partners leave
+        # pot[v], and v leaves each of their pots
+        lost = next_state[u, absent:] & between
+        next_state[v, absent:] &= ~lost
+        for w in range(u + 1, v):
+            next_state[w, absent:] &= ~((lost & bit[w]) << dtype(v - w))
         return next_state
 
     free: list[np.ndarray] = []  # spare level buffers, (n, 2 * _BATCH) each
@@ -294,14 +291,14 @@ def walk_triangle_free(
                 held = out
                 level += 1
         if consume is not None and state.shape[1]:
-            consume((state ^ own if forward_prune else state).T)
+            consume((state ^ own).T)
         if held is not None:
             free.append(held)
         return leaves + state.shape[1]
 
-    # the adjacency columns start empty, and the pots full: every partner is
-    # undecided and no neighbourhood meets another
-    state = np.full((n, 1), (1 << n) - 1 if forward_prune else 0, dtype=dtype)
+    # the pots start full: every partner is undecided and no neighbourhood
+    # meets another
+    state = np.full((n, 1), (1 << n) - 1, dtype=dtype)
     depth = min(_SHARD_DEPTH, len(pairs)) if shards > 1 else 0
     for level in range(depth):
         state = children(state, level, np.empty((n, 2 * state.shape[1]), dtype=dtype))

@@ -245,8 +245,9 @@ class TestFiles:
         path.write_text("\n".join(lines) + "\n")
         lazy = list(iter_graph6_file(path))
         single = []
-        monkeypatch.setattr(graph6, "decode_graph6",
-                            lambda text, line=None: single.append(line) or decode_graph6(text, line))
+        monkeypatch.setattr(
+            graph6, "decode_graph6",
+            lambda text, line=None: single.append(line) or decode_graph6(text, line))
         assert read_graph6_file(path) == lazy
         assert len(lazy) == 300 + 2 + 2 * 6
         # the whole file is one mixed block, so every non-blank line is decoded alone
@@ -368,8 +369,9 @@ class TestFiles:
         write(good[40])
         lazy = list(iter_graph6_file(path))
         single = []
-        monkeypatch.setattr(graph6, "decode_graph6",
-                            lambda text, line=None: single.append(line) or decode_graph6(text, line))
+        monkeypatch.setattr(
+            graph6, "decode_graph6",
+            lambda text, line=None: single.append(line) or decode_graph6(text, line))
         assert read_graph6_file(path) == lazy
         assert lazy == [graph_from_edge_mask(5, m) for m in range(len(lazy))]
         if case != "blank_tail":  # stripped, every block has one shape

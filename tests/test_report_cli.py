@@ -78,6 +78,21 @@ class TestReportType:
             loads_reports(json.dumps([dict(good, counts=[1])]))
         with pytest.raises(ValueError, match="report 1 is malformed: status"):
             loads_reports(json.dumps([good, dict(good, status="ok")]))
+        # a loaded report keeps its values as they are, so the checks see them
+        for bad, needle in [
+            (dict(good, counts={"a": 2.9}), "count 'a' is not an integer"),
+            (dict(good, counts={"b": "7"}), "count 'b' is not an integer"),
+            (dict(good, counts={"c": True}), "count 'c' is not an integer"),
+            (dict(good, elapsed_ms="5"), "elapsed_ms is not an integer"),
+            (dict(good, elapsed_ms=5.5), "elapsed_ms is not an integer"),
+            (dict(good, elapsed_ms=False), "elapsed_ms is not an integer"),
+            (dict(good, status="fail", witnesses="abc"), "witnesses is not a list"),
+            (dict(good, counts=[["total", 7]]), "counts is not an object"),
+            (dict(good, parameters=[["n", 4]]), "parameters is not an object"),
+            (dict(good, check_name=5), "check_name is not a string"),
+        ]:
+            with pytest.raises(ValueError, match=f"report 1 is malformed: {needle}"):
+                loads_reports(json.dumps([good, bad]))
 
     def test_summary_line(self):
         assert make_report().summary_line().startswith("[PASS] demo")
@@ -609,7 +624,10 @@ class TestCli:
     @pytest.mark.parametrize("text, needle", [
         ('[{"check_name": "x"}]', "report 0 lacks key 'status'"),
         ('[{check_name: "x"}]', "Expecting property name"),
-    ], ids=["key", "syntax"])
+        ('[{"check_name": "x", "status": "pass", "parameters": {}, "counts": {"a": 2.9},'
+         ' "witnesses": [], "elapsed_ms": "5"}]',
+         "report 0 is malformed: count 'a' is not an integer"),
+    ], ids=["key", "syntax", "count"])
     def test_report_error_names_the_file(self, text, needle, tmp_path, capsys):
         path = tmp_path / "rep.json"
         path.write_text(text)

@@ -1,5 +1,6 @@
 """Cross-checks between the batched walker, its scalar twin, and raw scans."""
 import gc
+import hashlib
 import weakref
 
 import numpy as np
@@ -42,7 +43,8 @@ def test_split_batches_and_shards_match_scalar_twin(monkeypatch):
     # frontiers split into column slices of at most 7 states, dealt to 3 shards
     monkeypatch.setattr(scan, "_BATCH", 7)
     for prune in (False, True):
-        assert collect(6, prune, shards=3) == sorted(walk_triangle_free_scalar(6, forward_prune=prune))
+        assert collect(6, prune, shards=3) == \
+            sorted(walk_triangle_free_scalar(6, forward_prune=prune))
 
 
 def test_tf_leaves_are_exactly_triangle_free():
@@ -102,8 +104,7 @@ def test_leaf_rows_at_the_dtype_switch(n):
 
 
 def test_uint8_leaves_give_the_uint16_masks_and_flags():
-    # the first leaf batch of the unpruned n = 8 walk, 171,933 graphs, copied
-    # as a batch is valid only during consume
+    # the first leaf batch of the unpruned n = 8 walk, 171,933 graphs
     batches = []
     walk_triangle_free(8, forward_prune=False,
                        consume=lambda adj: batches.append(adj.copy()) if not batches else None)
@@ -130,6 +131,30 @@ def test_pot_columns_split_and_dealt_with_adjacency(monkeypatch):
     base = leaves_with_rows(7, True)
     monkeypatch.setattr(scan, "_BATCH", 7)
     assert leaves_with_rows(7, True, shards=3) == base
+
+
+@pytest.mark.parametrize("n, prune, sizes, digest", [
+    (8, False,
+     [171_933, 179_034, 183_992, 146_846, 115_347, 123_172, 125_936, 95_825, 165_615,
+      119_733, 187_350, 169_838, 194_322, 155_409, 164_850, 150_078, 102_002, 96_383,
+      206_036, 111_090, 86_908, 113_750, 106_225, 105_566, 73_382, 181_518, 178_934,
+      127_923, 113_316, 189_961, 188_107, 141_397, 110_492],
+     "bbc0b1db0d8cbc841cd82fd4398b2b492682b3d176c2d833bbd458583068b8eb"),
+    (9, True, [64_848, 52_263, 102_636],
+     "3bbe0729d7884f59b5a0381573eedb156900f0eba977281de7a85eb640ac4b86"),
+])
+def test_hand_over_pinned(n, prune, sizes, digest):
+    # the batch boundaries and the leaf order, byte for byte, at one shard and
+    # the default _BATCH: a change to the walker must keep both
+    got, sha = [], hashlib.sha256()
+
+    def consume(adj):
+        got.append(len(adj))
+        sha.update(np.ascontiguousarray(adj).tobytes())
+
+    assert walk_triangle_free(n, forward_prune=prune, consume=consume) == sum(sizes)
+    assert got == sizes
+    assert sha.hexdigest() == digest
 
 
 def test_pruned_count_without_consumer():
@@ -181,8 +206,8 @@ def test_pruned_frontier_states_pinned(monkeypatch, n, states):
 @pytest.mark.parametrize("n", [7, 8])
 @pytest.mark.parametrize("prune", [False, True])
 def test_level_arrays_hold_one_column_per_vertex(monkeypatch, n, prune):
-    # the pruned walk's frontier is its pots alone, n columns as the unpruned
-    # walk's adjacency is, with at least one compaction per level
+    # either walk's frontier is its pots alone, n columns, with at least one
+    # compaction per level
     counting = _LevelCounter(monkeypatch)
     walk_triangle_free(n, forward_prune=prune)
     assert len(counting.rows) >= n * (n - 1) // 2 and set(counting.rows) == {n}

@@ -28,13 +28,21 @@ def test_no_assert_statements_in_package():
     assert found == []
 
 
-def test_package_lines_fit_100_columns():
+def _lines_past_100_columns(directory: Path) -> list[str]:
     long = []
-    for path in sorted(PACKAGE_DIR.glob("*.py")):
+    for path in sorted(directory.glob("*.py")):
         for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
             if len(line) > 100:
                 long.append(f"{path.name}:{lineno} ({len(line)} columns)")
-    assert long == []
+    return long
+
+
+def test_package_lines_fit_100_columns():
+    assert _lines_past_100_columns(PACKAGE_DIR) == []
+
+
+def test_test_lines_fit_100_columns():
+    assert _lines_past_100_columns(REPO / "tests") == []
 
 
 def _cli_functions_given_args(func):
