@@ -119,20 +119,22 @@ def folklore_columns(n: int, codes: np.ndarray) -> np.ndarray:
     """Adjacency rows of the members with the given codes, built from the bits.
 
     Row k column x (uint16) equals
-    ``folklore_graph(FolkloreChoice.from_int(n, codes[k])).rows[x]``.
+    ``folklore_graph(FolkloreChoice.from_int(n, codes[k])).rows[x]``.  The
+    (N, n) array is the transposed view of vertex-major (n, N) columns, so a
+    pass over one vertex's rows of every member reads contiguous memory.
     """
     half = n // 2
     full = (1 << half) - 1
     codes = np.asarray(codes, dtype=np.int64)
-    cols = np.zeros((len(codes), n), dtype=np.uint16)
+    cols = np.zeros((n, len(codes)), dtype=np.uint16)
     for i in range(n // 4):
         a, b = 2 * i, 2 * i + 1
         to_b = codes >> (i * half) & full  # bit j: independent vertex half + j joins b
-        cols[:, a] = 1 << b | (to_b ^ full) << half
-        cols[:, b] = 1 << a | to_b << half
+        cols[a] = 1 << b | (to_b ^ full) << half
+        cols[b] = 1 << a | to_b << half
         for j in range(half):
-            cols[:, half + j] |= (1 << (a + (to_b >> j & 1))).astype(np.uint16)
-    return cols
+            cols[half + j] |= (1 << (a + (to_b >> j & 1))).astype(np.uint16)
+    return cols.T
 
 
 def folklore_family_stats(n: int) -> VerificationReport:
@@ -141,9 +143,12 @@ def folklore_family_stats(n: int) -> VerificationReport:
     Every member is built at once as adjacency columns by folklore_columns,
     and scan.pair_flags flags those with a triangle (an edge whose ends have
     a common neighbour) and those that are not maximal (a non-edge whose ends
-    have none).  Distinct members are counted exactly by sorting the rows
-    with np.lexsort, as uint64 words (a row is 2n bytes, n a multiple of 4),
-    and counting the neighbours that differ.  A Graph is built only for the
+    have none); both read the columns vertex by vertex, so each pass is
+    contiguous.  Distinct members are counted exactly by sorting them with
+    np.lexsort on n/4 uint64 keys, each packing four vertices' uint16 rows
+    (n is a multiple of 4), and counting the neighbours that differ.  The
+    census reads the memory behind the (N, n) view it is given, so a member
+    written into that array is the member counted.  A Graph is built only for the
     witnesses, the first ``_MAX_WITNESSES`` members with a triangle, from
     the rows that were checked, so a fault in the columns shows in them;
     the counts give the totals.
@@ -160,9 +165,12 @@ def folklore_family_stats(n: int) -> VerificationReport:
     tf = total - int(np.count_nonzero(triangle))
     maximal = total - int(np.count_nonzero(triangle | not_maximal))
     if n:
-        words = cols.view(np.uint64)  # n / 4 words a row, as a row is 2n bytes
-        ordered = words[np.lexsort(words.T)]
-        distinct = 1 + int(np.count_nonzero(np.any(ordered[1:] != ordered[:-1], axis=1)))
+        # member k's key w packs its rows 4w..4w+3, 16 bits each (n is a multiple of 4)
+        keys = np.zeros((n // 4, total), dtype=np.uint64)
+        for x, row in enumerate(cols.T):
+            keys[x // 4] |= row.astype(np.uint64) << np.uint64(16 * (x % 4))
+        ordered = keys[:, np.lexsort(keys)]
+        distinct = 1 + int(np.count_nonzero(np.any(ordered[:, 1:] != ordered[:, :-1], axis=0)))
     else:
         distinct = 1  # n = 0 has one member, with no words to compare
     bad = [encode_graph6(Graph(n, tuple(int(r) for r in cols[k])))

@@ -231,26 +231,27 @@ def has_clique(rows, k: int) -> bool:
     return grow((1 << len(rows)) - 1, k)
 
 
-def greedy_triangle_removal(g: Graph) -> Graph:
-    """The removed edges F, as a graph on g's vertices, with g - F triangle free.
+def greedy_triangle_removal(rows) -> tuple[int, ...]:
+    """The bit rows of the removed edges F, on the vertices of the bit rows
+    *rows*, with the graph minus F triangle free.
 
     Repeatedly removes an edge lying on the most remaining triangles; ties go
     to the lexicographically first edge, so the result is reproducible.  The
     per-edge counts are kept in lexicographic order, and ``max`` returns the
     first maximum; removing uv takes one off uw and vw per common neighbour w.
     """
-    rows = list(g.rows)
-    tri = {(u, v): (rows[u] & rows[v]).bit_count() for u, v in row_pairs(rows)}
+    left = list(rows)
+    tri = {(u, v): (left[u] & left[v]).bit_count() for u, v in row_pairs(left)}
     while tri:
         u, v = max(tri, key=tri.get)
         if not tri.pop((u, v)):
             break
-        rows[u] &= ~(1 << v)
-        rows[v] &= ~(1 << u)
-        for w in iter_bits(rows[u] & rows[v]):
+        left[u] &= ~(1 << v)
+        left[v] &= ~(1 << u)
+        for w in iter_bits(left[u] & left[v]):
             tri[(u, w) if u < w else (w, u)] -= 1
             tri[(v, w) if v < w else (w, v)] -= 1
-    return Graph(g.n, tuple(a & ~b for a, b in zip(g.rows, rows)))
+    return tuple(a & ~b for a, b in zip(rows, left))
 
 
 @lru_cache(maxsize=None)

@@ -29,6 +29,13 @@ fields and the graphs a witness writes out; F*, the reduced graph, T and
 each H* are tuples of bit rows.  ``bound_chain`` checks its container and
 removal set once, as an instance with F* empty does, and runs every F* on
 rows.
+
+A seeded instance is drawn once, as bit rows (``_draw_instance_rows``).
+``random_instance`` builds the checked instance from them; a block of
+streams (``random_instance_rows``) is checked at once, in numpy, and an
+instance is built only for a draw the block test flags, so it raises the
+error ``random_instance`` would.  The claim checks then run on the rows:
+claim 1 on ``_auxiliary``, claim 2 on ``verify_claim2_rows``.
 """
 from __future__ import annotations
 
@@ -52,6 +59,7 @@ from .graph import (
 from .graph6 import decode_graph6, encode_graph6
 from .mis import mis_count
 from .report import FAIL, PASS, VerificationReport, read_utf8
+from .scan import pair_flags
 
 H_STAR_MAX_N = 10
 CHAIN_MAX_N = 8
@@ -409,8 +417,18 @@ def _mis_violation(aux: AuxiliaryGraph, h: tuple[int, ...], word: int) -> list |
 def verify_claim2(inst: ReductionInstance) -> VerificationReport:
     """Check that H -> E(H) - F* maps the family injectively onto maximal
     independent sets of T, and record the slack against mis_count(T)."""
-    aux = build_auxiliary(inst)
-    family = enumerate_h_star(inst)
+    return _claim2(build_auxiliary(inst), enumerate_h_star(inst))
+
+
+def verify_claim2_rows(n: int, container, removal, sel) -> VerificationReport:
+    """``verify_claim2`` on the bit rows of an instance known to be valid,
+    such as a draw of ``random_instance_rows``."""
+    free = _edges_outside(container, removal)
+    return _claim2(_auxiliary(container, removal, sel), _maximal_tf_leaves(n, free, sel))
+
+
+def _claim2(aux: AuxiliaryGraph, family: list[tuple[int, ...]]) -> VerificationReport:
+    """Claim 2's report for T and the rows of the H* family."""
     witnesses: list = []
     images: list[int] = []
     for h in family:
@@ -430,7 +448,7 @@ def verify_claim2(inst: ReductionInstance) -> VerificationReport:
     return VerificationReport(
         check_name="claim2",
         status=PASS if ok else FAIL,
-        parameters={"n": inst.container.n, "selected": _edge_strs(inst.selected.edges())},
+        parameters={"n": len(aux.reduced_rows), "selected": _edge_strs(row_pairs(aux.selected))},
         counts={
             "h_star": len(family),
             "mis_count_t": mis_t,
@@ -515,45 +533,102 @@ def bound_chain(container: Graph, removal: Graph) -> VerificationReport:
 # ---------------------------------------------------------------------------
 
 
-def random_graph(n: int, p: float, rng: np.random.Generator) -> Graph:
-    """Labeled G(n, p): each pair flips one coin, in lexicographic order."""
+def random_graph(n: int, p: float, rng: np.random.Generator) -> tuple[int, ...]:
+    """Bit rows of a labeled G(n, p): each pair flips one coin, in lexicographic order."""
     rows = [0] * n
     pairs = lex_pairs(n)
     for (u, v), coin in zip(pairs, rng.random(len(pairs)).tolist()):
         if coin < p:
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-    return Graph(n, tuple(rows))
+    return tuple(rows)
 
 
-def random_tf_subset(g: Graph, rng: np.random.Generator) -> Graph:
-    """Random triangle-free subgraph by randomized greedy insertion: visit the
-    edges of g in a random order, keep each with probability 1/2 when
-    insertion preserves triangle-freeness."""
-    edges = g.edges()
+def random_tf_subset(rows, rng: np.random.Generator) -> tuple[int, ...]:
+    """Bit rows of a random triangle-free subgraph of the bit rows *rows*, by
+    randomized greedy insertion: visit the edges in a random order, keep each
+    with probability 1/2 when insertion preserves triangle-freeness."""
+    edges = row_pairs(rows)
     order = rng.permutation(len(edges))
     coins = rng.random(len(edges))  # one double per edge, as len(edges) scalar draws give
-    rows = [0] * g.n
+    kept = [0] * len(rows)
     for idx, coin in zip(order.tolist(), coins.tolist()):
         u, v = edges[idx]
-        if coin < 0.5 and rows[u] & rows[v] == 0:
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-    return Graph(g.n, tuple(rows))
+        if coin < 0.5 and kept[u] & kept[v] == 0:
+            kept[u] |= 1 << v
+            kept[v] |= 1 << u
+    return tuple(kept)
 
 
 EDGE_PROBABILITIES = (0.3, 0.5, 0.8)
 
+#: One drawn instance as bit rows: (n, container, removal, selected).
+InstanceRows = tuple[int, tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
-def random_instance(rng: np.random.Generator, *, n_min: int = 4, n_max: int = 8,
-                    ) -> ReductionInstance:
-    """Container ~ G(n, p) with p in {0.3, 0.5, 0.8}; removal from the greedy
-    triangle removal; selected a random triangle-free subset of it."""
+
+def _draw_instance_rows(rng: np.random.Generator, n_min: int, n_max: int) -> InstanceRows:
+    """The one seeded draw: n, then p in {0.3, 0.5, 0.8}, the container's
+    coins, and the selected subset's order and coins; the removal set is the
+    greedy triangle removal of the container."""
     if n_max < n_min:
         raise ValueError(f"n_max={n_max} is below n_min={n_min}")
     n = int(rng.integers(n_min, n_max + 1))
     p = EDGE_PROBABILITIES[int(rng.integers(len(EDGE_PROBABILITIES)))]
     container = random_graph(n, p, rng)
     removal = greedy_triangle_removal(container)
-    selected = random_tf_subset(removal, rng)
-    return ReductionInstance(container, removal, selected)
+    return n, container, removal, random_tf_subset(removal, rng)
+
+
+def instance_from_rows(n: int, container, removal, selected) -> ReductionInstance:
+    """The instance with these bit rows, checked: a defect raises ValueError
+    from ``Graph`` or InstanceError from the instance."""
+    return ReductionInstance(Graph(n, container), Graph(n, removal), Graph(n, selected))
+
+
+def random_instance(rng: np.random.Generator, *, n_min: int = 4, n_max: int = 8,
+                    ) -> ReductionInstance:
+    """Container ~ G(n, p) with p in {0.3, 0.5, 0.8}; removal from the greedy
+    triangle removal; selected a random triangle-free subset of it."""
+    return instance_from_rows(*_draw_instance_rows(rng, n_min, n_max))
+
+
+def _defect_flags(draws: list[InstanceRows]) -> np.ndarray:
+    """Which drawn instances break an invariant that ``instance_from_rows``
+    checks, tested for the whole block at once.
+
+    The rows are padded with isolated vertices to the block's largest n, as
+    uint64 words, so each field is an (N, width) array; a padded vertex has
+    no edge and adds no triangle.  ``Graph``'s row checks: no bit at or past
+    the instance's n, no self-loop and a symmetric adjacency, read off the
+    unpacked (N, 3, width, width) bits.  The instance's: removal within the
+    container, selected within the removal set, and no triangle in the
+    container minus the removal set or in the selected set, by
+    ``scan.pair_flags``.
+    """
+    width = max((n for n, *_ in draws), default=0)
+    pad = [(0,) * (width - n) for n in range(width + 1)]
+    rows = np.array([row for n, *fields in draws for field in fields
+                     for row in field + pad[n]], dtype=np.uint64).reshape(len(draws), 3, width)
+    full = np.array([(1 << n) - 1 for n, *_ in draws], dtype=np.uint64)
+    bits = rows[..., None] >> np.arange(width, dtype=np.uint64) & np.uint64(1)
+    container, removal, selected = rows[:, 0], rows[:, 1], rows[:, 2]
+    return (np.any(rows & ~full[:, None, None], axis=(1, 2))
+            | np.any(np.diagonal(bits, axis1=2, axis2=3), axis=(1, 2))
+            | np.any(bits != bits.swapaxes(2, 3), axis=(1, 2, 3))
+            | np.any(removal & ~container | selected & ~removal, axis=1)
+            | pair_flags(container & ~removal)[0]
+            | pair_flags(selected)[0])
+
+
+def random_instance_rows(rngs, *, n_min: int = 4, n_max: int = 8) -> list[InstanceRows]:
+    """The bit rows of ``random_instance(rng)`` for each generator of *rngs*,
+    in order, drawn with no ``Graph`` or instance each.
+
+    The block's invariants are tested in one numpy pass (``_defect_flags``),
+    and a flagged instance is built by ``instance_from_rows``, so it raises
+    the error ``random_instance`` would have raised for it.
+    """
+    draws = [_draw_instance_rows(rng, n_min, n_max) for rng in rngs]
+    for k in np.flatnonzero(_defect_flags(draws)).tolist():
+        instance_from_rows(*draws[k])
+    return draws

@@ -2,8 +2,13 @@
 
 Every randomized check derives instance i from the Philox stream
 (seed, STREAM_BASE + i), so reruns and re-shardings regenerate identical
-instances.  The K_{r+1}-free samples keep a stream each but are built and
-written out as one batch of adjacency rows per shape
+instances.  The random claim checks draw their block of instances as bit
+rows (``reduction.random_instance_rows``, which tests the block's
+invariants at once) and run claim 1, claim 2 and the chain on those rows;
+an instance is built only for a failure's witness, and only the chain
+builds ``Graph``s, its container and removal set.  The K_{r+1}-free samples
+keep a stream each but are built and written out as one batch of adjacency
+rows per shape
 (``constructions.kr_columns``), so no sample becomes a ``KrChoice`` or a
 ``Graph``, and searched for a K_{r+1} on those rows as one batch
 (``scan.clique_flags``).  A block of streams is walked by one re-keyed
@@ -22,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from . import constructions, enumeration, mis, reduction, scan
-from .graph import GuardError
+from .graph import Graph, GuardError
 from .graph6 import encode_graph6_rows
 from .report import (
     FAIL,
@@ -68,15 +73,28 @@ def _instance_witness(inst: reduction.ReductionInstance) -> list[str]:
             "selected=" + ",".join(data["selected"])]
 
 
+def _claim1_rows(n: int, container, removal, sel) -> VerificationReport:
+    return reduction.verify_claim1(reduction._auxiliary(container, removal, sel))
+
+
+def _chain_rows(n: int, container, removal, sel) -> VerificationReport:
+    return reduction.bound_chain(Graph(n, container), Graph(n, removal))
+
+
 def _claim_random_check(seed: int, stream_base: int, instances: int,
                         n_max: int, run_one) -> VerificationReport:
+    """``run_one(n, container, removal, selected)`` on the bit rows of each
+    instance of the block, stopping after 5 failures; an instance is built
+    only for a failure's witness."""
+    draws = reduction.random_instance_rows(rng_streams(seed, stream_base, instances),
+                                           n_min=4, n_max=n_max)
     failures: list = []
     run = 0
-    for rng in rng_streams(seed, stream_base, instances):
+    for draw in draws:
         run += 1
-        inst = reduction.random_instance(rng, n_min=4, n_max=n_max)
-        result = run_one(inst)
+        result = run_one(*draw)
         if not result.passed:
+            inst = reduction.instance_from_rows(*draw)
             failures.append(_instance_witness(inst) + result.witnesses[:1])
             if len(failures) >= 5:
                 break
@@ -111,11 +129,11 @@ def _claims_checks(config: RunConfig) -> list[Check]:
         ("claim2_worked_k4", _worked_claim2),
         ("chain_worked_k4", _worked_chain),
         ("claim1_random", partial(_claim_random_check, config.seed, STREAM_CLAIM1,
-                                  CLAIM1_INSTANCES, CLAIM1_MAX_N, INSTANCE_CHECKS["claim1"])),
+                                  CLAIM1_INSTANCES, CLAIM1_MAX_N, _claim1_rows)),
         ("claim2_random", partial(_claim_random_check, config.seed, STREAM_CLAIM2,
-                                  CLAIM2_INSTANCES, CLAIM2_MAX_N, INSTANCE_CHECKS["claim2"])),
+                                  CLAIM2_INSTANCES, CLAIM2_MAX_N, reduction.verify_claim2_rows)),
         ("chain_random", partial(_claim_random_check, config.seed, STREAM_CHAIN,
-                                 CHAIN_INSTANCES, CHAIN_MAX_N, INSTANCE_CHECKS["chain"])),
+                                 CHAIN_INSTANCES, CHAIN_MAX_N, _chain_rows)),
     ]
 
 

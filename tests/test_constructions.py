@@ -146,6 +146,11 @@ class TestFolkloreStats:
             expected = folklore_graph(FolkloreChoice.from_int(n, int(code))).rows
             assert tuple(int(r) for r in rows) == expected
 
+    def test_columns_are_vertex_major(self):
+        # the census passes read one vertex's rows of every member at a time
+        cols = folklore_columns(12, np.arange(1000))
+        assert cols.shape == (1000, 12) and cols.T.flags.c_contiguous
+
     def test_planted_duplicate_fails(self, monkeypatch):
         def duplicate_first(n, codes):
             cols = folklore_columns(n, codes)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from maxtrifree import reduction
+from maxtrifree import reduction, suites
 from maxtrifree import (
     Graph,
     GuardError,
@@ -23,8 +23,8 @@ from maxtrifree import (
     worked_k4_instance,
 )
 from maxtrifree.graph import row_pairs
-from maxtrifree.reduction import maximal_tf_subgraph_count
-from maxtrifree.report import rng_for
+from maxtrifree.reduction import maximal_tf_subgraph_count, random_instance_rows
+from maxtrifree.report import STREAM_CHAIN, STREAM_CLAIM1, STREAM_CLAIM2, rng_for, rng_streams
 
 from oracles import (
     MALFORMED_INSTANCES,
@@ -548,3 +548,117 @@ class TestRandomInstances:
         with pytest.raises(ValueError, match="n_max=3 is below n_min=4"):
             random_instance(rng_for(1, 0), n_min=4, n_max=3)
         assert random_instance(rng_for(1, 0), n_min=4, n_max=4).container.n == 4
+
+    @pytest.mark.parametrize("base, count, n_max, expected", [
+        (STREAM_CLAIM1, 1000, 10,
+         "33c36ea048a0ab1042ecb46453167b440dd220e3eff2af2bb6013d783b50eac0"),
+        (STREAM_CLAIM2, 1000, 8,
+         "3c015976336620619cfc187ad72747afe9df163fcf6488c416478c8ce4266f94"),
+        (STREAM_CHAIN, 100, 6,
+         "70b1b2470c26ccb2b8aa191c82f019060d9346dac0f49ed1564d6e58f9e38cdc"),
+    ])
+    def test_suite_draws_pinned(self, base, count, n_max, expected):
+        # the claims suite's three seed-1 blocks, hashed before the suite drew
+        # them as rows: its reports pin only the instance and failure counts
+        block = random_instance_rows(rng_streams(1, base, count), n_min=4, n_max=n_max)
+        digest = hashlib.sha256()
+        for i, draw in enumerate(block):
+            inst = random_instance(rng_for(1, base + i), n_min=4, n_max=n_max)
+            assert draw == (inst.container.n, inst.container.rows,
+                            inst.removal.rows, inst.selected.rows)
+            digest.update(json.dumps(inst.to_dict(), sort_keys=True).encode() + b"\n")
+        assert digest.hexdigest() == expected
+
+    def test_draw_on_64_vertices_pinned(self):
+        # bit 63 set: the block test's uint64 words hold every row whole
+        inst = random_instance(rng_for(1, 1), n_min=64, n_max=64)
+        assert any(row >> 63 for row in inst.container.rows)
+        text = json.dumps(inst.to_dict(), sort_keys=True).encode()
+        assert hashlib.sha256(text).hexdigest() == (
+            "7521fa86ada6b8de1304666ec9387c6de745eab51e776496f4c221a52d0e2832")
+        assert random_instance_rows([rng_for(1, 1)], n_min=64, n_max=64) == [
+            (64, inst.container.rows, inst.removal.rows, inst.selected.rows)]
+
+
+K3 = (0b0110, 0b0101, 0b0011, 0)
+K2 = (0b0010, 0b0001, 0, 0)
+NONE = (0, 0, 0, 0)
+
+
+class TestRandomClaimBlocks:
+    """The suite's random claim checks draw their blocks as rows and test
+    the block's invariants at once; a defect still raises the instance's error."""
+
+    @pytest.mark.parametrize("draw", [
+        (4, (1 << 10, 0, 0, 0), NONE, NONE),  # a bit past n and the block's 6 columns
+        (4, (0b0001, 0, 0, 0), NONE, NONE),  # a self-loop
+        (4, (0b0010, 0, 0, 0), NONE, NONE),  # asymmetric
+        (4, NONE, K2, NONE),  # removal outside the container
+        (4, K2, NONE, K2),  # selected outside the removal set
+        (4, K3, NONE, NONE),  # container minus removal has a triangle
+        (4, K3, K3, K3),  # selected spans a triangle
+    ])
+    def test_each_defect_raises_the_instance_error(self, draw, monkeypatch):
+        # draw 3 of the block, on 4 of its up to 6 vertices, is the planted one
+        real = reduction._draw_instance_rows
+        index = iter(range(10))
+        monkeypatch.setattr(reduction, "_draw_instance_rows",
+                            lambda *args: draw if next(index) == 3 else real(*args))
+        with pytest.raises(ValueError) as expected:
+            reduction.instance_from_rows(*draw)
+        with pytest.raises(ValueError) as err:
+            random_instance_rows(rng_streams(1, 0, 10), n_min=4, n_max=6)
+        assert type(err.value) is type(expected.value)
+        assert str(err.value) == str(expected.value)
+
+    def test_triangle_left_by_the_draw_raises_the_instance_error(self, monkeypatch):
+        monkeypatch.setattr(reduction, "greedy_triangle_removal", lambda rows: (0,) * len(rows))
+        with pytest.raises(InstanceError) as err:
+            suites._claim_random_check(1, STREAM_CLAIM1, 1000, 10, suites._claim1_rows)
+        for i in range(1000):  # the block's first instance with a triangle
+            try:
+                random_instance(rng_for(1, STREAM_CLAIM1 + i), n_min=4, n_max=10)
+            except InstanceError as exc:
+                expected = str(exc)
+                break
+        assert "container minus removal has triangle" in expected
+        assert str(err.value) == expected
+
+    def test_planted_t_edge_fails_claim1_random(self, monkeypatch):
+        # a triangle on T-vertices 0, 1 and 2 wherever T has three vertices
+        real = reduction._auxiliary
+
+        def plant(container, removal, sel):
+            aux = real(container, removal, sel)
+            if len(aux.t_rows) < 3:
+                return aux
+            t_rows = with_row_edge(with_row_edge(with_row_edge(aux.t_rows, 0, 1), 0, 2), 1, 2)
+            return dataclasses.replace(aux, t_rows=t_rows)
+
+        monkeypatch.setattr(reduction, "_auxiliary", plant)
+        rep = suites._claim_random_check(1, STREAM_CLAIM1, 1000, 10, suites._claim1_rows)
+        expected = []
+        for i in range(rep.counts["instances"]):
+            inst = random_instance(rng_for(1, STREAM_CLAIM1 + i), n_min=4, n_max=10)
+            result = verify_claim1(build_auxiliary(inst))
+            if not result.passed:
+                expected.append(suites._instance_witness(inst) + result.witnesses[:1])
+        assert not rep.passed
+        assert rep.counts["failures"] == 5
+        assert rep.witnesses == expected
+
+    @pytest.mark.parametrize("run_one, base, n_max", [
+        (suites._claim1_rows, STREAM_CLAIM1, 10),
+        (reduction.verify_claim2_rows, STREAM_CLAIM2, 8),
+    ])
+    def test_passing_block_builds_no_graph(self, run_one, base, n_max, graph_builds):
+        rep = suites._claim_random_check(1, base, 200, n_max, run_one)
+        assert rep.passed and rep.counts["instances"] == 200
+        assert graph_builds == []
+
+    def test_claim2_rows_matches_the_instance_form(self):
+        for i in range(100):
+            inst = random_instance(rng_for(1, STREAM_CLAIM2 + i), n_min=4, n_max=8)
+            rows = (inst.container.n, inst.container.rows, inst.removal.rows,
+                    inst.selected.rows)
+            assert reduction.verify_claim2_rows(*rows) == verify_claim2(inst)

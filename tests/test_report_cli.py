@@ -711,7 +711,7 @@ class TestCli:
 
 
 def test_claim_check_counts_instances_actually_run():
-    def always_fails(inst):
+    def always_fails(n, container, removal, selected):
         return make_report(status="fail", witnesses=["planted"])
 
     rep = _claim_random_check(1, 0, 1000, 6, always_fails)

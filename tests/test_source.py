@@ -143,7 +143,6 @@ def test_graphs_are_built_only_where_kept():
         "constructions.py:folklore_family_stats",
         "enumeration.py:brute_force_maximal_tf",
         "graph.py:graph_from_edge_mask",
-        "graph.py:greedy_triangle_removal",
         "graph6.py:decode_graph6",
         "mis.py:verify_hujter_tuza",
         "mis.py:verify_matching_equality",
@@ -151,8 +150,8 @@ def test_graphs_are_built_only_where_kept():
         "reduction.py:worked_k4_instance",
         "reduction.py:_image_word",
         "reduction.py:_mis_violation",
-        "reduction.py:random_graph",
-        "reduction.py:random_tf_subset",
+        "reduction.py:instance_from_rows",
+        "suites.py:_chain_rows",
     ]
 
 
