@@ -12,7 +12,6 @@ from .graph import (
     is_maximal_triangle_free,
     is_triangle_free,
     lex_pairs,
-    min_triangles_at_density,
 )
 from .graph6 import (
     Graph6Error,

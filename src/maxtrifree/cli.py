@@ -6,11 +6,11 @@ variables (MAXTRIFREE_SEED, MAXTRIFREE_SHARDS, MAXTRIFREE_GUARD_<KEY>).
 Guards are run settings that verify and enumerate read, and the reports of
 reduce and construct --stats are timed here with ``report.timed``.
 verify, reduce and report exit 1 when any check fails; bad input (a missing
-or malformed file, a non-integer environment value, a guard below the
-smallest n its checks run, a missing or conflicting option, an explicit
-option the chosen mode would ignore, a size past a cap, an output path that
-cannot be written, which is tried before any computation) prints
-``error: ...`` and exits 2.
+or malformed file, a non-integer environment value, a seed outside
+0..2^64-1, a guard below the smallest n its checks run, a missing or
+conflicting option, an explicit option the chosen mode would ignore, a size
+past a cap, an output path that cannot be written, which is tried before
+any computation) prints ``error: ...`` and exits 2.
 """
 from __future__ import annotations
 
@@ -263,8 +263,8 @@ def _cmd_reduce(args) -> int:
     if args.instance:
         inst = reduction.ReductionInstance.load(args.instance)
         for name, cap in caps:
-            if inst.container.n > cap:
-                raise GuardError(f"{args.instance}: n={inst.container.n} is beyond "
+            if inst.n > cap:
+                raise GuardError(f"{args.instance}: n={inst.n} is beyond "
                                  f"the {name} check's cap of n={cap}")
         instances.append(inst)
     if args.random:

@@ -6,22 +6,19 @@ set is a graph on the same vertices.  Graphs are immutable; every operation
 here is a pure function.  Every predicate and counter, here and in ``mis``,
 ``reduction`` and the matching-partition scan, reads bare bit rows, with
 n = len(rows); a caller holding a Graph passes ``g.rows``.  ``Graph`` checks
-its rows, so one is built only where a graph is kept: an instance's fields, a
-constructed or enumerated graph that is returned, a decoded graph6 line, or a
-witness written out.  The counting chain and the Remark 3 census build none.
+its rows (``check_rows``, which a reduction instance runs on each of its
+fields too), so one is built only where a graph is kept: a constructed or
+enumerated graph that is returned, a decoded graph6 line, or a witness
+written out.  Reduction instances, the counting chain and the Remark 3
+census build none.
 """
 from __future__ import annotations
 
 import gc
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations
 from typing import Iterator
 
 MAX_VERTICES = 64
-
-#: Hard cap for the exhaustive edge-subset scan behind min_triangles_at_density.
-MIN_TRIANGLES_MAX_N = 7
 
 
 class GuardError(ValueError):
@@ -34,6 +31,30 @@ def iter_bits(word: int) -> Iterator[int]:
         low = word & -word
         yield low.bit_length() - 1
         word ^= low
+
+
+def check_rows(n: int, rows) -> None:
+    """Raise ValueError unless *rows* are the adjacency bit rows of a simple
+    graph on n <= 64 vertices: n rows, no bit at or past n, no self-loop and
+    a symmetric adjacency.  ``Graph`` and ``ReductionInstance`` check with it."""
+    if not 0 <= n <= MAX_VERTICES:
+        raise ValueError(f"vertex count {n} outside 0..{MAX_VERTICES}")
+    if len(rows) != n:
+        raise ValueError("row count does not match vertex count")
+    full = (1 << n) - 1
+    for u, row in enumerate(rows):
+        if row & ~full:
+            raise ValueError(f"row {u} has bits beyond vertex {n - 1}")
+        if row >> u & 1:
+            raise ValueError(f"self-loop at vertex {u}")
+    for u, word in enumerate(rows):
+        # iter_bits(word), inlined: this loop runs for every graph and instance built
+        bit = 1 << u
+        while word:
+            low = word & -word
+            if not rows[low.bit_length() - 1] & bit:
+                raise ValueError(f"asymmetric adjacency at ({u}, {low.bit_length() - 1})")
+            word ^= low
 
 
 @dataclass(frozen=True)
@@ -49,25 +70,7 @@ class Graph:
     rows: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not 0 <= self.n <= MAX_VERTICES:
-            raise ValueError(f"vertex count {self.n} outside 0..{MAX_VERTICES}")
-        if len(self.rows) != self.n:
-            raise ValueError("row count does not match vertex count")
-        rows = self.rows
-        full = (1 << self.n) - 1
-        for u, row in enumerate(rows):
-            if row & ~full:
-                raise ValueError(f"row {u} has bits beyond vertex {self.n - 1}")
-            if row >> u & 1:
-                raise ValueError(f"self-loop at vertex {u}")
-        for u, word in enumerate(rows):
-            # iter_bits(word), inlined: this loop runs for every graph built
-            bit = 1 << u
-            while word:
-                low = word & -word
-                if not rows[low.bit_length() - 1] & bit:
-                    raise ValueError(f"asymmetric adjacency at ({u}, {low.bit_length() - 1})")
-                word ^= low
+        check_rows(self.n, self.rows)
 
     # -- constructors ------------------------------------------------------
 
@@ -101,10 +104,6 @@ class Graph:
 
     def edge_count(self) -> int:
         return sum(r.bit_count() for r in self.rows) // 2
-
-    def edges(self) -> list[tuple[int, int]]:
-        """All edges as pairs (u, v) with u < v, in lexicographic order."""
-        return row_pairs(self.rows)
 
 
 def row_pairs(rows) -> list[tuple[int, int]]:
@@ -252,45 +251,3 @@ def greedy_triangle_removal(rows) -> tuple[int, ...]:
             tri[(u, w) if u < w else (w, u)] -= 1
             tri[(v, w) if v < w else (w, v)] -= 1
     return tuple(a & ~b for a, b in zip(rows, left))
-
-
-@lru_cache(maxsize=None)
-def _min_triangle_table(n: int) -> tuple[int, ...]:
-    """mins[m] = exact minimum triangle count over all n-vertex graphs with m edges."""
-    pairs = list(combinations(range(n), 2))
-    rank = {p: i for i, p in enumerate(pairs)}
-    tri_masks = [
-        (1 << rank[(a, b)]) | (1 << rank[(a, c)]) | (1 << rank[(b, c)])
-        for a, b, c in combinations(range(n), 3)
-    ]
-    num_pairs = len(pairs)
-    mins: list[int | None] = [None] * (num_pairs + 1)
-    for mask in range(1 << num_pairs):
-        m = mask.bit_count()
-        cur = mins[m]
-        if cur == 0:
-            continue
-        cnt = 0
-        for t in tri_masks:
-            if mask & t == t:
-                cnt += 1
-                if cur is not None and cnt >= cur:
-                    break
-        if cur is None or cnt < cur:
-            mins[m] = cnt
-    return tuple(m for m in mins if m is not None)
-
-
-def min_triangles_at_density(n: int, m: int) -> int:
-    """Exact minimum triangle count over all n-vertex graphs with m edges.
-
-    Scans every edge subset, so n is hard-capped at 7 (2^21 subsets).
-    """
-    if n > MIN_TRIANGLES_MAX_N:
-        raise GuardError(f"min_triangles_at_density capped at n={MIN_TRIANGLES_MAX_N}, got {n}")
-    if n < 1:
-        raise ValueError("need at least one vertex")
-    max_m = n * (n - 1) // 2
-    if not 0 <= m <= max_m:
-        raise ValueError(f"edge count {m} outside 0..{max_m}")
-    return _min_triangle_table(n)[m]

@@ -1,13 +1,13 @@
 """Reduced graph, auxiliary graph, and the machine-checked counting chain.
 
 An instance is a container graph G, an edge set F whose removal leaves G
-triangle-free, and a triangle-free F* subseteq F; F and F* are graphs on G's
-vertices.  The reduced graph drops F - F* and every edge closing a triangle
-with two F* edges; the auxiliary graph T lives on the remaining non-F* edges,
-joining two of them whenever some F* edge completes a triangle with both.
-The two checked claims: T is triangle-free, and each maximal triangle-free H
-inside the container with E(H) cap F = F* lands injectively on a maximal
-independent set of T.
+triangle-free, and a triangle-free F* subseteq F, each as bit rows on the
+same n vertices.  The reduced graph drops F - F* and every edge closing a
+triangle with two F* edges; the auxiliary graph T lives on the remaining
+non-F* edges, joining two of them whenever some F* edge completes a
+triangle with both.  The two checked claims: T is triangle-free, and each
+maximal triangle-free H inside the container with E(H) cap F = F* lands
+injectively on a maximal independent set of T.
 
 Claim 2 and the counting chain share one depth-first search over the free
 container edges (``_maximal_tf_leaves``).  Its state is one bit row per
@@ -21,21 +21,17 @@ neighbour.  Leaves need no test: they are triangle-free by construction, and
 once nothing is undecided, pot is the graph and the cut is exactly the
 maximality condition.
 
-Everything works on the graphs' adjacency bit rows: edge lists, the reduced
-graph and T's image words come from masked row words, not from per-edge
-queries, and a T-vertex's index is a popcount of its row's T-vertices below
-it, not a dictionary lookup.  The only ``Graph``s are an instance's three
-fields and the graphs a witness writes out; F*, the reduced graph, T and
-each H* are tuples of bit rows.  ``bound_chain`` checks its container and
-removal set once, as an instance with F* empty does, and runs every F* on
-rows.
-
-A seeded instance is drawn once, as bit rows (``_draw_instance_rows``).
-``random_instance`` builds the checked instance from them; a block of
-streams (``random_instance_rows``) is checked at once, in numpy, and an
-instance is built only for a draw the block test flags, so it raises the
-error ``random_instance`` would.  The claim checks then run on the rows:
-claim 1 on ``_auxiliary``, claim 2 on ``verify_claim2_rows``.
+Everything works on bit rows: an instance's three fields, F*, the reduced
+graph, T and each H* are tuples of bit rows, and a ``Graph`` is built only
+to parse an edge list or to spell out the worked K4 example.  Edge lists,
+the reduced graph and T's image words come from masked row words, not from
+per-edge queries, and a T-vertex's index is a popcount of its row's
+T-vertices below it, not a dictionary lookup.  An instance is checked once,
+when it is made (``_check_instance``): each field gets ``Graph``'s row
+checks (``graph.check_rows``), then the instance's own.  ``bound_chain``
+checks its container and removal set once, as an instance with F* empty,
+and runs every F* on rows.  ``random_instance`` draws a seeded instance as
+rows, and the claims suite and ``reduce`` run the same checks on it.
 """
 from __future__ import annotations
 
@@ -49,6 +45,7 @@ from .graph import (
     Graph,
     GuardError,
     MAX_VERTICES,
+    check_rows,
     find_triangle,
     greedy_triangle_removal,
     is_triangle_free,
@@ -56,10 +53,9 @@ from .graph import (
     lex_pairs,
     row_pairs,
 )
-from .graph6 import decode_graph6, encode_graph6
+from .graph6 import decode_graph6, encode_graph6_rows
 from .mis import mis_count
 from .report import FAIL, PASS, VerificationReport, read_utf8
-from .scan import pair_flags
 
 H_STAR_MAX_N = 10
 CHAIN_MAX_N = 8
@@ -83,43 +79,53 @@ def _edges_outside(rows, host_rows) -> list[tuple[int, int]]:
     return row_pairs([row & ~host_row for row, host_row in zip(rows, host_rows)])
 
 
-def _check_instance(container: Graph, removal: Graph, sel) -> None:
-    """Raise InstanceError for the first defect of the instance with F* rows *sel*."""
-    n = container.n
-    if removal.n != n or len(sel) != n:
+def _graph6(rows) -> str:
+    """The graph6 string of the bit rows *rows*."""
+    return encode_graph6_rows(len(rows), [rows])[:-1].decode("ascii")
+
+
+def _check_instance(n: int, container, removal, selected) -> None:
+    """Raise for the first defect of the instance with these bit rows: a
+    ValueError from ``check_rows`` on each field in turn, else an
+    InstanceError from the instance's own checks."""
+    if len(removal) != len(container) or len(selected) != len(container):
         raise InstanceError("edge sets must live on the container vertex set")
-    if any(r & ~c for r, c in zip(removal.rows, container.rows)):
-        extra = _edges_outside(removal.rows, container.rows)
+    for rows in (container, removal, selected):
+        check_rows(n, rows)
+    if any(r & ~c for r, c in zip(removal, container)):
+        extra = _edges_outside(removal, container)
         raise InstanceError(f"removal edge {extra[0]} is not in the container")
-    if any(s & ~r for s, r in zip(sel, removal.rows)):
-        bad = _edges_outside(sel, removal.rows)
+    if any(s & ~r for s, r in zip(selected, removal)):
+        bad = _edges_outside(selected, removal)
         raise InstanceError(f"selected edge {bad[0]} is not in the removal set")
-    tri = find_triangle([c & ~r for c, r in zip(container.rows, removal.rows)])
+    tri = find_triangle([c & ~r for c, r in zip(container, removal)])
     if tri is not None:
         raise InstanceError(f"container minus removal has triangle {tri}")
-    tri = find_triangle(sel)
+    tri = find_triangle(selected)
     if tri is not None:
         raise InstanceError(f"selected set spans triangle {tri}")
 
 
 @dataclass(frozen=True)
 class ReductionInstance:
-    """Container G, removal set F, and selected F* subseteq F."""
+    """Container G, removal set F, and selected F* subseteq F, as bit-row
+    tuples on n vertices, checked once when made."""
 
-    container: Graph
-    removal: Graph
-    selected: Graph
+    n: int
+    container: tuple[int, ...]
+    removal: tuple[int, ...]
+    selected: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        _check_instance(self.container, self.removal, self.selected.rows)
+        _check_instance(self.n, self.container, self.removal, self.selected)
 
     # -- serialization ------------------------------------------------------
 
     def to_dict(self) -> dict:
         return {
-            "container": encode_graph6(self.container),
-            "removal": _edge_strs(self.removal.edges()),
-            "selected": _edge_strs(self.selected.edges()),
+            "container": _graph6(self.container),
+            "removal": _edge_strs(row_pairs(self.removal)),
+            "selected": _edge_strs(row_pairs(self.selected)),
         }
 
     @classmethod
@@ -137,16 +143,16 @@ class ReductionInstance:
                 raise InstanceError(f"{key!r} must be {what}, got {type(data[key]).__name__}")
         container = decode_graph6(data["container"])
 
-        def parse(key: str) -> Graph:
+        def parse(key: str) -> tuple[int, ...]:
             pairs = []
             for text in data[key]:
                 match = re.fullmatch(r"([0-9]+)-([0-9]+)", text) if isinstance(text, str) else None
                 if match is None:
                     raise InstanceError(f"{key!r} entry {text!r} is not a 'u-v' pair of integers")
                 pairs.append((int(match[1]), int(match[2])))
-            return Graph.from_edges(container.n, pairs)
+            return Graph.from_edges(container.n, pairs).rows
 
-        return cls(container, parse("removal"), parse("selected"))
+        return cls(container.n, container.rows, parse("removal"), parse("selected"))
 
     @classmethod
     def load(cls, path) -> "ReductionInstance":
@@ -171,15 +177,16 @@ class AuxiliaryGraph:
 def worked_k4_instance() -> ReductionInstance:
     """K4 with removal {01, 23} and selected {01}; the running example."""
     return ReductionInstance(
-        Graph.complete(4),
-        Graph.from_edges(4, [(0, 1), (2, 3)]),
-        Graph.from_edges(4, [(0, 1)]),
+        4,
+        Graph.complete(4).rows,
+        Graph.from_edges(4, [(0, 1), (2, 3)]).rows,
+        Graph.from_edges(4, [(0, 1)]).rows,
     )
 
 
 def build_auxiliary(inst: ReductionInstance) -> AuxiliaryGraph:
     """The auxiliary graph T of an instance; see ``_auxiliary``."""
-    return _auxiliary(inst.container.rows, inst.removal.rows, inst.selected.rows)
+    return _auxiliary(inst.container, inst.removal, inst.selected)
 
 
 def _auxiliary(container, removal, sel) -> AuxiliaryGraph:
@@ -376,8 +383,8 @@ def enumerate_h_star(inst: ReductionInstance) -> list[tuple[int, ...]]:
     fixes the most significant undecided bit first and tries 0 before 1, and
     the other bits, F* and the fixed non-edges, are the same in every leaf.
     """
-    free = _edges_outside(inst.container.rows, inst.removal.rows)
-    return _maximal_tf_leaves(inst.container.n, free, inst.selected.rows)
+    free = _edges_outside(inst.container, inst.removal)
+    return _maximal_tf_leaves(inst.n, free, inst.selected)
 
 
 def _image_word(aux: AuxiliaryGraph, h: tuple[int, ...]) -> tuple[int, list | None]:
@@ -385,8 +392,7 @@ def _image_word(aux: AuxiliaryGraph, h: tuple[int, ...]) -> tuple[int, list | No
     h[u]; an edge outside the reduced graph is a counterexample."""
     if any(hr & ~rr for hr, rr in zip(h, aux.reduced_rows)):
         outside = _edges_outside(h, aux.reduced_rows)
-        return 0, [encode_graph6(Graph(len(h), h)),
-                   f"edge {_edge_str(*outside[0])} outside reduced graph"]
+        return 0, [_graph6(h), f"edge {_edge_str(*outside[0])} outside reduced graph"]
     word = 0
     for i, (u, v) in enumerate(aux.vertex_to_edge):
         if h[u] >> v & 1:
@@ -402,7 +408,7 @@ def _mis_violation(aux: AuxiliaryGraph, h: tuple[int, ...], word: int) -> list |
         if hit:
             j = (hit & -hit).bit_length() - 1
             return [
-                encode_graph6(Graph(len(h), h)),
+                _graph6(h),
                 _edge_str(*aux.vertex_to_edge[i]),
                 _edge_str(*aux.vertex_to_edge[j]),
                 _shared_selected_edge(aux, i, j),
@@ -410,25 +416,15 @@ def _mis_violation(aux: AuxiliaryGraph, h: tuple[int, ...], word: int) -> list |
     for i, row in enumerate(t_rows):
         if not word >> i & 1 and row & word == 0:
             addable = _edge_str(*aux.vertex_to_edge[i])
-            return [encode_graph6(Graph(len(h), h)), f"addable edge {addable}"]
+            return [_graph6(h), f"addable edge {addable}"]
     return None
 
 
 def verify_claim2(inst: ReductionInstance) -> VerificationReport:
     """Check that H -> E(H) - F* maps the family injectively onto maximal
     independent sets of T, and record the slack against mis_count(T)."""
-    return _claim2(build_auxiliary(inst), enumerate_h_star(inst))
-
-
-def verify_claim2_rows(n: int, container, removal, sel) -> VerificationReport:
-    """``verify_claim2`` on the bit rows of an instance known to be valid,
-    such as a draw of ``random_instance_rows``."""
-    free = _edges_outside(container, removal)
-    return _claim2(_auxiliary(container, removal, sel), _maximal_tf_leaves(n, free, sel))
-
-
-def _claim2(aux: AuxiliaryGraph, family: list[tuple[int, ...]]) -> VerificationReport:
-    """Claim 2's report for T and the rows of the H* family."""
+    aux = build_auxiliary(inst)
+    family = enumerate_h_star(inst)
     witnesses: list = []
     images: list[int] = []
     for h in family:
@@ -459,35 +455,36 @@ def _claim2(aux: AuxiliaryGraph, family: list[tuple[int, ...]]) -> VerificationR
     )
 
 
-def maximal_tf_subgraph_count(container: Graph) -> int:
-    """Number of maximal triangle-free graphs lying inside the container:
-    the same search as ``enumerate_h_star`` from the empty graph, with every
-    container edge free."""
-    n = container.n
-    return len(_maximal_tf_leaves(n, container.edges(), [0] * n))
+def maximal_tf_subgraph_count(container) -> int:
+    """Number of maximal triangle-free graphs lying inside the container's
+    bit rows (n = len(container)): the same search as ``enumerate_h_star``
+    from the empty graph, with every container edge free."""
+    n = len(container)
+    return len(_maximal_tf_leaves(n, row_pairs(container), [0] * n))
 
 
-def bound_chain(container: Graph, removal: Graph) -> VerificationReport:
+def bound_chain(container, removal) -> VerificationReport:
     """Run the pipeline for every triangle-free F* subseteq removal and check
     the per-term inequalities plus the partition identity.  F* runs over the
     binary counter on the removal edges in lexicographic order.
 
-    G and F are checked once, with F* empty; each F* then runs on bit rows,
-    through ``_auxiliary`` and ``_maximal_tf_leaves`` over the free pairs.
+    G and F are bit rows, n = len(container), checked once as an instance
+    with F* empty; each F* then runs on bit rows, through ``_auxiliary`` and
+    ``_maximal_tf_leaves`` over the free pairs.
     Per F*: |H(F*)| <= mis_count(T), mis_count(T)^2 <= 2^{|V(T)|}, and
     |V(T)| <= e(container).  Summing |H(F*)| over all F* must give exactly
     the number of maximal triangle-free subgraphs of the container.
     """
-    n = container.n
+    n = len(container)
     if n > CHAIN_MAX_N:
         raise GuardError(f"bound chain capped at n={CHAIN_MAX_N}, got {n}")
-    edges = removal.edges()
+    edges = row_pairs(removal)
     if len(edges) > CHAIN_MAX_REMOVAL:
         raise GuardError(
             f"bound chain capped at {CHAIN_MAX_REMOVAL} removal edges, got {len(edges)}")
-    _check_instance(container, removal, (0,) * n)
-    free = _edges_outside(container.rows, removal.rows)
-    e_container = container.edge_count()
+    _check_instance(n, container, removal, (0,) * n)
+    free = _edges_outside(container, removal)
+    e_container = sum(row.bit_count() for row in container) // 2
     total = 0
     tf_subsets = 0
     witnesses: list = []
@@ -500,7 +497,7 @@ def bound_chain(container: Graph, removal: Graph) -> VerificationReport:
         if not is_triangle_free(rows):
             continue
         tf_subsets += 1
-        t_rows = _auxiliary(container.rows, removal.rows, rows).t_rows
+        t_rows = _auxiliary(container, removal, rows).t_rows
         h_count = len(_maximal_tf_leaves(n, free, rows))
         mis_t = mis_count(t_rows)
         t_n = len(t_rows)
@@ -562,73 +559,17 @@ def random_tf_subset(rows, rng: np.random.Generator) -> tuple[int, ...]:
 
 EDGE_PROBABILITIES = (0.3, 0.5, 0.8)
 
-#: One drawn instance as bit rows: (n, container, removal, selected).
-InstanceRows = tuple[int, tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
-
-def _draw_instance_rows(rng: np.random.Generator, n_min: int, n_max: int) -> InstanceRows:
+def random_instance(rng: np.random.Generator, *, n_min: int = 4, n_max: int = 8,
+                    ) -> ReductionInstance:
     """The one seeded draw: n, then p in {0.3, 0.5, 0.8}, the container's
-    coins, and the selected subset's order and coins; the removal set is the
-    greedy triangle removal of the container."""
+    coins for G(n, p), and the order and coins of a random triangle-free
+    subset of the removal set, which is the greedy triangle removal of the
+    container."""
     if n_max < n_min:
         raise ValueError(f"n_max={n_max} is below n_min={n_min}")
     n = int(rng.integers(n_min, n_max + 1))
     p = EDGE_PROBABILITIES[int(rng.integers(len(EDGE_PROBABILITIES)))]
     container = random_graph(n, p, rng)
     removal = greedy_triangle_removal(container)
-    return n, container, removal, random_tf_subset(removal, rng)
-
-
-def instance_from_rows(n: int, container, removal, selected) -> ReductionInstance:
-    """The instance with these bit rows, checked: a defect raises ValueError
-    from ``Graph`` or InstanceError from the instance."""
-    return ReductionInstance(Graph(n, container), Graph(n, removal), Graph(n, selected))
-
-
-def random_instance(rng: np.random.Generator, *, n_min: int = 4, n_max: int = 8,
-                    ) -> ReductionInstance:
-    """Container ~ G(n, p) with p in {0.3, 0.5, 0.8}; removal from the greedy
-    triangle removal; selected a random triangle-free subset of it."""
-    return instance_from_rows(*_draw_instance_rows(rng, n_min, n_max))
-
-
-def _defect_flags(draws: list[InstanceRows]) -> np.ndarray:
-    """Which drawn instances break an invariant that ``instance_from_rows``
-    checks, tested for the whole block at once.
-
-    The rows are padded with isolated vertices to the block's largest n, as
-    uint64 words, so each field is an (N, width) array; a padded vertex has
-    no edge and adds no triangle.  ``Graph``'s row checks: no bit at or past
-    the instance's n, no self-loop and a symmetric adjacency, read off the
-    unpacked (N, 3, width, width) bits.  The instance's: removal within the
-    container, selected within the removal set, and no triangle in the
-    container minus the removal set or in the selected set, by
-    ``scan.pair_flags``.
-    """
-    width = max((n for n, *_ in draws), default=0)
-    pad = [(0,) * (width - n) for n in range(width + 1)]
-    rows = np.array([row for n, *fields in draws for field in fields
-                     for row in field + pad[n]], dtype=np.uint64).reshape(len(draws), 3, width)
-    full = np.array([(1 << n) - 1 for n, *_ in draws], dtype=np.uint64)
-    bits = rows[..., None] >> np.arange(width, dtype=np.uint64) & np.uint64(1)
-    container, removal, selected = rows[:, 0], rows[:, 1], rows[:, 2]
-    return (np.any(rows & ~full[:, None, None], axis=(1, 2))
-            | np.any(np.diagonal(bits, axis1=2, axis2=3), axis=(1, 2))
-            | np.any(bits != bits.swapaxes(2, 3), axis=(1, 2, 3))
-            | np.any(removal & ~container | selected & ~removal, axis=1)
-            | pair_flags(container & ~removal)[0]
-            | pair_flags(selected)[0])
-
-
-def random_instance_rows(rngs, *, n_min: int = 4, n_max: int = 8) -> list[InstanceRows]:
-    """The bit rows of ``random_instance(rng)`` for each generator of *rngs*,
-    in order, drawn with no ``Graph`` or instance each.
-
-    The block's invariants are tested in one numpy pass (``_defect_flags``),
-    and a flagged instance is built by ``instance_from_rows``, so it raises
-    the error ``random_instance`` would have raised for it.
-    """
-    draws = [_draw_instance_rows(rng, n_min, n_max) for rng in rngs]
-    for k in np.flatnonzero(_defect_flags(draws)).tolist():
-        instance_from_rows(*draws[k])
-    return draws
+    return ReductionInstance(n, container, removal, random_tf_subset(removal, rng))

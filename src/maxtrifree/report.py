@@ -205,6 +205,10 @@ class RunConfig:
     guards: dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        # rng_for keys Philox with the seed's low 64 bits, so a wider seed
+        # would draw another seed's instances
+        if not 0 <= self.seed <= _MASK64:
+            raise ValueError(f"seed must be in 0..2^64-1, got {self.seed}")
         if self.shards < 1:
             raise ValueError("shards must be positive")
         unknown = set(self.guards) - set(DEFAULT_GUARDS)

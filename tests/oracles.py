@@ -10,9 +10,11 @@ paths do not call.  The line-by-line graph6 reader is the slow twin of
 recognizer that of the batched ``matching_partition_flags``.
 
 The small graph builders and helpers at the top serve only the tests, so
-they live here and not in the package.
+they live here and not in the package, as does ``min_triangles_at_density``,
+the exact extremal table behind the Mantel acceptance criterion.
 """
 import json
+from functools import lru_cache
 from itertools import combinations
 
 from maxtrifree import (
@@ -46,8 +48,13 @@ def complete_bipartite(a: int, b: int) -> Graph:
     return Graph.from_edges(a + b, [(i, a + j) for i in range(a) for j in range(b)])
 
 
+def edge_list(g) -> list[tuple[int, int]]:
+    """All edges of g as pairs (u, v) with u < v, in lexicographic order."""
+    return [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if g.rows[u] >> v & 1]
+
+
 def degree(g, u: int) -> int:
-    return sum(u in e for e in g.edges())
+    return sum(u in e for e in edge_list(g))
 
 
 def has_edge(g, u: int, v: int) -> bool:
@@ -56,18 +63,18 @@ def has_edge(g, u: int, v: int) -> bool:
 
 def without_edges(g, pairs) -> Graph:
     gone = {frozenset(e) for e in pairs}
-    return Graph.from_edges(g.n, [e for e in g.edges() if frozenset(e) not in gone])
+    return Graph.from_edges(g.n, [e for e in edge_list(g) if frozenset(e) not in gone])
 
 
 def with_edge(g, u: int, v: int) -> Graph:
-    return Graph.from_edges(g.n, g.edges() + [(u, v)])
+    return Graph.from_edges(g.n, edge_list(g) + [(u, v)])
 
 
 def relabel(g, perm) -> Graph:
     """Image of g under the vertex relabeling u -> perm[u]."""
     if sorted(perm) != list(range(g.n)):
         raise ValueError("perm is not a permutation of the vertex set")
-    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in edge_list(g)])
 
 
 #: Instance dicts of the wrong shape, each with the text its InstanceError names.
@@ -119,11 +126,11 @@ def maximal_tf_family(n: int) -> list[Graph]:
 def edge_mask(g) -> int:
     """Edges as a bitmask over lexicographic pair ranks (see lex_pairs)."""
     ranks = {pair: i for i, pair in enumerate(combinations(range(g.n), 2))}
-    return sum(1 << ranks[e] for e in g.edges())
+    return sum(1 << ranks[e] for e in edge_list(g))
 
 
 def edge_set(g):
-    return {frozenset(e) for e in g.edges()}
+    return {frozenset(e) for e in edge_list(g)}
 
 
 def naive_triangles(g) -> int:
@@ -170,6 +177,52 @@ def naive_mis_family(g) -> list[frozenset]:
         if maximal:
             result.append(frozenset(s))
     return result
+
+
+#: Hard cap for the exhaustive edge-subset scan behind min_triangles_at_density.
+MIN_TRIANGLES_MAX_N = 7
+
+
+@lru_cache(maxsize=None)
+def _min_triangle_table(n: int) -> tuple[int, ...]:
+    """mins[m] = exact minimum triangle count over all n-vertex graphs with m edges."""
+    pairs = list(combinations(range(n), 2))
+    rank = {p: i for i, p in enumerate(pairs)}
+    tri_masks = [
+        (1 << rank[(a, b)]) | (1 << rank[(a, c)]) | (1 << rank[(b, c)])
+        for a, b, c in combinations(range(n), 3)
+    ]
+    num_pairs = len(pairs)
+    mins: list[int | None] = [None] * (num_pairs + 1)
+    for mask in range(1 << num_pairs):
+        m = mask.bit_count()
+        cur = mins[m]
+        if cur == 0:
+            continue
+        cnt = 0
+        for t in tri_masks:
+            if mask & t == t:
+                cnt += 1
+                if cur is not None and cnt >= cur:
+                    break
+        if cur is None or cnt < cur:
+            mins[m] = cnt
+    return tuple(m for m in mins if m is not None)
+
+
+def min_triangles_at_density(n: int, m: int) -> int:
+    """Exact minimum triangle count over all n-vertex graphs with m edges.
+
+    Scans every edge subset, so n is hard-capped at 7 (2^21 subsets).
+    """
+    if n > MIN_TRIANGLES_MAX_N:
+        raise GuardError(f"min_triangles_at_density capped at n={MIN_TRIANGLES_MAX_N}, got {n}")
+    if n < 1:
+        raise ValueError("need at least one vertex")
+    max_m = n * (n - 1) // 2
+    if not 0 <= m <= max_m:
+        raise ValueError(f"edge count {m} outside 0..{max_m}")
+    return _min_triangle_table(n)[m]
 
 
 def naive_min_triangles(n: int, m: int, graph_cls) -> int:
@@ -300,28 +353,35 @@ def naive_maximal_tf_within(n: int, free, seed) -> list:
     return sorted(found, key=edge_mask)
 
 
+def instance_graphs(inst) -> tuple[Graph, Graph, Graph]:
+    """A reduction instance's container, removal and selected rows as Graphs."""
+    return tuple(Graph(inst.n, rows) for rows in (inst.container, inst.removal, inst.selected))
+
+
 def naive_h_star(inst) -> list:
     """Reference for reduction.enumerate_h_star: the container edges outside
     the removal set are free, and the selected edges are the seed."""
-    removal = set(inst.removal.edges())
-    free = [e for e in inst.container.edges() if e not in removal]
-    return naive_maximal_tf_within(inst.container.n, free, inst.selected.edges())
+    container, removal, selected = instance_graphs(inst)
+    removed = set(edge_list(removal))
+    free = [e for e in edge_list(container) if e not in removed]
+    return naive_maximal_tf_within(inst.n, free, edge_list(selected))
 
 
 def naive_reduced_graph(inst) -> Graph:
     """Reference for reduction.reduced_graph, on edge sets: the container
     minus (removal - selected), minus every container edge that closes a
     triangle with two selected edges."""
-    selected = edge_set(inst.selected)
-    dropped = edge_set(inst.removal) - selected
+    container, removal, selected_graph = instance_graphs(inst)
+    selected = edge_set(selected_graph)
+    dropped = edge_set(removal) - selected
     kept = []
-    for u, v in inst.container.edges():
+    for u, v in edge_list(container):
         if frozenset((u, v)) in dropped:
             continue
-        if any({u, w} in selected and {v, w} in selected for w in range(inst.container.n)):
+        if any({u, w} in selected and {v, w} in selected for w in range(inst.n)):
             continue
         kept.append((u, v))
-    return Graph.from_edges(inst.container.n, kept)
+    return Graph.from_edges(inst.n, kept)
 
 
 def naive_auxiliary_rows(inst) -> tuple[list, list[int]]:
@@ -329,8 +389,8 @@ def naive_auxiliary_rows(inst) -> tuple[list, list[int]]:
     edges outside the selected set, in lexicographic order) and T's rows,
     from a test of every pair of T-vertices: two are adjacent iff they share
     one endpoint and a selected edge joins their other ends."""
-    selected = edge_set(inst.selected)
-    vertices = [e for e in naive_reduced_graph(inst).edges() if frozenset(e) not in selected]
+    selected = edge_set(instance_graphs(inst)[2])
+    vertices = [e for e in edge_list(naive_reduced_graph(inst)) if frozenset(e) not in selected]
     rows = [0] * len(vertices)
     for i, j in combinations(range(len(vertices)), 2):
         e, f = set(vertices[i]), set(vertices[j])

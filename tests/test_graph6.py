@@ -17,6 +17,7 @@ from maxtrifree import (
 from maxtrifree import graph6, scan
 from oracles import (
     complete_bipartite,
+    edge_list,
     edge_mask,
     empty_graph,
     iter_graph6_file,
@@ -40,7 +41,7 @@ def routed(lines: list[str], block_lines: int) -> list[int]:
 def nx_encode(g: Graph) -> str:
     h = nx.Graph()
     h.add_nodes_from(range(g.n))
-    h.add_edges_from(g.edges())
+    h.add_edges_from(edge_list(g))
     return nx.to_graph6_bytes(h, header=False).decode().strip()
 
 

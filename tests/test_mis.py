@@ -23,7 +23,15 @@ from maxtrifree import (
 from maxtrifree import mis, scan
 from maxtrifree.mis import batch_mis_counts, extension_mis_counts
 from maxtrifree.report import STREAM_CLAIM2, rng_for
-from oracles import degree, empty_graph, naive_mis_family, path_graph, relabel, set_to_word
+from oracles import (
+    degree,
+    edge_list,
+    empty_graph,
+    naive_mis_family,
+    path_graph,
+    relabel,
+    set_to_word,
+)
 
 
 def nx_mis_words(g: Graph) -> list[int]:
@@ -34,7 +42,7 @@ def nx_mis_words(g: Graph) -> list[int]:
         return [0]
     h = nx.Graph()
     h.add_nodes_from(range(g.n))
-    h.add_edges_from(g.edges())
+    h.add_edges_from(edge_list(g))
     return sorted(set_to_word(c) for c in nx.find_cliques(nx.complement(h)))
 
 
@@ -188,7 +196,7 @@ class TestCountOnComponents:
         t = union_cases()[-1]
         h = nx.Graph()
         h.add_nodes_from(range(t.n))
-        h.add_edges_from(t.edges())
+        h.add_edges_from(edge_list(t))
         sizes = sorted(len(c) for c in nx.connected_components(h))
         assert t.n == 16 and sizes == [1, 1, 1, 1, 2, 2, 2, 2, 4]
 

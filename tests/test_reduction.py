@@ -23,12 +23,20 @@ from maxtrifree import (
     worked_k4_instance,
 )
 from maxtrifree.graph import row_pairs
-from maxtrifree.reduction import maximal_tf_subgraph_count, random_instance_rows
-from maxtrifree.report import STREAM_CHAIN, STREAM_CLAIM1, STREAM_CLAIM2, rng_for, rng_streams
+from maxtrifree.reduction import maximal_tf_subgraph_count
+from maxtrifree.report import (
+    STREAM_CHAIN,
+    STREAM_CLAIM1,
+    STREAM_CLAIM2,
+    rng_for,
+    rng_streams,
+    strip_timing,
+)
 
 from oracles import (
     MALFORMED_INSTANCES,
     dump_instance,
+    edge_list,
     empty_graph,
     naive_auxiliary_rows,
     naive_h_star,
@@ -47,6 +55,11 @@ def rows_of(graphs) -> list[tuple[int, ...]]:
     return [g.rows for g in graphs]
 
 
+def instance(container, removal, selected) -> ReductionInstance:
+    """The instance whose fields are the rows of these three Graphs."""
+    return ReductionInstance(container.n, container.rows, removal.rows, selected.rows)
+
+
 def with_row_edge(rows, u: int, v: int) -> tuple[int, ...]:
     """The bit rows *rows* with the edge uv set."""
     rows = list(rows)
@@ -58,7 +71,7 @@ def with_row_edge(rows, u: int, v: int) -> tuple[int, ...]:
 class TestInstanceValidation:
     def test_removal_outside_container(self):
         with pytest.raises(InstanceError):
-            ReductionInstance(
+            instance(
                 Graph.cycle(4),
                 Graph.from_edges(4, [(0, 2)]),
                 empty_graph(4),
@@ -66,11 +79,11 @@ class TestInstanceValidation:
 
     def test_removal_insufficient(self):
         with pytest.raises(InstanceError):
-            ReductionInstance(Graph.complete(4), empty_graph(4), empty_graph(4))
+            instance(Graph.complete(4), empty_graph(4), empty_graph(4))
 
     def test_selected_outside_removal(self):
         with pytest.raises(InstanceError):
-            ReductionInstance(
+            instance(
                 Graph.complete(4),
                 Graph.from_edges(4, [(0, 1), (2, 3)]),
                 Graph.from_edges(4, [(0, 2)]),
@@ -80,18 +93,18 @@ class TestInstanceValidation:
         k5 = Graph.complete(5)
         selected = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2)])
         with pytest.raises(InstanceError):
-            ReductionInstance(k5, k5, selected)
+            instance(k5, k5, selected)
 
     def test_host_mismatch(self):
         with pytest.raises(InstanceError):
-            ReductionInstance(Graph.complete(4), empty_graph(5), empty_graph(5))
+            instance(Graph.complete(4), empty_graph(5), empty_graph(5))
 
     def test_valid_instance_builds_no_graph_beyond_its_fields(self, graph_builds):
-        # the container-minus-removal and F* triangle tests read bare rows
+        # the fields are bit rows, checked by check_rows, and the
+        # container-minus-removal and F* triangle tests read bare rows
         for i in range(20):
-            inst = random_instance(rng_for(19, i))
-            assert graph_builds == [inst.container.rows, inst.removal.rows, inst.selected.rows]
-            graph_builds.clear()
+            random_instance(rng_for(19, i))
+        assert graph_builds == []
 
     @pytest.mark.parametrize("data, needle", MALFORMED_INSTANCES)
     def test_malformed_dict_is_an_instance_error(self, data, needle):
@@ -114,15 +127,15 @@ class TestReducedGraph:
 
     def test_nothing_removed(self):
         g = Graph.cycle(5)
-        inst = ReductionInstance(g, empty_graph(5), empty_graph(5))
+        inst = instance(g, empty_graph(5), empty_graph(5))
         assert build_auxiliary(inst).reduced_rows == g.rows
 
     def test_empty_selected(self):
         g = Graph.complete(4)
         removal = Graph.from_edges(4, [(0, 1), (2, 3)])
-        inst = ReductionInstance(g, removal, empty_graph(4))
+        inst = instance(g, removal, empty_graph(4))
         red = build_auxiliary(inst).reduced_rows
-        assert red == without_edges(g, removal.edges()).rows
+        assert red == without_edges(g, edge_list(removal)).rows
         assert is_triangle_free(red)
 
     def test_two_selected_edges_kill_closers(self):
@@ -130,7 +143,7 @@ class TestReducedGraph:
         g = Graph.complete(4)
         removal = Graph.from_edges(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
         selected = Graph.from_edges(4, [(0, 1), (0, 2)])
-        red = build_auxiliary(ReductionInstance(g, removal, selected)).reduced_rows
+        red = build_auxiliary(instance(g, removal, selected)).reduced_rows
         assert not red[1] >> 2 & 1
         assert red[0] >> 1 & 1 and red[0] >> 2 & 1
 
@@ -138,8 +151,9 @@ class TestReducedGraph:
         # ReductionInstance refuses a selected triangle, so build one past its
         # checks: each selected edge then closes a triangle with the other two
         inst = object.__new__(ReductionInstance)
+        object.__setattr__(inst, "n", 3)
         for name in ("container", "removal", "selected"):
-            object.__setattr__(inst, name, Graph.complete(3))
+            object.__setattr__(inst, name, Graph.complete(3).rows)
         with pytest.raises(AssertionError, match=r"^selected edge \(0, 1\) was removed"):
             build_auxiliary(inst)
 
@@ -147,8 +161,8 @@ class TestReducedGraph:
         for i in range(40):
             inst = random_instance(rng_for(7, i), n_min=4, n_max=8)
             red = build_auxiliary(inst).reduced_rows
-            assert is_subgraph(red, inst.container.rows)
-            for u, v in inst.selected.edges():
+            assert is_subgraph(red, inst.container)
+            for u, v in row_pairs(inst.selected):
                 assert red[u] >> v & 1
 
 
@@ -162,15 +176,15 @@ class TestAuxiliary:
     def test_empty_selected_gives_edgeless(self):
         g = Graph.complete(4)
         removal = Graph.from_edges(4, [(0, 1), (2, 3)])
-        aux = build_auxiliary(ReductionInstance(g, removal, empty_graph(4)))
+        aux = build_auxiliary(instance(g, removal, empty_graph(4)))
         assert aux.t_rows == (0,) * len(aux.t_rows)
 
     def test_c5_isolated(self):
-        aux = build_auxiliary(ReductionInstance(Graph.cycle(5), empty_graph(5), empty_graph(5)))
+        aux = build_auxiliary(instance(Graph.cycle(5), empty_graph(5), empty_graph(5)))
         assert aux.t_rows == (0,) * 5
 
     def test_empty_container_empty_t(self):
-        inst = ReductionInstance(empty_graph(3), empty_graph(3), empty_graph(3))
+        inst = instance(empty_graph(3), empty_graph(3), empty_graph(3))
         aux = build_auxiliary(inst)
         assert aux.t_rows == ()
         assert mis_count(aux.t_rows) == 1  # the empty set
@@ -206,10 +220,10 @@ class TestDefinitionOracles:
     def test_instances_cover_both_rules(self):
         # some instances lose container edges to two selected ones, and most
         # have T-edges, so neither comparison is vacuous
-        assert max(inst.container.n for inst in self.INSTANCES) == 10
+        assert max(inst.n for inst in self.INSTANCES) == 10
         killed = sum(len(row_pairs(build_auxiliary(inst).reduced_rows))
-                     < inst.container.edge_count()
-                     - inst.removal.edge_count() + inst.selected.edge_count()
+                     < len(row_pairs(inst.container))
+                     - len(row_pairs(inst.removal)) + len(row_pairs(inst.selected))
                      for inst in self.INSTANCES)
         assert killed >= 10
         assert sum(any(build_auxiliary(inst).t_rows)
@@ -225,7 +239,7 @@ class TestClaim1:
     def test_trivial_empty_selected(self):
         g = Graph.cycle(5)
         rep = verify_claim1(build_auxiliary(
-            ReductionInstance(g, empty_graph(5), empty_graph(5))))
+            instance(g, empty_graph(5), empty_graph(5))))
         assert rep.passed and rep.counts["t_edges"] == 0
 
     def test_random_instances(self):
@@ -244,12 +258,12 @@ class TestHStar:
 
     def test_c4_container(self):
         g = Graph.cycle(4)
-        family = enumerate_h_star(ReductionInstance(g, empty_graph(4), empty_graph(4)))
+        family = enumerate_h_star(instance(g, empty_graph(4), empty_graph(4)))
         assert family == [g.rows]
 
     def test_p4_container_empty(self):
         g = path_graph(4)
-        family = enumerate_h_star(ReductionInstance(g, empty_graph(4), empty_graph(4)))
+        family = enumerate_h_star(instance(g, empty_graph(4), empty_graph(4)))
         assert family == []
 
     def test_members_satisfy_constraints(self):
@@ -257,20 +271,19 @@ class TestHStar:
             inst = random_instance(rng_for(5, i), n_min=4, n_max=7)
             red = build_auxiliary(inst).reduced_rows
             for h in enumerate_h_star(inst):
-                assert is_subgraph(h, inst.container.rows)
-                assert is_subgraph(h, red) or not inst.selected.edges()
+                assert is_subgraph(h, inst.container)
+                assert is_subgraph(h, red) or not row_pairs(inst.selected)
                 assert is_subgraph(h, red)
-                got = set(row_pairs(h)) & set(inst.removal.edges())
-                assert got == set(inst.selected.edges())
+                got = set(row_pairs(h)) & set(row_pairs(inst.removal))
+                assert got == set(row_pairs(inst.selected))
 
     def test_against_brute_force_family(self):
         for i in range(30):
             inst = random_instance(rng_for(9, i), n_min=4, n_max=5)
-            n = inst.container.n
+            removal, selected = set(row_pairs(inst.removal)), set(row_pairs(inst.selected))
             expected = [
-                g.rows for g in brute_force_maximal_tf(n)
-                if is_subgraph(g.rows, inst.container.rows)
-                and set(g.edges()) & set(inst.removal.edges()) == set(inst.selected.edges())
+                g.rows for g in brute_force_maximal_tf(inst.n)
+                if is_subgraph(g.rows, inst.container) and set(edge_list(g)) & removal == selected
             ]
             assert enumerate_h_star(inst) == expected
 
@@ -285,12 +298,12 @@ class TestHStar:
     _AROUND_01 = Graph.from_edges(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
 
     def test_untouched_non_edge_without_common_neighbour(self):
-        inst = ReductionInstance(self._K4_MINUS_01, self._AROUND_01, empty_graph(4))
+        inst = instance(self._K4_MINUS_01, self._AROUND_01, empty_graph(4))
         assert enumerate_h_star(inst) == naive_h_star(inst) == []
 
     def test_untouched_non_edge_with_seed_common_neighbour(self):
         selected = Graph.from_edges(4, [(0, 2), (1, 2)])
-        inst = ReductionInstance(self._K4_MINUS_01, self._AROUND_01, selected)
+        inst = instance(self._K4_MINUS_01, self._AROUND_01, selected)
         family = enumerate_h_star(inst)
         assert family == rows_of(naive_h_star(inst))
         assert [row_pairs(h) for h in family] == [[(0, 2), (1, 2), (2, 3)]]
@@ -299,15 +312,15 @@ class TestHStar:
         k4 = Graph.complete(4)
         removal = k4
         star = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
-        inst = ReductionInstance(k4, removal, star)
+        inst = instance(k4, removal, star)
         assert enumerate_h_star(inst) == rows_of(naive_h_star(inst)) == [star.rows]
-        inst = ReductionInstance(k4, removal, Graph.from_edges(4, [(0, 1)]))
+        inst = instance(k4, removal, Graph.from_edges(4, [(0, 1)]))
         assert enumerate_h_star(inst) == naive_h_star(inst) == []
 
     def test_guard(self):
         g = empty_graph(11)
         with pytest.raises(GuardError):
-            enumerate_h_star(ReductionInstance(g, empty_graph(11), empty_graph(11)))
+            enumerate_h_star(instance(g, empty_graph(11), empty_graph(11)))
 
 
 class TestClaim2:
@@ -320,7 +333,7 @@ class TestClaim2:
 
     def test_maximal_container_trivial(self):
         g = Graph.cycle(5)
-        rep = verify_claim2(ReductionInstance(g, empty_graph(5), empty_graph(5)))
+        rep = verify_claim2(instance(g, empty_graph(5), empty_graph(5)))
         assert rep.passed
         assert rep.counts["h_star"] == 1
         assert rep.counts["mis_count_t"] == 1  # edgeless T has one MIS: everything
@@ -345,23 +358,23 @@ class TestBoundChain:
 
     def test_empty_removal(self):
         g = Graph.cycle(5)
-        rep = bound_chain(g, empty_graph(5))
+        rep = bound_chain(g.rows, empty_graph(5).rows)
         assert rep.passed and rep.counts["fstar_subsets"] == 1
         assert rep.counts["sum_h_star"] == 1
 
     def test_subgraph_count_matches_oracle(self):
         for i in range(20):
             inst = random_instance(rng_for(6, i), n_min=4, n_max=5)
-            n = inst.container.n
+            n = inst.n
             expected = sum(
-                1 for g in brute_force_maximal_tf(n) if is_subgraph(g.rows, inst.container.rows))
+                1 for g in brute_force_maximal_tf(n) if is_subgraph(g.rows, inst.container))
             assert maximal_tf_subgraph_count(inst.container) == expected
 
     def test_subgraph_count_matches_naive_search(self):
         for i in range(100):
-            g = random_instance(rng_for(14, i), n_min=4, n_max=7).container
-            assert maximal_tf_subgraph_count(g) == len(
-                naive_maximal_tf_within(g.n, g.edges(), [])), g.edges()
+            rows = random_instance(rng_for(14, i), n_min=4, n_max=7).container
+            assert maximal_tf_subgraph_count(rows) == len(
+                naive_maximal_tf_within(len(rows), row_pairs(rows), [])), row_pairs(rows)
 
     def test_random_instances(self):
         for i in range(60):
@@ -381,19 +394,19 @@ class TestBoundChain:
     ], ids=["removal-outside", "triangle-left", "both", "host-mismatch"])
     def test_bad_container_pair_is_an_instance_error(self, container, removal, message):
         with pytest.raises(InstanceError) as err:
-            ReductionInstance(container, removal, empty_graph(container.n))
+            instance(container, removal, empty_graph(container.n))
         assert str(err.value) == message
         with pytest.raises(InstanceError) as err:
-            bound_chain(container, removal)
+            bound_chain(container.rows, removal.rows)
         assert str(err.value) == message
 
     def test_guards(self):
         with pytest.raises(GuardError):
-            bound_chain(empty_graph(9), empty_graph(9))
+            bound_chain(empty_graph(9).rows, empty_graph(9).rows)
         k6 = Graph.complete(6)
-        big = Graph.from_edges(6, k6.edges()[:13])
+        big = Graph.from_edges(6, edge_list(k6)[:13])
         with pytest.raises(GuardError):
-            bound_chain(k6, big)
+            bound_chain(k6.rows, big.rows)
 
 
 def _submasks(mask: int):
@@ -425,13 +438,13 @@ class TestExhaustiveSmall:
                         selected = graph_from_edge_mask(n, s)
                         if not is_triangle_free(selected.rows):
                             continue
-                        inst = ReductionInstance(container, removal, selected)
+                        inst = instance(container, removal, selected)
                         family = enumerate_h_star(inst)
                         assert family == rows_of(naive_h_star(inst)), inst.to_dict()
                         found += len(family)
                         count += 1
-                    rep = bound_chain(container, removal)
-                    assert rep.passed, (container.edges(), removal.edges())
+                    rep = bound_chain(container.rows, removal.rows)
+                    assert rep.passed, (edge_list(container), edge_list(removal))
                     assert rep.counts["sum_h_star"] == found
                     assert found == rep.counts["maximal_tf_subgraphs"]
             instances[n] = count
@@ -439,8 +452,8 @@ class TestExhaustiveSmall:
 
 
 def test_claims_and_chain_build_no_graph_per_fstar(graph_builds):
-    # F*, the reduced graph, T and each H* are bit rows; the chain's one
-    # Graph is the empty F* of the instance that checks its container once
+    # the instance's fields, F*, the reduced graph, T and each H* are bit
+    # rows, and the chain checks its container and removal set on rows
     fstars = 0
     for i in range(20):
         inst = random_instance(rng_for(20, i), n_min=4, n_max=6)
@@ -450,7 +463,7 @@ def test_claims_and_chain_build_no_graph_per_fstar(graph_builds):
         assert graph_builds == []
         rep = bound_chain(inst.container, inst.removal)
         assert rep.passed
-        assert len(graph_builds) <= 1
+        assert graph_builds == []
         fstars += rep.counts["fstar_triangle_free"]
     assert fstars > 2 * 20  # so one Graph per F* would break the bound
 
@@ -493,7 +506,7 @@ class TestPlantedDefects:
             return dataclasses.replace(aux, t_rows=with_row_edge(aux.t_rows, 0, 2))
 
         monkeypatch.setattr(reduction, "build_auxiliary", plant)
-        inst = ReductionInstance(
+        inst = instance(
             Graph.complete(4),
             Graph.from_edges(4, [(1, 2), (1, 3), (2, 3)]),
             Graph.from_edges(4, [(1, 2), (2, 3)]),
@@ -508,7 +521,7 @@ class TestPlantedDefects:
         # C5 with F* empty: T-vertices 01, 04, 12, 23, 34 and no T-edges.  A
         # planted triangle on 01, 12 and 34 joins 34 to two edges it shares no
         # endpoint with, so no selected edge can witness those T-edges.
-        aux = build_auxiliary(ReductionInstance(Graph.cycle(5), empty_graph(5), empty_graph(5)))
+        aux = build_auxiliary(instance(Graph.cycle(5), empty_graph(5), empty_graph(5)))
         assert aux.vertex_to_edge == ((0, 1), (0, 4), (1, 2), (2, 3), (3, 4))
         planted = with_row_edge(with_row_edge(with_row_edge(aux.t_rows, 0, 2), 0, 4), 2, 4)
         rep = verify_claim1(dataclasses.replace(aux, t_rows=planted))
@@ -530,9 +543,9 @@ class TestRandomInstances:
     def test_invariants_hold_by_construction(self):
         for i in range(50):
             inst = random_instance(rng_for(12, i), n_min=4, n_max=9)
-            assert is_triangle_free(
-                without_edges(inst.container, inst.removal.edges()).rows)
-            assert set(inst.selected.edges()) <= set(inst.removal.edges())
+            container = Graph(inst.n, inst.container)
+            assert is_triangle_free(without_edges(container, row_pairs(inst.removal)).rows)
+            assert set(row_pairs(inst.selected)) <= set(row_pairs(inst.removal))
 
     def test_draws_pinned(self):
         # 200 seeded draws, hashed when random_graph still compared numpy
@@ -547,7 +560,7 @@ class TestRandomInstances:
     def test_sizes_below_n_min_are_rejected(self):
         with pytest.raises(ValueError, match="n_max=3 is below n_min=4"):
             random_instance(rng_for(1, 0), n_min=4, n_max=3)
-        assert random_instance(rng_for(1, 0), n_min=4, n_max=4).container.n == 4
+        assert random_instance(rng_for(1, 0), n_min=4, n_max=4).n == 4
 
     @pytest.mark.parametrize("base, count, n_max, expected", [
         (STREAM_CLAIM1, 1000, 10,
@@ -558,26 +571,46 @@ class TestRandomInstances:
          "70b1b2470c26ccb2b8aa191c82f019060d9346dac0f49ed1564d6e58f9e38cdc"),
     ])
     def test_suite_draws_pinned(self, base, count, n_max, expected):
-        # the claims suite's three seed-1 blocks, hashed before the suite drew
-        # them as rows: its reports pin only the instance and failure counts
-        block = random_instance_rows(rng_streams(1, base, count), n_min=4, n_max=n_max)
+        # the claims suite's three seed-1 blocks, drawn as the suite draws
+        # them, from one re-keyed generator: its reports pin only the
+        # instance and failure counts
         digest = hashlib.sha256()
-        for i, draw in enumerate(block):
-            inst = random_instance(rng_for(1, base + i), n_min=4, n_max=n_max)
-            assert draw == (inst.container.n, inst.container.rows,
-                            inst.removal.rows, inst.selected.rows)
+        for i, rng in enumerate(rng_streams(1, base, count)):
+            inst = random_instance(rng, n_min=4, n_max=n_max)
+            assert inst == random_instance(rng_for(1, base + i), n_min=4, n_max=n_max)
             digest.update(json.dumps(inst.to_dict(), sort_keys=True).encode() + b"\n")
         assert digest.hexdigest() == expected
 
+    @pytest.mark.parametrize("check, base, count, n_max, expected", [
+        ("claim1", STREAM_CLAIM1, 1000, 10,
+         "6ecdf47f1956f01c48cd8e96bdcefa2ee85e35ae7eedb92c892e83f3cb6ced66"),
+        ("claim2", STREAM_CLAIM2, 1000, 8,
+         "0639a5223a45639e6584a9cb6f39c1ebb736ae7e25ccfa69d7bbe86b888e66ee"),
+        ("chain", STREAM_CHAIN, 100, 6,
+         "4c26fd603c672301f34a376a6f6d7d8d6e93e83384a99cb8665af60563dfdec9"),
+    ])
+    def test_suite_claim_outputs_pinned(self, check, base, count, n_max, expected):
+        # every report of the claims suite's seed-1 blocks, hashed without
+        # their timings: the suite's own reports keep only the instance and
+        # failure counts, so this pin is what shows each claim's counts held
+        run = {"claim1": lambda inst: verify_claim1(build_auxiliary(inst)),
+               "claim2": verify_claim2,
+               "chain": lambda inst: bound_chain(inst.container, inst.removal)}[check]
+        digest = hashlib.sha256()
+        for i in range(count):
+            rep = run(random_instance(rng_for(1, base + i), n_min=4, n_max=n_max))
+            digest.update(json.dumps(strip_timing(rep.to_dict()), sort_keys=True).encode()
+                          + b"\n")
+        assert digest.hexdigest() == expected
+
     def test_draw_on_64_vertices_pinned(self):
-        # bit 63 set: the block test's uint64 words hold every row whole
+        # bit 63 set: the row checks and the graph6 container take every row whole
         inst = random_instance(rng_for(1, 1), n_min=64, n_max=64)
-        assert any(row >> 63 for row in inst.container.rows)
+        assert any(row >> 63 for row in inst.container)
         text = json.dumps(inst.to_dict(), sort_keys=True).encode()
         assert hashlib.sha256(text).hexdigest() == (
             "7521fa86ada6b8de1304666ec9387c6de745eab51e776496f4c221a52d0e2832")
-        assert random_instance_rows([rng_for(1, 1)], n_min=64, n_max=64) == [
-            (64, inst.container.rows, inst.removal.rows, inst.selected.rows)]
+        assert random_instance(next(rng_streams(1, 1, 1)), n_min=64, n_max=64) == inst
 
 
 K3 = (0b0110, 0b0101, 0b0011, 0)
@@ -586,35 +619,36 @@ NONE = (0, 0, 0, 0)
 
 
 class TestRandomClaimBlocks:
-    """The suite's random claim checks draw their blocks as rows and test
-    the block's invariants at once; a defect still raises the instance's error."""
+    """The suite's random claim checks run the checks of ``reduce --check`` on
+    seeded instances, and a defect raises the instance's own error."""
 
     @pytest.mark.parametrize("draw", [
-        (4, (1 << 10, 0, 0, 0), NONE, NONE),  # a bit past n and the block's 6 columns
-        (4, (0b0001, 0, 0, 0), NONE, NONE),  # a self-loop
-        (4, (0b0010, 0, 0, 0), NONE, NONE),  # asymmetric
-        (4, NONE, K2, NONE),  # removal outside the container
-        (4, K2, NONE, K2),  # selected outside the removal set
-        (4, K3, NONE, NONE),  # container minus removal has a triangle
-        (4, K3, K3, K3),  # selected spans a triangle
+        ((4, (1 << 10, 0, 0, 0), NONE, NONE), ValueError, "row 0 has bits beyond vertex 3"),
+        ((4, (0b0001, 0, 0, 0), NONE, NONE), ValueError, "self-loop at vertex 0"),
+        ((4, (0b0010, 0, 0, 0), NONE, NONE), ValueError, "asymmetric adjacency at (0, 1)"),
+        ((4, NONE, K2, NONE), InstanceError, "removal edge (0, 1) is not in the container"),
+        ((4, K2, NONE, K2), InstanceError, "selected edge (0, 1) is not in the removal set"),
+        ((4, K3, NONE, NONE), InstanceError, "container minus removal has triangle (0, 1, 2)"),
+        ((4, K3, K3, K3), InstanceError, "selected set spans triangle (0, 1, 2)"),
     ])
     def test_each_defect_raises_the_instance_error(self, draw, monkeypatch):
-        # draw 3 of the block, on 4 of its up to 6 vertices, is the planted one
-        real = reduction._draw_instance_rows
-        index = iter(range(10))
-        monkeypatch.setattr(reduction, "_draw_instance_rows",
-                            lambda *args: draw if next(index) == 3 else real(*args))
-        with pytest.raises(ValueError) as expected:
-            reduction.instance_from_rows(*draw)
+        fields, error, message = draw
         with pytest.raises(ValueError) as err:
-            random_instance_rows(rng_streams(1, 0, 10), n_min=4, n_max=6)
-        assert type(err.value) is type(expected.value)
-        assert str(err.value) == str(expected.value)
+            ReductionInstance(*fields)
+        assert type(err.value) is error and str(err.value) == message
+        # planted as draw 3 of a suite block, it raises the same error there
+        real = reduction.ReductionInstance
+        index = iter(range(10))
+        monkeypatch.setattr(reduction, "ReductionInstance",
+                            lambda *drawn: real(*(fields if next(index) == 3 else drawn)))
+        with pytest.raises(ValueError) as err:
+            suites._claim_random_check(1, STREAM_CLAIM1, 10, 6, "claim1")
+        assert type(err.value) is error and str(err.value) == message
 
     def test_triangle_left_by_the_draw_raises_the_instance_error(self, monkeypatch):
         monkeypatch.setattr(reduction, "greedy_triangle_removal", lambda rows: (0,) * len(rows))
         with pytest.raises(InstanceError) as err:
-            suites._claim_random_check(1, STREAM_CLAIM1, 1000, 10, suites._claim1_rows)
+            suites._claim_random_check(1, STREAM_CLAIM1, 1000, 10, "claim1")
         for i in range(1000):  # the block's first instance with a triangle
             try:
                 random_instance(rng_for(1, STREAM_CLAIM1 + i), n_min=4, n_max=10)
@@ -636,7 +670,7 @@ class TestRandomClaimBlocks:
             return dataclasses.replace(aux, t_rows=t_rows)
 
         monkeypatch.setattr(reduction, "_auxiliary", plant)
-        rep = suites._claim_random_check(1, STREAM_CLAIM1, 1000, 10, suites._claim1_rows)
+        rep = suites._claim_random_check(1, STREAM_CLAIM1, 1000, 10, "claim1")
         expected = []
         for i in range(rep.counts["instances"]):
             inst = random_instance(rng_for(1, STREAM_CLAIM1 + i), n_min=4, n_max=10)
@@ -647,18 +681,12 @@ class TestRandomClaimBlocks:
         assert rep.counts["failures"] == 5
         assert rep.witnesses == expected
 
-    @pytest.mark.parametrize("run_one, base, n_max", [
-        (suites._claim1_rows, STREAM_CLAIM1, 10),
-        (reduction.verify_claim2_rows, STREAM_CLAIM2, 8),
+    @pytest.mark.parametrize("check, base, n_max", [
+        ("claim1", STREAM_CLAIM1, 10),
+        ("claim2", STREAM_CLAIM2, 8),
+        ("chain", STREAM_CHAIN, 6),
     ])
-    def test_passing_block_builds_no_graph(self, run_one, base, n_max, graph_builds):
-        rep = suites._claim_random_check(1, base, 200, n_max, run_one)
+    def test_passing_block_builds_no_graph(self, check, base, n_max, graph_builds):
+        rep = suites._claim_random_check(1, base, 200, n_max, check)
         assert rep.passed and rep.counts["instances"] == 200
         assert graph_builds == []
-
-    def test_claim2_rows_matches_the_instance_form(self):
-        for i in range(100):
-            inst = random_instance(rng_for(1, STREAM_CLAIM2 + i), n_min=4, n_max=8)
-            rows = (inst.container.n, inst.container.rows, inst.removal.rows,
-                    inst.selected.rows)
-            assert reduction.verify_claim2_rows(*rows) == verify_claim2(inst)

@@ -459,6 +459,23 @@ class TestCli:
         assert captured.err.startswith("error:") and var in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("seed", [2 ** 64 + 1, 1 - 2 ** 64, 2 ** 64, -1])
+    @pytest.mark.parametrize("source", ["--seed", "MAXTRIFREE_SEED"])
+    def test_seed_outside_64_bits_is_a_usage_error(self, seed, source, capsys, monkeypatch):
+        # the Philox key holds the seed's low 64 bits, so 2^64 + 1 and 1 - 2^64
+        # would draw seed 1's instances under another seed's name
+        argv = ["verify", "--suite", "claims"]
+        if source == "--seed":
+            argv += ["--seed", str(seed)]
+        else:
+            monkeypatch.setenv(source, str(seed))
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: seed must be in 0..2^64-1, got {seed}\n"
+        assert captured.out == ""
+        for edge in (0, 2 ** 64 - 1):
+            assert RunConfig(seed=edge).seed == edge
+
     def test_env_guard_below_its_minimum_names_the_variable(self, capsys, monkeypatch):
         monkeypatch.setenv("MAXTRIFREE_GUARD_FOLKLORE_N", "3")
         assert main(["verify", "--suite", "constructions"]) == 2
@@ -710,11 +727,10 @@ class TestCli:
         assert "count_n6" not in reports["growth_table"].counts
 
 
-def test_claim_check_counts_instances_actually_run():
-    def always_fails(n, container, removal, selected):
-        return make_report(status="fail", witnesses=["planted"])
-
-    rep = _claim_random_check(1, 0, 1000, 6, always_fails)
+def test_claim_check_counts_instances_actually_run(monkeypatch):
+    monkeypatch.setitem(suites.INSTANCE_CHECKS, "claim1",
+                        lambda inst: make_report(status="fail", witnesses=["planted"]))
+    rep = _claim_random_check(1, 0, 1000, 6, "claim1")
     assert not rep.passed
     assert rep.counts == {"instances": 5, "failures": 5}
     assert rep.parameters["instances"] == 1000

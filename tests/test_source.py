@@ -148,10 +148,6 @@ def test_graphs_are_built_only_where_kept():
         "mis.py:verify_matching_equality",
         "reduction.py:ReductionInstance.from_dict",
         "reduction.py:worked_k4_instance",
-        "reduction.py:_image_word",
-        "reduction.py:_mis_violation",
-        "reduction.py:instance_from_rows",
-        "suites.py:_chain_rows",
     ]
 
 
