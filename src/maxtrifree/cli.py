@@ -253,6 +253,8 @@ def _cmd_reduce(args) -> int:
         raise ValueError(f"--random must be at least 0, got {args.random}")
     if not args.random and (args.seed is not None or args.n is not None):
         raise ValueError("--seed and --n shape the --random instances, which are not asked for")
+    if args.n is not None and args.n < 4:
+        raise ValueError(f"--n {args.n} is below 4, the fewest vertices a random instance has")
     caps = [(name, cap) for name, cap in (("chain", reduction.CHAIN_MAX_N),
                                           ("claim2", reduction.H_STAR_MAX_N))
             if name in checks]

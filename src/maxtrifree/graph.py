@@ -158,15 +158,23 @@ def lex_pairs(n: int) -> list[tuple[int, int]]:
     return [(u, v) for u in range(n) for v in range(u + 1, n)]
 
 
+def _edge_mask_rows(n: int, mask: int) -> tuple[int, ...]:
+    """The bit rows of the edge mask *mask*: bit i is pair i of ``lex_pairs(n)``."""
+    rows = [0] * n
+    pairs = lex_pairs(n)
+    while mask:
+        low = mask & -mask
+        u, v = pairs[low.bit_length() - 1]
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+        mask ^= low
+    return tuple(rows)
+
+
 def graph_from_edge_mask(n: int, mask: int) -> Graph:
     """The graph whose edges are the set bits of *mask*: bit i is pair i of
     ``lex_pairs(n)``."""
-    rows = [0] * n
-    for p, (u, v) in enumerate(lex_pairs(n)):
-        if mask >> p & 1:
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-    return Graph(n, tuple(rows))
+    return Graph(n, _edge_mask_rows(n, mask))
 
 
 # ---------------------------------------------------------------------------

@@ -9,17 +9,17 @@ triangle with both.  The two checked claims: T is triangle-free, and each
 maximal triangle-free H inside the container with E(H) cap F = F* lands
 injectively on a maximal independent set of T.
 
-Claim 2 and the counting chain share one depth-first search over the free
-container edges (``_maximal_tf_leaves``).  Its state is one bit row per
-vertex, pot: the edges so far plus the undecided free partners, that is the
-neighbours a vertex can still have.  It adds an edge only when its ends have
-no common neighbour, which changes no pot, and it cuts a branch as soon as
-some non-edge has no common neighbour left in the two pots.  Deciding a pair
-absent takes one bit out of the pots of its two ends only, so the search
-re-checks just the non-edges that can have lost their last possible common
-neighbour.  Leaves need no test: they are triangle-free by construction, and
-once nothing is undecided, pot is the graph and the cut is exactly the
-maximality condition.
+Every non-edge of such an H needs a common neighbour, the pairs outside the
+container and the removal edges outside F* included, so H is maximal
+triangle-free on the whole vertex set.  Claim 2 and the counting chain
+therefore search nothing themselves: they filter one family per n, the
+pruned walker's ascending int64 edge masks of every maximal triangle-free
+graph on [n] (``enumeration._maximal_masks``), walked once and cached
+read-only (``_family``).  With g, f and s the masks of G, F and F*
+(``_masks``, in ``scan.edge_masks``' layout), H lies in the container iff
+m & ~g is 0 and has E(H) cap F = F* iff m & f is s.  The walk costs about
+10 ms at n = 8, 0.1 s at n = 9, and 2.7 s, 43 MB of masks and a 160 MB
+peak at n = 10, ``H_STAR_MAX_N``.
 
 Everything works on bit rows: an instance's three fields, F*, the reduced
 graph, T and each H* are tuples of bit rows, and a ``Graph`` is built only
@@ -35,16 +35,19 @@ rows, and the claims suite and ``reduce`` run the same checks on it.
 """
 from __future__ import annotations
 
+import functools
 import json
 import re
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import enumeration
 from .graph import (
     Graph,
     GuardError,
     MAX_VERTICES,
+    _edge_mask_rows,
     check_rows,
     find_triangle,
     greedy_triangle_removal,
@@ -283,108 +286,55 @@ def verify_claim1(aux: AuxiliaryGraph) -> VerificationReport:
     )
 
 
-def _maximal_tf_leaves(n: int, free: list[tuple[int, int]],
-                       seed_rows) -> list[tuple[int, ...]]:
-    """Rows of every maximal triangle-free graph made of the triangle-free
-    seed plus some subset of the free pairs; every other pair is a fixed
-    non-edge.
-
-    The free pairs (u, v), u < v, are decided from the highest lexicographic
-    rank down, absent before present, so the leaves come out in ascending
-    edge-mask order (see ``enumerate_h_star``).  One bit row per vertex
-    carries the state: ``pot[x]``, x's edges so far plus its undecided free
-    partners, the neighbours x can still have.  x's non-edges, fixed ones
-    included, are the rest, ``full & ~(bit x | pot[x])``.  At level k the
-    undecided partners are those in ``free[k:]``, so x's adjacency is pot[x]
-    without them; the masks that drop them from the rows of u and v are made
-    once per level, before the search.
-
-    A pair goes in only when its ends have no common neighbour; deciding it
-    present changes no pot, since its ends already counted each other.  A
-    branch lives while every non-edge xw still has a possible common
-    neighbour, a bit of pot[x] & pot[w]; every non-edge is checked once at
-    the root.  Deciding (u, v) absent takes v out of pot[u] and u out of
-    pot[v] and leaves every other pot as it was, so only three kinds of
-    non-edge can lose their last possible common neighbour: uv itself, uw
-    with v in pot[w], and vw with u in pot[w].  As pot is symmetric, these w
-    are the new pot[v] minus pot[u], and pot[u] minus pot[v], and the absent
-    branch re-checks just these three kinds.  At a leaf nothing is
-    undecided, so pot is the graph.
-    """
+@functools.cache
+def _family(n: int) -> np.ndarray:
+    """Ascending int64 edge masks of every maximal triangle-free graph on
+    [n], from the pruned walker, walked once per n and read-only; n = 0 has
+    the one empty graph."""
     if n > H_STAR_MAX_N:
         raise GuardError(f"subgraph search capped at n={H_STAR_MAX_N}, got {n}")
-    free = sorted(free, reverse=True)
-    pot = list(seed_rows)
-    for u, v in free:
-        pot[u] |= 1 << v
-        pot[v] |= 1 << u
-    full = (1 << n) - 1
-    last = len(free)
-    # per level: the pair, its two bits, and the masks whose AND with pot[u]
-    # and pot[v] are their adjacencies there, as free[k:] is undecided
-    levels = [()] * last
-    und = [0] * n
-    for k in range(last - 1, -1, -1):
-        u, v = free[k]
-        bu, bv = 1 << u, 1 << v
-        und[u] |= bv
-        und[v] |= bu
-        levels[k] = (u, v, bu, bv, full & ~und[u], full & ~und[v])
-    leaves: list[tuple[int, ...]] = []
+    masks = enumeration._maximal_masks(n) if n else np.zeros(1, dtype=np.int64)
+    masks.flags.writeable = False
+    return masks
 
-    def rec(k: int) -> None:
-        if k == last:
-            leaves.append(tuple(pot))
-            return
-        u, v, bu, bv, keep_u, keep_v = levels[k]
-        pot_u = pot[u] ^ bv  # the pots once (u, v) is absent
-        pot_v = pot[v] ^ bu
-        if pot_u & pot_v:
-            rest = pot_v & ~pot_u  # w with uw a non-edge and v in pot[w]
-            while rest:
-                low = rest & -rest
-                if not pot_u & pot[low.bit_length() - 1]:
-                    break
-                rest ^= low
-            else:
-                rest = pot_u & ~pot_v
-                while rest:
-                    low = rest & -rest
-                    if not pot_v & pot[low.bit_length() - 1]:
-                        break
-                    rest ^= low
-                else:
-                    pot[u] = pot_u
-                    pot[v] = pot_v
-                    rec(k + 1)
-                    pot[u] = pot_u | bv
-                    pot[v] = pot_v | bu
-        if not pot[u] & keep_u & pot[v] & keep_v:
-            rec(k + 1)
 
-    if all(pot[x] & pot[w] for x in range(n) for w in iter_bits(full & ~(1 << x | pot[x]))):
-        rec(0)
-    return leaves
+def _masks(*fields) -> list[int]:
+    """The lexicographic edge masks of bit-row tuples, laid out as by
+    ``scan.edge_masks``: row x's bits above x, shifted down by x + 1, land at
+    the rank of (x, x + 1).  Scalar, as numpy's per-call cost on a few rows
+    is about ten times the whole conversion."""
+    masks = []
+    for rows in fields:
+        mask = rank = 0
+        for x, row in enumerate(rows):
+            mask |= row >> (x + 1) << rank
+            rank += len(rows) - 1 - x
+        masks.append(mask)
+    return masks
+
+
+def _inside(n: int, container: int) -> np.ndarray:
+    """The family's masks on [n] that lie inside the container's mask."""
+    family = _family(n)
+    return family[(family & ~container) == 0]
+
+
+def _select(masks: np.ndarray, removal: int, selected: int) -> np.ndarray:
+    """The masks whose edges in the removal mask are exactly the selected mask."""
+    return masks[(masks & removal) == selected]
 
 
 def enumerate_h_star(inst: ReductionInstance) -> list[tuple[int, ...]]:
     """The bit rows of every maximal triangle-free H on the container's
     vertex set with H subseteq container and E(H) cap removal = selected.
 
-    ``_maximal_tf_leaves`` decides the container edges outside the removal
-    set, seeded with the selected edges; the removal edges outside F* and
-    the pairs outside the container are its fixed non-edges.  Besides the
-    triangle rule it prunes forward: a branch dies once some non-edge can no
-    longer gain a common neighbour.  Leaves need no test: every added edge
-    had no common neighbour, so H is triangle-free, and with nothing left
-    undecided the prune is exactly the common-neighbour condition.
-    Distinct decision paths give distinct H.  They come out by ascending
-    edge bitmask over the lexicographic pair ranks, with no sort: the search
-    fixes the most significant undecided bit first and tries 0 before 1, and
-    the other bits, F* and the fixed non-edges, are the same in every leaf.
+    H is maximal on the whole vertex set, so H(F*) is a selection from the
+    cached family: the masks inside the container whose removal edges are
+    exactly F*.  They keep the family's ascending edge-mask order, with no
+    sort.
     """
-    free = _edges_outside(inst.container, inst.removal)
-    return _maximal_tf_leaves(inst.n, free, inst.selected)
+    g, f, s = _masks(inst.container, inst.removal, inst.selected)
+    return [_edge_mask_rows(inst.n, m) for m in _select(_inside(inst.n, g), f, s).tolist()]
 
 
 def _image_word(aux: AuxiliaryGraph, h: tuple[int, ...]) -> tuple[int, list | None]:
@@ -457,10 +407,9 @@ def verify_claim2(inst: ReductionInstance) -> VerificationReport:
 
 def maximal_tf_subgraph_count(container) -> int:
     """Number of maximal triangle-free graphs lying inside the container's
-    bit rows (n = len(container)): the same search as ``enumerate_h_star``
-    from the empty graph, with every container edge free."""
-    n = len(container)
-    return len(_maximal_tf_leaves(n, row_pairs(container), [0] * n))
+    bit rows (n = len(container)): the cached family's masks inside the
+    container's mask."""
+    return len(_inside(len(container), *_masks(container)))
 
 
 def bound_chain(container, removal) -> VerificationReport:
@@ -469,11 +418,14 @@ def bound_chain(container, removal) -> VerificationReport:
     binary counter on the removal edges in lexicographic order.
 
     G and F are bit rows, n = len(container), checked once as an instance
-    with F* empty; each F* then runs on bit rows, through ``_auxiliary`` and
-    ``_maximal_tf_leaves`` over the free pairs.
+    with F* empty; each F* then runs on bit rows through ``_auxiliary``, and
+    |H(F*)| counts the masks of the family inside the container whose
+    removal edges are exactly F*.
     Per F*: |H(F*)| <= mis_count(T), mis_count(T)^2 <= 2^{|V(T)|}, and
     |V(T)| <= e(container).  Summing |H(F*)| over all F* must give exactly
-    the number of maximal triangle-free subgraphs of the container.
+    the number of maximal triangle-free subgraphs of the container, so the
+    identity checks the F* enumeration and the selection against the
+    containment count.
     """
     n = len(container)
     if n > CHAIN_MAX_N:
@@ -483,22 +435,27 @@ def bound_chain(container, removal) -> VerificationReport:
         raise GuardError(
             f"bound chain capped at {CHAIN_MAX_REMOVAL} removal edges, got {len(edges)}")
     _check_instance(n, container, removal, (0,) * n)
-    free = _edges_outside(container, removal)
+    g, f = _masks(container, removal)
+    inside = _inside(n, g)
+    # the removal edges' mask bits, in the same lexicographic order as edges
+    bits = [1 << p for p in range(f.bit_length()) if f >> p & 1]
     e_container = sum(row.bit_count() for row in container) // 2
     total = 0
     tf_subsets = 0
     witnesses: list = []
     for code in range(1 << len(edges)):
         rows = [0] * n
+        s = 0
         for i, (u, v) in enumerate(edges):
             if code >> i & 1:
                 rows[u] |= 1 << v
                 rows[v] |= 1 << u
+                s |= bits[i]
         if not is_triangle_free(rows):
             continue
         tf_subsets += 1
         t_rows = _auxiliary(container, removal, rows).t_rows
-        h_count = len(_maximal_tf_leaves(n, free, rows))
+        h_count = len(_select(inside, f, s))
         mis_t = mis_count(t_rows)
         t_n = len(t_rows)
         for broken, why in ((h_count > mis_t, f"h_star {h_count} > mis {mis_t}"),

@@ -2,9 +2,10 @@ import dataclasses
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
-from maxtrifree import reduction, suites
+from maxtrifree import reduction, scan, suites
 from maxtrifree import (
     Graph,
     GuardError,
@@ -23,11 +24,13 @@ from maxtrifree import (
     worked_k4_instance,
 )
 from maxtrifree.graph import row_pairs
+from maxtrifree.enumeration import PINNED_COUNTS
 from maxtrifree.reduction import maximal_tf_subgraph_count
 from maxtrifree.report import (
     STREAM_CHAIN,
     STREAM_CLAIM1,
     STREAM_CLAIM2,
+    RunConfig,
     rng_for,
     rng_streams,
     strip_timing,
@@ -319,8 +322,49 @@ class TestHStar:
 
     def test_guard(self):
         g = empty_graph(11)
-        with pytest.raises(GuardError):
+        with pytest.raises(GuardError, match=r"^subgraph search capped at n=10, got 11$"):
             enumerate_h_star(instance(g, empty_graph(11), empty_graph(11)))
+        for n in (11, 17):
+            with pytest.raises(GuardError, match=rf"^subgraph search capped at n=10, got {n}$"):
+                maximal_tf_subgraph_count(empty_graph(n).rows)
+
+    def test_instance_masks_match_the_walkers(self):
+        # the family's masks come from scan.edge_masks; the instances' must
+        # use the same layout
+        for i in range(100):
+            inst = random_instance(rng_for(22, i), n_min=4, n_max=10)
+            fields = (inst.container, inst.removal, inst.selected)
+            expected = scan.edge_masks(np.array(fields, dtype=np.uint16)).tolist()
+            assert reduction._masks(*fields) == expected, inst.to_dict()
+
+    def test_no_vertices(self):
+        # n = 0 has one graph, the empty one, which the walker does not reach
+        assert enumerate_h_star(ReductionInstance(0, (), (), ())) == [()]
+        assert maximal_tf_subgraph_count(()) == 1
+        rep = bound_chain((), ())
+        assert rep.passed and rep.counts["sum_h_star"] == 1
+
+    def test_family_is_read_only_and_walked_once_per_n(self, monkeypatch):
+        walked = []
+        real = scan.walk_triangle_free
+
+        def counting(n, **kwargs):
+            walked.append(n)
+            return real(n, **kwargs)
+
+        monkeypatch.setattr(scan, "walk_triangle_free", counting)
+        reduction._family.cache_clear()
+        for i in range(40):
+            inst = random_instance(rng_for(21, i), n_min=5, n_max=6)
+            enumerate_h_star(inst)
+            maximal_tf_subgraph_count(inst.container)
+            bound_chain(inst.container, inst.removal)
+        assert sorted(walked) == [5, 6]
+        for n in (5, 6):
+            family = reduction._family(n)
+            assert len(family) == PINNED_COUNTS[n] and (np.diff(family) > 0).all()
+            with pytest.raises(ValueError, match="read-only"):
+                family[0] = 0
 
 
 class TestClaim2:
@@ -480,21 +524,48 @@ class TestPlantedDefects:
         assert rep.witnesses == [["duplicate edge-set image"]]
 
     def test_dropped_h_fails_chain(self, monkeypatch):
-        # the chain searches H(F*) from F*'s rows; drop one H of F* = {01}
-        real = reduction._maximal_tf_leaves
-        dropped = Graph.from_edges(4, [(0, 1)]).rows
+        # the chain selects H(F*) from its containment filter; drop one H of
+        # F* = {01}, whose edge mask is bit 0
+        real = reduction._select
 
-        def drop_one(n, free, seed_rows):
-            family = real(n, free, seed_rows)
-            return family[1:] if tuple(seed_rows) == dropped else family
+        def drop_one(masks, removal, selected):
+            family = real(masks, removal, selected)
+            return family[1:] if selected == 1 else family
 
-        monkeypatch.setattr(reduction, "_maximal_tf_leaves", drop_one)
+        monkeypatch.setattr(reduction, "_select", drop_one)
         inst = worked_k4_instance()
         rep = bound_chain(inst.container, inst.removal)
         assert not rep.passed
         assert rep.witnesses == [["partition sum 6 != direct count 7"]]
         assert rep.counts["sum_h_star"] == 6
         assert rep.counts["maximal_tf_subgraphs"] == 7
+
+    def test_skipped_fstar_fails_chain(self, monkeypatch):
+        # F* = {01} is triangle-free; a chain that skips it loses both its H
+        real = reduction.is_triangle_free
+        skipped = Graph.from_edges(4, [(0, 1)]).rows
+        monkeypatch.setattr(reduction, "is_triangle_free",
+                            lambda rows: tuple(rows) != skipped and real(rows))
+        inst = worked_k4_instance()
+        rep = bound_chain(inst.container, inst.removal)
+        assert not rep.passed
+        assert rep.witnesses == [["partition sum 5 != direct count 7"]]
+        assert rep.counts["fstar_triangle_free"] == 3
+        assert rep.counts["maximal_tf_subgraphs"] == 7
+
+    @pytest.mark.parametrize("name, witness", [
+        ("claim2_worked_k4", "expected h_star=2, mis_count_t=4"),
+        ("chain_worked_k4", "expected partition sum 7"),
+    ])
+    def test_family_missing_a_member_fails_worked_k4(self, name, witness, monkeypatch):
+        # without the star at 0 (edges 01, 02, 03: mask 7), claim 2 and the
+        # chain still pass on their own; only the worked pins see it
+        real = reduction._family
+        monkeypatch.setattr(reduction, "_family",
+                            lambda n: real(n)[real(n) != 7] if n == 4 else real(n))
+        rep = dict(suites._claims_checks(RunConfig()))[name]()
+        assert not rep.passed
+        assert rep.witnesses[0][0] == witness
 
     def test_spurious_t_edge_fails_claim1(self, monkeypatch):
         # K4 with F* = {12, 23}: T is the path 01 - 02 - 03, and a planted

@@ -328,6 +328,18 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err == f"error: {needle}\n" and captured.out == ""
 
+    def test_reduce_n_below_four_is_a_usage_error(self, monkeypatch, capsys):
+        # named as the option, not as random_instance's keywords, before any draw
+        def no_draw(*args, **kwargs):
+            raise AssertionError("an instance was drawn")
+
+        monkeypatch.setattr(reduction, "random_instance", no_draw)
+        assert main(["reduce", "--random", "1", "--n", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("error: --n 3 is below 4, "
+                                "the fewest vertices a random instance has\n")
+        assert captured.out == ""
+
     def test_reduce_n_within_the_checks_caps_runs(self, capsys):
         assert main(["reduce", "--random", "3", "--n", "8", "--seed", "1"]) == 0
         assert main(["reduce", "--random", "3", "--n", "11", "--check", "claim1",
@@ -377,7 +389,7 @@ class TestCli:
         (["construct", "--n", "4", "--json", "{out}"], "--json"),
         (["mis", "--g6", "C~", "--count-only", "--json", "{out}"], "--json"),
         (["construct", "--n", "4", "--samples", "0"], "--samples"),
-        (["reduce", "--random", "2", "--n", "3"], "n_max=3"),
+        (["reduce", "--random", "2", "--n", "3"], "--n 3 is below 4"),
         (["construct", "--n", "4", "--stats", "--stream", "{out}"], "--stream"),
         (["construct", "--n", "4", "--choice", "1", "--samples", "5"], "--samples"),
         (["mis", "--g6", "C~", "--in", "{out}", "--count-only"], "--in"),
@@ -389,7 +401,7 @@ class TestCli:
         (["construct", "--n", "4", "--stats", "--seed", "5"], "--seed"),
         (["reduce", "--instance", "{inst}", "--seed", "3"], "--seed"),
         (["reduce", "--instance", "{inst}", "--n", "5"], "--n"),
-        (["reduce", "--random", "1", "--n", "0"], "n_max=0"),
+        (["reduce", "--random", "1", "--n", "0"], "--n 0 is below 4"),
         (["reduce", "--instance", "{inst}", "--random", "-2"],
          "--random must be at least 0, got -2"),
         (["reduce", "--random", "-2"], "--random must be at least 0, got -2"),
