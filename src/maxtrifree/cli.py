@@ -210,7 +210,8 @@ def _cmd_enumerate(args) -> int:
                          f"raise it with --guard enumeration_n={args.n} to go further")
     enumeration.check_size(args.n)
     _check_writable(args.stream, args.json_path)
-    if args.n > default:
+    if args.n > default and args.stream:
+        # a count takes about a second at n = 11; the stream file grows with the family
         print(f"warning: n={args.n} beyond the default guard {default}; "
               f"this may take very long", file=sys.stderr)
     table = enumeration.growth_table(args.n, shards=config.shards, stream_path=args.stream)

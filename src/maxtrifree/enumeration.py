@@ -4,6 +4,9 @@ The brute-force scan over all 2^C(n,2) graphs, one numpy pass of bit tests
 over every edge mask at once, is the oracle (n <= 6); the production counter
 walks the edge-decision tree with triangle pruning plus the forward
 common-neighbor prune and must agree with the oracle wherever both run.
+A count walks one seed per degree of vertex 0 and weights each leaf by
+C(n - 1, deg 0), since relabeling 1..n - 1 keeps the count
+(``_walk_maximal``); a walk that hands its graphs on walks every one.
 The growth table profiles log2(count)/n^2 without asserting any
 asymptotics, which are out of reach at these sizes.  The Remark 3 census
 tallies ``constructions.matching_partition_flags`` over the pruned walker's
@@ -126,24 +129,42 @@ def brute_force_maximal_tf(n: int) -> list[Graph]:
     return found
 
 
+def _orbit_weights(n: int) -> np.ndarray:
+    """C(n - 1, k) for k = 0..n-1: the graphs on [n] a walker leaf with
+    deg 0 = k stands for in an orbit-seeded walk."""
+    return np.array([math.comb(n - 1, k) for k in range(n)], dtype=np.int64)
+
+
 def _walk_maximal(n: int, consume: scan.Consumer | None, *, shards: int = 1,
                   forward_prune: bool = True) -> int:
     """Count the maximal triangle-free graphs on [n] with the walker, feeding
     their adjacency rows to *consume* when it is given; unpruned leaves are
-    every triangle-free graph, filtered by ``scan.pair_flags``."""
+    every triangle-free graph, filtered by ``scan.pair_flags``.
+
+    Without *consume* the count is orbit-weighted: relabeling 1..n-1 with 0
+    fixed maps the maximal triangle-free graphs with N(0) = S, |S| = k,
+    one-to-one onto those with N(0) = {1..k}, so the count is the sum over k
+    of C(n - 1, k) times the latter (the proof is in ``scan``).  The walk
+    then runs only below vertex 0's seeds N(0) = {1..k} and adds
+    C(n - 1, deg 0) per maximal leaf.  With *consume* it is the full labeled
+    walk, every graph handed over once.
+    """
     check_size(n)
-    if forward_prune:
-        return scan.walk_triangle_free(n, forward_prune=True, consume=consume, shards=shards)
+    weights = _orbit_weights(n) if consume is None else None
     count = 0
 
     def keep(adj: np.ndarray) -> None:
         nonlocal count
-        maximal = ~scan.pair_flags(adj)[1]
-        count += int(np.count_nonzero(maximal))
-        if consume is not None:
-            consume(adj[maximal])
+        if not forward_prune:
+            adj = adj[~scan.pair_flags(adj)[1]]
+        if weights is not None:
+            count += int(weights[np.bitwise_count(adj[:, 0])].sum())
+        else:
+            count += len(adj)
+            consume(adj)
 
-    scan.walk_triangle_free(n, forward_prune=False, consume=keep, shards=shards)
+    scan.walk_triangle_free(n, forward_prune=forward_prune, consume=keep, shards=shards,
+                            orbit_seeds=consume is None)
     return count
 
 
@@ -175,7 +196,8 @@ def enumerate_maximal_tf(
     every triangle-free leaf is reached and filtered by the maximality check.
     Both must agree with the brute-force oracle.  Streams the family as sorted
     graph6 lines when ``stream_path`` is given, ``_STREAM_BLOCK`` graphs at a
-    time; without it the walker only counts, and no edge mask is built.
+    time; without it the walker only counts, one seed per degree of vertex 0
+    (``_walk_maximal``), and no edge mask is built.
     """
     start = time.perf_counter()
     if stream_path is None:

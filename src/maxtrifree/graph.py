@@ -14,6 +14,7 @@ census build none.
 """
 from __future__ import annotations
 
+import functools
 import gc
 from dataclasses import dataclass
 from typing import Iterator
@@ -158,10 +159,16 @@ def lex_pairs(n: int) -> list[tuple[int, int]]:
     return [(u, v) for u in range(n) for v in range(u + 1, n)]
 
 
+@functools.cache
+def _lex_pair_table(n: int) -> tuple[tuple[int, int], ...]:
+    """``lex_pairs(n)`` as a tuple, built once per n and shared read-only."""
+    return tuple(lex_pairs(n))
+
+
 def _edge_mask_rows(n: int, mask: int) -> tuple[int, ...]:
     """The bit rows of the edge mask *mask*: bit i is pair i of ``lex_pairs(n)``."""
     rows = [0] * n
-    pairs = lex_pairs(n)
+    pairs = _lex_pair_table(n)
     while mask:
         low = mask & -mask
         u, v = pairs[low.bit_length() - 1]

@@ -169,12 +169,21 @@ class ReductionInstance:
 
 @dataclass(frozen=True)
 class AuxiliaryGraph:
-    """T's rows, the reduced edge behind each T-vertex, and the reduced and F* rows."""
+    """T's rows, the reduced and F* rows, and T's numbering by rank: up[a]
+    holds the T-vertices (a, b), b > a, as a bit row, and off[a] counts the
+    T-vertices of the rows above a."""
 
     t_rows: tuple[int, ...]
-    vertex_to_edge: tuple[tuple[int, int], ...]
     reduced_rows: tuple[int, ...]
     selected: tuple[int, ...]
+    up: tuple[int, ...]
+    off: tuple[int, ...]
+
+    @functools.cached_property
+    def vertex_to_edge(self) -> tuple[tuple[int, int], ...]:
+        """The reduced edge behind each T-vertex, built on first use: only
+        witnesses name T-vertices by their edges."""
+        return tuple(row_pairs(self.up))
 
 
 def worked_k4_instance() -> ReductionInstance:
@@ -243,7 +252,7 @@ def _auxiliary(container, removal, sel) -> AuxiliaryGraph:
             j = off[a] + (up[a] & ((1 << b) - 1)).bit_count()
             t_rows[i] |= 1 << j
             t_rows[j] |= 1 << i
-    return AuxiliaryGraph(tuple(t_rows), tuple(row_pairs(up)), tuple(red), tuple(sel))
+    return AuxiliaryGraph(tuple(t_rows), tuple(red), tuple(sel), tuple(up), tuple(off))
 
 
 def _shared_selected_edge(aux: AuxiliaryGraph, i: int, j: int) -> str:
@@ -338,15 +347,19 @@ def enumerate_h_star(inst: ReductionInstance) -> list[tuple[int, ...]]:
 
 
 def _image_word(aux: AuxiliaryGraph, h: tuple[int, ...]) -> tuple[int, list | None]:
-    """Map E(H) - F* to a T bit word, bit i for T-vertex (u, v) read off
-    h[u]; an edge outside the reduced graph is a counterexample."""
+    """Map E(H) - F* to a T bit word, bit off[u] + popcount(up[u] below v)
+    for each T-vertex (u, v) in h[u] & up[u]; an edge outside the reduced
+    graph is a counterexample."""
     if any(hr & ~rr for hr, rr in zip(h, aux.reduced_rows)):
         outside = _edges_outside(h, aux.reduced_rows)
         return 0, [_graph6(h), f"edge {_edge_str(*outside[0])} outside reduced graph"]
     word = 0
-    for i, (u, v) in enumerate(aux.vertex_to_edge):
-        if h[u] >> v & 1:
-            word |= 1 << i
+    for row, up, off in zip(h, aux.up, aux.off):
+        rest = row & up
+        while rest:
+            low = rest & -rest
+            word |= 1 << (off + (up & (low - 1)).bit_count())
+            rest ^= low
     return word, None
 
 

@@ -65,6 +65,21 @@ at 113 MB of resident memory instead of 72 MB, and was no faster.  Since
 the next level overwrites a buffer, no buffer is handed over: a leaf batch
 is its leaves' pots without their own bits, a fresh array.
 
+A count needs only one seed per degree of vertex 0 (``orbit_seeds``).  For
+each k-set S of 1..n-1 fix a relabeling of 1..n-1 that sends S onto
+{1..k}, with 0 fixed.  It keeps a graph triangle-free, and maximal if it
+was, and maps the graphs with N(0) = S one-to-one onto those with
+N(0) = {1..k}.  So every one of the C(n-1, k) sets S has as many graphs of
+either family as {1..k}, and a family's size is the sum over k of C(n-1, k)
+times its members with N(0) = {1..k}.  The seeded walk makes vertex 0's
+decisions, the first n - 1 levels, on the whole frontier; N(0) is then
+fixed, and is pot[0] without its own bit.  It keeps the states whose N(0)
+is {1..k}, at most n of them (``_orbit_seeds``), and walks the subtrees
+below them, which are the unseeded walk's, so its leaves are exactly the
+leaves with N(0) = {1..k}.  A counting consumer weights each by
+C(n-1, deg 0); every walk that hands its leaves on as graphs stays the full
+labeled walk.
+
 Consumers get one adjacency row per leaf, in the frontier's dtype.  The
 widest columns, uint16, cap the walker at n <= 16.  ``edge_masks`` derives
 the leaves' int64 lexicographic edge masks, which cap their consumers at
@@ -206,12 +221,20 @@ def _compact(keep: np.ndarray, state: np.ndarray, out: np.ndarray) -> None:
         np.take(row, index, out=dst, mode="clip")
 
 
+def _orbit_seeds(state: np.ndarray) -> np.ndarray:
+    """The states of a frontier past vertex 0's decisions whose N(0), pot[0]
+    without its own bit, is {1..k} for some k: N(0) >> 1 is 2^k - 1."""
+    high = state[0] >> state.dtype.type(1)
+    return state[:, (high & (high + state.dtype.type(1))) == 0]
+
+
 def walk_triangle_free(
     n: int,
     *,
     forward_prune: bool,
     consume: Consumer | None = None,
     shards: int = 1,
+    orbit_seeds: bool = False,
 ) -> int:
     """Run the decision tree, feeding each leaf batch to *consume*.
 
@@ -226,7 +249,11 @@ def walk_triangle_free(
     a level's output, and hence a batch, holds at most 2 * ``_BATCH``
     states.  With ``shards > 1`` the first ``_SHARD_DEPTH`` edge decisions
     are made on the whole frontier and the surviving prefixes are dealt
-    round-robin, one shard after another.  n > 16 raises GuardError.
+    round-robin, one shard after another.  With ``orbit_seeds`` the walk
+    runs only below the states whose N(0) is {1..k}, one per k, which are
+    dealt to the shards in place of the prefixes; its leaves stand for
+    C(n-1, k) labeled graphs each, so only a counting consumer may ask for
+    it.  n > 16 raises GuardError.
     """
     if n > _MAX_N:
         raise GuardError(f"walker holds uint16 vertex columns (n <= {_MAX_N}), got n={n}")
@@ -299,9 +326,14 @@ def walk_triangle_free(
     # the pots start full: every partner is undecided and no neighbourhood
     # meets another
     state = np.full((n, 1), (1 << n) - 1, dtype=dtype)
-    depth = min(_SHARD_DEPTH, len(pairs)) if shards > 1 else 0
+    if orbit_seeds:
+        depth = n - 1  # vertex 0's pairs come first in lexicographic order
+    else:
+        depth = min(_SHARD_DEPTH, len(pairs)) if shards > 1 else 0
     for level in range(depth):
         state = children(state, level, np.empty((n, 2 * state.shape[1]), dtype=dtype))
+    if orbit_seeds:
+        state = _orbit_seeds(state)
     leaves = sum(descend(state[:, s::shards], depth) for s in range(shards))
     free.clear()  # descend is a reference cycle, which would keep the buffers alive
     return leaves

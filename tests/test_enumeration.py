@@ -218,6 +218,21 @@ class TestRemark3:
         assert graph_builds == []
 
 
+def _drop_full_class(state, seeds=scan._orbit_seeds):
+    """A planted seed filter that loses N(0) = {1..n-1}, a full pot[0]: only
+    the star centred at 0 has that neighbourhood, so each count drops by one."""
+    kept = seeds(state)
+    return kept[:, np.bitwise_count(kept[0]) < len(kept)]
+
+
+def _shifted_seeds(state):
+    """A planted seed filter for N(0) = {2..k+1}: as good a seed as {1..k}
+    for k < n - 1, but {1..n-1} has no shifted twin."""
+    pot = state[0]
+    high = pot >> pot.dtype.type(2)
+    return state[:, ((pot & 2) == 0) & ((high & (high + 1)) == 0)]
+
+
 class TestPinnedCountChecks:
     """growth_table and remark3_census FAIL when a count leaves the pin, and
     enumeration_oracle_equiv when a walker count leaves the brute-force one."""
@@ -243,6 +258,30 @@ class TestPinnedCountChecks:
         rep = suites._growth_table_check(self.CONFIG)
         assert not rep.passed
         assert rep.witnesses == [["n=5", "pinned=27", "got=28"]]
+
+    @pytest.mark.parametrize("owner, name, planted, growth, oracle", [
+        (enumeration, "_orbit_weights", lambda n: np.ones(n, dtype=np.int64),
+         [[3, 2], [4, 3], [5, 6], [6, 23]], [[3, 2], [4, 3], [5, 6]]),
+        (scan, "_orbit_seeds", _drop_full_class,
+         [[1, 0], [2, 0], [3, 2], [4, 6], [5, 26], [6, 210]],
+         [[1, 0], [2, 0], [3, 2], [4, 6], [5, 26]]),
+        (scan, "_orbit_seeds", _shifted_seeds,
+         [[2, 0], [3, 2], [4, 6], [5, 26], [6, 210]], [[2, 0], [3, 2], [4, 6], [5, 26]]),
+    ], ids=["weight_one", "drop_full_class", "shifted_seeds"])
+    def test_planted_orbit_defect_fails_both_checks(self, monkeypatch, owner, name, planted,
+                                                    growth, oracle):
+        # the count-only walks are orbit-weighted, so a wrong weight or seed
+        # leaves both the pins and the brute-force oracle
+        monkeypatch.setattr(owner, name, planted)
+        pinned = enumeration.PINNED_COUNTS
+        rep = suites._growth_table_check(self.CONFIG)
+        assert not rep.passed
+        assert rep.witnesses == [[f"n={n}", f"pinned={pinned[n]}", f"got={got}"]
+                                 for n, got in growth]
+        rep = suites._oracle_equivalence(RunConfig(guards={"oracle_n": 5}))
+        assert not rep.passed
+        assert rep.witnesses == [[f"n={n}", f"oracle={pinned[n]}", f"pruned={got}",
+                                  f"plain={got}"] for n, got in oracle]
 
     def test_dropped_graph_fails_remark3(self, monkeypatch):
         # the census tallies the walker's leaf batches; drop the first n = 6 leaf

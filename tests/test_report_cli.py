@@ -215,6 +215,19 @@ class TestCli:
         assert captured.err.startswith("error:") and "enumeration_n" in captured.err
         assert captured.out == ""
 
+    def test_enumerate_past_the_default_warns_only_when_streaming(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        # a count past n = 9 is a seeded walk of well under a second; the
+        # streamed family grows with n, so only the stream is warned of
+        assert main(["enumerate", "--n", "10", "--guard", "enumeration_n=10"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "" and captured.out.splitlines()[-1].split()[0] == "10"
+        real = enumeration.growth_table
+        monkeypatch.setattr(enumeration, "growth_table", lambda n, **kwargs: real(1))
+        assert main(["enumerate", "--n", "10", "--guard", "enumeration_n=10",
+                     "--stream", str(tmp_path / "n10.g6")]) == 0
+        assert "this may take very long" in capsys.readouterr().err
+
     def test_hujter_tuza_past_the_default_warns(self, capsys, monkeypatch):
         # m = 9 is an opt-in of tens of seconds; past the cap of 9 the check
         # fails at once, so it is not warned of

@@ -1,6 +1,7 @@
 """Cross-checks between the batched walker, its scalar twin, and raw scans."""
 import gc
 import hashlib
+import math
 import weakref
 
 import numpy as np
@@ -75,6 +76,40 @@ def test_shard_invariance():
     for shards in (1, 2, 3, 8):
         assert collect(6, True, shards=shards) == collect(6, True)
         assert walk_triangle_free(6, forward_prune=False, shards=shards) == 5789
+
+
+def orbit_count(n, forward_prune, shards=1):
+    """The seeded walk's leaves weighted by C(n - 1, deg 0)."""
+    total = 0
+
+    def weigh(adj):
+        nonlocal total
+        total += sum(math.comb(n - 1, int(k)) for k in np.bitwise_count(adj[:, 0]))
+
+    walk_triangle_free(n, forward_prune=forward_prune, consume=weigh, shards=shards,
+                       orbit_seeds=True)
+    return total
+
+
+@pytest.mark.parametrize("shards", [1, 3])
+def test_orbit_count_matches_full_walk(shards):
+    # relabeling 1..n-1 keeps the count: one seed per degree of vertex 0, each
+    # leaf weighted by C(n - 1, k), counts every labeled leaf
+    for n in range(1, 10):
+        assert orbit_count(n, True, shards) == walk_triangle_free(n, forward_prune=True)
+    for n in range(1, 8):
+        assert orbit_count(n, False, shards) == walk_triangle_free(n, forward_prune=False)
+    # the full unpruned n = 8 walk's leaf count, as test_level_buffers_are_reused walks it
+    assert orbit_count(8, False, shards) == 4_682_270
+
+
+def test_orbit_leaves_are_the_full_walks_with_initial_neighbourhood():
+    # the seeds' subtrees hold exactly the leaves whose N(0) is {1..k}
+    n = 7
+    initial = {sum(1 << p for p in range(k)) for k in range(n)}  # N(0)'s pair bits
+    for prune in (False, True):
+        assert collect(n, prune, orbit_seeds=True) == \
+            [m for m in collect(n, prune) if (m & (1 << n - 1) - 1) in initial]
 
 
 def leaves_with_rows(n, forward_prune, **kw):

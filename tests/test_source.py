@@ -109,6 +109,28 @@ def test_graphs_from_rows_has_one_caller():
     assert found == ["graph6.py:_decode_short"]
 
 
+def test_orbit_seeding_has_one_caller():
+    # an orbit-seeded leaf stands for C(n - 1, deg 0) labeled graphs, so only
+    # the count may ask for it; the stream, the H* family, the Remark 3 census
+    # and the Hujter-Tuza scan hand on every labeled leaf, and their witnesses
+    # and orders depend on it.  A ** splat into the walker could pass it too
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        spans = [(d.lineno, d.end_lineno, d.name) for d in tree.body
+                 if isinstance(d, (ast.FunctionDef, ast.ClassDef))]
+        walker_calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+                        and getattr(node.func, "id", getattr(node.func, "attr", None))
+                        == "walk_triangle_free"]
+        splats = [k for call in walker_calls for k in call.keywords if k.arg is None]
+        for node in [k for k in ast.walk(tree)
+                     if isinstance(k, ast.keyword) and k.arg == "orbit_seeds"] + splats:
+            owner = next((name for first, last, name in spans
+                          if first <= node.lineno <= last), "<module>")
+            found.append(f"{path.name}:{owner}:{node.arg}")
+    assert found == ["enumeration.py:_walk_maximal:orbit_seeds"]
+
+
 def _graph_builders(path) -> list[str]:
     """The functions and methods of a package file that call Graph, one of its
     classmethods or graph_from_edge_mask, as "file:name"."""
