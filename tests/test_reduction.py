@@ -523,6 +523,53 @@ class TestPlantedDefects:
         assert not rep.passed
         assert rep.witnesses == [["duplicate edge-set image"]]
 
+    # K4 with F = {01, 12, 23} and F* = {01, 12}: 02 closes a triangle with
+    # F*, so the reduced graph is {01, 03, 12, 13} and T is the edge 03 - 13
+    _K4_PATH = (Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)]),
+                Graph.from_edges(4, [(0, 1), (1, 2)]))
+
+    @pytest.mark.parametrize("k4_path, edges, witness", [
+        # a triangle: its edge 02 lies outside the reduced graph
+        (True, [(0, 1), (0, 2), (1, 2)], ["Cw", "edge 0-2 outside reduced graph"]),
+        # worked K4: the image {02, 12} is a T-edge, through the F* edge 01
+        (False, [(0, 1), (0, 2), (1, 2)], ["Cw", "0-2", "1-2", "0-1"]),
+        # F* alone: the empty image leaves the T-vertex 03 addable
+        (True, [(0, 1), (1, 2)], ["Cg", "addable edge 0-3"]),
+    ], ids=["outside-reduced", "not-independent", "not-maximal"])
+    def test_planted_member_fails_claim2(self, k4_path, edges, witness, monkeypatch):
+        # the family gains one non-maximal graph on [4] that claim 2 selects
+        mask = reduction._masks(Graph.from_edges(4, edges).rows)[0]
+        real = reduction._family
+        monkeypatch.setattr(reduction, "_family",
+                            lambda n: np.union1d(real(n), [mask]) if n == 4 else real(n))
+        inst = (instance(Graph.complete(4), *self._K4_PATH) if k4_path
+                else worked_k4_instance())
+        rep = verify_claim2(inst)
+        assert not rep.passed
+        assert rep.witnesses == [witness]
+
+    def test_mis_count_below_family_fails_claim2_and_chain(self, monkeypatch):
+        monkeypatch.setattr(reduction, "mis_count", lambda rows: 1)
+        inst = worked_k4_instance()
+        rep = verify_claim2(inst)
+        assert not rep.passed
+        assert rep.witnesses == [["family size 2 exceeds mis count 1"]]
+        rep = bound_chain(inst.container, inst.removal)
+        assert not rep.passed
+        # F* = {} has one H, the 4-cycle; the other three F* have two each
+        assert rep.witnesses == [["F*=['0-1']", "h_star 2 > mis 1"],
+                                 ["F*=['2-3']", "h_star 2 > mis 1"],
+                                 ["F*=['0-1', '2-3']", "h_star 2 > mis 1"]]
+
+    def test_mis_count_past_hujter_tuza_fails_chain(self, monkeypatch):
+        # every F* of the worked K4 leaves four T-vertices, so 100^2 > 2^4
+        monkeypatch.setattr(reduction, "mis_count", lambda rows: 100)
+        inst = worked_k4_instance()
+        rep = bound_chain(inst.container, inst.removal)
+        assert not rep.passed
+        assert rep.witnesses == [[fstar, "mis 100 breaks 2^(4/2)"] for fstar in (
+            "F*=[]", "F*=['0-1']", "F*=['2-3']", "F*=['0-1', '2-3']")]
+
     def test_dropped_h_fails_chain(self, monkeypatch):
         # the chain selects H(F*) from its containment filter; drop one H of
         # F* = {01}, whose edge mask is bit 0
