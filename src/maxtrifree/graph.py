@@ -198,10 +198,15 @@ def find_triangle(rows) -> tuple[int, int, int] | None:
     """Some triangle (a, b, c), a < b < c, of the bit rows *rows*; the first in
     lex order, or None."""
     for u, ru in enumerate(rows):
-        for v in iter_bits(ru & (-2 << u)):
+        # iter_bits(word), inlined: claim 1 runs this on T's rows, one per vertex pair
+        word = ru & (-2 << u)
+        while word:
+            low = word & -word
+            v = low.bit_length() - 1
             common = ru & rows[v] & (-2 << v)
             if common:
                 return u, v, (common & -common).bit_length() - 1
+            word ^= low
     return None
 
 

@@ -21,17 +21,19 @@ m & ~g is 0 and has E(H) cap F = F* iff m & f is s.  The walk costs about
 10 ms at n = 8, 0.1 s at n = 9, and 2.7 s, 43 MB of masks and a 160 MB
 peak at n = 10, ``H_STAR_MAX_N``.
 
-Everything works on bit rows: an instance's three fields, F*, the reduced
-graph, T and each H* are tuples of bit rows, and a ``Graph`` is built only
-to parse an edge list or to spell out the worked K4 example.  Edge lists,
-the reduced graph and T's image words come from masked row words, not from
-per-edge queries, and a T-vertex's index is a popcount of its row's
-T-vertices below it, not a dictionary lookup.  An instance is checked once,
-when it is made (``_check_instance``): each field gets ``Graph``'s row
-checks (``graph.check_rows``), then the instance's own.  ``bound_chain``
-checks its container and removal set once, as an instance with F* empty,
-and runs every F* on rows.  ``random_instance`` draws a seeded instance as
-rows, and the claims suite and ``reduce`` run the same checks on it.
+An instance's three fields, F*, the reduced graph and T are tuples of bit
+rows, and a ``Graph`` is built only to parse an edge list or to spell out
+the worked K4 example.  T's vertices are numbered by the same lexicographic
+pair rank as the masks' bits, so with red the reduced graph's mask, claim 2
+reads everything about an H off its mask m: an edge outside the reduced
+graph is m & ~red, its image E(H) - F* is m & ~s, and the T-vertices that
+could join the image are red & ~s & ~(m & ~s).  H is decoded to rows only to
+write a witness's graph6.  An instance is checked once, when it is made
+(``_check_instance``): each field gets ``Graph``'s row checks
+(``graph.check_rows``), then the instance's own.  ``bound_chain`` checks its
+container and removal set once, as an instance with F* empty, and runs every
+F* on rows.  ``random_instance`` draws a seeded instance as rows, and the
+claims suite and ``reduce`` run the same checks on it.
 """
 from __future__ import annotations
 
@@ -48,11 +50,11 @@ from .graph import (
     GuardError,
     MAX_VERTICES,
     _edge_mask_rows,
+    _lex_pair_table,
     check_rows,
     find_triangle,
     greedy_triangle_removal,
     is_triangle_free,
-    iter_bits,
     lex_pairs,
     row_pairs,
 )
@@ -169,21 +171,14 @@ class ReductionInstance:
 
 @dataclass(frozen=True)
 class AuxiliaryGraph:
-    """T's rows, the reduced and F* rows, and T's numbering by rank: up[a]
-    holds the T-vertices (a, b), b > a, as a bit row, and off[a] counts the
-    T-vertices of the rows above a."""
+    """T, indexed by the pair ranks of ``lex_pairs(n)``: t_rows has one row
+    per pair, 0 for a pair that is no T-vertex, and t_n counts the
+    T-vertices; with the reduced and F* rows on n vertices."""
 
     t_rows: tuple[int, ...]
+    t_n: int
     reduced_rows: tuple[int, ...]
     selected: tuple[int, ...]
-    up: tuple[int, ...]
-    off: tuple[int, ...]
-
-    @functools.cached_property
-    def vertex_to_edge(self) -> tuple[tuple[int, int], ...]:
-        """The reduced edge behind each T-vertex, built on first use: only
-        witnesses name T-vertices by their edges."""
-        return tuple(row_pairs(self.up))
 
 
 def worked_k4_instance() -> ReductionInstance:
@@ -201,19 +196,26 @@ def build_auxiliary(inst: ReductionInstance) -> AuxiliaryGraph:
     return _auxiliary(inst.container, inst.removal, inst.selected)
 
 
+@functools.cache
+def _pair_ranks(n: int) -> tuple[tuple[int, ...], ...]:
+    """rank[u][v] = rank[v][u], the index of the pair uv in ``lex_pairs(n)``,
+    built once per n and shared read-only."""
+    rank = [[0] * n for _ in range(n)]
+    for i, (u, v) in enumerate(_lex_pair_table(n)):
+        rank[u][v] = rank[v][u] = i
+    return tuple(map(tuple, rank))
+
+
 def _auxiliary(container, removal, sel) -> AuxiliaryGraph:
     """T for the F* rows *sel*: vertices are non-selected reduced edges, two
     adjacent iff a selected edge completes a triangle with both.  The reduced
     graph is the container minus (removal - F*) minus every edge closing a
     triangle with two F* edges: row u loses the OR of sel[w] over the F*
     neighbours w of u.  For each F* edge xy, every common neighbour s of x and
-    y in the reduced graph joins the T-vertices sx and sy.
-
-    T-vertices are numbered by rank: with up[a] the T-vertices (a, b), b > a,
-    as a bit row, (a, b) is vertex off[a] + popcount(up[a] below b), where
-    off[a] counts the T-vertices of the rows above a.  Once no F* edge is
-    lost, sx and sy are T-vertices: were sx in F*, sy would close a triangle
-    with sx and xy and so be outside the reduced graph.
+    y in the reduced graph joins the T-vertices sx and sy, at their pair
+    ranks.  Once no F* edge is lost, sx and sy are T-vertices: were sx in F*,
+    sy would close a triangle with sx and xy and so be outside the reduced
+    graph.
     """
     red = []
     for c, r, s in zip(container, removal, sel):
@@ -227,44 +229,35 @@ def _auxiliary(container, removal, sel) -> AuxiliaryGraph:
     if any(s & ~r for s, r in zip(sel, red)):
         lost = _edges_outside(sel, red)
         raise AssertionError(f"selected edge {lost[0]} was removed from the reduction")
-    off = []
-    up = []
-    t_n = 0
-    for a, (r, s) in enumerate(zip(red, sel)):
-        row = r & ~s & (-2 << a)
-        off.append(t_n)
-        up.append(row)
-        t_n += row.bit_count()
+    t_n = sum((r & ~s).bit_count() for r, s in zip(red, sel)) // 2
     if t_n > MAX_VERTICES:
         raise GuardError(
             f"auxiliary graph needs {t_n} vertices, beyond the {MAX_VERTICES} cap")
-    t_rows = [0] * t_n
+    n = len(red)
+    rank = _pair_ranks(n)
+    t_rows = [0] * (n * (n - 1) // 2)
     for x, y in row_pairs(sel):
         # sx and sy are T-vertices joined through the selected edge xy
         common = red[x] & red[y]
+        rank_x, rank_y = rank[x], rank[y]
         while common:
             low = common & -common
             common ^= low
             s = low.bit_length() - 1
-            a, b = (s, x) if s < x else (x, s)
-            i = off[a] + (up[a] & ((1 << b) - 1)).bit_count()
-            a, b = (s, y) if s < y else (y, s)
-            j = off[a] + (up[a] & ((1 << b) - 1)).bit_count()
+            i, j = rank_x[s], rank_y[s]
             t_rows[i] |= 1 << j
             t_rows[j] |= 1 << i
-    return AuxiliaryGraph(tuple(t_rows), tuple(red), tuple(sel), tuple(up), tuple(off))
+    return AuxiliaryGraph(tuple(t_rows), t_n, tuple(red), tuple(sel))
 
 
-def _shared_selected_edge(aux: AuxiliaryGraph, i: int, j: int) -> str:
-    """The selected edge witnessing the T-adjacency of T-vertices i and j, or
-    a note that their edges share no endpoint, so no selected edge can."""
-    u1, v1 = aux.vertex_to_edge[i]
-    u2, v2 = aux.vertex_to_edge[j]
-    shared = {u1, v1} & {u2, v2}
+def _shared_selected_edge(e: tuple[int, int], f: tuple[int, int]) -> str:
+    """The selected edge witnessing the T-adjacency of the edges e and f, or a
+    note that they share no endpoint, so no selected edge can."""
+    shared = set(e) & set(f)
     if not shared:
-        return f"{_edge_str(u1, v1)} and {_edge_str(u2, v2)} share no endpoint"
+        return f"{_edge_str(*e)} and {_edge_str(*f)} share no endpoint"
     s = shared.pop()
-    return _edge_str(*sorted((u1 + v1 - s, u2 + v2 - s)))
+    return _edge_str(*sorted((sum(e) - s, sum(f) - s)))
 
 
 def verify_claim1(aux: AuxiliaryGraph) -> VerificationReport:
@@ -272,20 +265,19 @@ def verify_claim1(aux: AuxiliaryGraph) -> VerificationReport:
     three selected edges behind them."""
     tri = find_triangle(aux.t_rows)
     counts = {
-        "t_vertices": len(aux.t_rows),
+        "t_vertices": aux.t_n,
         "t_edges": sum(row.bit_count() for row in aux.t_rows) // 2,
         "reduced_edges": sum(row.bit_count() for row in aux.reduced_rows) // 2,
     }
     witnesses: list = []
     if tri is not None:
-        i, j, k = tri
-        edges = [_edge_str(*aux.vertex_to_edge[x]) for x in tri]
-        ds = [
-            _shared_selected_edge(aux, i, j),
-            _shared_selected_edge(aux, i, k),
-            _shared_selected_edge(aux, j, k),
-        ]
-        witnesses.append(edges + ds)
+        pairs = _lex_pair_table(len(aux.reduced_rows))
+        e, f, g = (pairs[x] for x in tri)
+        witnesses.append(_edge_strs((e, f, g)) + [
+            _shared_selected_edge(e, f),
+            _shared_selected_edge(e, g),
+            _shared_selected_edge(f, g),
+        ])
     return VerificationReport(
         check_name="claim1",
         status=FAIL if tri is not None else PASS,
@@ -333,54 +325,45 @@ def _select(masks: np.ndarray, removal: int, selected: int) -> np.ndarray:
     return masks[(masks & removal) == selected]
 
 
-def enumerate_h_star(inst: ReductionInstance) -> list[tuple[int, ...]]:
-    """The bit rows of every maximal triangle-free H on the container's
-    vertex set with H subseteq container and E(H) cap removal = selected.
+def enumerate_h_star(inst: ReductionInstance) -> list[int]:
+    """The edge masks, in ``scan.edge_masks``' layout, of every maximal
+    triangle-free H on the container's vertex set with H subseteq container
+    and E(H) cap removal = selected.
 
     H is maximal on the whole vertex set, so H(F*) is a selection from the
     cached family: the masks inside the container whose removal edges are
-    exactly F*.  They keep the family's ascending edge-mask order, with no
-    sort.
+    exactly F*, in the family's ascending order, with no sort.
     """
     g, f, s = _masks(inst.container, inst.removal, inst.selected)
-    return [_edge_mask_rows(inst.n, m) for m in _select(_inside(inst.n, g), f, s).tolist()]
+    return _select(_inside(inst.n, g), f, s).tolist()
 
 
-def _image_word(aux: AuxiliaryGraph, h: tuple[int, ...]) -> tuple[int, list | None]:
-    """Map E(H) - F* to a T bit word, bit off[u] + popcount(up[u] below v)
-    for each T-vertex (u, v) in h[u] & up[u]; an edge outside the reduced
-    graph is a counterexample."""
-    if any(hr & ~rr for hr, rr in zip(h, aux.reduced_rows)):
-        outside = _edges_outside(h, aux.reduced_rows)
-        return 0, [_graph6(h), f"edge {_edge_str(*outside[0])} outside reduced graph"]
-    word = 0
-    for row, up, off in zip(h, aux.up, aux.off):
-        rest = row & up
-        while rest:
-            low = rest & -rest
-            word |= 1 << (off + (up & (low - 1)).bit_count())
-            rest ^= low
-    return word, None
-
-
-def _mis_violation(aux: AuxiliaryGraph, h: tuple[int, ...], word: int) -> list | None:
-    """Witness if word is not a maximal independent set of T, else None."""
-    t_rows = aux.t_rows
-    for i in iter_bits(word):
+def _image_problem(t_rows, pairs, m: int, red: int, s: int) -> list[str]:
+    """Why the image m & ~s of the H with edge mask m is not a maximal
+    independent set of T, with red and s the reduced graph's and F*'s masks:
+    an edge outside the reduced graph, a T-edge inside the image, or a
+    T-vertex it could gain; empty if it is one."""
+    outside = m & ~red
+    if outside:
+        return [f"edge {_edge_str(*pairs[(outside & -outside).bit_length() - 1])} "
+                "outside reduced graph"]
+    word = rest = m & ~s
+    while rest:
+        low = rest & -rest
+        i = low.bit_length() - 1
         hit = t_rows[i] & word
         if hit:
-            j = (hit & -hit).bit_length() - 1
-            return [
-                _graph6(h),
-                _edge_str(*aux.vertex_to_edge[i]),
-                _edge_str(*aux.vertex_to_edge[j]),
-                _shared_selected_edge(aux, i, j),
-            ]
-    for i, row in enumerate(t_rows):
-        if not word >> i & 1 and row & word == 0:
-            addable = _edge_str(*aux.vertex_to_edge[i])
-            return [_graph6(h), f"addable edge {addable}"]
-    return None
+            e, f = pairs[i], pairs[(hit & -hit).bit_length() - 1]
+            return [_edge_str(*e), _edge_str(*f), _shared_selected_edge(e, f)]
+        rest ^= low
+    rest = red & ~s & ~word
+    while rest:
+        low = rest & -rest
+        i = low.bit_length() - 1
+        if t_rows[i] & word == 0:
+            return [f"addable edge {_edge_str(*pairs[i])}"]
+        rest ^= low
+    return []
 
 
 def verify_claim2(inst: ReductionInstance) -> VerificationReport:
@@ -388,16 +371,16 @@ def verify_claim2(inst: ReductionInstance) -> VerificationReport:
     independent sets of T, and record the slack against mis_count(T)."""
     aux = build_auxiliary(inst)
     family = enumerate_h_star(inst)
+    red, s = _masks(aux.reduced_rows, aux.selected)
+    pairs = _lex_pair_table(inst.n)
     witnesses: list = []
     images: list[int] = []
-    for h in family:
-        word, problem = _image_word(aux, h)
-        if problem is None:
-            problem = _mis_violation(aux, h, word)
-        if problem is not None:
-            witnesses.append(problem)
+    for m in family:
+        problem = _image_problem(aux.t_rows, pairs, m, red, s)
+        if problem:
+            witnesses.append([_graph6(_edge_mask_rows(inst.n, m))] + problem)
         else:
-            images.append(word)
+            images.append(m & ~s)
     if len(set(images)) != len(images):
         witnesses.append(["duplicate edge-set image"])
     mis_t = mis_count(aux.t_rows)
@@ -412,7 +395,7 @@ def verify_claim2(inst: ReductionInstance) -> VerificationReport:
             "h_star": len(family),
             "mis_count_t": mis_t,
             "slack": mis_t - len(family),
-            "t_vertices": len(aux.t_rows),
+            "t_vertices": aux.t_n,
         },
         witnesses=witnesses,
     )
@@ -428,12 +411,13 @@ def maximal_tf_subgraph_count(container) -> int:
 def bound_chain(container, removal) -> VerificationReport:
     """Run the pipeline for every triangle-free F* subseteq removal and check
     the per-term inequalities plus the partition identity.  F* runs over the
-    binary counter on the removal edges in lexicographic order.
+    submasks s of the removal mask f in ascending order, s = (s - f) & f,
+    which is the binary counter on the removal edges in lexicographic order.
 
     G and F are bit rows, n = len(container), checked once as an instance
-    with F* empty; each F* then runs on bit rows through ``_auxiliary``, and
-    |H(F*)| counts the masks of the family inside the container whose
-    removal edges are exactly F*.
+    with F* empty; each F* then runs on the bit rows of its mask through
+    ``_auxiliary``, and |H(F*)| counts the masks of the family inside the
+    container whose removal edges are exactly F*.
     Per F*: |H(F*)| <= mis_count(T), mis_count(T)^2 <= 2^{|V(T)|}, and
     |V(T)| <= e(container).  Summing |H(F*)| over all F* must give exactly
     the number of maximal triangle-free subgraphs of the container, so the
@@ -450,27 +434,21 @@ def bound_chain(container, removal) -> VerificationReport:
     _check_instance(n, container, removal, (0,) * n)
     g, f = _masks(container, removal)
     inside = _inside(n, g)
-    # the removal edges' mask bits, in the same lexicographic order as edges
-    bits = [1 << p for p in range(f.bit_length()) if f >> p & 1]
     e_container = sum(row.bit_count() for row in container) // 2
     total = 0
     tf_subsets = 0
     witnesses: list = []
-    for code in range(1 << len(edges)):
-        rows = [0] * n
-        s = 0
-        for i, (u, v) in enumerate(edges):
-            if code >> i & 1:
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-                s |= bits[i]
+    s = f  # so that the first step gives F* = {}
+    for _ in range(1 << len(edges)):
+        s = (s - f) & f
+        rows = _edge_mask_rows(n, s)
         if not is_triangle_free(rows):
             continue
         tf_subsets += 1
-        t_rows = _auxiliary(container, removal, rows).t_rows
+        aux = _auxiliary(container, removal, rows)
         h_count = len(_select(inside, f, s))
-        mis_t = mis_count(t_rows)
-        t_n = len(t_rows)
+        mis_t = mis_count(aux.t_rows)
+        t_n = aux.t_n
         for broken, why in ((h_count > mis_t, f"h_star {h_count} > mis {mis_t}"),
                             (mis_t * mis_t > 1 << t_n, f"mis {mis_t} breaks 2^({t_n}/2)"),
                             (t_n > e_container, f"|V(T)|={t_n} > e(G)={e_container}")):

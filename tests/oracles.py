@@ -387,16 +387,18 @@ def naive_reduced_graph(inst) -> Graph:
 def naive_auxiliary_rows(inst) -> tuple[list, list[int]]:
     """Reference for reduction.build_auxiliary: the T-vertices (the reduced
     edges outside the selected set, in lexicographic order) and T's rows,
-    from a test of every pair of T-vertices: two are adjacent iff they share
-    one endpoint and a selected edge joins their other ends."""
+    one per vertex pair of the instance, indexed by its rank in
+    ``combinations(range(n), 2)`` and 0 for a pair that is no T-vertex, from
+    a test of every pair of T-vertices: two are adjacent iff they share one
+    endpoint and a selected edge joins their other ends."""
     selected = edge_set(instance_graphs(inst)[2])
     vertices = [e for e in edge_list(naive_reduced_graph(inst)) if frozenset(e) not in selected]
-    rows = [0] * len(vertices)
-    for i, j in combinations(range(len(vertices)), 2):
-        e, f = set(vertices[i]), set(vertices[j])
-        if len(e & f) == 1 and frozenset(e ^ f) in selected:
-            rows[i] |= 1 << j
-            rows[j] |= 1 << i
+    rank = {pair: i for i, pair in enumerate(combinations(range(inst.n), 2))}
+    rows = [0] * len(rank)
+    for e, f in combinations(vertices, 2):
+        if len(set(e) & set(f)) == 1 and frozenset(set(e) ^ set(f)) in selected:
+            rows[rank[e]] |= 1 << rank[f]
+            rows[rank[f]] |= 1 << rank[e]
     return vertices, rows
 
 

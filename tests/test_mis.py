@@ -13,6 +13,7 @@ from maxtrifree import (
     decode_graph6,
     encode_graph6,
     enumerate_mis,
+    find_triangle,
     graph_from_edge_mask,
     is_triangle_free,
     mis_count,
@@ -134,8 +135,9 @@ class TestCountAgainstNetworkx:
         sizes = set()
         for i in range(300):
             inst = random_instance(rng_for(1, STREAM_CLAIM2 + i), n_min=4, n_max=8)
-            t = build_auxiliary(inst).t_rows
-            sizes.add(len(t))
+            aux = build_auxiliary(inst)
+            t = aux.t_rows
+            sizes.add(aux.t_n)
             assert mis_count(t) == len(nx_mis_words(Graph(len(t), t))), inst.to_dict()
         assert max(sizes) == 16
 
@@ -166,8 +168,9 @@ def disjoint_union(*graphs) -> Graph:
 def union_cases() -> list[Graph]:
     """Disjoint unions for mis_count's product over components: C5 + K3 + P3
     plus isolated vertices, also relabeled so the components interleave, the
-    graph with no vertices, and a 16-vertex claim-2 T with five components
-    that have edges and four isolated vertices."""
+    graph with no vertices, and a claim-2 T with 16 vertices, five components
+    that have edges and four isolated vertices, on the 28 pair ranks of
+    n = 8, so the 12 pairs that are not T-vertices are isolated too."""
     union = disjoint_union(Graph.cycle(5), Graph.complete(3), path_graph(3), empty_graph(2))
     rng = np.random.default_rng(29)
     cases = [union, disjoint_union(empty_graph(3), union)]
@@ -198,7 +201,7 @@ class TestCountOnComponents:
         h.add_nodes_from(range(t.n))
         h.add_edges_from(edge_list(t))
         sizes = sorted(len(c) for c in nx.connected_components(h))
-        assert t.n == 16 and sizes == [1, 1, 1, 1, 2, 2, 2, 2, 4]
+        assert t.n == 28 and sizes == [1] * (4 + 12) + [2, 2, 2, 2, 4]
 
     def test_dropped_factor_fails(self, monkeypatch):
         # the first component's recursion reports 1: the product loses its factor
@@ -214,6 +217,33 @@ class TestCountOnComponents:
         assert mis_count(Graph.cycle(5).rows) == 1
         with pytest.raises(AssertionError):
             check_union_counts()
+
+
+def spread(g: Graph, places, size: int) -> tuple[int, ...]:
+    """g's rows on *size* indices, vertex v at index places[v], with zero
+    rows at the indices no vertex takes."""
+    rows = [0] * size
+    for v, row in enumerate(g.rows):
+        rows[places[v]] = sum(1 << places[w] for w in range(g.n) if row >> w & 1)
+    return tuple(rows)
+
+
+class TestZeroRows:
+    """The reduction's T has one row per vertex pair and a zero row for every
+    pair that is no T-vertex: isolated vertices that must add a factor of 1
+    to mis_count and must not change the triangle find_triangle reports."""
+
+    @given(graphs_up_to(9), st.data())
+    def test_spread_rows_keep_count_and_triangle(self, g, data):
+        size = data.draw(st.integers(g.n, 45))
+        places = data.draw(st.lists(st.integers(0, size - 1), min_size=g.n, max_size=g.n,
+                                    unique=True))
+        assert mis_count(spread(g, places, size)) == len(nx_mis_words(g))
+        # T numbers its vertices in ascending order, so the first triangle maps back
+        ordered = sorted(places)
+        tri = find_triangle(spread(g, ordered, size))
+        mapped = None if tri is None else tuple(ordered.index(x) for x in tri)
+        assert mapped == find_triangle(g.rows)
 
 
 class TestBatchCounts:

@@ -23,7 +23,7 @@ from maxtrifree import (
     verify_claim2,
     worked_k4_instance,
 )
-from maxtrifree.graph import row_pairs
+from maxtrifree.graph import lex_pairs, row_pairs
 from maxtrifree.enumeration import PINNED_COUNTS
 from maxtrifree.reduction import maximal_tf_subgraph_count
 from maxtrifree.report import (
@@ -56,6 +56,11 @@ def is_subgraph(h_rows, g_rows) -> bool:
 
 def rows_of(graphs) -> list[tuple[int, ...]]:
     return [g.rows for g in graphs]
+
+
+def h_star_rows(inst) -> list[tuple[int, ...]]:
+    """The bit rows of enumerate_h_star's edge masks, in its order."""
+    return [graph_from_edge_mask(inst.n, m).rows for m in enumerate_h_star(inst)]
 
 
 def instance(container, removal, selected) -> ReductionInstance:
@@ -172,9 +177,13 @@ class TestReducedGraph:
 class TestAuxiliary:
     def test_worked_k4(self):
         aux = build_auxiliary(worked_k4_instance())
-        assert aux.vertex_to_edge == ((0, 2), (0, 3), (1, 2), (1, 3))
-        # a 2-edge perfect matching: 02-12 and 03-13
-        assert row_pairs(aux.t_rows) == [(0, 2), (1, 3)]
+        # T-vertices 02, 03, 12 and 13 at pair ranks 1 to 4, in a 2-edge
+        # perfect matching: 02-12 and 03-13
+        assert aux.t_n == 4 and len(aux.t_rows) == 6
+        assert row_pairs(aux.t_rows) == [(1, 3), (2, 4)]
+        pairs = lex_pairs(4)
+        assert [(pairs[i], pairs[j]) for i, j in row_pairs(aux.t_rows)] == [
+            ((0, 2), (1, 2)), ((0, 3), (1, 3))]
 
     def test_empty_selected_gives_edgeless(self):
         g = Graph.complete(4)
@@ -184,22 +193,24 @@ class TestAuxiliary:
 
     def test_c5_isolated(self):
         aux = build_auxiliary(instance(Graph.cycle(5), empty_graph(5), empty_graph(5)))
-        assert aux.t_rows == (0,) * 5
+        assert aux.t_rows == (0,) * 10 and aux.t_n == 5
 
     def test_empty_container_empty_t(self):
         inst = instance(empty_graph(3), empty_graph(3), empty_graph(3))
         aux = build_auxiliary(inst)
-        assert aux.t_rows == ()
+        assert aux.t_rows == (0, 0, 0) and aux.t_n == 0
         assert mis_count(aux.t_rows) == 1  # the empty set
 
     def test_adjacent_t_vertices_share_endpoint(self):
         for i in range(60):
             inst = random_instance(rng_for(11, i), n_min=4, n_max=8)
             aux = build_auxiliary(inst)
+            pairs = lex_pairs(inst.n)
             for i1, i2 in row_pairs(aux.t_rows):
-                u1, v1 = aux.vertex_to_edge[i1]
-                u2, v2 = aux.vertex_to_edge[i2]
+                (u1, v1), (u2, v2) = pairs[i1], pairs[i2]
                 assert {u1, v1} & {u2, v2}
+                for u, v in pairs[i1], pairs[i2]:  # T-vertices: reduced, not selected
+                    assert aux.reduced_rows[u] >> v & 1 and not aux.selected[u] >> v & 1
 
 
 class TestDefinitionOracles:
@@ -217,7 +228,7 @@ class TestDefinitionOracles:
         for inst in self.INSTANCES:
             aux = build_auxiliary(inst)
             vertices, rows = naive_auxiliary_rows(inst)
-            assert list(aux.vertex_to_edge) == vertices, inst.to_dict()
+            assert aux.t_n == len(vertices), inst.to_dict()
             assert list(aux.t_rows) == rows, inst.to_dict()
 
     def test_instances_cover_both_rules(self):
@@ -253,16 +264,17 @@ class TestClaim1:
 
 class TestHStar:
     def test_worked_k4_two_stars(self):
+        # the stars at 0 and 1: bits 0, 1, 2 and 0, 3, 4 of lex_pairs(4), as ints
         family = enumerate_h_star(worked_k4_instance())
-        assert [row_pairs(h) for h in family] == [
+        assert family == [0b111, 0b11001] and all(type(m) is int for m in family)
+        assert [row_pairs(h) for h in h_star_rows(worked_k4_instance())] == [
             [(0, 1), (0, 2), (0, 3)],
             [(0, 1), (1, 2), (1, 3)],
         ]
 
     def test_c4_container(self):
         g = Graph.cycle(4)
-        family = enumerate_h_star(instance(g, empty_graph(4), empty_graph(4)))
-        assert family == [g.rows]
+        assert h_star_rows(instance(g, empty_graph(4), empty_graph(4))) == [g.rows]
 
     def test_p4_container_empty(self):
         g = path_graph(4)
@@ -273,7 +285,7 @@ class TestHStar:
         for i in range(60):
             inst = random_instance(rng_for(5, i), n_min=4, n_max=7)
             red = build_auxiliary(inst).reduced_rows
-            for h in enumerate_h_star(inst):
+            for h in h_star_rows(inst):
                 assert is_subgraph(h, inst.container)
                 assert is_subgraph(h, red) or not row_pairs(inst.selected)
                 assert is_subgraph(h, red)
@@ -288,12 +300,12 @@ class TestHStar:
                 g.rows for g in brute_force_maximal_tf(inst.n)
                 if is_subgraph(g.rows, inst.container) and set(edge_list(g)) & removal == selected
             ]
-            assert enumerate_h_star(inst) == expected
+            assert h_star_rows(inst) == expected
 
     def test_against_naive_search(self):
         for i in range(300):
             inst = random_instance(rng_for(13, i), n_min=4, n_max=8)
-            assert enumerate_h_star(inst) == rows_of(naive_h_star(inst)), inst.to_dict()
+            assert h_star_rows(inst) == rows_of(naive_h_star(inst)), inst.to_dict()
 
     # K4 minus 01, with every edge at 0 and 1 in the removal set: the only
     # free pair is 23, so (0, 1) is a fixed non-edge no decision touches.
@@ -307,7 +319,7 @@ class TestHStar:
     def test_untouched_non_edge_with_seed_common_neighbour(self):
         selected = Graph.from_edges(4, [(0, 2), (1, 2)])
         inst = instance(self._K4_MINUS_01, self._AROUND_01, selected)
-        family = enumerate_h_star(inst)
+        family = h_star_rows(inst)
         assert family == rows_of(naive_h_star(inst))
         assert [row_pairs(h) for h in family] == [[(0, 2), (1, 2), (2, 3)]]
 
@@ -316,7 +328,7 @@ class TestHStar:
         removal = k4
         star = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
         inst = instance(k4, removal, star)
-        assert enumerate_h_star(inst) == rows_of(naive_h_star(inst)) == [star.rows]
+        assert h_star_rows(inst) == rows_of(naive_h_star(inst)) == [star.rows]
         inst = instance(k4, removal, Graph.from_edges(4, [(0, 1)]))
         assert enumerate_h_star(inst) == naive_h_star(inst) == []
 
@@ -339,7 +351,7 @@ class TestHStar:
 
     def test_no_vertices(self):
         # n = 0 has one graph, the empty one, which the walker does not reach
-        assert enumerate_h_star(ReductionInstance(0, (), (), ())) == [()]
+        assert enumerate_h_star(ReductionInstance(0, (), (), ())) == [0]
         assert maximal_tf_subgraph_count(()) == 1
         rep = bound_chain((), ())
         assert rep.passed and rep.counts["sum_h_star"] == 1
@@ -483,7 +495,7 @@ class TestExhaustiveSmall:
                         if not is_triangle_free(selected.rows):
                             continue
                         inst = instance(container, removal, selected)
-                        family = enumerate_h_star(inst)
+                        family = h_star_rows(inst)
                         assert family == rows_of(naive_h_star(inst)), inst.to_dict()
                         found += len(family)
                         count += 1
@@ -637,11 +649,12 @@ class TestPlantedDefects:
 
     def test_t_edge_between_disjoint_edges_fails_claim1(self):
         # C5 with F* empty: T-vertices 01, 04, 12, 23, 34 and no T-edges.  A
-        # planted triangle on 01, 12 and 34 joins 34 to two edges it shares no
-        # endpoint with, so no selected edge can witness those T-edges.
+        # planted triangle on 01, 12 and 34 (pair ranks 0, 4 and 9) joins 34
+        # to two edges it shares no endpoint with, so no selected edge can
+        # witness those T-edges.
         aux = build_auxiliary(instance(Graph.cycle(5), empty_graph(5), empty_graph(5)))
-        assert aux.vertex_to_edge == ((0, 1), (0, 4), (1, 2), (2, 3), (3, 4))
-        planted = with_row_edge(with_row_edge(with_row_edge(aux.t_rows, 0, 2), 0, 4), 2, 4)
+        assert [lex_pairs(5)[i] for i in (0, 4, 9)] == [(0, 1), (1, 2), (3, 4)]
+        planted = with_row_edge(with_row_edge(with_row_edge(aux.t_rows, 0, 4), 0, 9), 4, 9)
         rep = verify_claim1(dataclasses.replace(aux, t_rows=planted))
         assert not rep.passed
         assert rep.witnesses == [["0-1", "1-2", "3-4", "0-2",
@@ -777,14 +790,17 @@ class TestRandomClaimBlocks:
         assert str(err.value) == expected
 
     def test_planted_t_edge_fails_claim1_random(self, monkeypatch):
-        # a triangle on T-vertices 0, 1 and 2 wherever T has three vertices
+        # a triangle on T's first three vertices wherever T has three
         real = reduction._auxiliary
 
         def plant(container, removal, sel):
             aux = real(container, removal, sel)
-            if len(aux.t_rows) < 3:
+            red, s = reduction._masks(aux.reduced_rows, aux.selected)
+            first = [i for i in range(len(aux.t_rows)) if (red & ~s) >> i & 1][:3]
+            if len(first) < 3:
                 return aux
-            t_rows = with_row_edge(with_row_edge(with_row_edge(aux.t_rows, 0, 1), 0, 2), 1, 2)
+            i, j, k = first
+            t_rows = with_row_edge(with_row_edge(with_row_edge(aux.t_rows, i, j), i, k), j, k)
             return dataclasses.replace(aux, t_rows=t_rows)
 
         monkeypatch.setattr(reduction, "_auxiliary", plant)
@@ -808,3 +824,23 @@ class TestRandomClaimBlocks:
         rep = suites._claim_random_check(1, base, 200, n_max, check)
         assert rep.passed and rep.counts["instances"] == 200
         assert graph_builds == []
+
+    def test_passing_claim2_block_decodes_no_h(self, monkeypatch):
+        # claim 2 reads each H off its edge mask; only a witness's graph6
+        # needs H's rows
+        decoded = []
+        found = []
+        real_rows, real_h_star = reduction._edge_mask_rows, reduction.enumerate_h_star
+
+        def h_star(inst):
+            family = real_h_star(inst)
+            found.extend(family)
+            return family
+
+        monkeypatch.setattr(reduction, "_edge_mask_rows",
+                            lambda n, mask: decoded.append(mask) or real_rows(n, mask))
+        monkeypatch.setattr(reduction, "enumerate_h_star", h_star)
+        rep = suites._claim_random_check(1, STREAM_CLAIM2, suites.CLAIM2_INSTANCES,
+                                         suites.CLAIM2_MAX_N, "claim2")
+        assert rep.passed and rep.counts["instances"] == 1000
+        assert len(found) == 967 and decoded == []  # 967 H checked, none decoded
