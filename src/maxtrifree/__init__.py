@@ -36,7 +36,6 @@ from .constructions import (
 )
 from .enumeration import (
     CountRow,
-    CountTable,
     brute_force_maximal_tf,
     enumerate_maximal_tf,
     growth_table,

@@ -25,7 +25,7 @@ from itertools import chain
 
 import numpy as np
 
-from .graph import Graph, GuardError
+from .graph import MAX_VERTICES, Graph, GuardError, row_dtype
 from .graph6 import encode_graph6
 from .report import FAIL, PASS, VerificationReport
 from .scan import pair_flags
@@ -118,7 +118,7 @@ def folklore_graph(choice: FolkloreChoice) -> Graph:
 def folklore_columns(n: int, codes: np.ndarray) -> np.ndarray:
     """Adjacency rows of the members with the given codes, built from the bits.
 
-    Row k column x (uint16) equals
+    Row k column x (``row_dtype(n)``) equals
     ``folklore_graph(FolkloreChoice.from_int(n, codes[k])).rows[x]``.  The
     (N, n) array is the transposed view of vertex-major (n, N) columns, so a
     pass over one vertex's rows of every member reads contiguous memory.
@@ -126,14 +126,15 @@ def folklore_columns(n: int, codes: np.ndarray) -> np.ndarray:
     half = n // 2
     full = (1 << half) - 1
     codes = np.asarray(codes, dtype=np.int64)
-    cols = np.zeros((n, len(codes)), dtype=np.uint16)
+    dtype = row_dtype(n)
+    cols = np.zeros((n, len(codes)), dtype=dtype)
     for i in range(n // 4):
         a, b = 2 * i, 2 * i + 1
         to_b = codes >> (i * half) & full  # bit j: independent vertex half + j joins b
         cols[a] = 1 << b | (to_b ^ full) << half
         cols[b] = 1 << a | to_b << half
         for j in range(half):
-            cols[half + j] |= (1 << (a + (to_b >> j & 1))).astype(np.uint16)
+            cols[half + j] |= (1 << (a + (to_b >> j & 1))).astype(dtype)
     return cols.T
 
 
@@ -145,10 +146,11 @@ def folklore_family_stats(n: int) -> VerificationReport:
     a common neighbour) and those that are not maximal (a non-edge whose ends
     have none); both read the columns vertex by vertex, so each pass is
     contiguous.  Distinct members are counted exactly by sorting them with
-    np.lexsort on n/4 uint64 keys, each packing four vertices' uint16 rows
-    (n is a multiple of 4), and counting the neighbours that differ.  The
-    census reads the memory behind the (N, n) view it is given, so a member
-    written into that array is the member counted.  A Graph is built only for the
+    np.lexsort on n/4 uint64 keys, each packing four vertices' rows at 16
+    bits apiece (n is a multiple of 4, and n <= 12 rows fit 16 bits), and
+    counting the neighbours that differ.  The census reads the memory behind
+    the (N, n) view it is given, so a member written into that array is the
+    member counted.  A Graph is built only for the
     witnesses, the first ``_MAX_WITNESSES`` members with a triangle, from
     the rows that were checked, so a fault in the columns shows in them;
     the counts give the totals.
@@ -331,13 +333,12 @@ def kr_columns(n: int, r: int, pair: np.ndarray, vert: np.ndarray) -> np.ndarray
     *pair* is (N, pair slots) and *vert* is (N, vertex slots), one member per
     row, as ``KrChoice`` holds them; row k column x equals
     ``kr_free_graph(KrChoice(n, r, pair[k], vert[k])).rows[x]``.  The rows are
-    uint16 up to n = 16, as ``folklore_columns`` builds them, and uint64 up
-    to n = 64.
+    ``row_dtype(n)`` words, as ``folklore_columns`` builds them.
     """
     _, per_class, matched = _kr_shape(n, r)
-    if n > 64:
-        raise GuardError(f"K_(r+1)-free rows hold at most 64 vertices, got n={n}")
-    dtype = np.uint16 if n <= 16 else np.uint64
+    if n > MAX_VERTICES:
+        raise GuardError(f"K_(r+1)-free rows hold at most {MAX_VERTICES} vertices, got n={n}")
+    dtype = row_dtype(n)
     cols = np.zeros((len(pair), n), dtype=dtype)
     for e in range(matched * per_class):
         cols[:, 2 * e] = 1 << (2 * e + 1)

@@ -58,28 +58,6 @@ class CountRow:
         }
 
 
-@dataclass(frozen=True)
-class CountTable:
-    rows: tuple[CountRow, ...]
-
-    def __post_init__(self) -> None:
-        expected = range(1, len(self.rows) + 1)
-        if [r.n for r in self.rows] != list(expected):
-            raise ValueError("rows must cover n = 1..n_max without gaps")
-
-    def to_dicts(self) -> list[dict[str, Any]]:
-        return [r.to_dict() for r in self.rows]
-
-    def to_text(self) -> str:
-        lines = [f"{'n':>3} {'count':>12} {'log2/n^2':>10} {'ms':>8}"]
-        for r in self.rows:
-            lines.append(
-                f"{r.n:>3} {r.labeled_count:>12} {r.log2_count_over_n2:>10.6f} "
-                f"{r.wall_time_ms:>8}"
-            )
-        return "\n".join(lines)
-
-
 def brute_force_maximal_tf(n: int) -> list[Graph]:
     """All labeled maximal triangle-free graphs on [n] by full scan.
 
@@ -213,14 +191,14 @@ def enumerate_maximal_tf(
     return CountRow(n, count, log2_over, ms)
 
 
-def growth_table(n_max: int, *, shards: int = 1, stream_path=None) -> CountTable:
-    """CountRows for n = 1..n_max, streaming the n_max family to ``stream_path``
-    when it is given; no convergence assertion is made or implied."""
+def growth_table(n_max: int, *, shards: int = 1, stream_path=None) -> tuple[CountRow, ...]:
+    """CountRows for n = 1..n_max, in order, streaming the n_max family to
+    ``stream_path`` when it is given; no convergence assertion is made or
+    implied."""
     check_size(n_max)
-    rows = [enumerate_maximal_tf(n, shards=shards,
-                                 stream_path=stream_path if n == n_max else None)
-            for n in range(1, n_max + 1)]
-    return CountTable(tuple(rows))
+    return tuple(enumerate_maximal_tf(n, shards=shards,
+                                      stream_path=stream_path if n == n_max else None)
+                 for n in range(1, n_max + 1))
 
 
 def remark3_census(n: int) -> tuple[int, int]:

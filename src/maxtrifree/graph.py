@@ -1,7 +1,8 @@
 """Bit-row graphs and the triangle primitives shared by every other module.
 
 A graph lives on vertices 0..n-1 with n <= 64, so each adjacency row fits a
-single machine word and neighbourhood intersections are one ``&``.  An edge
+single machine word and neighbourhood intersections are one ``&``; a numpy
+batch of rows takes the narrowest such word, ``row_dtype(n)``.  An edge
 set is a graph on the same vertices.  Graphs are immutable; every operation
 here is a pure function.  Every predicate and counter, here and in ``mis``,
 ``reduction`` and the matching-partition scan, reads bare bit rows, with
@@ -19,11 +20,20 @@ import gc
 from dataclasses import dataclass
 from typing import Iterator
 
+import numpy as np
+
 MAX_VERTICES = 64
 
 
 class GuardError(ValueError):
     """An operation was asked to exceed its hard size cap."""
+
+
+def row_dtype(n: int) -> type:
+    """The narrowest unsigned dtype that holds an n-vertex bit row, n <= 64:
+    uint8 up to 8 vertices, uint16 up to 16, uint32 up to 32, uint64 past.
+    The one width rule for the package's numpy bit rows and vertex columns."""
+    return np.min_scalar_type((1 << n) - 1).type
 
 
 def iter_bits(word: int) -> Iterator[int]:
@@ -154,21 +164,17 @@ def graphs_from_rows(n: int, rows) -> list[Graph]:
     return graphs
 
 
-def lex_pairs(n: int) -> list[tuple[int, int]]:
-    """All pairs (u, v), u < v, in lexicographic order; rank = list index."""
-    return [(u, v) for u in range(n) for v in range(u + 1, n)]
-
-
 @functools.cache
-def _lex_pair_table(n: int) -> tuple[tuple[int, int], ...]:
-    """``lex_pairs(n)`` as a tuple, built once per n and shared read-only."""
-    return tuple(lex_pairs(n))
+def lex_pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """All pairs (u, v), u < v, in lexicographic order; rank = tuple index.
+    Built once per n and shared read-only."""
+    return tuple((u, v) for u in range(n) for v in range(u + 1, n))
 
 
 def _edge_mask_rows(n: int, mask: int) -> tuple[int, ...]:
     """The bit rows of the edge mask *mask*: bit i is pair i of ``lex_pairs(n)``."""
     rows = [0] * n
-    pairs = _lex_pair_table(n)
+    pairs = lex_pairs(n)
     while mask:
         low = mask & -mask
         u, v = pairs[low.bit_length() - 1]

@@ -16,9 +16,9 @@ position into rows with a table lookup per run of the vertices it touches:
 its six pairs touch at most 12 vertices, in at most two runs of at most
 ``_TABLE_SPAN`` consecutive vertices (one run for every position when
 n <= 12), and a (run, 64) table holds the row bits that each code adds to
-that run.  The tables are words of the smallest unsigned dtype that holds
-n bits, at most 2 * 12 * 64 of them per character (1.2 MB in all at
-n = 62), and only the last four n's tables are cached.
+that run.  The tables are ``graph.row_dtype(n)`` words, the smallest
+unsigned dtype that holds n bits, at most 2 * 12 * 64 of them per character
+(1.2 MB in all at n = 62), and only the last four n's tables are cached.
 
 ``read_graph6_file`` reads a file in blocks of lines and takes one of two
 paths per block.  A block whose lines share one short-form shape, as every
@@ -40,7 +40,7 @@ import functools
 
 import numpy as np
 
-from .graph import MAX_VERTICES, Graph, graphs_from_rows
+from .graph import MAX_VERTICES, Graph, graphs_from_rows, row_dtype
 
 #: Lines per block in read_graph6_file; bounds the block's arrays for any n <= 62
 #: and what the block holds on top of the graphs already decoded.
@@ -203,23 +203,18 @@ def decode_graph6(text: str, line: int | None = None) -> Graph:
     return Graph(n, tuple(rows))
 
 
-def _word_dtype(n: int) -> np.dtype:
-    """The smallest unsigned dtype that holds an n-vertex bit row."""
-    return np.min_scalar_type((1 << n) - 1)
-
-
 @functools.lru_cache(maxsize=4)
 def _code_tables(n: int) -> list[tuple[int, int, int, np.ndarray]]:
     """The decode tables of an n-vertex short-form line, as (c, lo, hi, table)
     entries: ``table[w - lo, code]`` holds the bits that ``code`` at
     character position c adds to row w, for lo <= w < hi, as
-    ``_word_dtype(n)`` words.
+    ``row_dtype(n)`` words.
 
     A character's six pairs touch at most 12 vertices.  They are covered by
     runs of at most ``_TABLE_SPAN`` consecutive vertices, one table per run
     and at most two runs per character, so a table is at most 12 x 64 words.
     """
-    dtype = _word_dtype(n)
+    dtype = row_dtype(n)
     # (6, 64): bit j of each code, the first pair's bit the most significant
     places = (np.arange(64) >> np.arange(5, -1, -1)[:, None] & 1).astype(dtype)
     pairs = _pairs(n)
@@ -270,7 +265,7 @@ def _decode_short(n: int, lines: list[str]) -> list[Graph] | None:
     if pad and np.any(codes[:, -1] & (1 << pad) - 1):
         return None
     codes = codes.T.astype(np.intp)  # (nchars, N): one contiguous row per position
-    rows = np.zeros((n, len(lines)), dtype=_word_dtype(n))
+    rows = np.zeros((n, len(lines)), dtype=row_dtype(n))
     for c, lo, hi, table in _code_tables(n):
         rows[lo:hi] |= table.take(codes[c], axis=1)
     return graphs_from_rows(n, rows.T)

@@ -36,10 +36,11 @@ The direct kernel, ``batch_mis_counts``, counts graphs on numpy adjacency
 columns with one test per vertex subset S: S is a maximal independent set
 iff its neighbourhood N(S) is exactly V \\ S (independence is N(S) & S = 0,
 maximality is N(S) | S = V).  Columns, the N(S) buffer and per-graph
-counters take the walker's column dtype, uint8 for n <= 8 and uint16 for
-n <= 16, which the counts fit by Moon-Moser (at most 18 sets at n = 8, 324
-at n = 16), so the counts are returned in it; the walker's columns are read
-in place, and larger n raises GuardError.  The scan does not run it; the
+counters take the walker's column dtype, ``graph.row_dtype``: uint8 for
+n <= 8 and uint16 up to the walker's cap, n = 16, which the counts fit by
+Moon-Moser (at most 18 sets at n = 8, 324 at n = 16), so the counts are
+returned in it; the walker's columns are read in place, and past the
+walker's cap it raises GuardError.  The scan does not run it; the
 tests hold the extension kernel to it graph by graph.
 """
 from __future__ import annotations
@@ -49,16 +50,15 @@ import math
 import numpy as np
 
 from . import scan
-from .graph import Graph, GuardError, graph_from_edge_mask
+from .graph import Graph, GuardError, graph_from_edge_mask, row_dtype
 from .graph6 import encode_graph6
 from .report import FAIL, PASS, VerificationReport
 
-HUJTER_TUZA_MAX_N = 9
 EXTENSION_MAX_K = 8  # uint8 parent columns, subset indices and counts
+HUJTER_TUZA_MAX_N = EXTENSION_MAX_K + 1  # m-vertex graphs from (m - 1)-vertex parents
 # parents per extension table: a k = 8 table of 2^11 columns is 512 KB and
 # stays in cache; at m = 8, 2^15 columns ran at half the speed and 20 MB larger
 _CHUNK = 1 << 11
-BATCH_MAX_N = 16  # uint16 columns; Moon-Moser keeps the counts below 2^16
 MATCHING_EQUALITY_MAX_K = 4  # perfect matchings on 2, 4, 6 and 8 vertices
 
 
@@ -153,8 +153,8 @@ def batch_mis_counts(adj: np.ndarray, n: int) -> np.ndarray:
     subsets S once, carrying the neighbourhood union N(S), and counts S for
     every graph at once when N(S) equals V \\ S exactly, which is independence
     and maximality in one comparison.  Columns and counters take the walker's
-    column dtype, uint8 for n <= 8 and uint16 otherwise, so the walker's own
-    contiguous columns are used as they are; n > 16 raises GuardError.
+    column dtype, ``row_dtype(n)``, so the walker's own contiguous columns
+    are used as they are; n past the walker's cap, 16, raises GuardError.
 
     Row d of one (n + 1, N) buffer holds N(S) while S has d members, so
     skipping a vertex reuses the row and adding one ORs into the next: no
@@ -166,9 +166,9 @@ def batch_mis_counts(adj: np.ndarray, n: int) -> np.ndarray:
     The Hujter-Tuza scan counts by ``extension_mis_counts``; this kernel
     tests each graph on its own and is the tests' cross-check of that one.
     """
-    if n > BATCH_MAX_N:
-        raise GuardError(f"batch MIS kernel holds at most {BATCH_MAX_N} vertices, got n={n}")
-    dtype = scan._column_dtype(n)
+    if n > scan._MAX_N:
+        raise GuardError(f"batch MIS kernel holds at most {scan._MAX_N} vertices, got n={n}")
+    dtype = row_dtype(n)
     num = adj.shape[0]
     cols = [np.ascontiguousarray(adj[:, v], dtype=dtype) for v in range(n)]
     neigh = np.empty((n + 1, num), dtype=dtype)
@@ -287,7 +287,7 @@ def _extension_masks(parents: np.ndarray, cells: np.ndarray) -> np.ndarray:
     xs, idx = np.nonzero(cells[:, cols])
     idx = cols[idx]
     k = parents.shape[1]
-    dtype = scan._column_dtype(k + 1)
+    dtype = row_dtype(k + 1)
     xs = xs.astype(dtype)
     rows = np.empty((len(idx), k + 1), dtype=dtype)
     rows[:, :k] = parents[idx]

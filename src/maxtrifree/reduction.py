@@ -19,7 +19,9 @@ read-only (``_family``).  With g, f and s the masks of G, F and F*
 (``_masks``, in ``scan.edge_masks``' layout), H lies in the container iff
 m & ~g is 0 and has E(H) cap F = F* iff m & f is s.  The walk costs about
 10 ms at n = 8, 0.1 s at n = 9, and 2.7 s, 43 MB of masks and a 160 MB
-peak at n = 10, ``H_STAR_MAX_N``.
+peak at n = 10, ``H_STAR_MAX_N``, the one vertex cap of claim 2, the
+containment count and the chain; the chain is also capped at
+``CHAIN_MAX_REMOVAL`` removal edges, 2^12 sets F*.
 
 An instance's three fields, F*, the reduced graph and T are tuples of bit
 rows, and a ``Graph`` is built only to parse an edge list or to spell out
@@ -50,7 +52,6 @@ from .graph import (
     GuardError,
     MAX_VERTICES,
     _edge_mask_rows,
-    _lex_pair_table,
     check_rows,
     find_triangle,
     greedy_triangle_removal,
@@ -63,7 +64,6 @@ from .mis import mis_count
 from .report import FAIL, PASS, VerificationReport, read_utf8
 
 H_STAR_MAX_N = 10
-CHAIN_MAX_N = 8
 CHAIN_MAX_REMOVAL = 12
 
 
@@ -201,7 +201,7 @@ def _pair_ranks(n: int) -> tuple[tuple[int, ...], ...]:
     """rank[u][v] = rank[v][u], the index of the pair uv in ``lex_pairs(n)``,
     built once per n and shared read-only."""
     rank = [[0] * n for _ in range(n)]
-    for i, (u, v) in enumerate(_lex_pair_table(n)):
+    for i, (u, v) in enumerate(lex_pairs(n)):
         rank[u][v] = rank[v][u] = i
     return tuple(map(tuple, rank))
 
@@ -271,7 +271,7 @@ def verify_claim1(aux: AuxiliaryGraph) -> VerificationReport:
     }
     witnesses: list = []
     if tri is not None:
-        pairs = _lex_pair_table(len(aux.reduced_rows))
+        pairs = lex_pairs(len(aux.reduced_rows))
         e, f, g = (pairs[x] for x in tri)
         witnesses.append(_edge_strs((e, f, g)) + [
             _shared_selected_edge(e, f),
@@ -372,7 +372,7 @@ def verify_claim2(inst: ReductionInstance) -> VerificationReport:
     aux = build_auxiliary(inst)
     family = enumerate_h_star(inst)
     red, s = _masks(aux.reduced_rows, aux.selected)
-    pairs = _lex_pair_table(inst.n)
+    pairs = lex_pairs(inst.n)
     witnesses: list = []
     images: list[int] = []
     for m in family:
@@ -422,11 +422,10 @@ def bound_chain(container, removal) -> VerificationReport:
     |V(T)| <= e(container).  Summing |H(F*)| over all F* must give exactly
     the number of maximal triangle-free subgraphs of the container, so the
     identity checks the F* enumeration and the selection against the
-    containment count.
+    containment count.  The family caps n at ``H_STAR_MAX_N``, and more than
+    ``CHAIN_MAX_REMOVAL`` removal edges raise GuardError.
     """
     n = len(container)
-    if n > CHAIN_MAX_N:
-        raise GuardError(f"bound chain capped at n={CHAIN_MAX_N}, got {n}")
     edges = row_pairs(removal)
     if len(edges) > CHAIN_MAX_REMOVAL:
         raise GuardError(

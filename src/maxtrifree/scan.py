@@ -43,15 +43,16 @@ absent child survives, a copy of its parent's columns with the two drops.
 
 The frontier is n contiguous columns, one entry per state, in the narrowest
 dtype that holds a bit per vertex: uint8 for n <= 8, uint16 up to n = 16
-(``_column_dtype``, which the MIS kernel shares, so the n <= 8 scans move one
-byte per vertex and state end to end).  ``state[x]`` holds vertex x's pot in
-either walk.  Each level compacts the parent into the leading columns of a
+(``graph.row_dtype``, which the MIS kernel shares, so the n <= 8 scans move
+one byte per vertex and state end to end).  ``state[x]`` holds vertex x's pot
+in either walk.  Each level compacts the parent into the leading columns of a
 level buffer, the absent child's columns first, then the present child's,
 gathering each row straight into the buffer (``_compact``).  A frontier
-larger than ``_BATCH`` states is split in half, and a sharded walk fixes the
-first ``_SHARD_DEPTH`` decisions before dealing out the prefixes; both slice
-all of a state's columns together, and states evolve independently, so the
-leaf multiset never depends on the batches or the shards.
+larger than ``_BATCH`` states is split in half, and a sharded walk makes
+vertex 0's n - 1 decisions on the whole frontier before dealing out the
+states; both slice all of a state's columns together, and states evolve
+independently, so the leaf multiset never depends on the batches or the
+shards.
 
 A walk reuses its level buffers, (n, 2 * ``_BATCH``) each, from a free list.
 Each frame of the split recursion takes one per level, gives back the one
@@ -94,20 +95,13 @@ from typing import Callable
 
 import numpy as np
 
-from .graph import GuardError, lex_pairs
+from .graph import GuardError, lex_pairs, row_dtype
 
 Consumer = Callable[[np.ndarray], None]
 
 _MAX_PAIRS = 63  # edge_masks returns int64, one bit per pair
 _MAX_N = 16  # the frontier's widest columns, uint16, hold one bit per vertex
 _BATCH = 1 << 17  # a frontier with more states than this is split in half
-_SHARD_DEPTH = 8  # decisions fixed before a sharded frontier is dealt out
-
-
-def _column_dtype(n: int) -> type:
-    """The narrowest unsigned dtype holding one bit per vertex of an n-vertex
-    column: uint8 for n <= 8, uint16 otherwise."""
-    return np.uint8 if n <= 8 else np.uint16
 
 
 def check_capacity(n: int) -> None:
@@ -135,17 +129,18 @@ def edge_masks(adj: np.ndarray) -> np.ndarray:
 
 
 def mask_rows(n: int, masks: np.ndarray) -> np.ndarray:
-    """Upper adjacency rows, (N, n) uint16, of int64 lexicographic edge masks:
-    bit v of row x is pair (x, v) for v > x, and no row has a bit below its
-    diagonal.  The inverse of ``edge_masks`` on those bits, with the same
+    """Upper adjacency rows, (N, n) in ``row_dtype(n)``, of int64 lexicographic
+    edge masks: bit v of row x is pair (x, v) for v > x, and no row has a bit
+    below its diagonal.  The inverse of ``edge_masks`` on those bits, with the same
     n <= 11 cap: each row's block of ranks shifted up by x + 1, n - 1 shifts.
     """
     check_capacity(n)
-    rows = np.zeros((len(masks), n), dtype=np.uint16)
+    dtype = row_dtype(n)
+    rows = np.zeros((len(masks), n), dtype=dtype)
     rank = 0
     for x in range(n - 1):
         width = n - 1 - x
-        rows[:, x] = (masks >> rank & (1 << width) - 1).astype(np.uint16) << np.uint16(x + 1)
+        rows[:, x] = (masks >> rank & (1 << width) - 1).astype(dtype) << dtype(x + 1)
         rank += width
     return rows
 
@@ -247,20 +242,19 @@ def walk_triangle_free(
     touches again.  A frontier is split in half while it holds
     more than ``_BATCH`` states, and each state has at most two children, so
     a level's output, and hence a batch, holds at most 2 * ``_BATCH``
-    states.  With ``shards > 1`` the first ``_SHARD_DEPTH`` edge decisions
-    are made on the whole frontier and the surviving prefixes are dealt
-    round-robin, one shard after another.  With ``orbit_seeds`` the walk
-    runs only below the states whose N(0) is {1..k}, one per k, which are
-    dealt to the shards in place of the prefixes; its leaves stand for
-    C(n-1, k) labeled graphs each, so only a counting consumer may ask for
-    it.  n > 16 raises GuardError.
+    states.  With ``shards > 1`` or ``orbit_seeds``, vertex 0's n - 1 edge
+    decisions are made on the whole frontier first; the surviving states
+    are dealt round-robin, one shard after another.  With ``orbit_seeds``
+    only the states whose N(0) is {1..k}, one per k, are dealt and walked,
+    and a leaf stands for C(n-1, k) labeled graphs, so only a counting
+    consumer may ask for it.  n > 16 raises GuardError.
     """
     if n > _MAX_N:
         raise GuardError(f"walker holds uint16 vertex columns (n <= {_MAX_N}), got n={n}")
     if shards < 1:
         raise ValueError("shards must be positive")
     pairs = lex_pairs(n)
-    dtype = _column_dtype(n)
+    dtype = row_dtype(n)
     bit = [dtype(1 << x) for x in range(n)]
     own = np.array(bit, dtype=dtype)[:, None]  # a leaf's pot[x] is x's bit and N(x)
 
@@ -326,10 +320,8 @@ def walk_triangle_free(
     # the pots start full: every partner is undecided and no neighbourhood
     # meets another
     state = np.full((n, 1), (1 << n) - 1, dtype=dtype)
-    if orbit_seeds:
-        depth = n - 1  # vertex 0's pairs come first in lexicographic order
-    else:
-        depth = min(_SHARD_DEPTH, len(pairs)) if shards > 1 else 0
+    # vertex 0's pairs come first in lexicographic order; the clamp is for n = 0
+    depth = max(n - 1, 0) if orbit_seeds or shards > 1 else 0
     for level in range(depth):
         state = children(state, level, np.empty((n, 2 * state.shape[1]), dtype=dtype))
     if orbit_seeds:

@@ -222,13 +222,13 @@ def _pinned_count_witnesses(counts: dict[int, int],
 def _growth_table_check(config: RunConfig) -> VerificationReport:
     n_max = config.guard("enumeration_n")
     table = enumeration.growth_table(n_max, shards=config.shards)
-    counts = {f"count_n{row.n}": row.labeled_count for row in table.rows}
+    counts = {f"count_n{row.n}": row.labeled_count for row in table}
     params: dict[str, object] = {
         f"log2_over_n2_n{row.n}": f"{row.log2_count_over_n2:.6f}"
-        for row in table.rows
+        for row in table
     }
     params["n_max"] = n_max
-    bad = _pinned_count_witnesses({row.n: row.labeled_count for row in table.rows})
+    bad = _pinned_count_witnesses({row.n: row.labeled_count for row in table})
     return VerificationReport(
         check_name="growth_table",
         status=FAIL if bad else PASS,

@@ -34,7 +34,7 @@ from maxtrifree.constructions import (
     kr_vertex_slots,
     matching_partition_flags,
 )
-from maxtrifree.graph import graph_from_edge_mask
+from maxtrifree.graph import graph_from_edge_mask, row_dtype
 from maxtrifree.report import STREAM_KR_SAMPLES, RunConfig, rng_for
 from maxtrifree.scan import walk_triangle_free
 from oracles import (
@@ -147,6 +147,15 @@ class TestFolkloreStats:
         for code, rows in zip(codes, cols):
             expected = folklore_graph(FolkloreChoice.from_int(n, int(code))).rows
             assert tuple(int(r) for r in rows) == expected
+
+    @pytest.mark.parametrize("n", [4, 8, 12])
+    def test_columns_are_row_dtype_words(self, n):
+        # uint8 up to n = 8, uint16 past it; the values are the members' rows
+        codes = np.random.default_rng(n).integers(0, 1 << folklore_bit_count(n), size=200)
+        cols = folklore_columns(n, codes)
+        assert cols.dtype == row_dtype(n) == (np.uint8 if n <= 8 else np.uint16)
+        for code, rows in zip(codes.tolist(), cols.tolist()):
+            assert tuple(rows) == folklore_graph(FolkloreChoice.from_int(n, code)).rows
 
     def test_columns_are_vertex_major(self):
         # the census passes read one vertex's rows of every member at a time
@@ -314,6 +323,21 @@ class TestKrColumns:
         cols = kr_columns(n, r, *suites._kr_sample_choices(1, shape_idx, n, r))
         assert cols.dtype == np.uint16 and cols.shape == (suites.KR_SAMPLES_PER_SHAPE, n)
         assert hashlib.sha256(cols.astype("<u2").tobytes()).hexdigest() == expected
+
+    @pytest.mark.parametrize("n, r, dtype", [(8, 2, np.uint8), (12, 3, np.uint16),
+                                             (16, 4, np.uint16), (18, 3, np.uint32),
+                                             (24, 2, np.uint32)])
+    def test_rows_are_row_dtype_words(self, n, r, dtype):
+        sizes = len(kr_pair_slots(n, r)), len(kr_vertex_slots(n, r))
+        pair, vert = zip(*(kr_draw(rng_for(5, i), *sizes) for i in range(16)))
+        cols = kr_columns(n, r, np.stack(pair), np.stack(vert))
+        assert cols.dtype == row_dtype(n) == dtype
+        for i, rows in enumerate(cols.tolist()):
+            assert tuple(rows) == kr_free_graph(KrChoice.random(n, r, rng_for(5, i))).rows
+
+    def test_rows_past_64_vertices_are_a_guard_error(self):
+        with pytest.raises(GuardError, match="at most 64 vertices, got n=66"):
+            kr_columns(66, 3, np.zeros((1, 0), dtype=np.int64), np.zeros((1, 0), dtype=np.int64))
 
     @given(st.data())
     def test_seeded_batches_match_kr_free_graph(self, data):

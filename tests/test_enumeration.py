@@ -7,8 +7,6 @@ import numpy as np
 import pytest
 
 from maxtrifree import (
-    CountRow,
-    CountTable,
     GuardError,
     brute_force_maximal_tf,
     encode_graph6,
@@ -19,7 +17,7 @@ from maxtrifree import (
     read_graph6_file,
     remark3_census,
 )
-from maxtrifree import enumeration, graph6, scan, suites
+from maxtrifree import cli, enumeration, graph6, scan, suites
 from maxtrifree.enumeration import check_size
 from maxtrifree.report import RunConfig
 from oracles import (
@@ -118,6 +116,13 @@ class TestEnumerate:
             assert enumerate_maximal_tf(7, shards=shards).labeled_count == \
                 enumerate_maximal_tf(7).labeled_count
 
+    @pytest.mark.parametrize("shards", range(1, 6))
+    def test_seeded_count_at_every_shard_count(self, shards):
+        # a count deals at most n seeds, so shards > n leaves some shards empty
+        for n in range(1, 8):
+            assert enumerate_maximal_tf(n, shards=shards).labeled_count == \
+                enumeration.PINNED_COUNTS[n], n
+
     def test_streaming(self, tmp_path):
         path = tmp_path / "n5.g6"
         row = enumerate_maximal_tf(5, stream_path=path)
@@ -181,20 +186,26 @@ class TestEnumerate:
 
 class TestGrowthTable:
     def test_rows(self):
-        table = growth_table(5)
-        assert [r.labeled_count for r in table.rows] == [1, 1, 3, 7, 27]
-        assert table.rows[1].log2_count_over_n2 == 0.0
-        assert table.rows[2].log2_count_over_n2 == pytest.approx(0.176107, abs=1e-6)
-        assert table.rows[3].log2_count_over_n2 == pytest.approx(0.175460, abs=1e-6)
+        rows = growth_table(5)
+        assert isinstance(rows, tuple)
+        assert [r.n for r in rows] == [1, 2, 3, 4, 5]
+        assert [r.labeled_count for r in rows] == [1, 1, 3, 7, 27]
+        assert rows[1].log2_count_over_n2 == 0.0
+        assert rows[2].log2_count_over_n2 == pytest.approx(0.176107, abs=1e-6)
+        assert rows[3].log2_count_over_n2 == pytest.approx(0.175460, abs=1e-6)
 
-    def test_text_render(self):
-        text = growth_table(4).to_text()
-        assert "log2/n^2" in text and len(text.splitlines()) == 5
-
-    def test_no_gaps_validation(self):
-        row = CountRow(2, 1, 0.0, 0)
-        with pytest.raises(ValueError):
-            CountTable((row,))
+    def test_text_render(self, capsys):
+        # enumerate prints a header and one row per n; the last column is ms
+        assert cli.main(["enumerate", "--n", "4"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "  n        count   log2/n^2       ms"
+        assert [line[:-9] for line in lines[1:]] == [
+            "  1            1   0.000000",
+            "  2            1   0.000000",
+            "  3            3   0.176107",
+            "  4            7   0.175460",
+        ]
+        assert all(line[-9] == " " and line[-8:].strip().isdigit() for line in lines[1:])
 
 
 class TestRemark3:

@@ -15,6 +15,7 @@ from maxtrifree import (
     read_graph6_file,
 )
 from maxtrifree import graph6, scan
+from maxtrifree.graph import row_dtype
 from oracles import (
     complete_bipartite,
     edge_list,
@@ -279,6 +280,26 @@ class TestFiles:
             assert read_graph6_file(path) == graphs, n
             assert graphs == [decode_graph6(s, line=i + 1) for i, s in enumerate(lines)], n
         assert len(results) == 63 and all(results)  # one call per file, none rejected
+
+    @pytest.mark.parametrize("n", [8, 9, 16, 17, 32, 33])
+    def test_one_shape_rows_are_row_dtype_words(self, tmp_path, monkeypatch, n):
+        # at each word-width boundary the one-call path builds row_dtype(n)
+        # rows holding each graph's adjacency
+        rng = np.random.default_rng(n)
+        pairs = list(combinations(range(n), 2))
+        graphs = [empty_graph(n), Graph.complete(n)] + [
+            Graph.from_edges(n, [p for p, coin in zip(pairs, rng.random(len(pairs))) if coin < 0.5])
+            for _ in range(4)]
+        handed = []
+        real = graph6.graphs_from_rows
+        monkeypatch.setattr(graph6, "graphs_from_rows",
+                            lambda n, rows: handed.append(rows) or real(n, rows))
+        path = tmp_path / f"n{n}.g6"
+        path.write_text("".join(encode_graph6(g) + "\n" for g in graphs))
+        assert read_graph6_file(path) == graphs
+        (rows,) = handed
+        assert rows.dtype == row_dtype(n)
+        assert [tuple(r) for r in rows.tolist()] == [g.rows for g in graphs]
 
     def test_code_tables_are_bounded(self):
         # at most two tables of at most 12 rows per character position.  Pair i

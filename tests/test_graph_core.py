@@ -18,7 +18,7 @@ from maxtrifree import (
     mis_count,
 )
 from maxtrifree import graph
-from maxtrifree.graph import graphs_from_rows, row_pairs
+from maxtrifree.graph import graphs_from_rows, row_dtype, row_pairs
 from maxtrifree.reduction import EDGE_PROBABILITIES, random_graph
 from oracles import (
     complete_bipartite,
@@ -112,6 +112,16 @@ class TestGraphType:
         assert sorted(edge_list(h)) == [(0, 1), (1, 2), (2, 3)]
         with pytest.raises(ValueError):
             relabel(g, [0, 0, 1, 2])
+
+
+def test_row_dtype_is_the_narrowest_word():
+    widths = {n: 8 * np.dtype(row_dtype(n)).itemsize for n in range(65)}
+    for n, bits in widths.items():
+        assert np.dtype(row_dtype(n)).kind == "u" and n <= bits, n
+        assert bits == 8 or n > bits // 2, n  # half the width would not do
+    # numpy names the 64-bit word ulonglong here, an equal dtype to uint64
+    assert [np.dtype(row_dtype(n)) for n in (0, 8, 9, 16, 17, 32, 33, 64)] == [
+        np.uint8, np.uint8, np.uint16, np.uint16, np.uint32, np.uint32, np.uint64, np.uint64]
 
 
 class TestGraphsFromRows:

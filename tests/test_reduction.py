@@ -456,9 +456,26 @@ class TestBoundChain:
             bound_chain(container.rows, removal.rows)
         assert str(err.value) == message
 
-    def test_guards(self):
-        with pytest.raises(GuardError):
-            bound_chain(empty_graph(9).rows, empty_graph(9).rows)
+    @pytest.mark.parametrize("n, i, removal_edges, sum_h_star", [(9, 2, 10, 3906),
+                                                                 (10, 1, 9, 1546)])
+    def test_runs_up_to_the_family_cap(self, n, i, removal_edges, sum_h_star):
+        # the chain's vertex cap is the family's, n = 10
+        inst = random_instance(rng_for(23, i), n_min=n, n_max=n)
+        rep = bound_chain(inst.container, inst.removal)
+        assert rep.passed, rep.witnesses
+        assert len(rep.parameters["removal"]) == removal_edges
+        assert rep.counts["sum_h_star"] == rep.counts["maximal_tf_subgraphs"] == sum_h_star
+
+    def test_guards(self, monkeypatch):
+        # past the family's cap the chain stops before any F* is tried
+        def no_fstar(*args):
+            raise AssertionError("an F* was tried")
+
+        monkeypatch.setattr(reduction, "_auxiliary", no_fstar)
+        monkeypatch.setattr(reduction, "is_triangle_free", no_fstar)
+        with pytest.raises(GuardError, match=r"^subgraph search capped at n=10, got 11$"):
+            bound_chain(empty_graph(11).rows, empty_graph(11).rows)
+        monkeypatch.undo()
         k6 = Graph.complete(6)
         big = Graph.from_edges(6, edge_list(k6)[:13])
         with pytest.raises(GuardError):

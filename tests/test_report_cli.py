@@ -326,7 +326,8 @@ class TestCli:
         assert capsys.readouterr().out.count("[PASS]") == 3
 
     @pytest.mark.parametrize("argv, needle", [
-        (["reduce", "--random", "3", "--n", "9"], "--n 9 is beyond the chain check's cap of n=8"),
+        (["reduce", "--random", "3", "--n", "11"],
+         "--n 11 is beyond the chain check's cap of n=10"),
         (["reduce", "--random", "3", "--n", "11", "--check", "claim1,claim2"],
          "--n 11 is beyond the claim2 check's cap of n=10"),
     ])
@@ -358,9 +359,13 @@ class TestCli:
         assert main(["reduce", "--random", "3", "--n", "11", "--check", "claim1",
                      "--seed", "1"]) == 0
         assert capsys.readouterr().out.count("[PASS]") == 12
+        # the chain's cap is the family's, n = 10
+        assert main(["reduce", "--random", "4", "--n", "10", "--check", "chain",
+                     "--seed", "1"]) == 0
+        assert capsys.readouterr().out.count("[PASS] bound_chain_") == 4
 
     @pytest.mark.parametrize("n, checks, needle", [
-        (9, "claim1,claim2,chain", "n=9 is beyond the chain check's cap of n=8"),
+        (11, "claim1,claim2,chain", "n=11 is beyond the chain check's cap of n=10"),
         (11, "claim1,claim2", "n=11 is beyond the claim2 check's cap of n=10"),
     ])
     def test_reduce_instance_beyond_a_check_cap_is_a_usage_error(

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from maxtrifree import (
+    Graph,
     GuardError,
     graph_from_edge_mask,
     has_clique,
@@ -15,6 +16,7 @@ from maxtrifree import (
     is_triangle_free,
 )
 from maxtrifree import scan
+from maxtrifree.graph import row_dtype
 from maxtrifree.enumeration import PINNED_COUNTS
 from maxtrifree.scan import clique_flags, edge_masks, mask_rows, pair_flags, walk_triangle_free
 from oracles import edge_mask, naive_is_maximal_tf, naive_triangles, walk_triangle_free_scalar
@@ -78,6 +80,19 @@ def test_shard_invariance():
         assert walk_triangle_free(6, forward_prune=False, shards=shards) == 5789
 
 
+@pytest.mark.parametrize("shards", range(1, 6))
+def test_prologue_at_the_smallest_n(shards):
+    # a sharded walk makes vertex 0's max(n - 1, 0) decisions before dealing:
+    # none at n = 0 and 1, where its one state goes to shard 0 and the other
+    # shards get none, and at most 4 states at n = 3
+    unpruned, pruned = [1, 1, 2, 7], [1, 1, 1, 3]  # n = 0..3
+    for n in range(4):
+        assert walk_triangle_free(n, forward_prune=False, shards=shards) == unpruned[n], n
+        assert walk_triangle_free(n, forward_prune=True, shards=shards) == pruned[n], n
+        for prune in (False, True):
+            assert collect(n, prune, shards=shards) == collect(n, prune), (n, prune)
+
+
 def orbit_count(n, forward_prune, shards=1):
     """The seeded walk's leaves weighted by C(n - 1, deg 0)."""
     total = 0
@@ -116,11 +131,11 @@ def leaves_with_rows(n, forward_prune, **kw):
     found = []
 
     def consume(*args):
-        # one (N, n) array per batch, nothing else: uint8 columns while a
-        # vertex's bits fit a byte, uint16 from n = 9
+        # one (N, n) array per batch, nothing else, in row_dtype(n): uint8
+        # columns while a vertex's bits fit a byte, uint16 from n = 9
         (adj,) = args
         assert isinstance(adj, np.ndarray)
-        assert adj.dtype == (np.uint8 if n <= 8 else np.uint16)
+        assert adj.dtype == row_dtype(n) == (np.uint8 if n <= 8 else np.uint16)
         assert adj.ndim == 2 and adj.shape[1] == n and len(adj)
         found.extend(zip(edge_masks(adj).tolist(), map(tuple, adj.tolist())))
 
@@ -136,6 +151,26 @@ def test_leaf_rows_at_the_dtype_switch(n):
     assert len(leaves) == PINNED_COUNTS[n]
     for mask, rows in leaves[::101]:
         assert graph_from_edge_mask(n, mask).rows == rows, n
+
+
+def test_n16_leaves_are_the_widest_rows(monkeypatch):
+    # n = 16 is the walker's cap and the top of uint16; with batches of 16
+    # states the first leaves come within 0.1 s (with 64, after 2 s)
+    class Enough(Exception):
+        pass
+
+    def first_batch(adj):
+        batches.append(adj.copy())
+        raise Enough
+
+    batches = []
+    monkeypatch.setattr(scan, "_BATCH", 16)
+    with pytest.raises(Enough):
+        walk_triangle_free(16, forward_prune=True, consume=first_batch)
+    (adj,) = batches
+    assert adj.dtype == row_dtype(16) == np.uint16 and len(adj)
+    for rows in adj.tolist():
+        assert is_maximal_triangle_free(Graph(16, tuple(rows)).rows)  # Graph checks symmetry
 
 
 def test_uint8_leaves_give_the_uint16_masks_and_flags():
@@ -304,7 +339,7 @@ def test_mask_rows_inverts_edge_masks():
         graphs, adj = _random_rows(n, rng)
         masks = edge_masks(adj)
         rows = mask_rows(n, masks)
-        assert rows.dtype == np.uint16
+        assert rows.dtype == row_dtype(n), n
         above = np.array([(1 << n) - (2 << x) for x in range(n)], dtype=np.uint16)
         assert np.array_equal(rows, adj & above), n
         assert np.array_equal(edge_masks(rows), masks), n
