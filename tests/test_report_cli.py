@@ -365,7 +365,8 @@ class TestCli:
         assert capsys.readouterr().out.count("[PASS] bound_chain_") == 4
 
     @pytest.mark.parametrize("n, checks, needle", [
-        (11, "claim1,claim2,chain", "n=11 is beyond the chain check's cap of n=10"),
+        # the chain cap is reported first whatever order the checks are named in
+        (11, "chain,claim1,claim2", "n=11 is beyond the chain check's cap of n=10"),
         (11, "claim1,claim2", "n=11 is beyond the claim2 check's cap of n=10"),
     ])
     def test_reduce_instance_beyond_a_check_cap_is_a_usage_error(
