@@ -15,6 +15,7 @@ any computation) prints ``error: ...`` and exits 2.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -220,7 +221,7 @@ def _cmd_enumerate(args) -> int:
         print(f"{r.n:>3} {r.labeled_count:>12} {r.log2_count_over_n2:>10.6f} {r.wall_time_ms:>8}")
     if args.json_path:
         with open(args.json_path, "w", encoding="ascii") as fh:
-            json.dump([r.to_dict() for r in rows], fh, indent=2, sort_keys=True)
+            json.dump([dataclasses.asdict(r) for r in rows], fh, indent=2, sort_keys=True)
             fh.write("\n")
     return 0
 

@@ -19,7 +19,6 @@ import math
 import time
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Any
 
 import numpy as np
 
@@ -48,14 +47,6 @@ class CountRow:
     labeled_count: int
     log2_count_over_n2: float
     wall_time_ms: int
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "n": self.n,
-            "labeled_count": self.labeled_count,
-            "log2_count_over_n2": self.log2_count_over_n2,
-            "wall_time_ms": self.wall_time_ms,
-        }
 
 
 def brute_force_maximal_tf(n: int) -> list[Graph]:

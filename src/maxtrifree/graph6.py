@@ -20,19 +20,17 @@ that run.  The tables are ``graph.row_dtype(n)`` words, the smallest
 unsigned dtype that holds n bits, at most 2 * 12 * 64 of them per character
 (1.2 MB in all at n = 62), and only the last four n's tables are cached.
 
-``read_graph6_file`` reads a file in blocks of lines and takes one of two
-paths per block.  A block whose lines share one short-form shape, as every
-block of an ``enumerate --stream`` file does, is checked and unpacked as
-uint8 arrays in one call, and its bit rows, symmetric and loop free by
-construction, go to ``graphs_from_rows``, which makes the instances without
-re-checking them and with the cyclic garbage collector paused: a read keeps
-every graph alive, and the collector's passes over them would cost about a
-third of the read.  Every other block (mixed shapes, a header, a long-form
-or blank line, or a line the batch checks reject) goes line by line through
-``decode_graph6``, so a bad line raises the same line-numbered error as
-decoding the file line by line.  The file is read in chunks that are split
-into lines by ``str.split``; a chunk's lines are stripped one by one only if
-it holds ASCII whitespace other than the newlines.
+``read_graph6_file`` reads the whole file as text and takes one of two
+paths.  A file whose lines all share one short-form shape, as every
+``enumerate --stream`` file does, is checked as one uint8 array and unpacked
+``_BLOCK_LINES`` lines at a time, and each slice's bit rows, symmetric and
+loop free by construction, go to ``graphs_from_rows``, which makes the
+instances without re-checking them and with the cyclic garbage collector
+paused: a read keeps every graph alive, and the collector's passes over them
+would cost about a third of the read.  Any other file (mixed shapes, a
+header, a long-form or blank line, a space or tab on a line, or a line the
+array checks reject) goes line by line through ``decode_graph6``, so a bad
+line raises the same line-numbered error as decoding the file line by line.
 """
 from __future__ import annotations
 
@@ -42,12 +40,9 @@ import numpy as np
 
 from .graph import MAX_VERTICES, Graph, graphs_from_rows, row_dtype
 
-#: Lines per block in read_graph6_file; bounds the block's arrays for any n <= 62
-#: and what the block holds on top of the graphs already decoded.
+#: Lines per slice of rows that read_graph6_file builds at once; bounds the
+#: slice's arrays for any n <= 62 on top of the file's text and its graphs.
 _BLOCK_LINES = 4_096
-
-#: Characters read_graph6_file reads from its file at a time.
-_CHUNK_CHARS = 1 << 16
 
 #: Most vertices one decode table covers: the consecutive vertices from the
 #: lowest of a run to its highest.
@@ -240,78 +235,46 @@ def _code_tables(n: int) -> list[tuple[int, int, int, np.ndarray]]:
     return entries
 
 
-def _decode_short(n: int, lines: list[str]) -> list[Graph] | None:
-    """The graphs of equal-length short-form lines for n vertices, or None if
-    any line fails a check.
+def _decode_short(text: str) -> list[Graph] | None:
+    """The graphs of *text* if its lines all share one short-form shape, or
+    None if any line fails a check.
 
-    Makes decode_graph6's checks (first character, character range, body
-    length, zero padding) on all lines at once.  The rows are then built one
-    character position at a time: each of its ``_code_tables`` entries is
-    one lookup of the block's codes there, or-ed into the vertex-major rows
-    of its run.  They come out symmetric, loop free and below bit n by
-    construction, which is the guarantee ``graphs_from_rows`` asks of its
-    caller.
+    The text, given a final newline if it lacks one, is viewed as one uint8
+    array of lines of the first line's width, and decode_graph6's checks
+    (first character, character range, body length, zero padding) are made
+    on all lines at once.  A newline is not a code, so a line of another
+    width, a blank line, a header or a long-form line fails them.  The rows
+    are then built ``_BLOCK_LINES`` lines at a time, one character position
+    at a time: each of its ``_code_tables`` entries is one lookup of the
+    slice's codes there, or-ed into the vertex-major rows of its run.  They
+    come out symmetric, loop free and below bit n by construction, which is
+    the guarantee ``graphs_from_rows`` asks of its caller.
     """
+    if not text.endswith("\n"):
+        text += "\n"
+    n = ord(text[0]) - 63
+    if not 0 <= n <= 62:
+        return None
     nbits = n * (n - 1) // 2
     nchars = (nbits + 5) // 6
-    if len(lines[0]) != nchars + 1:
+    if len(text) % (nchars + 2):
         return None
-    text = "".join(lines).encode("latin-1")
-    chars = np.frombuffer(text, dtype=np.uint8).reshape(len(lines), nchars + 1)
-    codes = chars[:, 1:] - 63
-    if np.any(chars[:, 0] != n + 63) or np.any(codes > 63):  # below '?' wraps past 63
+    chars = np.frombuffer(text.encode("latin-1"), dtype=np.uint8).reshape(-1, nchars + 2)
+    codes = chars[:, 1:-1] - 63
+    if (np.any(chars[:, 0] != n + 63) or np.any(chars[:, -1] != ord("\n"))
+            or np.any(codes > 63)):  # below '?' wraps past 63
         return None
     pad = 6 * nchars - nbits  # the last character's low bits
     if pad and np.any(codes[:, -1] & (1 << pad) - 1):
         return None
-    codes = codes.T.astype(np.intp)  # (nchars, N): one contiguous row per position
-    rows = np.zeros((n, len(lines)), dtype=row_dtype(n))
-    for c, lo, hi, table in _code_tables(n):
-        rows[lo:hi] |= table.take(codes[c], axis=1)
-    return graphs_from_rows(n, rows.T)
-
-
-def _decode_block(lines: list[str], first_line: int) -> list[Graph]:
-    """Graphs of one block of stripped lines, in file order; blank lines skipped.
-
-    A block whose lines all have one length and start with a short-form
-    vertex count (as every block of a stream that ``enumerate`` writes does)
-    goes to ``_decode_short`` in one call.  Any other block, or one that
-    call rejects, goes line by line through ``decode_graph6``.
-    """
-    head = lines[0]
-    if head and "?" <= head[0] <= "}" and len(set(map(len, lines))) == 1:
-        graphs = _decode_short(ord(head[0]) - 63, lines)
-        if graphs is not None:
-            return graphs
-    return [decode_graph6(s, line=first_line + i) for i, s in enumerate(lines) if s]
-
-
-def _line_blocks(fh):
-    """The lines of text file *fh*, stripped of ASCII whitespace, as lists of
-    ``_BLOCK_LINES`` lines (the last may be shorter).
-
-    The file is read ``_CHUNK_CHARS`` characters at a time and split at its
-    newlines in C; only a chunk that holds other ASCII whitespace has its
-    lines stripped one by one.
-    """
-    lines: list[str] = []
-    tail = ""  # the chunk's last line, not yet ended by a newline
-    spaces = WHITESPACE.replace("\n", "")
-    while chunk := fh.read(_CHUNK_CHARS):
-        text = tail + chunk
-        more = text.split("\n")
-        tail = more.pop()
-        if any(ch in text for ch in spaces):
-            more = [s.strip(WHITESPACE) for s in more]
-        lines += more
-        while len(lines) >= _BLOCK_LINES:
-            yield lines[:_BLOCK_LINES]
-            del lines[:_BLOCK_LINES]
-    if tail:
-        lines.append(tail.strip(WHITESPACE))
-    if lines:
-        yield lines
+    graphs: list[Graph] = []
+    for start in range(0, len(codes), _BLOCK_LINES):
+        block = codes[start:start + _BLOCK_LINES].T.astype(np.intp)  # one row per position
+        rows = np.zeros((n, block.shape[1]), dtype=row_dtype(n))
+        for c, lo, hi, table in _code_tables(n):
+            rows[lo:hi] |= table.take(block[c], axis=1)
+        graphs += graphs_from_rows(n, rows.T)
+    return graphs
 
 
 def read_graph6_file(path) -> list[Graph]:
@@ -322,12 +285,15 @@ def read_graph6_file(path) -> list[Graph]:
     malformed line raises Graph6Error with its line number, as
     ``decode_graph6`` would for that line alone.
     """
-    graphs: list[Graph] = []
     # latin-1 maps every byte to one character, so a non-ASCII byte reaches the
-    # range check and fails with its line number
+    # range check and fails with its line number; universal newlines turn
+    # "\r\n" and a lone "\r" into line breaks
     with open(path, "r", encoding="latin-1") as fh:
-        first_line = 1
-        for block in _line_blocks(fh):
-            graphs.extend(_decode_block(block, first_line))
-            first_line += len(block)
-    return graphs
+        text = fh.read()
+    if not text:
+        return []
+    graphs = _decode_short(text)
+    if graphs is not None:
+        return graphs
+    return [decode_graph6(s, line=i) for i, s in enumerate(text.split("\n"), start=1)
+            if s.strip(WHITESPACE)]

@@ -134,7 +134,7 @@ class TestEnumerate:
         assert [edge_mask(g) for g in brute_force_maximal_tf(5)] == masks
 
     def test_streaming_n8_reads_back_in_blocks(self, tmp_path):
-        # 15,247 lines: three full blocks of the reader and a partial fourth
+        # 15,247 lines: three full row slices of the reader and a partial fourth
         path = tmp_path / "n8.g6"
         row = enumerate_maximal_tf(8, stream_path=path)
         graphs = read_graph6_file(path)
@@ -165,6 +165,21 @@ class TestEnumerate:
         assert len(lines) == len(masks) == 219_747
         for i in random.Random(9).sample(range(len(masks)), 2_000):
             assert lines[i] == encode_graph6(graph_from_edge_mask(9, masks[i])).encode()
+
+    def test_n9_stream_reads_back_as_one_array(self, tmp_path, monkeypatch, capsys):
+        # the file the enumerate-stream benchmark reads takes the one-call path
+        path = tmp_path / "n9.g6"
+        assert cli.main(["enumerate", "--n", "9", "--stream", str(path)]) == 0
+        capsys.readouterr()
+        results, single = [], []
+        decode_short = graph6._decode_short
+        monkeypatch.setattr(graph6, "_decode_short",
+                            lambda text: results.append(decode_short(text)) or results[-1])
+        monkeypatch.setattr(graph6, "decode_graph6",
+                            lambda text, line=None: single.append(line))
+        graphs = read_graph6_file(path)
+        assert len(results) == 1 and results[0] is graphs and single == []
+        assert [edge_mask(g) for g in graphs] == _sorted_leaf_masks(9)
 
     def test_size_below_one(self):
         for n in (0, -1):

@@ -28,17 +28,6 @@ from oracles import (
 )
 
 
-def routed(lines: list[str], block_lines: int) -> list[int]:
-    """The line numbers read_graph6_file hands to decode_graph6: every non-blank
-    line of a block whose lines do not all share one short-form shape."""
-    out = []
-    for start in range(0, len(lines), block_lines):
-        block = [s.strip() for s in lines[start:start + block_lines]]
-        if not "?" <= block[0][:1] <= "}" or len({(s[:1], len(s)) for s in block}) > 1:
-            out += [start + 1 + i for i, s in enumerate(block) if s]
-    return out
-
-
 def nx_encode(g: Graph) -> str:
     h = nx.Graph()
     h.add_nodes_from(range(g.n))
@@ -252,22 +241,21 @@ class TestFiles:
             lambda text, line=None: single.append(line) or decode_graph6(text, line))
         assert read_graph6_file(path) == lazy
         assert len(lazy) == 300 + 2 + 2 * 6
-        # the whole file is one mixed block, so every non-blank line is decoded alone
-        assert single == routed(lines, graph6._BLOCK_LINES) and len(single) == len(lazy)
-        single.clear()
-        monkeypatch.setattr(graph6, "_BLOCK_LINES", 7)  # block edges inside runs
-        assert read_graph6_file(path) == lazy
-        # a block inside a run takes the one-call path; every other goes line by line
-        assert single == routed(lines, 7) and len(single) < len(lazy)
+        # not one shape, so every non-blank line is decoded alone, in order
+        assert single == [i + 1 for i, s in enumerate(lines) if s.strip()]
+        assert len(single) == len(lazy)
 
     def test_one_call_path_is_exact_for_every_short_form_n(self, tmp_path, monkeypatch):
         # the rows _decode_short builds go to graphs_from_rows unchecked, so
         # each must equal what Graph's own checks accept from decode_graph6
         rng = np.random.default_rng(17)
-        results = []
+        results, single = [], []
         decode_short = graph6._decode_short
         monkeypatch.setattr(graph6, "_decode_short",
-                            lambda n, lines: results.append(decode_short(n, lines)) or results[-1])
+                            lambda text: results.append(decode_short(text)) or results[-1])
+        monkeypatch.setattr(
+            graph6, "decode_graph6",
+            lambda text, line=None: single.append(line) or decode_graph6(text, line))
         for n in range(63):
             pairs = list(combinations(range(n), 2))
             graphs = [empty_graph(n), Graph.complete(n)] + [
@@ -275,11 +263,16 @@ class TestFiles:
                                      if coin < density])
                 for density in (0.1, 0.5, 0.9, 0.5)]
             lines = [encode_graph6(g) for g in graphs]
-            path = tmp_path / f"n{n}.g6"
-            path.write_text("\n".join(lines) + "\n")
-            assert read_graph6_file(path) == graphs, n
             assert graphs == [decode_graph6(s, line=i + 1) for i, s in enumerate(lines)], n
-        assert len(results) == 63 and all(results)  # one call per file, none rejected
+            single.clear()
+            path = tmp_path / f"n{n}.g6"
+            # LF, CRLF and no final newline all read as one array
+            for text in ("\n".join(lines) + "\n", "\r\n".join(lines) + "\r\n", "\n".join(lines)):
+                path.write_bytes(text.encode("ascii"))
+                assert read_graph6_file(path) == graphs, n
+            assert single == [], n
+        # one call per file, none rejected
+        assert len(results) == 3 * 63 and all(results)
 
     @pytest.mark.parametrize("n", [8, 9, 16, 17, 32, 33])
     def test_one_shape_rows_are_row_dtype_words(self, tmp_path, monkeypatch, n):
@@ -332,7 +325,7 @@ class TestFiles:
         "D?",      # ... not one
         "D?@",     # the last two of the 12 body bits are padding
     ])
-    def test_batch_reader_reports_the_lazy_readers_error(self, tmp_path, monkeypatch, bad):
+    def test_batch_reader_reports_the_lazy_readers_error(self, tmp_path, bad):
         good = [encode_graph6(graph_from_edge_mask(5, m)) for m in range(1000)]
         path = tmp_path / "bad.g6"
         path.write_text("\n".join(good + [bad, "D?", "D?@"] + good) + "\n")
@@ -342,17 +335,14 @@ class TestFiles:
             read_graph6_file(path)
         assert str(batch.value) == str(lazy.value)
         assert batch.value.line == lazy.value.line == 1001
-        monkeypatch.setattr(graph6, "_BLOCK_LINES", 1001)  # the bad lines in two blocks
-        with pytest.raises(Graph6Error) as split:
-            read_graph6_file(path)
-        assert str(split.value) == str(lazy.value)
 
     @pytest.mark.parametrize("bad", ["D!?", "D?\x7f", "D?@", "D@A"])
     @pytest.mark.parametrize("block_lines", [None, 1000, 1001])
     def test_one_shape_block_with_a_rejected_line(self, tmp_path, monkeypatch, bad,
                                                   block_lines):
-        # every line has the shape of n = 5, so each block is tried in one call;
-        # 1000 and 1001 put the bad line first and last in its block
+        # every line has the width of n = 5, so the file is tried as one array;
+        # slices of 1000 and 1001 lines would put the bad line first and last
+        # in its slice, and the array is rejected before any slice is built
         good = [encode_graph6(graph_from_edge_mask(5, m)) for m in range(1024)]
         path = tmp_path / "bad.g6"
         path.write_text("\n".join(good[:1000] + [bad] + good) + "\n")
@@ -366,16 +356,15 @@ class TestFiles:
         assert batch.value.line == lazy.value.line == 1001
 
     @pytest.mark.parametrize("case", ["crlf", "space", "tab", "no_final_newline", "blank_tail"])
-    @pytest.mark.parametrize("block_lines, chunk_chars", [(None, None), (40, 5), (41, 5)])
+    @pytest.mark.parametrize("block_lines, slices", [(None, None), (40, 5), (41, 5)])
     def test_one_shape_file_with_whitespace_to_strip(self, tmp_path, monkeypatch, case,
-                                                     block_lines, chunk_chars):
-        # line 41 is the odd one; blocks of 40 and 41 lines put it first and
-        # last in its block, and 5-character chunks end inside lines
-        good = [encode_graph6(graph_from_edge_mask(5, m)) for m in range(45)]
+                                                     block_lines, slices):
+        # line 41 is the odd one; row slices of 40 and 41 lines put it first
+        # and last in its slice, and cut the 200 lines into 5 slices (None
+        # keeps the default slice size and counts no slices)
+        good = [encode_graph6(graph_from_edge_mask(5, m)) for m in range(200)]
         if block_lines is not None:
             monkeypatch.setattr(graph6, "_BLOCK_LINES", block_lines)
-        if chunk_chars is not None:
-            monkeypatch.setattr(graph6, "_CHUNK_CHARS", chunk_chars)
         path = tmp_path / f"{case}.g6"
 
         def write(odd: str) -> None:
@@ -383,21 +372,28 @@ class TestFiles:
                 "crlf": "".join(s + "\r\n" for s in good[:40] + [odd] + good[41:]),
                 "space": "\n".join(good[:40] + [odd + " "] + good[41:]) + "\n",
                 "tab": "\n".join(good[:40] + ["\t" + odd + "\t"] + good[41:]) + "\n",
-                "no_final_newline": "\n".join(good[:40] + [odd]),
-                "blank_tail": "\n".join(good[:40] + [odd]) + "\n\n \n\t\r\n\n",
+                "no_final_newline": "\n".join(good[:40] + [odd] + good[41:]),
+                "blank_tail": "\n".join(good[:40] + [odd] + good[41:]) + "\n\n \n\t\r\n\n",
             }[case]
             path.write_bytes(text.encode("ascii"))
 
         write(good[40])
         lazy = list(iter_graph6_file(path))
-        single = []
+        single, handed = [], []
         monkeypatch.setattr(
             graph6, "decode_graph6",
             lambda text, line=None: single.append(line) or decode_graph6(text, line))
+        real = graph6.graphs_from_rows
+        monkeypatch.setattr(graph6, "graphs_from_rows",
+                            lambda n, rows: handed.append(rows) or real(n, rows))
         assert read_graph6_file(path) == lazy
-        assert lazy == [graph_from_edge_mask(5, m) for m in range(len(lazy))]
-        if case != "blank_tail":  # stripped, every block has one shape
-            assert single == []
+        assert lazy == [graph_from_edge_mask(5, m) for m in range(200)]
+        if case in ("crlf", "no_final_newline"):  # one shape once line breaks are read
+            assert single == [] and handed
+            if slices is not None:
+                assert len(handed) == slices
+        else:  # a space, a tab or a blank line: every non-blank line alone
+            assert single == list(range(1, 201)) and handed == []
         write("D?@")  # nonzero padding bits
         with pytest.raises(Graph6Error) as expected:
             list(iter_graph6_file(path))
@@ -412,15 +408,51 @@ class TestFiles:
         path = tmp_path / "n5.g6"
         path.write_bytes(encode_graph6_rows(5, scan.mask_rows(5, np.arange(2048) % 1024)))
         lazy = list(iter_graph6_file(path))
-        handed, calls = [], []
-        decode_block, decode_short = graph6._decode_block, graph6._decode_short
-        monkeypatch.setattr(graph6, "_decode_block",
-                            lambda lines, first: handed.append(lines) or decode_block(lines, first))
+        results, handed, single = [], [], []
+        decode_short, real = graph6._decode_short, graph6.graphs_from_rows
         monkeypatch.setattr(graph6, "_decode_short",
-                            lambda n, lines: calls.append(lines) or decode_short(n, lines))
+                            lambda text: results.append(decode_short(text)) or results[-1])
+        monkeypatch.setattr(graph6, "graphs_from_rows",
+                            lambda n, rows: handed.append(rows) or real(n, rows))
+        monkeypatch.setattr(
+            graph6, "decode_graph6",
+            lambda text, line=None: single.append(line) or decode_graph6(text, line))
         if block_lines is not None:
             monkeypatch.setattr(graph6, "_BLOCK_LINES", block_lines)
         assert read_graph6_file(path) == lazy
-        # one call per block, on the block's own list: no line was regrouped
-        assert len(calls) == len(handed) == blocks
-        assert all(c is b for c, b in zip(calls, handed))
+        # one call for the whole file, its rows built a slice at a time
+        assert len(results) == 1 and results[0] == lazy and single == []
+        assert len(handed) == blocks
+        assert [len(rows) for rows in handed] == \
+            [min(graph6._BLOCK_LINES, 2048 - i) for i in range(0, 2048, graph6._BLOCK_LINES)]
+        assert all(rows.dtype == row_dtype(5) for rows in handed)
+
+    @pytest.mark.parametrize("text", ["", "\n"])
+    def test_empty_file(self, tmp_path, text):
+        path = tmp_path / "empty.g6"
+        path.write_text(text)
+        assert read_graph6_file(path) == [] == list(iter_graph6_file(path))
+
+    @pytest.mark.parametrize("text, error", [
+        # 3 + 5 characters: the first row of n = 5's width 4 ends in "D"
+        ("D?\nD???\n", "line 1: expected 2 data characters for n=5, got 1"),
+        # one line of 7 characters, two rows of width 4 with "D" in column 0
+        ("D??DD??\n", "line 1: expected 2 data characters for n=5, got 6"),
+    ])
+    def test_lines_that_fill_whole_rows_of_another_width(self, tmp_path, monkeypatch,
+                                                         text, error):
+        # the text's length is a multiple of the width, but a row's last
+        # column is not a newline, so the file goes line by line
+        path = tmp_path / "widths.g6"
+        path.write_text(text)
+        single = []
+        monkeypatch.setattr(
+            graph6, "decode_graph6",
+            lambda text, line=None: single.append(line) or decode_graph6(text, line))
+        assert graph6._decode_short(path.read_text()) is None
+        with pytest.raises(Graph6Error) as lazy:
+            list(iter_graph6_file(path))
+        with pytest.raises(Graph6Error) as batch:
+            read_graph6_file(path)
+        assert str(batch.value) == str(lazy.value) == error
+        assert single == [1]
