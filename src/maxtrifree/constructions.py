@@ -32,6 +32,8 @@ from .scan import pair_flags
 
 FOLKLORE_STATS_MAX_N = 12
 _MAX_WITNESSES = 5  # members with a triangle written out, as the sample checks keep
+# odd 64-bit factors of _member_mix, one per census word (n/4 <= 3 words at n <= 12)
+_MIX_FACTORS = (0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9)
 
 _HEX = re.compile(r"(0[xX])?[0-9a-fA-F]+")
 
@@ -122,20 +124,57 @@ def folklore_columns(n: int, codes: np.ndarray) -> np.ndarray:
     ``folklore_graph(FolkloreChoice.from_int(n, codes[k])).rows[x]``.  The
     (N, n) array is the transposed view of vertex-major (n, N) columns, so a
     pass over one vertex's rows of every member reads contiguous memory.
+    Each matching edge's slice of the codes is cast to ``row_dtype(n)`` once,
+    and every later shift and OR works in place on row words, through one
+    scratch column.
     """
     half = n // 2
     full = (1 << half) - 1
     codes = np.asarray(codes, dtype=np.int64)
     dtype = row_dtype(n)
     cols = np.zeros((n, len(codes)), dtype=dtype)
+    bit = np.empty(len(codes), dtype=dtype)
     for i in range(n // 4):
         a, b = 2 * i, 2 * i + 1
-        to_b = codes >> (i * half) & full  # bit j: independent vertex half + j joins b
-        cols[a] = 1 << b | (to_b ^ full) << half
-        cols[b] = 1 << a | to_b << half
+        # bit j: independent vertex half + j joins b
+        to_b = (codes >> (i * half) & full).astype(dtype)
+        np.bitwise_xor(to_b, full, out=cols[a])
+        cols[a] <<= half
+        cols[a] |= 1 << b
+        np.left_shift(to_b, half, out=cols[b])
+        cols[b] |= 1 << a
         for j in range(half):
-            cols[half + j] |= (1 << (a + (to_b >> j & 1))).astype(dtype)
+            np.right_shift(to_b, j, out=bit)
+            bit &= 1
+            np.left_shift(dtype(1 << a), bit, out=bit)  # 1 << (a + bit j)
+            cols[half + j] |= bit
     return cols.T
+
+
+def _member_mix(words: np.ndarray) -> np.ndarray:
+    """A uint64 mix of each row of the (N, k) uint64 *words*, k >= 1: equal
+    rows always get equal mixes, and a single word is mixed one-to-one."""
+    mix = words[:, 0] * np.uint64(_MIX_FACTORS[0])
+    for w in range(1, words.shape[1]):
+        mix ^= words[:, w]
+        mix *= np.uint64(_MIX_FACTORS[w])
+    return mix
+
+
+def _distinct_members(words: np.ndarray) -> int:
+    """The number of distinct rows of the (N, k) uint64 *words*, k >= 1,
+    counted exactly from one sort of their mixes.  Equal rows share a mix,
+    so a row whose mix no other row has is distinct from every other row;
+    only the rows with a tied mix are compared word by word."""
+    mix = _member_mix(words)
+    ordered = np.sort(mix)
+    tied = ordered[1:] == ordered[:-1]
+    if not tied.any():
+        return len(words)
+    shared = words[np.isin(mix, ordered[1:][tied])]
+    shared = shared[np.lexsort(shared.T)]
+    differ = np.count_nonzero(np.any(shared[1:] != shared[:-1], axis=1))
+    return len(words) - len(shared) + 1 + int(differ)
 
 
 def folklore_family_stats(n: int) -> VerificationReport:
@@ -145,12 +184,14 @@ def folklore_family_stats(n: int) -> VerificationReport:
     and scan.pair_flags flags those with a triangle (an edge whose ends have
     a common neighbour) and those that are not maximal (a non-edge whose ends
     have none); both read the columns vertex by vertex, so each pass is
-    contiguous.  Distinct members are counted exactly by sorting them with
-    np.lexsort on n/4 uint64 keys, each packing four vertices' rows at 16
-    bits apiece (n is a multiple of 4, and n <= 12 rows fit 16 bits), and
-    counting the neighbours that differ.  The census reads the memory behind
-    the (N, n) view it is given, so a member written into that array is the
-    member counted.  A Graph is built only for the
+    contiguous.  Distinct members are counted exactly on one member-major
+    uint16 copy of the rows, viewed as n/4 uint64 words per member, each
+    packing four vertices' rows at 16 bits apiece (n is a multiple of 4, and
+    n <= 12 rows fit 16 bits): one sort of a 64-bit mix of each member's
+    words, after which only members whose mixes tie are compared word by
+    word, since equal members always share a mix.  The census reads the
+    memory behind the (N, n) view it is given, so a member written into that
+    array is the member counted.  A Graph is built only for the
     witnesses, the first ``_MAX_WITNESSES`` members with a triangle, from
     the rows that were checked, so a fault in the columns shows in them;
     the counts give the totals.
@@ -167,12 +208,9 @@ def folklore_family_stats(n: int) -> VerificationReport:
     tf = total - int(np.count_nonzero(triangle))
     maximal = total - int(np.count_nonzero(triangle | not_maximal))
     if n:
-        # member k's key w packs its rows 4w..4w+3, 16 bits each (n is a multiple of 4)
-        keys = np.zeros((n // 4, total), dtype=np.uint64)
-        for x, row in enumerate(cols.T):
-            keys[x // 4] |= row.astype(np.uint64) << np.uint64(16 * (x % 4))
-        ordered = keys[:, np.lexsort(keys)]
-        distinct = 1 + int(np.count_nonzero(np.any(ordered[:, 1:] != ordered[:, :-1], axis=0)))
+        # member k's word w packs its rows 4w..4w+3, 16 bits each (n is a multiple of 4)
+        distinct = _distinct_members(
+            np.ascontiguousarray(cols, dtype=np.uint16).view(np.uint64))
     else:
         distinct = 1  # n = 0 has one member, with no words to compare
     bad = [encode_graph6(Graph(n, tuple(int(r) for r in cols[k])))

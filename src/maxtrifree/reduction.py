@@ -218,6 +218,7 @@ def _auxiliary(container, removal, sel) -> AuxiliaryGraph:
     graph.
     """
     red = []
+    lost = t_ends = 0  # F* bits missing from the reduced rows; T-vertex ends
     for c, r, s in zip(container, removal, sel):
         doomed = 0
         rest = s
@@ -225,28 +226,37 @@ def _auxiliary(container, removal, sel) -> AuxiliaryGraph:
             low = rest & -rest
             doomed |= sel[low.bit_length() - 1]
             rest ^= low
-        red.append(c & ~(r & ~s) & ~doomed)
-    if any(s & ~r for s, r in zip(sel, red)):
-        lost = _edges_outside(sel, red)
-        raise AssertionError(f"selected edge {lost[0]} was removed from the reduction")
-    t_n = sum((r & ~s).bit_count() for r, s in zip(red, sel)) // 2
+        row = c & ~(r & ~s) & ~doomed
+        red.append(row)
+        lost |= s & ~row
+        t_ends += (row & ~s).bit_count()
+    if lost:
+        edge = _edges_outside(sel, red)[0]
+        raise AssertionError(f"selected edge {edge} was removed from the reduction")
+    t_n = t_ends // 2
     if t_n > MAX_VERTICES:
         raise GuardError(
             f"auxiliary graph needs {t_n} vertices, beyond the {MAX_VERTICES} cap")
     n = len(red)
     rank = _pair_ranks(n)
     t_rows = [0] * (n * (n - 1) // 2)
-    for x, y in row_pairs(sel):
-        # sx and sy are T-vertices joined through the selected edge xy
-        common = red[x] & red[y]
-        rank_x, rank_y = rank[x], rank[y]
-        while common:
-            low = common & -common
-            common ^= low
-            s = low.bit_length() - 1
-            i, j = rank_x[s], rank_y[s]
-            t_rows[i] |= 1 << j
-            t_rows[j] |= 1 << i
+    for x, row in enumerate(sel):
+        red_x, rank_x = red[x], rank[x]
+        rest = row & (-2 << x)  # the F* edges xy with y > x
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            y = low.bit_length() - 1
+            # sx and sy are T-vertices joined through the selected edge xy
+            common = red_x & red[y]
+            rank_y = rank[y]
+            while common:
+                low = common & -common
+                common ^= low
+                s = low.bit_length() - 1
+                i, j = rank_x[s], rank_y[s]
+                t_rows[i] |= 1 << j
+                t_rows[j] |= 1 << i
     return AuxiliaryGraph(tuple(t_rows), t_n, tuple(red), tuple(sel))
 
 
@@ -332,10 +342,15 @@ def enumerate_h_star(inst: ReductionInstance) -> list[int]:
 
     H is maximal on the whole vertex set, so H(F*) is a selection from the
     cached family: the masks inside the container whose removal edges are
-    exactly F*, in the family's ascending order, with no sort.
+    exactly F*, in the family's ascending order, with no sort.  With g, f
+    and s the container's, removal's and F*'s masks, one test selects them:
+    h & (~g | f) == s.  A checked instance has s within f within g, so from
+    that test h & ~g lies in s & ~g, which is empty, and then h & f = s & f
+    = s; the converse is immediate.
     """
     g, f, s = _masks(inst.container, inst.removal, inst.selected)
-    return _select(_inside(inst.n, g), f, s).tolist()
+    family = _family(inst.n)
+    return family[(family & (~g | f)) == s].tolist()
 
 
 def _image_problem(t_rows, pairs, m: int, red: int, s: int) -> list[str]:

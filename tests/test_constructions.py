@@ -226,6 +226,55 @@ class TestFolkloreStats:
             assert find_triangle(decode_graph6(text).rows) == (0, 1, 2)
 
 
+class TestDistinctTies:
+    """The distinct count compares words only where mixes tie; these tests
+    force ties, so the word comparison is what they check."""
+
+    @staticmethod
+    def one_mix(words):
+        return np.zeros(len(words), dtype=np.uint64)
+
+    @pytest.mark.parametrize("n,total", [(4, 4), (8, 256), (12, 262144)])
+    def test_counts_hold_when_every_mix_ties(self, monkeypatch, n, total):
+        pinned = folklore_family_stats(n)
+        monkeypatch.setattr(constructions, "_member_mix", self.one_mix)
+        rep = folklore_family_stats(n)
+        assert rep.counts == pinned.counts and rep.counts["distinct"] == total
+        assert rep.passed and rep.witnesses == []
+
+    @pytest.mark.parametrize("n", [8, 12])
+    def test_planted_duplicate_found_among_tied_mixes(self, monkeypatch, n):
+        # first and last member equal, every member sharing one mix: the
+        # duplicate is found by the words alone
+        def duplicate_ends(n, codes):
+            cols = folklore_columns(n, codes)
+            cols[-1] = cols[0]
+            return cols
+
+        monkeypatch.setattr(constructions, "folklore_columns", duplicate_ends)
+        monkeypatch.setattr(constructions, "_member_mix", self.one_mix)
+        rep = folklore_family_stats(n)
+        assert not rep.passed
+        assert rep.counts["distinct"] == rep.counts["total"] - 1
+        assert rep.witnesses == [f"distinct={rep.counts['total'] - 1}"]
+
+    def test_different_members_sharing_a_mix_stay_apart(self, monkeypatch):
+        # members 0 and 1 << 12 at n = 12 differ only in bit 0 of the third
+        # matching edge, so only rows 4, 5 and 6 differ, all in word 1; their
+        # first and last words agree
+        mix = constructions._member_mix
+
+        def collide(words):
+            out = mix(words)
+            out[1 << 12] = out[0]
+            return out
+
+        monkeypatch.setattr(constructions, "_member_mix", collide)
+        rep = folklore_family_stats(12)
+        assert rep.passed
+        assert rep.counts["distinct"] == rep.counts["total"] == 262144
+
+
 class TestKrChoice:
     def test_slot_counts(self):
         assert len(kr_pair_slots(12, 3)) == comb(2, 2) * 4
