@@ -337,12 +337,17 @@ class TestFiles:
         assert batch.value.line == lazy.value.line == 1001
 
     @pytest.mark.parametrize("bad", ["D!?", "D?\x7f", "D?@", "D@A"])
-    def test_one_shape_block_with_a_rejected_line(self, tmp_path, bad):
-        # every line has the width of n = 5, so the file is tried as one
-        # array, which is rejected before any slice is cut
+    @pytest.mark.parametrize("block_lines", [None, 1000, 1001])
+    def test_one_shape_block_with_a_rejected_line(self, tmp_path, monkeypatch, bad,
+                                                  block_lines):
+        # every line has the width of n = 5, so the file is tried as one array;
+        # slices of 1000 and 1001 lines would put the bad line first and last
+        # in its slice, and the array is rejected before any slice is built
         good = [encode_graph6(graph_from_edge_mask(5, m)) for m in range(1024)]
         path = tmp_path / "bad.g6"
         path.write_text("\n".join(good[:1000] + [bad] + good) + "\n")
+        if block_lines is not None:
+            monkeypatch.setattr(graph6, "_BLOCK_LINES", block_lines)
         with pytest.raises(Graph6Error) as lazy:
             list(iter_graph6_file(path))
         with pytest.raises(Graph6Error) as batch:
