@@ -4,17 +4,21 @@ The brute-force scan over all 2^C(n,2) graphs, one numpy pass of bit tests
 over every edge mask at once, is the oracle (n <= 6); the production counter
 walks the edge-decision tree with triangle pruning plus the forward
 common-neighbor prune and must agree with the oracle wherever both run.
-A count walks one seed per degree of vertex 0 and weights each leaf by
-C(n - 1, deg 0), since relabeling 1..n - 1 keeps the count
-(``_walk_maximal``); a walk that hands its graphs on walks every one.
-The growth table profiles log2(count)/n^2 without asserting any
+Every walk of the family runs below one seed per degree of vertex 0, to
+the leaves with N(0) = {1..k} (``_walk_maximal``), since relabeling
+1..n - 1 keeps a graph maximal triangle-free: a count weights each leaf by
+C(n - 1, deg 0), and the family (``_maximal_masks``) relabels each leaf's
+edge mask into its C(n - 1, deg 0) images with byte tables and sorts them
+once.  The growth table profiles log2(count)/n^2 without asserting any
 asymptotics, which are out of reach at these sizes.  The Remark 3 census
-tallies ``constructions.matching_partition_flags`` over the pruned walker's
-leaf batches as they come, with no mask, sort or ``Graph``; its totals are
-pinned by ``PINNED_COUNTS`` and the graphs that split by ``PINNED_ADMITTING``.
+tallies ``constructions.matching_partition_flags`` over the seed leaves as
+they come, each weighted by C(n - 1, deg 0), with no mask, sort or
+``Graph``; its totals are pinned by ``PINNED_COUNTS`` and the graphs that
+split by ``PINNED_ADMITTING``.
 """
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -24,7 +28,7 @@ import numpy as np
 
 from . import scan
 from .constructions import matching_partition_flags
-from .graph import Graph, GuardError
+from .graph import Graph, GuardError, lex_pairs
 from .graph6 import encode_graph6_rows
 
 BRUTE_FORCE_MAX_N = 6
@@ -106,43 +110,107 @@ def _orbit_weights(n: int) -> np.ndarray:
 
 def _walk_maximal(n: int, consume: scan.Consumer | None, *, shards: int = 1,
                   forward_prune: bool = True) -> int:
-    """Count the maximal triangle-free graphs on [n] with the walker, feeding
-    their adjacency rows to *consume* when it is given; unpruned leaves are
-    every triangle-free graph, filtered by ``scan.pair_flags``.
+    """Count the maximal triangle-free graphs on [n] with the orbit-seeded
+    walker, feeding the seed leaves' adjacency rows to *consume* when it is
+    given; unpruned leaves are every triangle-free graph, filtered by
+    ``scan.pair_flags``.
 
-    Without *consume* the count is orbit-weighted: relabeling 1..n-1 with 0
-    fixed maps the maximal triangle-free graphs with N(0) = S, |S| = k,
-    one-to-one onto those with N(0) = {1..k}, so the count is the sum over k
-    of C(n - 1, k) times the latter (the proof is in ``scan``).  The walk
-    then runs only below vertex 0's seeds N(0) = {1..k} and adds
-    C(n - 1, deg 0) per maximal leaf.  With *consume* it is the full labeled
-    walk, every graph handed over once.
+    Relabeling 1..n-1 with 0 fixed maps the maximal triangle-free graphs
+    with N(0) = S, |S| = k, one-to-one onto those with N(0) = {1..k} (the
+    proof is in ``scan``).  So the walk runs only below vertex 0's seeds
+    N(0) = {1..k}, its leaves are the graphs with such an N(0), and each
+    stands for C(n - 1, deg 0) labeled graphs: the count adds that weight
+    per maximal leaf, and a consumer weights or relabels the leaves itself.
     """
     check_size(n)
-    weights = _orbit_weights(n) if consume is None else None
+    weights = _orbit_weights(n)
     count = 0
 
     def keep(adj: np.ndarray) -> None:
         nonlocal count
         if not forward_prune:
             adj = adj[~scan.pair_flags(adj)[1]]
-        if weights is not None:
-            count += int(weights[np.bitwise_count(adj[:, 0])].sum())
-        else:
-            count += len(adj)
+        count += int(weights[np.bitwise_count(adj[:, 0])].sum())
+        if consume is not None:
             consume(adj)
 
     scan.walk_triangle_free(n, forward_prune=forward_prune, consume=keep, shards=shards,
-                            orbit_seeds=consume is None)
+                            orbit_seeds=True)
     return count
 
 
+def _relabelings(n: int, k: int) -> np.ndarray:
+    """The relabelings sigma_S of [n] for the k-sets S of 1..n-1, one row
+    [sigma(0), ..., sigma(n-1)] per S: sigma_S fixes 0 and sends 1..k onto S
+    and k+1..n-1 onto the rest, both in increasing order."""
+    sets = np.array(list(combinations(range(1, n), k)), dtype=np.intp)
+    outside = np.ones((math.comb(n - 1, k), n), dtype=bool)
+    outside[:, 0] = False
+    outside[np.arange(len(outside))[:, None], sets.reshape(len(outside), k)] = False
+    # a stable sort lists 0 and S, then the rest, each in increasing order
+    return np.argsort(outside, axis=1, kind="stable")
+
+
+@functools.cache
+def _relabel_tables(n: int) -> list[np.ndarray]:
+    """Per k = 0..n-1, the byte tables of the relabelings sigma_S of
+    ``_relabelings(n, k)``: ``tables[k][b, x, i]`` is the edge mask into
+    which the i-th sigma_S sends the pairs of byte value x at byte b of an
+    edge mask, so a relabeled mask is the OR of one entry per byte.  Cached,
+    as building them costs a tenth to a quarter of a whole family at
+    n <= 8; they take 16 KB at n = 4, 6.3 MB at n = 10 and 15 MB at n = 11."""
+    perms = [_relabelings(n, k) for k in range(n)]
+    perm = np.concatenate(perms)
+    u, v = np.array(lex_pairs(n), dtype=np.intp).reshape(-1, 2).T
+    rank = np.zeros((n, n), dtype=np.int64)
+    rank[u, v] = rank[v, u] = np.arange(len(u))
+    nbytes = max((len(u) + 7) // 8, 1)
+    # row p, column i: the bit of pair p's image under the i-th relabeling
+    image = np.zeros((8 * nbytes, len(perm)), dtype=np.int64)
+    image[:len(u)] = np.int64(1) << rank[perm[:, u], perm[:, v]].T
+    image = image.reshape(nbytes, 8, len(perm))
+    tables = np.empty((nbytes, 256, len(perm)), dtype=np.int64)
+    tables[:, 0] = 0
+    for j in range(8):  # the byte values below 2^(j+1) from those below 2^j
+        np.bitwise_or(tables[:, :1 << j], image[:, j:j + 1], out=tables[:, 1 << j:2 << j])
+    return np.split(tables, np.cumsum([len(p) for p in perms])[:-1], axis=2)
+
+
 def _maximal_masks(n: int, *, shards: int = 1, forward_prune: bool = True) -> np.ndarray:
-    """Sorted edge masks of the maximal triangle-free graphs on [n]."""
+    """Sorted edge masks of the maximal triangle-free graphs on [n].
+
+    Each seed leaf with N(0) = {1..k} goes through the C(n - 1, k)
+    relabelings sigma_S, one table lookup per byte of its edge mask
+    (``_relabel_tables``), into one preallocated array, which is sorted
+    once.  sigma_S(G) has N(0) = S, and every labeled graph is sigma_S of
+    exactly one seed leaf, with S = N(0), so each graph comes out once (the
+    proof is in ``scan``).
+    """
     batches = [np.zeros(0, dtype=np.int64)]
     _walk_maximal(n, lambda adj: batches.append(scan.edge_masks(adj)),
                   shards=shards, forward_prune=forward_prune)
-    return np.sort(np.concatenate(batches))
+    seeds = np.concatenate(batches)
+    tables = _relabel_tables(n)
+    # a seed's low n - 1 bits are its pairs (0, x), 2^k - 1 for N(0) = {1..k}
+    deg = np.bitwise_count(seeds & (1 << n - 1) - 1)
+    counts = np.bincount(deg, minlength=n).tolist()
+    # byte b of every seed, little-endian, in order of degree
+    seed_bytes = seeds.astype("<i8", copy=False).view(np.uint8).reshape(-1, 8)[np.argsort(deg)].T
+    masks = np.empty(sum(c * t.shape[2] for c, t in zip(counts, tables)), dtype=np.int64)
+    at = first = 0
+    for count, table in zip(counts, tables):
+        if count:
+            # row i of the block holds seed i's images, one per sigma_S
+            block = masks[at:at + count * table.shape[2]].reshape(count, table.shape[2])
+            code = seed_bytes[:, first:first + count]
+            # clip mode writes straight into block (see scan._compact)
+            table[0].take(code[0], axis=0, out=block, mode="clip")
+            for b in range(1, len(table)):
+                block |= table[b].take(code[b], axis=0)
+            at += block.size
+            first += count
+    masks.sort()
+    return masks
 
 
 def check_size(n: int) -> None:
@@ -195,14 +263,17 @@ def growth_table(n_max: int, *, shards: int = 1, stream_path=None) -> tuple[Coun
 def remark3_census(n: int) -> tuple[int, int]:
     """(admitting, total): how many of the walker's maximal triangle-free
     graphs on [n] split into a perfect-matching part X and an independent Y,
-    flagged by ``matching_partition_flags`` a leaf batch at a time."""
+    flagged by ``matching_partition_flags`` a seed-leaf batch at a time.
+    Relabeling keeps the split, so a seed leaf counts C(n - 1, deg 0) times,
+    as in the total."""
     if n > REMARK3_MAX_N:
         raise GuardError(f"matching-partition census capped at n={REMARK3_MAX_N}, got {n}")
+    weights = _orbit_weights(n)
     admitting = 0
 
     def tally(adj: np.ndarray) -> None:
         nonlocal admitting
-        admitting += int(np.count_nonzero(matching_partition_flags(adj)))
+        admitting += int(weights[np.bitwise_count(adj[:, 0])][matching_partition_flags(adj)].sum())
 
     total = _walk_maximal(n, tally)
     return admitting, total

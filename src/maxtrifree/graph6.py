@@ -260,16 +260,17 @@ def _decode_short(text: str) -> list[Graph] | None:
     if len(text) % (nchars + 2):
         return None
     chars = np.frombuffer(text.encode("latin-1"), dtype=np.uint8).reshape(-1, nchars + 2)
-    codes = chars[:, 1:-1] - 63
+    body = chars[:, 1:-1]  # a view: min and max read it without a copy
     if (np.any(chars[:, 0] != n + 63) or np.any(chars[:, -1] != ord("\n"))
-            or np.any(codes > 63)):  # below '?' wraps past 63
+            or body.min(initial=63) < 63 or body.max(initial=63) > 126):
         return None
     pad = 6 * nchars - nbits  # the last character's low bits
-    if pad and np.any(codes[:, -1] & (1 << pad) - 1):
+    if pad and np.any((chars[:, -2] - 63) & (1 << pad) - 1):
         return None
     graphs: list[Graph] = []
-    for start in range(0, len(codes), _BLOCK_LINES):
-        block = codes[start:start + _BLOCK_LINES].T.astype(np.intp)  # one row per position
+    for start in range(0, len(chars), _BLOCK_LINES):
+        block = body[start:start + _BLOCK_LINES].T.astype(np.intp)  # one row per position
+        block -= 63
         rows = np.zeros((n, block.shape[1]), dtype=row_dtype(n))
         for c, lo, hi, table in _code_tables(n):
             rows[lo:hi] |= table.take(block[c], axis=1)

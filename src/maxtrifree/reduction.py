@@ -14,14 +14,15 @@ container and the removal edges outside F* included, so H is maximal
 triangle-free on the whole vertex set.  Claim 2 and the counting chain
 therefore search nothing themselves: they filter one family per n, the
 pruned walker's ascending int64 edge masks of every maximal triangle-free
-graph on [n] (``enumeration._maximal_masks``), walked once and cached
-read-only (``_family``).  With g, f and s the masks of G, F and F*
-(``_masks``, in ``scan.edge_masks``' layout), H lies in the container iff
-m & ~g is 0 and has E(H) cap F = F* iff m & f is s.  The walk costs about
-10 ms at n = 8, 0.1 s at n = 9, and 2.7 s, 43 MB of masks and a 160 MB
-peak at n = 10, ``H_STAR_MAX_N``, the one vertex cap of claim 2, the
-containment count and the chain; the chain is also capped at
-``CHAIN_MAX_REMOVAL`` removal edges, 2^12 sets F*.
+graph on [n] (``enumeration._maximal_masks``, the orbit seeds' leaves
+relabeled into all their images), built once and cached read-only
+(``_family``).  With g, f and s the masks of G, F and F* (``_masks``, in
+``scan.edge_masks``' layout), H lies in the container iff m & ~g is 0 and
+has E(H) cap F = F* iff m & f is s.  Building it costs about 3 ms at
+n = 8, 15 ms at n = 9, and 0.2 s, 43 MB of masks and a 100 MB peak at
+n = 10, ``H_STAR_MAX_N``, the one vertex cap of claim 2, the containment
+count and the chain; the chain is also capped at ``CHAIN_MAX_REMOVAL``
+removal edges, 2^12 sets F*.
 
 An instance's three fields, F*, the reduced graph and T are tuples of bit
 rows, and a ``Graph`` is built only to parse an edge list or to spell out

@@ -66,20 +66,26 @@ at 113 MB of resident memory instead of 72 MB, and was no faster.  Since
 the next level overwrites a buffer, no buffer is handed over: a leaf batch
 is its leaves' pots without their own bits, a fresh array.
 
-A count needs only one seed per degree of vertex 0 (``orbit_seeds``).  For
-each k-set S of 1..n-1 fix a relabeling of 1..n-1 that sends S onto
-{1..k}, with 0 fixed.  It keeps a graph triangle-free, and maximal if it
-was, and maps the graphs with N(0) = S one-to-one onto those with
-N(0) = {1..k}.  So every one of the C(n-1, k) sets S has as many graphs of
+A walk of either family needs only one seed per degree of vertex 0
+(``orbit_seeds``).  For each k-set S of 1..n-1 let sigma_S fix 0 and send
+1..k onto S and k+1..n-1 onto the rest, both in increasing order.  A
+relabeling keeps a graph triangle-free, and maximal if it was, and
+sigma_S sends N(0) = {1..k} to N(0) = S; its inverse sends N(0) = S back,
+so sigma_S maps the graphs with N(0) = {1..k} one-to-one onto those with
+N(0) = S.  So every one of the C(n-1, k) sets S has as many graphs of
 either family as {1..k}, and a family's size is the sum over k of C(n-1, k)
-times its members with N(0) = {1..k}.  The seeded walk makes vertex 0's
-decisions, the first n - 1 levels, on the whole frontier; N(0) is then
-fixed, and is pot[0] without its own bit.  It keeps the states whose N(0)
-is {1..k}, at most n of them (``_orbit_seeds``), and walks the subtrees
-below them, which are the unseeded walk's, so its leaves are exactly the
-leaves with N(0) = {1..k}.  A counting consumer weights each by
-C(n-1, deg 0); every walk that hands its leaves on as graphs stays the full
-labeled walk.
+times its members with N(0) = {1..k}.  The images also partition the
+family: a graph G with N(0) = S, |S| = k, is sigma_S of the graph
+sigma_S^-1(G), which has N(0) = {1..k}, and of no other, since S is fixed by
+G and sigma_S is one-to-one.  So relabeling each graph with N(0) = {1..k}
+by all C(n-1, k) sigma_S lists the family once.  The seeded walk makes
+vertex 0's decisions, the first n - 1 levels, on the whole frontier; N(0)
+is then fixed, and is pot[0] without its own bit.  It keeps the states
+whose N(0) is {1..k}, at most n of them (``_orbit_seeds``), and walks the
+subtrees below them, which are the unseeded walk's, so its leaves are
+exactly the leaves with N(0) = {1..k}.  A count weights each by
+C(n-1, deg 0), and a consumer that needs the graphs relabels each by the
+C(n-1, deg 0) sigma_S (``enumeration._maximal_masks``).
 
 Consumers get one adjacency row per leaf, in the frontier's dtype.  The
 widest columns, uint16, cap the walker at n <= 16.  ``edge_masks`` derives
@@ -148,15 +154,25 @@ def mask_rows(n: int, masks: np.ndarray) -> np.ndarray:
 def pair_flags(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(triangle, not_maximal) flags of (N, n) uint8 or uint16 adjacency
     rows: some edge's ends have a common neighbour, some non-edge's ends have
-    none."""
+    none.
+
+    Each pair's words stay in the rows' dtype, and its temporaries are
+    four scratch arrays written through ``out=``, none allocated per pair.
+    """
+    dtype = adj.dtype.type
     triangle = np.zeros(len(adj), dtype=bool)
-    not_maximal = np.zeros(len(adj), dtype=bool)
+    covered = np.ones(len(adj), dtype=bool)  # every pair so far an edge or with a common neighbour
+    word = np.empty(len(adj), dtype=adj.dtype)
+    edge, common, either = (np.empty(len(adj), dtype=bool) for _ in range(3))
     for u, v in lex_pairs(adj.shape[1]):
-        edge = (adj[:, u] >> np.uint16(v) & 1).astype(bool)
-        common = (adj[:, u] & adj[:, v]) != 0
-        triangle |= edge & common
-        not_maximal |= ~(edge | common)
-    return triangle, not_maximal
+        np.bitwise_and(adj[:, u], dtype(1 << v), out=word)
+        np.not_equal(word, 0, out=edge)
+        np.bitwise_and(adj[:, u], adj[:, v], out=word)
+        np.not_equal(word, 0, out=common)
+        np.logical_or(edge, common, out=either)
+        covered &= either
+        triangle |= np.logical_and(edge, common, out=edge)
+    return triangle, ~covered
 
 
 def clique_flags(adj: np.ndarray, k: int) -> np.ndarray:
@@ -246,8 +262,8 @@ def walk_triangle_free(
     decisions are made on the whole frontier first; the surviving states
     are dealt round-robin, one shard after another.  With ``orbit_seeds``
     only the states whose N(0) is {1..k}, one per k, are dealt and walked,
-    and a leaf stands for C(n-1, k) labeled graphs, so only a counting
-    consumer may ask for it.  n > 16 raises GuardError.
+    and a leaf stands for C(n-1, k) labeled graphs, so its consumer must
+    weight it or relabel it into them.  n > 16 raises GuardError.
     """
     if n > _MAX_N:
         raise GuardError(f"walker holds uint16 vertex columns (n <= {_MAX_N}), got n={n}")

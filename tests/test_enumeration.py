@@ -1,5 +1,7 @@
 import dataclasses
 import hashlib
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -36,6 +38,56 @@ ORACLE_COUNTS = {1: 1, 2: 1, 3: 3, 4: 7, 5: 27, 6: 211}
 # sha256 of `enumerate --n 9 --stream`, frozen from the writer that encoded each
 # leaf with encode_graph6(graph_from_edge_mask(9, mask))
 N9_STREAM_SHA256 = "84abfb31beb91aacd5962037269c60ddd06a6160e41c858ead33a2a7e59a3214"
+
+
+# sha256 of _maximal_masks(10) as little-endian int64, frozen from the full
+# labeled walk, which reached every labeled graph as a leaf
+N10_FAMILY_SHA256 = "6f82252dbcdae38b6b5dce131b552f0b4582869beaae4e16e486a725e8a0522a"
+
+
+def _labeled_walk_masks(n: int, forward_prune: bool) -> np.ndarray:
+    """Sorted int64 edge masks of the maximal triangle-free graphs on [n] from
+    the full unseeded walk, its unpruned leaves filtered by pair_flags."""
+    batches = [np.zeros(0, dtype=np.int64)]
+
+    def keep(adj):
+        if not forward_prune:
+            adj = adj[~scan.pair_flags(adj)[1]]
+        batches.append(scan.edge_masks(adj))
+
+    scan.walk_triangle_free(n, forward_prune=forward_prune, consume=keep)
+    return np.sort(np.concatenate(batches))
+
+
+def _assert_family_is_labeled_walk(n: int, *, shards: int = 1, forward_prune: bool = True):
+    """Raise AssertionError unless the relabeled family equals the labeled
+    walk's, naming the sizes and the first missing, repeated and foreign
+    graph, as graph6."""
+    got = enumeration._maximal_masks(n, shards=shards, forward_prune=forward_prune)
+    expected = _labeled_walk_masks(n, forward_prune)
+    if np.array_equal(got, expected):
+        return
+    missing = np.setdiff1d(expected, got)
+    repeated = np.unique(got[1:][got[1:] == got[:-1]])
+    foreign = np.setdiff1d(got, expected)
+
+    def first(masks):
+        return encode_graph6(graph_from_edge_mask(n, int(masks[0]))) if len(masks) else "-"
+
+    raise AssertionError(
+        f"n={n} shards={shards} forward_prune={forward_prune}: {len(got)} graphs, "
+        f"labeled walk {len(expected)}; missing {len(missing)} (first {first(missing)}), "
+        f"repeated {len(repeated)} (first {first(repeated)}), "
+        f"not in the walk {len(foreign)} (first {first(foreign)})")
+
+
+@pytest.fixture
+def fresh_relabel_tables():
+    """Empty the relabeling tables' cache around a test that plants a
+    relabeling, so neither the planted nor the real tables leak across."""
+    enumeration._relabel_tables.cache_clear()
+    yield
+    enumeration._relabel_tables.cache_clear()
 
 
 def _sorted_leaf_masks(n: int) -> list[int]:
@@ -199,6 +251,65 @@ class TestEnumerate:
             enumerate_maximal_tf(12)
 
 
+def _skip_last_set(n, k, real=enumeration._relabelings):
+    """A planted relabeling list that loses the last 2-set S = {n-2, n-1}."""
+    sigma = real(n, k)
+    return sigma[:-1] if k == 2 else sigma
+
+
+def _repeat_first_set(n, k, real=enumeration._relabelings):
+    """A planted relabeling list whose last 2-set sends {1, 2} onto {1, 2}
+    again instead of onto {n-2, n-1}."""
+    sigma = real(n, k)
+    if k == 2:
+        sigma[-1] = sigma[0]
+    return sigma
+
+
+class TestRelabeledFamily:
+    """The family is the orbit seeds' leaves relabeled into all their
+    images; it must be the full labeled walk's, mask for mask."""
+
+    @pytest.mark.parametrize("shards", [1, 3])
+    def test_family_is_the_labeled_walk(self, shards):
+        for n in range(1, 10):
+            _assert_family_is_labeled_walk(n, shards=shards)
+        for n in range(1, 8):
+            _assert_family_is_labeled_walk(n, shards=shards, forward_prune=False)
+
+    def test_family_n10_sha256(self):
+        masks = enumeration._maximal_masks(10)
+        assert len(masks) == 5_379_451
+        assert hashlib.sha256(masks.astype("<i8").tobytes()).hexdigest() == N10_FAMILY_SHA256
+
+    def test_relabelings_fix_0_and_keep_each_part_in_order(self):
+        for n in range(1, 8):
+            for k in range(n):
+                sigma = enumeration._relabelings(n, k)
+                assert len(sigma) == math.comb(n - 1, k)
+                images = {tuple(row[1:k + 1]) for row in sigma.tolist()}
+                assert images == set(itertools.combinations(range(1, n), k)), (n, k)
+                for row in sigma.tolist():
+                    assert row[0] == 0 and sorted(row) == list(range(n))
+                    assert row[1:k + 1] == sorted(row[1:k + 1])
+                    assert row[k + 1:] == sorted(row[k + 1:])
+
+    @pytest.mark.parametrize("planted, message", [
+        (_skip_last_set,
+         "n=5 shards=1 forward_prune=True: 24 graphs, labeled walk 27; missing 3 "
+         "(first DLo), repeated 0 (first -), not in the walk 0 (first -)"),
+        (_repeat_first_set,
+         "n=5 shards=1 forward_prune=True: 27 graphs, labeled walk 27; missing 3 "
+         "(first DLo), repeated 3 (first DrW), not in the walk 0 (first -)"),
+    ], ids=["skipped_set", "wrong_set"])
+    def test_planted_relabeling_fails(self, monkeypatch, fresh_relabel_tables, planted,
+                                      message):
+        monkeypatch.setattr(enumeration, "_relabelings", planted)
+        with pytest.raises(AssertionError) as failed:
+            _assert_family_is_labeled_walk(5)
+        assert str(failed.value) == message
+
+
 class TestGrowthTable:
     def test_rows(self):
         rows = growth_table(5)
@@ -310,29 +421,30 @@ class TestPinnedCountChecks:
                                   f"plain={got}"] for n, got in oracle]
 
     def test_dropped_graph_fails_remark3(self, monkeypatch):
-        # the census tallies the walker's leaf batches; drop the first n = 6 leaf
+        # the census tallies the seed leaves, each weighted by C(n - 1, deg 0);
+        # drop the one n = 6 seed with N(0) = {1}, the star centred at 1,
+        # which stands for the C(5, 1) = 5 stars centred at 1..5
         real = enumeration._walk_maximal
+        dropped = []
 
         def drop_one(n, consume, **kwargs):
             if n != 6:
                 return real(n, consume, **kwargs)
-            dropped = []
 
             def rest(adj):
-                if not dropped:
-                    dropped.append(adj[0])
-                    adj = adj[1:]
-                consume(adj)
+                star = np.bitwise_count(adj[:, 0]) == 1
+                dropped.extend(adj[star].tolist())
+                consume(adj[~star])
 
-            return real(n, rest, **kwargs) - 1
+            return real(n, rest, **kwargs) - 5
 
         monkeypatch.setattr(enumeration, "_walk_maximal", drop_one)
         rep = suites._remark3_check(self.CONFIG)
+        assert dropped == [[2, 0b111101, 2, 2, 2, 2]]
         assert not rep.passed
-        # the first n = 6 leaf is the star centred at 0, so the admitting
-        # count drops with the family total
-        assert rep.witnesses == [["n=6", "pinned=211", "got=210"],
-                                 ["n=6", "pinned_admitting=6", "got=5"]]
+        # the family total and the admitting count both drop by the weight
+        assert rep.witnesses == [["n=6", "pinned=211", "got=206"],
+                                 ["n=6", "pinned_admitting=6", "got=1"]]
 
     @staticmethod
     def _recognizer(vertex_ok):

@@ -111,9 +111,10 @@ def test_graphs_from_rows_has_one_caller():
 
 def test_orbit_seeding_has_one_caller():
     # an orbit-seeded leaf stands for C(n - 1, deg 0) labeled graphs, so only
-    # the count may ask for it; the stream, the H* family, the Remark 3 census
-    # and the Hujter-Tuza scan hand on every labeled leaf, and their witnesses
-    # and orders depend on it.  A ** splat into the walker could pass it too
+    # _walk_maximal may ask for it: its count and the Remark 3 census weight
+    # each leaf by that, and the family behind the stream and the H* filters
+    # relabels it into them.  The Hujter-Tuza scan hands on every labeled
+    # parent.  A ** splat into the walker could pass it too
     found = []
     for path in sorted(PACKAGE_DIR.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
